@@ -31,8 +31,8 @@ def main():
     pointer = PointerModel(region_centers=(-4.5, 4.5), r_c=r_c,
                            amplification=args.amplification)
     family = pointer_family(grid, grw_gaussian(r_c), pointer.outcome_count)
-    params = ModelParams.natural(lambda_grw=1.0, family=family, dt=8e-4)
-    params.mass = float(args.amplification)
+    params = ModelParams.natural(lambda_grw=1.0, family=family, dt=8e-4,
+                                 mass=float(args.amplification))
 
     amps = np.sqrt([args.weight, 1.0 - args.weight])
     rep = born_experiment(amps, pointer, params, t_obs=0.5,

@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--n-traj", type=int, default=2000)
     ap.add_argument("--t-end", type=float, default=1.0)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     grid = SpatialGrid.line(16, 0.5)
@@ -34,8 +33,7 @@ def main():
     psi0 /= np.linalg.norm(psi0)
 
     rep = ensemble_vs_master(psi0, params, args.t_end, args.n_traj,
-                             seed=args.seed, n_checkpoints=10,
-                             threads=args.threads)
+                             seed=args.seed, n_checkpoints=10)
     print(f"{args.n_traj} trajectories, statistical bound {rep.bound[0]:.4f}")
     for t, d in zip(rep.times, rep.frobenius_distance):
         print(f"  t = {t:5.2f}: frobenius distance {d:.5f}")

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +43,34 @@ EXPERIMENTS = ("exact", "trajectories", "master", "compare", "born",
 # strict config validation
 # ---------------------------------------------------------------------------
 
+def _finite(val):
+    """float(val) for a finite JSON number, else None (NaN, Infinity, huge ints, non-numbers)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        num = float(val)
+    except OverflowError:
+        return None
+    return num if math.isfinite(num) else None
+
+
+def _numbers(obj: dict, key: str, path: str, need: str, ok=lambda v: True) -> list:
+    """A required non-empty list of finite numbers that all pass ``ok``."""
+    vals = [_finite(v) for v in _require(obj, key, list, path)]
+    if not vals or None in vals or not all(ok(v) for v in vals):
+        raise ConfigError(f"{path}.{key}: need {need}")
+    return vals
+
+
 def _require(obj: dict, key: str, types, path: str):
     if key not in obj:
         raise ConfigError(f"{path}.{key}: missing required field")
     val = obj[key]
     if types is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {type(val).__name__}")
-        return float(val)
+        num = _finite(val)
+        if num is None:
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {val!r:.40}")
+        return num
     if types is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}.{key}: expected an integer, got {type(val).__name__}")
@@ -199,37 +221,37 @@ def _validate_master_options(obj, path):
 
 def _validate_born_options(obj, path):
     _reject_unknown(obj, {"amplitudes", "t_obs", "n_runs", "pointer"}, path)
-    amps = _require(obj, "amplitudes", list, path)
-    if len(amps) < 2 or not all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in amps):
+    amps = _numbers(obj, "amplitudes", path, "at least two real amplitudes")
+    if len(amps) < 2:
         raise ConfigError(f"{path}.amplitudes: need at least two real amplitudes")
-    if abs(sum(float(a) ** 2 for a in amps) - 1.0) > 1e-9:
+    if abs(sum(a ** 2 for a in amps) - 1.0) > 1e-9:
         raise ConfigError(f"{path}.amplitudes: squared amplitudes must sum to 1")
     _positive(_require(obj, "t_obs", float, path), f"{path}.t_obs")
     _positive(_require(obj, "n_runs", int, path), f"{path}.n_runs")
     p = _require(obj, "pointer", dict, path)
     _reject_unknown(p, {"centers", "amplification", "region_halfwidth"}, f"{path}.pointer")
-    centers = _require(p, "centers", list, f"{path}.pointer")
+    centers = _numbers(p, "centers", f"{path}.pointer", "a list of region centres")
     if len(centers) != len(amps):
         raise ConfigError(f"{path}.pointer.centers: need one centre per amplitude")
     _positive(_require(p, "amplification", int, f"{path}.pointer"), f"{path}.pointer.amplification")
+    if "region_halfwidth" in p:
+        _positive(_require(p, "region_halfwidth", float, f"{path}.pointer"),
+                  f"{path}.pointer.region_halfwidth")
 
 
 def _validate_gamma_options(obj, path):
     _reject_unknown(obj, {"d_values", "r_c", "quad_tol"}, path)
-    ds = _require(obj, "d_values", list, path)
-    if not ds or not all(isinstance(d, (int, float)) and not isinstance(d, bool) and d >= 0 for d in ds):
-        raise ConfigError(f"{path}.d_values: need a list of non-negative separations")
+    _numbers(obj, "d_values", path, "a list of non-negative separations", lambda d: d >= 0)
     _positive(_require(obj, "r_c", float, path), f"{path}.r_c")
     _positive(_optional(obj, "quad_tol", float, path, 1e-9), f"{path}.quad_tol")
 
 
 def _validate_energy_options(obj, path):
     _reject_unknown(obj, {"r_g_values", "psi_width", "r_max", "n_r", "mass", "hbar"}, path)
-    vals = _require(obj, "r_g_values", list, path)
-    if not vals or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in vals):
-        raise ConfigError(f"{path}.r_g_values: need a list of positive radii")
+    _numbers(obj, "r_g_values", path, "a list of positive radii", lambda v: v > 0)
     _positive(_require(obj, "psi_width", float, path), f"{path}.psi_width")
-    _positive(_optional(obj, "r_max", float, path, 0.0) or 1.0, f"{path}.r_max")
+    if "r_max" in obj:
+        _positive(_require(obj, "r_max", float, path), f"{path}.r_max")
     _positive(_optional(obj, "n_r", int, path, 2000), f"{path}.n_r")
     _positive(_optional(obj, "mass", float, path, 1.0), f"{path}.mass")
     _positive(_optional(obj, "hbar", float, path, 1.0), f"{path}.hbar")
@@ -239,9 +261,7 @@ def _validate_potential_options(obj, path):
     _reject_unknown(obj, {"source_nodes", "source_spacing", "probe_distances", "m_r"}, path)
     _positive(_require(obj, "source_nodes", int, path), f"{path}.source_nodes")
     _positive(_require(obj, "source_spacing", float, path), f"{path}.source_spacing")
-    ds = _require(obj, "probe_distances", list, path)
-    if not ds or not all(isinstance(d, (int, float)) and not isinstance(d, bool) and d > 0 for d in ds):
-        raise ConfigError(f"{path}.probe_distances: need a list of positive distances")
+    _numbers(obj, "probe_distances", path, "a list of positive distances", lambda d: d > 0)
     _positive(_optional(obj, "m_r", float, path, 1.0), f"{path}.m_r")
 
 
@@ -303,7 +323,7 @@ def _parse_cell(cell: str):
 # experiment dispatch
 # ---------------------------------------------------------------------------
 
-def _run_exact(cfg, seed, threads):
+def _run_exact(cfg, seed):
     params = _parse_params(cfg["params"])
     opts = cfg.get("options", {})
     psi0 = _parse_psi0(opts.get("psi0", {}), params.grid, "options.psi0")
@@ -322,12 +342,12 @@ def _run_exact(cfg, seed, threads):
     return ("csv", ["sample", "n_points", "n_flashes", "first_flash_node", "first_flash_time"], rows)
 
 
-def _run_trajectories(cfg, seed, threads):
+def _run_trajectories(cfg, seed):
     params = _parse_params(cfg["params"])
     opts = cfg.get("options", {})
     psi0 = _parse_psi0(opts.get("psi0", {}), params.grid, "options.psi0")
     trajs = run_trajectories(psi0, params, opts["t_end"], opts["n_traj"], seed,
-                             opts.get("n_checkpoints", 11), threads=threads)
+                             opts.get("n_checkpoints", 11))
     rows = []
     for i, tr in enumerate(trajs):
         mean_x = float(np.sum(params.grid.x * np.abs(tr.states[-1]) ** 2))
@@ -336,7 +356,7 @@ def _run_trajectories(cfg, seed, threads):
     return ("csv", ["trajectory", "n_flashes", "first_flash_time", "final_mean_position"], rows)
 
 
-def _run_master(cfg, seed, threads):
+def _run_master(cfg, seed):
     params = _parse_params(cfg["params"])
     opts = cfg.get("options", {})
     psi0 = _parse_psi0(opts.get("psi0", {}), params.grid, "options.psi0")
@@ -350,17 +370,17 @@ def _run_master(cfg, seed, threads):
     return ("csv", ["time", "trace", "purity", "offdiagonal_frobenius"], rows)
 
 
-def _run_compare(cfg, seed, threads):
+def _run_compare(cfg, seed):
     params = _parse_params(cfg["params"])
     opts = cfg.get("options", {})
     psi0 = _parse_psi0(opts.get("psi0", {}), params.grid, "options.psi0")
     rep = ensemble_vs_master(psi0, params, opts["t_end"], opts["n_traj"], seed,
-                             opts.get("n_checkpoints", 11), threads=threads)
+                             opts.get("n_checkpoints", 11))
     rows = [(t, d, b) for t, d, b in zip(rep.times, rep.frobenius_distance, rep.bound)]
     return ("csv", ["time", "frobenius_distance", "bound"], rows)
 
 
-def _run_born(cfg, seed, threads):
+def _run_born(cfg, seed):
     params = _parse_params(cfg["params"])
     opts = cfg["options"]
     ptr = opts["pointer"]
@@ -368,8 +388,9 @@ def _run_born(cfg, seed, threads):
     pointer = PointerModel(tuple(float(c) for c in ptr["centers"]), r_c,
                            int(ptr["amplification"]),
                            region_halfwidth=ptr.get("region_halfwidth"))
-    params.mass = pointer.amplification * params.m_r
-    params.family = pointer_family(params.grid, params.family.smearing, pointer.outcome_count)
+    params = replace(params, mass=pointer.amplification * params.m_r,
+                     family=pointer_family(params.grid, params.family.smearing,
+                                           pointer.outcome_count))
     rep = born_experiment([float(a) for a in opts["amplitudes"]], pointer, params,
                           opts["t_obs"], opts["n_runs"], seed)
     payload = {
@@ -385,7 +406,7 @@ def _run_born(cfg, seed, threads):
     return ("json", None, payload)
 
 
-def _run_gamma(cfg, seed, threads):
+def _run_gamma(cfg, seed):
     gp = _parse_gravity(cfg["gravity"])
     opts = cfg["options"]
     curve = compute_dephasing_curve([float(d) for d in opts["d_values"]], gp,
@@ -394,11 +415,11 @@ def _run_gamma(cfg, seed, threads):
     return ("csv", ["d_m", "gamma", "err_estimate"], rows)
 
 
-def _run_energy(cfg, seed, threads):
+def _run_energy(cfg, seed):
     gp = _parse_gravity(cfg["gravity"])
     opts = cfg["options"]
     width = opts["psi_width"]
-    r_max = opts.get("r_max") or 12.0 * width
+    r_max = opts.get("r_max", 12.0 * width)
     r = np.linspace(r_max / opts.get("n_r", 2000), r_max, opts.get("n_r", 2000))
     psi = np.exp(-r ** 2 / (2.0 * width ** 2))
     rows = []
@@ -409,7 +430,7 @@ def _run_energy(cfg, seed, threads):
     return ("csv", ["r_g_m", "kinetic_energy_j"], rows)
 
 
-def _run_potential(cfg, seed, threads):
+def _run_potential(cfg, seed):
     gp = _parse_gravity(cfg["gravity"])
     opts = cfg["options"]
     grid = SpatialGrid.line(opts["source_nodes"], opts["source_spacing"])
@@ -435,21 +456,20 @@ _RUNNERS = {
 }
 
 
-def run_config(cfg: dict, seed_override=None, out_override=None, threads: int = 1) -> Path:
+def run_config(cfg: dict, seed_override=None, out_override=None) -> Path:
     """Validate, dispatch and write; returns the results path."""
     cfg = validate_config(cfg)
     seed = int(seed_override) if seed_override is not None else int(cfg["seed"])
     out = Path(out_override) if out_override is not None else Path(cfg["output_path"])
     fmt = cfg.get("output_format", "csv")
     t0 = time.monotonic()
-    kind, columns, payload = _RUNNERS[cfg["experiment"]](cfg, seed, threads)
+    kind, columns, payload = _RUNNERS[cfg["experiment"]](cfg, seed)
     wall = time.monotonic() - t0
     metadata = {
         "artifact_version": __version__,
         "config": {k: v for k, v in sorted(cfg.items()) if k != "output_path"},
         "generator": GENERATOR_NAME,
         "seed": seed,
-        "threads": threads,
     }
     out.parent.mkdir(parents=True, exist_ok=True)
     if kind == "csv" and fmt == "csv":
@@ -470,7 +490,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute an experiment config")
     run_p.add_argument("config", type=Path)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--out", type=Path, default=None)
     val_p = sub.add_parser("validate", help="check a config against the schema")
     val_p.add_argument("config", type=Path)
@@ -487,8 +506,7 @@ def main(argv=None) -> int:
             validate_config(cfg)
             print(f"{args.config}: ok")
             return 0
-        out = run_config(cfg, seed_override=args.seed, out_override=args.out,
-                         threads=args.threads)
+        out = run_config(cfg, seed_override=args.seed, out_override=args.out)
         print(f"wrote {out}")
         return 0
     except ConfigError as exc:

@@ -3,8 +3,12 @@
 The piecewise-deterministic jump process: between flashes the state
 follows the Hamiltonian plus a quadratic drift that rewards low
 localization-operator variance, and at Poisson-distributed flash times
-it is multiplied by the local collapse operator and renormalized.  The
-ensemble average of the projector obeys the matching master equation,
+it is multiplied by the local collapse operator and renormalized.
+Ensembles run on one batched engine, ``propagate_batch``, which steps a
+(chunk, dim) array of states row by row and hands each step's flashes
+to its consumer; trajectory k draws from its own stream(seed, k), one
+uniform per step and one per flash, so no result depends on the chunk
+size.  The ensemble average of the projector obeys the matching master equation,
 integrated here with classic fourth-order Runge-Kutta; the two routes
 are cross-checked by ``ensemble_vs_master``.  ``coarse_grain_consistency``
 closes the loop against the exact collapse-point chains.
@@ -12,7 +16,6 @@ closes the loop against the exact collapse-point chains.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -118,16 +121,87 @@ class Trajectory:
 # jump process
 # ---------------------------------------------------------------------------
 
+#: trajectories stepped together; keeps a chunk's working set at a few MiB
+_CHUNK = 512
+#: uniforms drawn from a trajectory's stream at a time
+_BLOCK = 128
+
+
+def _abs2(v):
+    return v.real ** 2 + v.imag ** 2
+
+
+def _apply(m, v):
+    """m @ v for each row of v (m: one matrix or one per row), without BLAS,
+    whose sums depend on the row count and which starts a second thread."""
+    return np.einsum("...ij,...j->...i", m, v)
+
+
 def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
-    """Per-node flash rates: rate_scale * w_k * <L^2(x_k)>."""
+    """Per-node flash rates rate_scale * w_k * <L^2(x_k)>, of a state or of each row."""
     v = _mat(psi)
     fam = params.family
     if fam.is_diagonal:
-        expect = fam.l2_diagonals() @ np.abs(v) ** 2
+        expect = np.einsum("kj,...j->...k", fam.l2_diagonals(), _abs2(v))
     else:
-        amp = np.einsum("kij,j->ki", fam.dense_members, v)
-        expect = np.einsum("ki,ki->k", amp.conj(), amp).real
-    return params.rate_scale * fam.grid.weights * np.maximum(expect.real, 0.0)
+        expect = _abs2(np.einsum("kij,...j->...ki", fam.dense_members, v)).sum(axis=-1)
+    return params.rate_scale * fam.grid.weights * np.maximum(expect, 0.0)
+
+
+def _weighted(x, params: ModelParams):
+    """W x (None when W is diagonal) and <x|W|x> per row, W = sum_k w_k L_k^2."""
+    w_l2 = params.weighted_l2()
+    if params.family.is_diagonal:
+        return None, (_abs2(x) * w_l2).sum(axis=-1)
+    wx = _apply(w_l2, x)
+    return wx, (x.conj() * wx).real.sum(axis=-1)
+
+
+def _step(v, params: ModelParams, uniform):
+    """One step of each row of v, the only step implementation.
+
+    ``uniform(rows)`` returns the next uniform of each listed row's own
+    stream.  Returns (states, flashed rows, their nodes).
+    """
+    fam, dt = params.family, params.dt
+    wv, s2 = _weighted(v, params)
+    p_jump = dt * params.rate_scale * s2
+    worst = float(p_jump.max())
+    if worst >= STEP_VALIDITY_LIMIT:
+        raise StepSizeError(
+            f"per-step flash probability {worst!r} exceeds {STEP_VALIDITY_LIMIT}; reduce dt")
+    flashed = np.flatnonzero(uniform(np.arange(len(v))) < p_jump)
+
+    # no-flash update of every row; the flashed rows are overwritten below
+    c = 0.5 * params.rate_scale * dt
+    u_half = params.half_step_unitary()
+    out = v
+    if u_half is not None:
+        out = _apply(u_half, v)
+        wv, s2 = _weighted(out, params)
+    if wv is None:
+        out = out * (1.0 + c * (s2[:, None] - params.weighted_l2()))
+    else:
+        out = out + c * (s2[:, None] * out - wv)
+    if u_half is not None:
+        out = _apply(u_half, out)
+    out *= 1.0 / np.sqrt(_abs2(out).sum(axis=-1, keepdims=True))
+    if not flashed.size:
+        return out, flashed, flashed
+
+    # the rule of Generator.choice(p=rates / total): normalised cdf, searchsorted side="right"
+    rates = flash_rate_density(v[flashed], params)
+    cdf = np.cumsum(rates / rates.sum(axis=-1, keepdims=True), axis=-1)
+    nodes = (cdf / cdf[:, -1:] <= uniform(flashed)[:, None]).sum(axis=-1)
+    if fam.is_diagonal:
+        jumped = fam.diagonals[nodes] * v[flashed]
+    else:
+        jumped = _apply(fam.dense_members[nodes], v[flashed])
+    nrm = np.sqrt(_abs2(jumped).sum(axis=-1, keepdims=True))
+    if np.any(nrm == 0.0):
+        raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
+    out[flashed] = jumped / nrm
+    return out, flashed, nodes
 
 
 def sse_step(psi, params: ModelParams, rng: np.random.Generator, t: float = 0.0):
@@ -138,80 +212,79 @@ def sse_step(psi, params: ModelParams, rng: np.random.Generator, t: float = 0.0)
     step, exact renormalization.  Flash branch: node drawn
     proportionally to its rate, state multiplied by the local collapse
     operator and renormalized (the overall phase of the jump carries no
-    observable content and is dropped).  Returns (state, event-or-None).
+    observable content and is dropped).  Draws ``rng.random()`` once,
+    and once more for a flash's node.  Returns (state, event-or-None).
     """
-    v = _mat(psi).astype(complex)
-    rates = flash_rate_density(v, params)
-    total = float(rates.sum())
-    p_jump = params.dt * total
-    if p_jump >= STEP_VALIDITY_LIMIT:
-        raise StepSizeError(
-            f"per-step flash probability {p_jump!r} exceeds {STEP_VALIDITY_LIMIT}; reduce dt")
-    fam = params.family
-    if rng.random() < p_jump:
-        k = int(rng.choice(fam.n_members, p=rates / total))
-        if fam.is_diagonal:
-            out = fam.diagonals[k] * v
-        else:
-            out = fam.dense_members[k] @ v
-        nrm = np.linalg.norm(out)
-        if nrm == 0.0:
-            raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
-        event = FlashEvent(time=t, node_index=k, position=fam.grid.positions[k])
-        return out / nrm, event
-
-    u_half = params.half_step_unitary()
-    if u_half is not None:
-        v = u_half @ v
-    w_l2 = params.weighted_l2()
-    if fam.is_diagonal:
-        s2 = float(np.real(np.vdot(v, w_l2 * v)))
-        v = v + 0.5 * params.rate_scale * params.dt * (s2 * v - w_l2 * v)
-    else:
-        s2 = float(np.real(np.vdot(v, w_l2 @ v)))
-        v = v + 0.5 * params.rate_scale * params.dt * (s2 * v - w_l2 @ v)
-    if u_half is not None:
-        v = u_half @ v
-    return v / np.linalg.norm(v), None
+    v = _mat(psi).astype(complex)[None]
+    out, _, nodes = _step(v, params, lambda rows: np.array([rng.random() for _ in rows]))
+    if not nodes.size:
+        return out[0], None
+    k = int(nodes[0])
+    return out[0], FlashEvent(time=t, node_index=k, position=params.family.grid.positions[k])
 
 
-def run_trajectory(psi0, params: ModelParams, t_end: float,
-                   rng: np.random.Generator, n_checkpoints: int = 11) -> Trajectory:
-    """Integrate one jump trajectory, storing states at fixed checkpoints."""
-    n_steps = int(round(t_end / params.dt))
-    marks = sorted({int(round(c)) for c in np.linspace(0, n_steps, n_checkpoints)})
-    v = _mat(psi0).astype(complex)
-    states = [v.copy()] if 0 in marks else []
-    times = [0.0] if 0 in marks else []
-    flashes = []
-    for i in range(1, n_steps + 1):
-        v, event = sse_step(v, params, rng, t=i * params.dt)
-        if event is not None:
-            flashes.append(event)
-        if i in marks:
-            states.append(v.copy())
-            times.append(i * params.dt)
-    return Trajectory(np.array(times), states, flashes)
+def _uniforms(rngs):
+    """Next uniform of each listed row's stream, drawn ``_BLOCK`` at a time;
+    ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls."""
+    buf = np.empty((len(rngs), _BLOCK))
+    pos = np.full(len(rngs), _BLOCK)
+
+    def draw(rows):
+        for r in rows[pos[rows] == _BLOCK]:
+            buf[r] = rngs[r].random(_BLOCK)
+            pos[r] = 0
+        out = buf[rows, pos[rows]]
+        pos[rows] += 1
+        return out
+    return draw
 
 
-def run_trajectories(psi0, params: ModelParams, t_end: float, n_traj: int,
-                     seed: int, n_checkpoints: int = 11, threads: int = 1):
-    """Independent trajectories on decorrelated streams derived from seed.
+def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: int):
+    """Run trajectories 0 .. n_traj - 1 from psi0, ``_CHUNK`` at a time.
 
-    Deterministic for fixed (seed, n_traj, params) regardless of thread
-    count: stream k depends only on (seed, k) and results are collected
-    in trajectory order.
+    Trajectory k draws from ``stream(seed, k)`` alone, so its flashes and
+    states do not depend on n_traj or the chunking.  Yields ``(first, i,
+    states, flashed, nodes)`` for i = 0 .. n_steps of each chunk:
+    trajectory first + r is row r of ``states`` after step i, and the
+    rows ``flashed`` flashed at ``nodes`` in step i.
     """
     if n_traj < 1:
         raise ContractViolationError("need at least one trajectory")
+    v0 = _mat(psi0).astype(complex)
+    none = np.zeros(0, dtype=int)
+    for first in range(0, n_traj, _CHUNK):
+        rows = min(_CHUNK, n_traj - first)
+        draw = _uniforms([stream(seed, first + r) for r in range(rows)])
+        v = np.tile(v0, (rows, 1))
+        yield first, 0, v, none, none
+        for i in range(1, n_steps + 1):
+            v, flashed, nodes = _step(v, params, draw)
+            yield first, i, v, flashed, nodes
 
-    def one(idx):
-        return run_trajectory(psi0, params, t_end, stream(seed, idx), n_checkpoints)
 
-    if threads <= 1:
-        return [one(i) for i in range(n_traj)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n_traj)))
+def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
+    """Step count and the sorted steps at which snapshots are taken."""
+    n_steps = int(round(t_end / dt))
+    return n_steps, sorted({int(round(c)) for c in np.linspace(0, n_steps, n_checkpoints)})
+
+
+def run_trajectories(psi0, params: ModelParams, t_end: float, n_traj: int,
+                     seed: int, n_checkpoints: int = 11):
+    """Independent trajectories on decorrelated streams derived from seed.
+
+    Stream k depends only on (seed, k), so each trajectory reproduces
+    bit-for-bit whatever n_traj; states are stored at the checkpoints.
+    """
+    n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
+    trajs = [Trajectory(np.array(marks) * params.dt, []) for _ in range(n_traj)]
+    positions = params.family.grid.positions
+    for first, i, v, flashed, nodes in propagate_batch(psi0, params, n_steps, n_traj, seed):
+        for r, k in zip(flashed.tolist(), nodes.tolist()):
+            trajs[first + r].flashes.append(FlashEvent(i * params.dt, k, positions[k]))
+        if i in marks:
+            for tr, state in zip(trajs[first:], v.copy()):
+                tr.states.append(state)
+    return trajs
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +360,7 @@ def lindblad_step(rho, params: ModelParams, check_positivity: bool = True) -> np
 def integrate_master(rho0, params: ModelParams, t_end: float,
                      n_checkpoints: int = 11, check_positivity: bool = True):
     """Repeatedly step the master equation, returning checkpoint snapshots."""
-    n_steps = int(round(t_end / params.dt))
-    marks = sorted({int(round(c)) for c in np.linspace(0, n_steps, n_checkpoints)})
+    n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
     r = _mat(rho0).astype(complex)
     times, rhos = [], []
     if 0 in marks:
@@ -319,27 +391,24 @@ class EnsembleComparison:
 
 
 def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
-                       seed: int, n_checkpoints: int = 11,
-                       threads: int = 1) -> EnsembleComparison:
+                       seed: int, n_checkpoints: int = 11) -> EnsembleComparison:
     """Trajectory-average projector versus deterministic master solution.
 
+    The projectors are summed chunk by chunk as the trajectories run.
     The Frobenius distance at every checkpoint is compared against the
     statistical bound 5 / sqrt(n_traj).
     """
-    trajectories = run_trajectories(psi0, params, t_end, n_traj, seed,
-                                    n_checkpoints, threads)
-    times = trajectories[0].times
-    dim = _mat(psi0).size
-    avg = np.zeros((len(times), dim, dim), dtype=complex)
-    for tr in trajectories:
-        for i, st in enumerate(tr.states):
-            avg[i] += np.outer(st, st.conj())
-    avg /= n_traj
+    n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
     v = _mat(psi0).astype(complex)
+    avg = np.zeros((len(marks), v.size, v.size), dtype=complex)
+    for _, i, states, _, _ in propagate_batch(v, params, n_steps, n_traj, seed):
+        if i in marks:
+            avg[marks.index(i)] += np.einsum("ri,rj->ij", states, states.conj())
+    avg /= n_traj
     _, rhos = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
-    dist = np.array([np.linalg.norm(avg[i] - rhos[i]) for i in range(len(times))])
-    bound = np.full(len(times), 5.0 / np.sqrt(n_traj))
-    return EnsembleComparison(times, dist, bound, n_traj)
+    dist = np.array([np.linalg.norm(a - r) for a, r in zip(avg, rhos)])
+    bound = np.full(len(marks), 5.0 / np.sqrt(n_traj))
+    return EnsembleComparison(np.array(marks) * params.dt, dist, bound, n_traj)
 
 
 @dataclass

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, flash_rate_density, sse_step
+from .dynamics import ModelParams, flash_rate_density, propagate_batch
 from .errors import ContractViolationError
 from .hilbert import SpatialGrid, StateVector
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
-from .rng import stream
 
 
 @dataclass
@@ -145,39 +144,29 @@ def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
         raise ContractViolationError(
             f"amplification x rate x t_obs = {expected_flashes!r} < 20; "
             "no-flash runs would not be negligible")
-    amps = np.asarray(c, dtype=complex)
     grid = params.family.grid
-    psi0 = premeasure(amps, pointer, grid)
+    psi0 = premeasure(np.asarray(c, dtype=complex), pointer, grid)
     n_out = pointer.outcome_count
     n_steps = int(round(t_obs / params.dt))
+    node_region = np.array([pointer.classify(float(x)) for x in grid.x])
 
-    counts = np.zeros(n_out, dtype=int)
-    first_times = []
-    fidelities = []
-    cross = 0
-    zero = 0
-    for run in range(n_runs):
-        rng = stream(seed, run)
-        v = psi0.data.copy()
-        first_region = None
-        regions_seen = set()
-        for i in range(1, n_steps + 1):
-            v, event = sse_step(v, params, rng, t=i * params.dt)
-            if event is None:
-                continue
-            region = pointer.classify(float(event.position[0]))
-            regions_seen.add(region)
-            if first_region is None:
-                first_region = region
-                first_times.append(event.time)
-                weight = np.abs(v.reshape(n_out, grid.n)[region]) ** 2
-                fidelities.append(float(weight.sum()))
-        if first_region is None:
-            zero += 1
-        else:
-            counts[first_region] += 1
-            if len(regions_seen) > 1:
-                cross += 1
+    first_region = np.full(n_runs, -1)
+    first_time = np.zeros(n_runs)
+    fidelity = np.zeros(n_runs)
+    crossed = np.zeros(n_runs, dtype=bool)
+    for first, i, states, flashed, nodes in propagate_batch(psi0, params, n_steps, n_runs, seed):
+        runs, region = first + flashed, node_region[nodes]
+        new = first_region[runs] < 0
+        crossed[runs[~new]] |= region[~new] != first_region[runs[~new]]
+        runs, region = runs[new], region[new]
+        first_region[runs] = region
+        first_time[runs] = i * params.dt
+        blocks = states[flashed[new]].reshape(-1, n_out, grid.n)
+        fidelity[runs] = (np.abs(blocks[np.arange(len(runs)), region]) ** 2).sum(axis=-1)
+
+    seen = first_region >= 0
+    counts = np.bincount(first_region[seen], minlength=n_out)
+    first_times, fidelities = first_time[seen], fidelity[seen]
     classified = int(counts.sum())
     freqs = counts / classified if classified else counts.astype(float)
     return BornReport(
@@ -185,11 +174,11 @@ def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
         region_counts=counts,
         region_frequencies=freqs,
         wilson_99=[wilson_interval(int(k), classified) for k in counts],
-        first_flash_times=np.array(first_times),
-        cross_region_runs=cross,
-        zero_flash_runs=zero,
-        mean_branch_fidelity=float(np.mean(fidelities)) if fidelities else float("nan"),
-        median_first_flash_time=float(np.median(first_times)) if first_times else float("nan"))
+        first_flash_times=first_times,
+        cross_region_runs=int(crossed.sum()),
+        zero_flash_runs=n_runs - classified,
+        mean_branch_fidelity=float(np.mean(fidelities)) if fidelities.size else float("nan"),
+        median_first_flash_time=float(np.median(first_times)) if first_times.size else float("nan"))
 
 
 @dataclass

@@ -3,8 +3,11 @@
 Every stochastic routine in the package draws from a counter-based
 Philox generator keyed through ``numpy.random.SeedSequence``.  Stream k
 of a base seed is ``SeedSequence(entropy=seed, spawn_key=(k,))``, which
-is a documented, stable hash of (seed, k): trajectories can be fanned
-out across threads and still reproduce bit-for-bit.
+is a documented, stable hash of (seed, k).  Trajectory k of an ensemble
+owns stream k and draws its uniforms from it in blocks: ``random(m)``
+gives the same doubles as m calls of ``random()``, so a trajectory
+consumes one draw per step and one more per flash whatever the block
+or chunk size, and reproduces bit-for-bit.
 """
 
 import numpy as np

@@ -38,6 +38,32 @@ def gamma_config(path, r_m=0.0):
     }
 
 
+def energy_config(path):
+    return {
+        "experiment": "energy",
+        "seed": 1,
+        "output_path": str(path),
+        "gravity": {"g_newton": 1.0, "r_g": 1.0, "r_m": 2.0, "f_kind": "gaussian_smeared"},
+        "options": {"r_g_values": [1.0, 0.5, 0.25], "psi_width": 2.0},
+    }
+
+
+def born_config(path):
+    return {
+        "experiment": "born",
+        "seed": 2,
+        "output_path": str(path),
+        "output_format": "json",
+        "params": base_params(n=36, dt=8e-4),
+        "options": {
+            "amplitudes": [0.5, 0.8660254037844386],
+            "t_obs": 0.5,
+            "n_runs": 60,
+            "pointer": {"centers": [-4.5, 4.5], "amplification": 50},
+        },
+    }
+
+
 class TestValidation:
     def test_valid_config_accepted(self, tmp_path):
         validate_config(exact_config(tmp_path / "out.csv"))
@@ -102,6 +128,56 @@ class TestExitCodes:
         p.write_text(json.dumps(cfg))
         assert main(["run", str(p)]) == 3
         assert "probability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, section, key, value", [
+        (exact_config, "params", "lambda_grw", float("nan")),
+        (exact_config, "params", "dt", float("inf")),
+        (exact_config, "options", "t_end", float("-inf")),
+        (exact_config, "options", "mu", 10 ** 400),
+        (gamma_config, "gravity", "r_m", float("inf")),
+    ], ids=["lambda_grw-nan", "dt-inf", "t_end-minus-inf", "mu-huge-int", "r_m-inf"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, make, section, key, value):
+        cfg = make(tmp_path / "out.csv")
+        cfg[section][key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("key, values", [
+        ("d_values", [0.1, float("inf")]),
+        ("d_values", [float("nan")]),
+    ], ids=["inf", "nan"])
+    def test_non_finite_list_entry_exits_two(self, tmp_path, capsys, key, values):
+        cfg = gamma_config(tmp_path / "out.csv")
+        cfg["options"][key] = values
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 2
+        assert f"options.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("amplitudes", [float("nan"), 1.0]),
+        ("centers", [-4.5, "right"]),
+        ("region_halfwidth", "wide"),
+    ])
+    def test_bad_born_numbers_exit_two(self, tmp_path, capsys, key, value):
+        cfg = born_config(tmp_path / "born.json")
+        opts = cfg["options"] if key == "amplitudes" else cfg["options"]["pointer"]
+        opts[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_zero_energy_r_max_exits_two(self, tmp_path, capsys):
+        cfg = energy_config(tmp_path / "en.csv")
+        cfg["options"]["r_max"] = 0.0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 2
+        assert "options.r_max" in capsys.readouterr().err
 
     def test_convergence_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         cfg = gamma_config(tmp_path / "out.csv", r_m=1.0)
@@ -182,25 +258,7 @@ class TestRunners:
             assert row[cols.index("frobenius_distance")] <= row[cols.index("bound")]
 
     def test_born_json_output(self, tmp_path):
-        cfg = {
-            "experiment": "born",
-            "seed": 2,
-            "output_path": str(tmp_path / "born.json"),
-            "output_format": "json",
-            "params": {
-                "lambda_grw": 1.0,
-                "dt": 8e-4,
-                "grid": {"nodes": 36, "spacing": 0.5},
-                "family": {"kind": "grw_position", "r_c": 1.0},
-            },
-            "options": {
-                "amplitudes": [0.5, 0.8660254037844386],
-                "t_obs": 0.5,
-                "n_runs": 60,
-                "pointer": {"centers": [-4.5, 4.5], "amplification": 50},
-            },
-        }
-        doc = read_results(run_config(cfg))
+        doc = read_results(run_config(born_config(tmp_path / "born.json")))
         res = doc["results"]
         assert res["zero_flash_runs"] == 0
         assert sum(res["region_counts"]) == 60
@@ -221,14 +279,6 @@ class TestRunners:
             assert abs(val - ref) < 0.01 * abs(ref)
 
     def test_energy_experiment(self, tmp_path):
-        cfg = {
-            "experiment": "energy",
-            "seed": 1,
-            "output_path": str(tmp_path / "en.csv"),
-            "gravity": {"g_newton": 1.0, "r_g": 1.0, "r_m": 2.0,
-                        "f_kind": "gaussian_smeared"},
-            "options": {"r_g_values": [1.0, 0.5, 0.25], "psi_width": 2.0},
-        }
-        doc = read_results(run_config(cfg))
+        doc = read_results(run_config(energy_config(tmp_path / "en.csv")))
         energies = [row[1] for row in doc["rows"]]
         assert energies == sorted(energies)

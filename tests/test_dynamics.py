@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpsim import dynamics
 from cpsim.dynamics import (ModelParams, coarse_grain_consistency, dissipator,
                             ensemble_vs_master, expected_noflash_probability,
                             flash_rate_density, integrate_master, lindblad_rhs,
@@ -9,6 +10,7 @@ from cpsim.dynamics import (ModelParams, coarse_grain_consistency, dissipator,
 from cpsim.errors import ContractViolationError, StepSizeError
 from cpsim.hilbert import SpatialGrid, random_hermitian, unitary_from_generator
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
+from cpsim.rng import stream
 
 
 class _NeverJump:
@@ -147,14 +149,6 @@ class TestTrajectories:
                 assert fa.time == fb.time and fa.node_index == fb.node_index
             assert np.array_equal(ta.states[-1], tb.states[-1])
 
-    def test_threaded_matches_serial(self):
-        params = natural_params(lam=1.0, dt=0.01)
-        psi0 = packet(params.grid)
-        serial = run_trajectories(psi0, params, 0.3, 4, seed=5, threads=1)
-        threaded = run_trajectories(psi0, params, 0.3, 4, seed=5, threads=2)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.states[-1], b.states[-1])
-
     def test_mean_flash_count(self):
         params = natural_params(lam=1.0, dt=0.01)
         psi0 = packet(params.grid)
@@ -163,6 +157,80 @@ class TestTrajectories:
         mean = np.mean(counts)
         # Poisson with rate lambda t_end = 1
         assert abs(mean - 1.0) < 3 * np.sqrt(1.0 / 300)
+
+
+def events(traj):
+    return [(f.time, f.node_index) for f in traj.flashes]
+
+
+def dense_params():
+    """A hand-built dense family: GRW profiles plus a Hermitian hopping part."""
+    grid = SpatialGrid.line(6, 0.5)
+    diag = build_grw_family(grid, grw_gaussian(1.0)).diagonals
+    dense = np.array([np.diag(d).astype(complex) + 0.2 * hopping(6, d[k])
+                      for k, d in enumerate(diag)])
+    fam = OperatorFamily(grid, "grw_position", dense=dense)
+    # the largest eigenvalue of sum_k w_k L_k^2 keeps every step under the limit
+    return ModelParams.natural(lambda_grw=2.5, family=fam, dt=0.01)
+
+
+ENGINE_CASES = {
+    "diagonal": lambda: natural_params(grid=SpatialGrid.line(16, 0.5), lam=4.0),
+    "diagonal+hopping": lambda: natural_params(grid=SpatialGrid.line(16, 0.5), lam=4.0,
+                                               hamiltonian=hopping(16)),
+    "dense": dense_params,
+}
+
+
+class TestBatchEngine:
+    N_TRAJ = 9
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_chunk_size_does_not_change_trajectories(self, case, monkeypatch):
+        params = ENGINE_CASES[case]()
+        psi0 = packet(params.grid)
+        runs = {}
+        for chunk in (1, 3, 7, self.N_TRAJ + 1):
+            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+            runs[chunk] = run_trajectories(psi0, params, 2.0, self.N_TRAJ, seed=31)
+        ref = runs[self.N_TRAJ + 1]
+        assert sum(len(t.flashes) for t in ref) >= 5
+        for trajs in runs.values():
+            for a, b in zip(trajs, ref):
+                assert events(a) == events(b)
+                assert np.max(np.abs(np.array(a.states) - np.array(b.states))) < 1e-12
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_matches_sse_step_loop(self, case, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CHUNK", 4)
+        params = ENGINE_CASES[case]()
+        psi0 = packet(params.grid)
+        n_steps = 50
+        trajs = run_trajectories(psi0, params, n_steps * params.dt, self.N_TRAJ, seed=32)
+        for k, traj in enumerate(trajs):
+            rng = stream(32, k)
+            v, loop = psi0, []
+            for i in range(1, n_steps + 1):
+                v, event = sse_step(v, params, rng, t=i * params.dt)
+                if event is not None:
+                    loop.append((event.time, event.node_index))
+            assert events(traj) == loop
+            assert np.max(np.abs(traj.states[-1] - v)) < 1e-12
+
+    def test_any_row_over_the_step_limit_raises(self):
+        grid = SpatialGrid.line(2, 1.0)
+        fam = OperatorFamily(grid, "grw_position", diagonals=np.diag([1.0, 0.1]))
+        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.08)
+        low = np.array([0.0, 1.0], dtype=complex)    # p = 0.0008
+        high = np.array([1.0, 0.0], dtype=complex)   # p = 0.08
+
+        def never(rows):
+            return np.ones(len(rows))
+
+        dynamics._step(np.array([low, low]), params, never)
+        for batch in ([low, high], [high, low], [low, low, high]):
+            with pytest.raises(StepSizeError):
+                dynamics._step(np.array(batch), params, never)
 
 
 class TestLindblad:
