@@ -14,8 +14,7 @@ from .gravity import (DephasingCurve, GravityParams, compute_dephasing_curve,
                       energy_after_flash, gamma_asymptotic, gamma_of_d,
                       grav_master_dephasing_check, grav_profile_F, grav_unitary,
                       macro_potential, probe_line_family)
-from .hilbert import (DensityMatrix, HermitianOperator, SpatialGrid, StateVector,
-                      evolve_unitary, expectation, partial_trace, tensor)
+from .hilbert import SpatialGrid
 from .measurement import (BornReport, PointerModel, born_experiment,
                           decoherence_vs_reduction, premeasure, wilson_interval)
 from .operators import (FockBasis, OperatorFamily, SmearingFunction,

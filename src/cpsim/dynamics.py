@@ -17,6 +17,7 @@ closes the loop against the exact collapse-point chains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import constants
 from .errors import ContractViolationError, StepSizeError
 from .exact import sample_chain, sample_poisson_collapse_points
-from .hilbert import SpatialGrid, _mat, hermitize, unitary_from_generator
+from .hilbert import SpatialGrid, hermitize, unitary_from_generator
 from .operators import OperatorFamily
 from .rng import stream
 
@@ -33,7 +34,7 @@ from .rng import stream
 STEP_VALIDITY_LIMIT = 0.05
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Physical constants, model rates and numerical step for one system.
 
@@ -43,7 +44,8 @@ class ModelParams:
     flash probability).  ``hamiltonian`` may be None for pure collapse
     dynamics.  ``dt`` must keep the per-step flash probability under
     STEP_VALIDITY_LIMIT for every evolved state; this is asserted at
-    runtime by the stepper.
+    runtime by the stepper.  Frozen: derive variants with
+    ``dataclasses.replace``, which also starts fresh derived caches.
     """
 
     lambda_grw: float
@@ -53,7 +55,6 @@ class ModelParams:
     c_light: float = constants.C_LIGHT
     mass: float = constants.NUCLEON_MASS
     m_r: float = constants.NUCLEON_MASS
-    grid: Optional[SpatialGrid] = None
     hamiltonian: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -63,13 +64,8 @@ class ModelParams:
             raise ContractViolationError("dt must be positive")
         if self.mass <= 0 or self.m_r <= 0:
             raise ContractViolationError("masses must be positive")
-        if self.grid is None:
-            self.grid = self.family.grid
         if self.hamiltonian is not None:
-            self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        self._u_half = None
-        self._w_l2 = None
-        self._gmat = None
+            object.__setattr__(self, "hamiltonian", np.asarray(self.hamiltonian, dtype=complex))
 
     @classmethod
     def natural(cls, lambda_grw, family, dt, **kw):
@@ -81,23 +77,41 @@ class ModelParams:
         return cls(lambda_grw, family, dt, **kw)
 
     @property
+    def grid(self) -> SpatialGrid:
+        return self.family.grid
+
+    @property
     def rate_scale(self) -> float:
         """Effective rate constant multiplying w_k <L^2(x_k)>."""
         if self.family.mass_weighted:
             return self.lambda_grw
         return self.lambda_grw * self.mass / self.m_r
 
+    @cached_property
     def half_step_unitary(self):
+        """exp(-i H dt / 2 hbar), or None without a Hamiltonian."""
         if self.hamiltonian is None:
             return None
-        if self._u_half is None:
-            self._u_half = unitary_from_generator(self.hamiltonian, self.dt / 2.0, self.hbar)
-        return self._u_half
+        return unitary_from_generator(self.hamiltonian, self.dt / 2.0, self.hbar)
 
+    @cached_property
     def weighted_l2(self):
-        if self._w_l2 is None:
-            self._w_l2 = self.family.weighted_l2_sum()
-        return self._w_l2
+        """W = sum_k w_k L_k^2: a diagonal vector or a dense matrix."""
+        return self.family.weighted_l2_sum()
+
+    @cached_property
+    def dephasing_matrix(self) -> np.ndarray:
+        """Closed Hadamard form of the dissipator sum for diagonal families.
+
+        For members diagonal in the system basis the whole integral
+        sum_k w_k D_k acts entrywise: rho'(x, y) = G(x, y) rho(x, y) with
+        G(x,y) = sum_k w_k [b_k(x) b_k(y)* - |b_k(x)|^2/2 - |b_k(y)|^2/2].
+        """
+        b = self.family.diagonals
+        w = self.family.grid.weights
+        cross = (w[:, None] * b).T @ b.conj()
+        a = w @ (np.abs(b) ** 2)
+        return cross - 0.5 * (a[:, None] + a[None, :])
 
 
 @dataclass
@@ -139,7 +153,7 @@ def _apply(m, v):
 
 def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
     """Per-node flash rates rate_scale * w_k * <L^2(x_k)>, of a state or of each row."""
-    v = _mat(psi)
+    v = np.asarray(psi)
     fam = params.family
     if fam.is_diagonal:
         expect = np.einsum("kj,...j->...k", fam.l2_diagonals(), _abs2(v))
@@ -150,7 +164,7 @@ def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
 
 def _weighted(x, params: ModelParams):
     """W x (None when W is diagonal) and <x|W|x> per row, W = sum_k w_k L_k^2."""
-    w_l2 = params.weighted_l2()
+    w_l2 = params.weighted_l2
     if params.family.is_diagonal:
         return None, (_abs2(x) * w_l2).sum(axis=-1)
     wx = _apply(w_l2, x)
@@ -174,13 +188,13 @@ def _step(v, params: ModelParams, uniform):
 
     # no-flash update of every row; the flashed rows are overwritten below
     c = 0.5 * params.rate_scale * dt
-    u_half = params.half_step_unitary()
+    u_half = params.half_step_unitary
     out = v
     if u_half is not None:
         out = _apply(u_half, v)
         wv, s2 = _weighted(out, params)
     if wv is None:
-        out = out * (1.0 + c * (s2[:, None] - params.weighted_l2()))
+        out = out * (1.0 + c * (s2[:, None] - params.weighted_l2))
     else:
         out = out + c * (s2[:, None] * out - wv)
     if u_half is not None:
@@ -215,7 +229,7 @@ def sse_step(psi, params: ModelParams, rng: np.random.Generator, t: float = 0.0)
     observable content and is dropped).  Draws ``rng.random()`` once,
     and once more for a flash's node.  Returns (state, event-or-None).
     """
-    v = _mat(psi).astype(complex)[None]
+    v = np.asarray(psi).astype(complex)[None]
     out, _, nodes = _step(v, params, lambda rows: np.array([rng.random() for _ in rows]))
     if not nodes.size:
         return out[0], None
@@ -250,7 +264,7 @@ def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: 
     """
     if n_traj < 1:
         raise ContractViolationError("need at least one trajectory")
-    v0 = _mat(psi0).astype(complex)
+    v0 = np.asarray(psi0).astype(complex)
     none = np.zeros(0, dtype=int)
     for first in range(0, n_traj, _CHUNK):
         rows = min(_CHUNK, n_traj - first)
@@ -265,7 +279,8 @@ def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: 
 def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
     """Step count and the sorted steps at which snapshots are taken."""
     n_steps = int(round(t_end / dt))
-    return n_steps, sorted({int(round(c)) for c in np.linspace(0, n_steps, n_checkpoints)})
+    marks = np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1))
+    return n_steps, sorted({int(round(c)) for c in marks})
 
 
 def run_trajectories(psi0, params: ModelParams, t_end: float, n_traj: int,
@@ -299,22 +314,6 @@ def dissipator(a, rho):
     return a @ rho @ a.conj().T - 0.5 * (aa @ rho + rho @ aa)
 
 
-def _dephasing_matrix(params: ModelParams) -> np.ndarray:
-    """Closed Hadamard form of the dissipator sum for diagonal families.
-
-    For members diagonal in the system basis the whole integral
-    sum_k w_k D_k acts entrywise: rho'(x, y) = G(x, y) rho(x, y) with
-    G(x,y) = sum_k w_k [b_k(x) b_k(y)* - |b_k(x)|^2/2 - |b_k(y)|^2/2].
-    """
-    if params._gmat is None:
-        b = params.family.diagonals
-        w = params.family.grid.weights
-        cross = (w[:, None] * b).T @ b.conj()
-        a = w @ (np.abs(b) ** 2)
-        params._gmat = cross - 0.5 * (a[:, None] + a[None, :])
-    return params._gmat
-
-
 def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     """Right-hand side of the collapse master equation."""
     out = np.zeros_like(rho)
@@ -323,7 +322,7 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
         out += (-1j / params.hbar) * (h @ rho - rho @ h)
     fam = params.family
     if fam.is_diagonal:
-        out += params.rate_scale * _dephasing_matrix(params) * rho
+        out += params.rate_scale * params.dephasing_matrix * rho
     else:
         acc = np.zeros_like(rho)
         for k in range(fam.n_members):
@@ -339,7 +338,7 @@ def lindblad_step(rho, params: ModelParams, check_positivity: bool = True) -> np
     must be preserved to 1e-11 per step and the smallest eigenvalue may
     not drop below -1e-8, otherwise the step size is too coarse.
     """
-    r = _mat(rho).astype(complex)
+    r = np.asarray(rho).astype(complex)
     h = params.dt
     k1 = lindblad_rhs(r, params)
     k2 = lindblad_rhs(r + 0.5 * h * k1, params)
@@ -361,7 +360,7 @@ def integrate_master(rho0, params: ModelParams, t_end: float,
                      n_checkpoints: int = 11, check_positivity: bool = True):
     """Repeatedly step the master equation, returning checkpoint snapshots."""
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
-    r = _mat(rho0).astype(complex)
+    r = np.asarray(rho0).astype(complex)
     times, rhos = [], []
     if 0 in marks:
         times.append(0.0)
@@ -399,7 +398,7 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
     statistical bound 5 / sqrt(n_traj).
     """
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
-    v = _mat(psi0).astype(complex)
+    v = np.asarray(psi0).astype(complex)
     avg = np.zeros((len(marks), v.size, v.size), dtype=complex)
     for _, i, states, _, _ in propagate_batch(v, params, n_steps, n_traj, seed):
         if i in marks:
@@ -438,7 +437,7 @@ def coarse_grain_consistency(params: ModelParams, psi0, gamma: float,
     Hamiltonian evolution over the short window is neglected, as the
     first-order rate law itself does.
     """
-    v = _mat(psi0).astype(complex)
+    v = np.asarray(psi0).astype(complex)
     mu = params.lambda_grw * params.hbar ** 2 / (params.c_light * gamma)
     prefactor = 1.0 if params.family.mass_weighted else params.mass / params.m_r
     rates = flash_rate_density(v, params)
@@ -494,7 +493,7 @@ def expected_noflash_probability(params: ModelParams, psi0, gamma: float,
     """
     if not params.family.is_diagonal:
         raise ContractViolationError("the closed placement average needs a diagonal family")
-    v = _mat(psi0).astype(complex)
+    v = np.asarray(psi0).astype(complex)
     prefactor = 1.0 if params.family.mass_weighted else params.mass / params.m_r
     diag = np.sqrt(prefactor) * params.family.diagonals
     w = params.family.grid.weights

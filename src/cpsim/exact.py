@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError
-from .hilbert import _mat, unitary_from_generator
+from .hilbert import unitary_from_generator
 from .operators import OperatorFamily
 
 MAX_ENUMERATION = 12
@@ -92,7 +92,7 @@ def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     phase.  p_flash + p_noflash = 1 up to roundoff by construction.
     A branch of zero probability yields None for its state.
     """
-    v = _mat(psi).astype(complex)
+    v = np.asarray(psi).astype(complex)
     pair = _JumpPair(cp, hbar)
     flash = -1j * pair.apply_sin(v)
     noflash = pair.apply_cos(v)
@@ -109,7 +109,7 @@ def _gap_unitaries(chain, H, hbar, t0):
         raise ContractViolationError("collapse-point times must be non-decreasing")
     if H is None:
         return [None] * len(chain)
-    h = _mat(H)
+    h = np.asarray(H)
     gaps = np.diff([t0] + times)
     unique = {float(g): unitary_from_generator(h, float(g), hbar) for g in set(gaps)}
     return [unique[float(g)] for g in gaps]
@@ -146,7 +146,7 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
         descend(m + 1, noflash / np.sqrt(p0) if p0 > 0 else None, prob * p0, outcomes + [0])
         descend(m + 1, flash / np.sqrt(p1) if p1 > 0 else None, prob * p1, outcomes + [1])
 
-    descend(0, _mat(psi0).astype(complex), 1.0, [])
+    descend(0, np.asarray(psi0).astype(complex), 1.0, [])
     records.sort(key=lambda r: r.outcomes)
     total = sum(r.probability for r in records)
     if abs(total - 1.0) > 1e-10:
@@ -166,7 +166,7 @@ def sample_chain(psi0, chain, H=None, rng: np.random.Generator = None,
     if rng is None:
         raise ContractViolationError("sampling requires an explicit random generator")
     gaps = _gap_unitaries(chain, H, hbar, t0)
-    state = _mat(psi0).astype(complex)
+    state = np.asarray(psi0).astype(complex)
     outcomes = []
     prob = 1.0
     for m, cp in enumerate(chain):
@@ -208,7 +208,7 @@ def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> flo
                 marginal[m] += rec.probability
 
     gaps = _gap_unitaries(chain, H, hbar, t0)
-    v = _mat(psi0).astype(complex)
+    v = np.asarray(psi0).astype(complex)
     rho = np.outer(v, v.conj())
     worst = 0.0
     for m, cp in enumerate(chain):

@@ -26,7 +26,7 @@ from scipy.special import erf
 
 from .dynamics import ModelParams, integrate_master
 from .errors import ContractViolationError, ConvergenceError, DomainError
-from .hilbert import SpatialGrid, _mat
+from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction
 from .quadrature import integrate_adaptive
 
@@ -158,14 +158,13 @@ def grav_unitary(family: OperatorFamily, gp: GravityParams,
     """
     if not family.is_diagonal:
         raise ContractViolationError("gravitational dressing requires a position-diagonal family")
-    if system_positions is None:
-        system_positions = getattr(family, "system_positions", None)
-    if system_positions is None:
+    pos = family.system_positions if system_positions is None else system_positions
+    if pos is None:
         if family.dim != family.grid.n:
             raise ContractViolationError(
                 "family dimension differs from the flash grid; pass system_positions")
-        system_positions = family.grid.positions
-    pos = np.asarray(system_positions, dtype=float)
+        pos = family.grid.positions
+    pos = np.asarray(pos, dtype=float)
     if pos.ndim == 1:
         pos = pos[:, None]
     nodes = family.grid.positions
@@ -174,13 +173,10 @@ def grav_unitary(family: OperatorFamily, gp: GravityParams,
         raise DomainError("a system position coincides with a flash node; "
                           "the point-source phase diverges there")
     phases = np.exp(1j * gp.r_m * grav_profile_F(dist, gp))
-    dressed = OperatorFamily(family.grid, "gravity_dressed",
-                             diagonals=phases * family.diagonals,
-                             mass_weighted=family.mass_weighted,
-                             smearing=family.smearing)
-    dressed.system_positions = pos
-    dressed.undressed_diagonals = np.array(family.diagonals)
-    return dressed
+    return OperatorFamily(family.grid, "gravity_dressed",
+                          diagonals=phases * family.diagonals,
+                          mass_weighted=family.mass_weighted,
+                          smearing=family.smearing, system_positions=pos)
 
 
 def probe_line_family(flash_grid: SpatialGrid, probe_positions, f_c: SmearingFunction) -> OperatorFamily:
@@ -197,10 +193,9 @@ def probe_line_family(flash_grid: SpatialGrid, probe_positions, f_c: SmearingFun
     if pos.shape[1] != flash_grid.dim:
         raise ContractViolationError("probe coordinates must match the flash-grid dimension")
     dist = np.linalg.norm(flash_grid.positions[:, None, :] - pos[None, :, :], axis=2)
-    fam = OperatorFamily(flash_grid, "grw_position",
-                         diagonals=f_c.profile(dist, flash_grid.dim), smearing=f_c)
-    fam.system_positions = pos
-    return fam
+    return OperatorFamily(flash_grid, "grw_position",
+                          diagonals=f_c.profile(dist, flash_grid.dim), smearing=f_c,
+                          system_positions=pos)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +454,10 @@ def grav_master_dephasing_check(rho0, params: ModelParams, gp: GravityParams,
     fam = params.family
     if fam.kind != "gravity_dressed" and gp.r_m != 0.0:
         raise ContractViolationError("params.family must be the gravity-dressed family")
-    pos = getattr(fam, "system_positions", None)
-    if pos is None:
-        pos = fam.grid.positions
-    pos = np.asarray(pos, dtype=float)
+    pos = fam.grid.positions if fam.system_positions is None else fam.system_positions
     r_c = fam.smearing.radius
-    times, rhos = integrate_master(_mat(rho0), params, t_end, n_checkpoints)
-    rho_init = _mat(rho0)
+    rho_init = np.asarray(rho0)
+    times, rhos = integrate_master(rho_init, params, t_end, n_checkpoints)
     n = rho_init.shape[0]
     gamma_cache = {}
     worst = 0.0

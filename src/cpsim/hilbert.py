@@ -1,14 +1,10 @@
 """Finite-dimensional Hilbert-space toolbox.
 
-States, Hermitian operators and density matrices over a discrete basis
-(spatial grid nodes or Fock occupation lists), plus the handful of
-primitives everything else is built from: expectation values, Kronecker
-products, partial traces and unitary evolution.  Everything is dense;
-generators are Hermitian so matrix exponentials go through an
+Spatial grids that carry their quadrature measure, and the few dense
+primitives the rest of the package is built from.  States and operators
+are plain ndarrays over a discrete basis (grid nodes or Fock occupation
+lists).  Generators are Hermitian, so matrix exponentials go through an
 eigendecomposition, which keeps unitarity exact up to roundoff.
-
-All objects are immutable after construction and all operations are
-pure functions, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -22,16 +18,6 @@ from .errors import ContractViolationError
 
 #: Hard cap on total Hilbert-space dimension.  Dense storage only.
 MAX_DIM = 4096
-
-_HERM_TOL = 1e-12
-_NORM_TOL = 1e-10
-_TRACE_TOL = 1e-9
-_EIG_TOL = 1e-8
-
-
-def _mat(x) -> np.ndarray:
-    """Accept a wrapper object or a bare array and return the ndarray."""
-    return np.asarray(getattr(x, "data", x))
 
 
 # ---------------------------------------------------------------------------
@@ -115,168 +101,12 @@ class SpatialGrid:
 
 
 # ---------------------------------------------------------------------------
-# states and operators
-# ---------------------------------------------------------------------------
-
-class StateVector:
-    """Normalized complex amplitude vector over a discrete basis."""
-
-    __slots__ = ("data", "basis")
-
-    def __init__(self, amplitudes, basis: str = "grid", normalize: bool = False):
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if v.size > MAX_DIM:
-            raise ContractViolationError(f"dimension {v.size} exceeds the dense cap {MAX_DIM}")
-        n = np.linalg.norm(v)
-        if normalize:
-            if n == 0:
-                raise ContractViolationError("cannot normalize a zero vector")
-            v = v / n
-        elif abs(n - 1.0) > _NORM_TOL:
-            raise ContractViolationError(f"state norm {n!r} deviates from 1 beyond {_NORM_TOL}")
-        self.data = v
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return self.data.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.data, self.data.conj()))
-
-    def overlap(self, other) -> complex:
-        return complex(np.vdot(self.data, _mat(other)))
-
-    def __repr__(self):
-        return f"StateVector(dim={self.dim}, basis={self.basis!r})"
-
-
-class HermitianOperator:
-    """Square complex matrix asserted Hermitian at construction."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolationError("operator must be a square matrix")
-        if m.shape[0] > MAX_DIM:
-            raise ContractViolationError(f"dimension {m.shape[0]} exceeds the dense cap {MAX_DIM}")
-        dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if dev > _HERM_TOL:
-            raise ContractViolationError(f"matrix deviates from Hermiticity by {dev!r}")
-        self.data = m
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
-
-
-class DensityMatrix:
-    """Hermitian, unit-trace, (numerically) positive matrix."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, matrix, check_positivity: bool = True):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolationError("density matrix must be square")
-        if m.shape[0] > MAX_DIM:
-            raise ContractViolationError(f"dimension {m.shape[0]} exceeds the dense cap {MAX_DIM}")
-        herm_dev = np.max(np.abs(m - m.conj().T))
-        if herm_dev > _NORM_TOL:
-            raise ContractViolationError(f"density matrix deviates from Hermiticity by {herm_dev!r}")
-        tr = m.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ContractViolationError(f"trace {tr!r} deviates from 1 beyond {_TRACE_TOL}")
-        if check_positivity:
-            lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
-            if lo < -_EIG_TOL:
-                raise ContractViolationError(f"smallest eigenvalue {lo!r} below -{_EIG_TOL}")
-        self.data = m
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.data + self.data.conj().T) / 2).min())
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def expectation(op, psi) -> float:
-    """<psi| op |psi> for Hermitian op; asserts the imaginary residue.
-
-    Raises ContractViolationError on a dimension mismatch or if the
-    imaginary part exceeds 1e-10 (never silently truncated).
-    """
-    a = _mat(op)
-    v = _mat(psi)
-    if a.shape != (v.size, v.size):
-        raise ContractViolationError(
-            f"operator shape {a.shape} incompatible with state dimension {v.size}")
-    val = complex(np.vdot(v, a @ v))
-    if abs(val.imag) >= 1e-10 * max(1.0, abs(val.real)):
-        raise ContractViolationError(f"expectation value has imaginary residue {val.imag!r}")
-    return val.real
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators.
-
-    Row-major index convention: the first factor is the slow (leftmost)
-    index, appended factors vary fastest.
-    """
-    am, bm = _mat(a), _mat(b)
-    out = np.kron(am, bm)
-    if out.shape[0] > MAX_DIM:
-        raise ContractViolationError(f"product dimension {out.shape[0]} exceeds {MAX_DIM}")
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(out)
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(out)
-    return out
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Reduced matrix on the kept tensor factors.
-
-    ``dims`` declares the factorization (product must equal the matrix
-    dimension); ``keep`` is an index or sequence of indices into it.
-    The kept factors stay in their original relative order.
-    """
-    m = _mat(rho)
-    dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != m.shape[0]:
-        raise ContractViolationError(f"factorization {dims} does not match dimension {m.shape[0]}")
-    keep = (keep,) if np.isscalar(keep) else tuple(int(k) for k in keep)
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ContractViolationError(f"subsystem selector {keep} outside factorization of length {len(dims)}")
-    nf = len(dims)
-    t = m.reshape(dims + dims)
-    # trace out the complement, highest axis first so indices stay valid
-    for k in sorted(set(range(nf)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=k, axis2=k + nf)
-        nf -= 1
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(d_keep, d_keep)
-
-
 def unitary_from_generator(H, dt: float, hbar: float = 1.0) -> np.ndarray:
     """exp(-i H dt / hbar) through the eigendecomposition of Hermitian H."""
-    h = _mat(H)
+    h = np.asarray(H)
     if dt < 0:
         raise ContractViolationError("dt must be non-negative")
     if not np.any(h):
@@ -286,22 +116,8 @@ def unitary_from_generator(H, dt: float, hbar: float = 1.0) -> np.ndarray:
     return (v * phase) @ v.conj().T
 
 
-def evolve_unitary(psi, H, dt: float, hbar: float = 1.0):
-    """Propagate a state by exp(-i H dt / hbar); norm preserved to roundoff."""
-    v = _mat(psi)
-    out = unitary_from_generator(H, dt, hbar) @ v
-    if isinstance(psi, StateVector):
-        return StateVector(out)
-    return out
-
-
 def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
-
-
-def frobenius(a, b=None) -> float:
-    d = _mat(a) if b is None else _mat(a) - _mat(b)
-    return float(np.linalg.norm(d))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -309,6 +125,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return hermitize(m) * scale
 
 
-def random_state(dim: int, rng: np.random.Generator) -> StateVector:
+def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Normalized complex vector with Gaussian amplitudes."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(v, normalize=True)
+    return v / np.linalg.norm(v)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import ModelParams, flash_rate_density, propagate_batch
 from .errors import ContractViolationError
-from .hilbert import SpatialGrid, StateVector
+from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
 
 
@@ -64,8 +64,8 @@ class PointerModel:
         return int(np.argmin(d))
 
 
-def premeasure(c, pointer: PointerModel, grid: SpatialGrid) -> StateVector:
-    """Entangled post-interaction state of system and pointer.
+def premeasure(c, pointer: PointerModel, grid: SpatialGrid) -> np.ndarray:
+    """Entangled post-interaction state of system and pointer (normalized).
 
     Branch i carries amplitude c_i on system outcome i with the pointer
     in a normalized gaussian packet of amplitude width r_C / 2 centred
@@ -89,7 +89,7 @@ def premeasure(c, pointer: PointerModel, grid: SpatialGrid) -> StateVector:
         if math.exp(-(others / 2.0) ** 2 / (4.0 * width ** 2)) > 1e-6:
             raise ContractViolationError("pointer packets overlap a foreign region")
         joint[i] = amps[i] * packet
-    return StateVector(joint.reshape(-1), normalize=False)
+    return joint.reshape(-1)
 
 
 def pointer_family(grid: SpatialGrid, f_c: SmearingFunction, n_outcomes: int) -> OperatorFamily:
@@ -127,6 +127,18 @@ class BornReport:
     median_first_flash_time: float
 
 
+def born_initial_state(c, pointer: PointerModel, params: ModelParams,
+                       t_obs: float) -> np.ndarray:
+    """The premeasured state a Born run starts from, after every check
+    that ``born_experiment`` makes before it simulates."""
+    expected_flashes = params.rate_scale * t_obs
+    if expected_flashes < 20:
+        raise ContractViolationError(
+            f"amplification x rate x t_obs = {expected_flashes!r} < 20; "
+            "no-flash runs would not be negligible")
+    return premeasure(c, pointer, params.family.grid)
+
+
 def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
                     n_runs: int, seed: int) -> BornReport:
     """Flash statistics of repeated pointer measurements.
@@ -139,13 +151,8 @@ def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
     fidelity is the post-first-flash weight on the system outcome of
     the flashed region.
     """
-    expected_flashes = params.rate_scale * t_obs
-    if expected_flashes < 20:
-        raise ContractViolationError(
-            f"amplification x rate x t_obs = {expected_flashes!r} < 20; "
-            "no-flash runs would not be negligible")
     grid = params.family.grid
-    psi0 = premeasure(np.asarray(c, dtype=complex), pointer, grid)
+    psi0 = born_initial_state(c, pointer, params, t_obs)
     n_out = pointer.outcome_count
     n_steps = int(round(t_obs / params.dt))
     node_region = np.array([pointer.classify(float(x)) for x in grid.x])
@@ -210,7 +217,7 @@ def decoherence_vs_reduction(c, pointer: PointerModel, params: ModelParams) -> D
     """
     grid = params.family.grid
     psi0 = premeasure(np.asarray(c, dtype=complex), pointer, grid)
-    rates = flash_rate_density(psi0.data, params)
+    rates = flash_rate_density(psi0, params)
     total = float(rates.sum())
     f = params.family.smearing
     centers = pointer.region_centers

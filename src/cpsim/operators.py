@@ -89,10 +89,15 @@ class OperatorFamily:
     storage is the fallback for hand-built families.  ``mass_weighted``
     records whether species masses are already folded into the members,
     so the dynamics layer knows whether to apply an m/m_R rate factor.
+    ``system_positions`` places the system basis states in space when
+    they are not the flash-grid nodes (None: they are the nodes, or
+    they are not points at all); ``mass_diagonals`` keeps the squared
+    members of a mass-weighted square-root family.
     """
 
     def __init__(self, grid: SpatialGrid, kind: str, *, diagonals=None,
-                 dense=None, mass_weighted=False, smearing=None):
+                 dense=None, mass_weighted=False, smearing=None,
+                 system_positions=None, mass_diagonals=None):
         if kind not in _FAMILY_KINDS:
             raise ContractViolationError(f"unknown family kind {kind!r}")
         if (diagonals is None) == (dense is None):
@@ -101,6 +106,9 @@ class OperatorFamily:
         self.kind = kind
         self.mass_weighted = bool(mass_weighted)
         self.smearing = smearing
+        self.system_positions = (None if system_positions is None
+                                 else np.asarray(system_positions, dtype=float))
+        self.mass_diagonals = mass_diagonals
         if diagonals is not None:
             self.diagonals = np.asarray(diagonals)
             self.dense_members = None
@@ -306,10 +314,8 @@ def build_smeared_mass(basis: FockBasis, grid: SpatialGrid, g: SmearingFunction,
     for label, m_i in basis.species:
         fam = build_smeared_number(basis, grid, g, label)
         mass_diag += (m_i / m_r) * fam.diagonals
-    fam = OperatorFamily(grid, "sqrt_smeared_mass", diagonals=np.sqrt(mass_diag),
-                         mass_weighted=True, smearing=g)
-    fam.mass_diagonals = mass_diag
-    return fam
+    return OperatorFamily(grid, "sqrt_smeared_mass", diagonals=np.sqrt(mass_diag),
+                          mass_weighted=True, smearing=g, mass_diagonals=mass_diag)
 
 
 def first_quantized_equiv_check(basis: FockBasis, grid: SpatialGrid,

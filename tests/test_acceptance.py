@@ -71,7 +71,7 @@ def test_03_first_order_limit():
     op = random_hermitian(5, rng)
     psi = random_state(5, rng)
     l2 = op @ op
-    mean_l2 = float(np.vdot(psi.data, l2 @ psi.data).real)
+    mean_l2 = float(np.vdot(psi, l2 @ psi).real)
     gammas = [1e-4, 1e-5, 1e-6]
     rel_devs = []
     for g in gammas:
@@ -116,8 +116,7 @@ def test_06_born_rule():
     grid = SpatialGrid.line(36, 0.5)
     pointer = PointerModel(region_centers=(-4.5, 4.5), r_c=1.0, amplification=50)
     family = pointer_family(grid, grw_gaussian(1.0), 2)
-    params = ModelParams.natural(lambda_grw=1.0, family=family, dt=8e-4)
-    params.mass = 50.0
+    params = ModelParams.natural(lambda_grw=1.0, family=family, dt=8e-4, mass=50.0)
     rep = born_experiment(np.sqrt([0.25, 0.75]), pointer, params,
                           t_obs=0.5, n_runs=4000, seed=606)
     inside = all(lo <= p <= hi for (lo, hi), p in zip(rep.wilson_99, (0.25, 0.75)))

@@ -1,10 +1,18 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpsim.cli import main, read_results, run_config, validate_config
 from cpsim.errors import ConfigError
+from cpsim.hilbert import MAX_DIM
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def base_params(n=17, dt=0.02, lam=1.0):
@@ -45,6 +53,30 @@ def energy_config(path):
         "output_path": str(path),
         "gravity": {"g_newton": 1.0, "r_g": 1.0, "r_m": 2.0, "f_kind": "gaussian_smeared"},
         "options": {"r_g_values": [1.0, 0.5, 0.25], "psi_width": 2.0},
+    }
+
+
+def ensemble_config(path, experiment="trajectories"):
+    cfg = {
+        "experiment": experiment,
+        "seed": 3,
+        "output_path": str(path),
+        "params": dict(base_params(n=12), hamiltonian={"kind": "hopping", "strength": 0.5}),
+        "options": {"t_end": 0.1, "n_traj": 4, "n_checkpoints": 3,
+                    "psi0": {"kind": "gaussian", "width": 1.0, "center": 0.0}},
+    }
+    if experiment == "master":
+        del cfg["options"]["n_traj"]
+    return cfg
+
+
+def potential_config(path):
+    return {
+        "experiment": "potential",
+        "seed": 1,
+        "output_path": str(path),
+        "gravity": {"g_newton": 1.0, "r_g": 0.05, "r_m": 0.0, "f_kind": "gaussian_smeared"},
+        "options": {"source_nodes": 21, "source_spacing": 0.1, "probe_distances": [42.0, 84.0]},
     }
 
 
@@ -179,6 +211,45 @@ class TestExitCodes:
         assert main(["run", str(p)]) == 2
         assert "options.r_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make, where, key, value, field", [
+        (exact_config, ("params",), "hamiltonian", 5, "params.hamiltonian:"),
+        (exact_config, ("options",), "psi0", 5, "options.psi0:"),
+        (exact_config, ("options",), "psi0", "wide", "options.psi0:"),
+        (exact_config, ("options",), "psi0", {"width": 0.5, "center": 1000.0}, "options.psi0:"),
+        (born_config, ("options", "pointer"), "amplification", 10 ** 400,
+         "options.pointer.amplification"),
+        (ensemble_config, ("options",), "n_checkpoints", 10 ** 400, "options.n_checkpoints"),
+        (exact_config, ("params", "grid"), "nodes", MAX_DIM + 1, "params.grid.nodes"),
+        (born_config, ("params", "grid"), "nodes", MAX_DIM // 2 + 1, "options.amplitudes"),
+    ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
+            "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
+            "born-dimension-over-cap"])
+    def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
+                                                     key, value, field):
+        cfg = make(tmp_path / "out.csv")
+        section = cfg
+        for name in where:
+            section = section[name]
+        section[key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        for command in ("validate", "run"):
+            assert main([command, str(p)]) == 2
+            assert field in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("make, mutate, code", [
+        (exact_config, lambda cfg: cfg["options"].update(psi0={"spread": 1.0}), 2),
+        (born_config, lambda cfg: cfg["options"]["pointer"].update(centers=[-1.0, 1.0]), 3),
+    ], ids=["unknown-psi0-key", "pointer-centres-too-close"])
+    def test_validate_exits_like_run(self, tmp_path, capsys, make, mutate, code):
+        cfg = make(tmp_path / "out.csv")
+        mutate(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == code
+        assert main(["run", str(p)]) == code
+
     def test_convergence_failure_exits_four(self, tmp_path, capsys, monkeypatch):
         cfg = gamma_config(tmp_path / "out.csv", r_m=1.0)
         cfg["options"]["quad_tol"] = 1e-14
@@ -265,16 +336,7 @@ class TestRunners:
         assert res["mean_branch_fidelity"] > 0.999
 
     def test_potential_experiment(self, tmp_path):
-        cfg = {
-            "experiment": "potential",
-            "seed": 1,
-            "output_path": str(tmp_path / "pot.csv"),
-            "gravity": {"g_newton": 1.0, "r_g": 0.05, "r_m": 0.0,
-                        "f_kind": "gaussian_smeared"},
-            "options": {"source_nodes": 21, "source_spacing": 0.1,
-                        "probe_distances": [42.0, 84.0]},
-        }
-        doc = read_results(run_config(cfg))
+        doc = read_results(run_config(potential_config(tmp_path / "pot.csv")))
         for probe, val, ref in doc["rows"]:
             assert abs(val - ref) < 0.01 * abs(ref)
 
@@ -282,3 +344,84 @@ class TestRunners:
         doc = read_results(run_config(energy_config(tmp_path / "en.csv")))
         energies = [row[1] for row in doc["rows"]]
         assert energies == sorted(energies)
+
+
+def test_example_configs_validate(capsys):
+    configs = sorted(CONFIG_DIR.glob("*.json"))
+    assert configs
+    for path in configs:
+        assert main(["validate", str(path)]) == 0, path.name
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a valid config at a time
+# ---------------------------------------------------------------------------
+
+def small_born_config(path):
+    cfg = born_config(path)
+    cfg["options"]["n_runs"] = 8
+    return cfg
+
+
+FUZZ_BASES = {
+    "exact": exact_config,
+    "trajectories": ensemble_config,
+    "compare": lambda path: ensemble_config(path, "compare"),
+    "master": lambda path: ensemble_config(path, "master"),
+    "born": small_born_config,
+    "gamma": lambda path: dict(gamma_config(path), options={"d_values": [0.0, 0.5], "r_c": 1.0}),
+    "energy": energy_config,
+    "potential": potential_config,
+}
+BAD_VALUES = ["text", [1.0], {"x": 1.0}, None, True, float("nan"), float("inf"),
+              float("-inf"), 0, 0.0, -1, -0.5, 10 ** 400]
+
+
+def field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        yield prefix + (key,)
+        if isinstance(val, (dict, list)):
+            yield from field_paths(val, prefix + (key,))
+
+
+def all_numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from all_numbers(item)
+    elif isinstance(node, (int, float)):
+        yield node
+
+
+@pytest.mark.parametrize("experiment", sorted(FUZZ_BASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_keeps_the_exit_contract(experiment, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = FUZZ_BASES[experiment](str(Path(tmp) / "out.res"))
+        # a string output_path is valid and would write outside the temporary directory
+        paths = [p for p in field_paths(cfg) if p != ("output_path",)]
+        path = data.draw(st.sampled_from(paths))
+        parent = cfg
+        for name in path[:-1]:
+            parent = parent[name]
+        action = data.draw(st.sampled_from(["set", "delete", "unknown"]))
+        if action == "set":
+            parent[path[-1]] = data.draw(st.sampled_from(BAD_VALUES))
+        elif action == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["surprise"] = 1.0
+        p = Path(tmp) / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = main(["validate", str(p)])
+        assert code in (0, 2, 3, 4)
+        if code:
+            return
+        # every size in a base config is small and no bad value enlarges one
+        assert main(["run", str(p)]) in (0, 3, 4)
+        out = Path(cfg["output_path"])
+        if out.exists():
+            assert all(math.isfinite(x) for x in all_numbers(read_results(out)))

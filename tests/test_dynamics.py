@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,7 @@ class TestFlashRateDensity:
         assert int(np.argmax(rates)) == 21
 
     def test_mass_prefactor(self):
-        params = natural_params(lam=1.0)
-        params.mass = 7.0
+        params = replace(natural_params(lam=1.0), mass=7.0)
         rates = flash_rate_density(packet(params.grid), params)
         assert abs(rates.sum() - 7.0) < 7.0 * 1e-6
 
@@ -399,3 +400,28 @@ class TestModelParams:
             ModelParams.natural(lambda_grw=-1.0, family=grw_family, dt=0.01)
         with pytest.raises(ContractViolationError):
             ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.0)
+
+    def test_fields_are_frozen(self, grw_family):
+        params = ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.01)
+        with pytest.raises(FrozenInstanceError):
+            params.dt = 0.2
+        with pytest.raises(FrozenInstanceError):
+            params.mass = 7.0
+        assert params.grid is grw_family.grid
+
+    def test_replace_rebuilds_the_half_step_unitary(self):
+        h = hopping(16)
+        params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=0.0, dt=0.01, hamiltonian=h)
+        psi = packet(params.grid)
+        sse_step(psi, params, np.random.default_rng(0))   # caches the dt = 0.01 half step
+        wide = replace(params, dt=0.2)
+        out, event = sse_step(psi, wide, np.random.default_rng(0))
+        assert event is None
+        assert np.max(np.abs(out - unitary_from_generator(h, 0.2) @ psi)) < 1e-12
+
+
+def test_checkpoints_beyond_the_step_count_give_every_step():
+    n_steps, every = dynamics._checkpoints(1.0, 0.1, 11)
+    assert every == list(range(n_steps + 1))
+    for n_checkpoints in (12, 13, 40, 10 ** 12):
+        assert dynamics._checkpoints(1.0, 0.1, n_checkpoints) == (n_steps, every)

@@ -33,7 +33,7 @@ class TestInteractOnce:
         p, sf, sn = interact_once(psi, CollapsePoint(0.0, 0.7, np.zeros((3, 3))))
         assert p == 0.0
         assert sf is None
-        assert np.max(np.abs(sn - psi.data)) < 1e-15
+        assert np.max(np.abs(sn - psi)) < 1e-15
 
     def test_projector_against_full_unitary_oracle(self, rng):
         # explicit 4x4 exp(-i sqrt(g) L (x) sx) then ancilla projection
@@ -71,7 +71,7 @@ class TestInteractOnce:
         psi = random_state(4, rng)
         for gamma in (1e-6, 1e-7):
             p, _, _ = interact_once(psi, CollapsePoint(0.0, gamma, op))
-            first_order = gamma * float(np.vdot(psi.data, op @ op @ psi.data).real)
+            first_order = gamma * float(np.vdot(psi, op @ op @ psi).real)
             assert abs(p - first_order) / p < 1e-4
 
     def test_noflash_state_matches_variance_drift(self, rng):
@@ -80,8 +80,8 @@ class TestInteractOnce:
         gamma = 1e-5
         _, _, sn = interact_once(psi, CollapsePoint(0.0, gamma, op))
         l2 = op @ op
-        mean = float(np.vdot(psi.data, l2 @ psi.data).real)
-        drift = psi.data + (gamma / 2.0) * (mean * psi.data - l2 @ psi.data)
+        mean = float(np.vdot(psi, l2 @ psi).real)
+        drift = psi + (gamma / 2.0) * (mean * psi - l2 @ psi)
         drift /= np.linalg.norm(drift)
         assert np.max(np.abs(sn - drift)) < 50 * gamma ** 2
 
@@ -117,7 +117,7 @@ class TestEnumerateChain:
         psi = random_state(dim, rng)
         h = random_hermitian(dim, rng)
         chain = random_chain(rng, n, dim, gamma=0.7, dt=0.2)
-        joint = np.kron(psi.data, [1, 0, 0, 0])  # two ancilla qubits
+        joint = np.kron(psi, [1, 0, 0, 0])  # two ancilla qubits
         t_prev = 0.0
         for m, cp in enumerate(chain):
             gap = np.kron(unitary_from_generator(h, cp.time - t_prev), np.eye(4))

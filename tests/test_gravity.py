@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -93,6 +95,19 @@ class TestDressedFamily:
             b = dressed.member(k)
             l2 = grw_family.l2(k)
             assert abs(np.vdot(b @ v, b @ v) - np.vdot(v, l2 @ v)) < 1e-12
+
+    def test_probe_positions_carried_through_dressing(self):
+        flash = SpatialGrid.line(2, 4.0)
+        base = probe_line_family(flash, [[1.0], [-1.0]], grw_gaussian(2.0))
+        dressed = grav_unitary(base, point_params(0.3))
+        assert np.array_equal(dressed.system_positions, [[1.0], [-1.0]])
+        assert dressed.diagonals.shape == (2, 2)
+
+    def test_basis_without_positions_rejected(self, line_grid):
+        from cpsim.operators import OperatorFamily
+        fam = OperatorFamily(line_grid, "grw_position", diagonals=np.ones((line_grid.n, 3)))
+        with pytest.raises(ContractViolationError, match="system_positions"):
+            grav_unitary(fam, gauss_params(0.1))
 
     def test_requires_diagonal_family(self, line_grid):
         from cpsim.operators import OperatorFamily
@@ -259,7 +274,7 @@ class TestGravMasterDephasing:
 
     def test_hamiltonian_rejected(self):
         rho0, params, gp = self._setup(0.3)
-        params.hamiltonian = np.eye(rho0.shape[0], dtype=complex)
+        params = replace(params, hamiltonian=np.eye(rho0.shape[0], dtype=complex))
         with pytest.raises(ContractViolationError):
             grav_master_dephasing_check(rho0, params, gp, t_end=0.5)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,8 @@ def demo_setup(amplification=50, n_nodes=36, spacing=0.5, dt=8e-4, lam=1.0):
     pointer = PointerModel(region_centers=(-4.5, 4.5), r_c=R_C,
                            amplification=amplification)
     family = pointer_family(grid, grw_gaussian(R_C), pointer.outcome_count)
-    params = ModelParams.natural(lambda_grw=lam, family=family, dt=dt)
-    params.mass = float(amplification)
+    params = ModelParams.natural(lambda_grw=lam, family=family, dt=dt,
+                                 mass=float(amplification))
     return grid, pointer, params
 
 
@@ -41,7 +43,7 @@ class TestPremeasure:
     def test_single_branch_is_product_state(self):
         grid, pointer, _ = demo_setup()
         psi = premeasure([1.0, 0.0], pointer, grid)
-        block = psi.data.reshape(2, grid.n)
+        block = psi.reshape(2, grid.n)
         assert np.linalg.norm(block[1]) == 0.0
         mean_x = float(np.sum(grid.x * np.abs(block[0]) ** 2))
         assert abs(mean_x - pointer.region_centers[0]) < 0.05
@@ -49,14 +51,14 @@ class TestPremeasure:
     def test_equal_branches_have_schmidt_rank_two(self):
         grid, pointer, _ = demo_setup()
         psi = premeasure(np.sqrt([0.5, 0.5]), pointer, grid)
-        sv = np.linalg.svd(psi.data.reshape(2, grid.n), compute_uv=False)
+        sv = np.linalg.svd(psi.reshape(2, grid.n), compute_uv=False)
         assert abs(sv[0] - np.sqrt(0.5)) < 1e-10
         assert abs(sv[1] - np.sqrt(0.5)) < 1e-10
 
     def test_branch_weights_exact(self):
         grid, pointer, _ = demo_setup()
         psi = premeasure(np.sqrt([0.25, 0.75]), pointer, grid)
-        block = psi.data.reshape(2, grid.n)
+        block = psi.reshape(2, grid.n)
         assert abs(np.linalg.norm(block[0]) ** 2 - 0.25) < 1e-12
         assert abs(np.linalg.norm(block[1]) ** 2 - 0.75) < 1e-12
 
@@ -119,9 +121,9 @@ class TestDecoherenceTiming:
     def test_interband_coherence_below_one_percent_before_median_flash(self):
         grid, pointer, params = demo_setup(amplification=50, dt=8e-4)
         psi0 = premeasure(np.sqrt([0.25, 0.75]), pointer, grid)
-        rho0 = np.outer(psi0.data, psi0.data.conj())
+        rho0 = np.outer(psi0, psi0.conj())
         t_med = np.log(2.0) / params.rate_scale
-        params.dt = t_med / 40.0
+        params = replace(params, dt=t_med / 40.0)
         _, rhos = integrate_master(rho0, params, t_med, n_checkpoints=2,
                                    check_positivity=False)
         n = grid.n
