@@ -42,6 +42,10 @@ from .rng import GENERATOR_NAME, stream
 
 _REQUIRED = object()
 
+#: most radial samples of an ``energy`` run: each of its ~10 complex
+#: work arrays then stays within 16 MiB
+_MAX_RADIAL_POINTS = 2 ** 20
+
 
 # ---------------------------------------------------------------------------
 # strict field readers
@@ -339,7 +343,7 @@ def _energy(cfg, opts):
     r_g_values = _numbers(opts, "r_g_values", path, "a list of positive radii", lambda v: v > 0)
     width = _positive(opts, "psi_width", path)
     r_max = _positive(opts, "r_max", path, 12.0 * width)
-    n_r = _count(opts, "n_r", path, 2000)
+    n_r = _count(opts, "n_r", path, 2000, most=_MAX_RADIAL_POINTS)
     mass = _positive(opts, "mass", path, 1.0)
     hbar = _positive(opts, "hbar", path, 1.0)
 
@@ -358,7 +362,7 @@ def _potential(cfg, opts):
     gp = _parse_gravity(cfg)
     path = "options"
     _reject_unknown(opts, {"source_nodes", "source_spacing", "probe_distances", "m_r"}, path)
-    grid = SpatialGrid.line(_count(opts, "source_nodes", path, least=2),
+    grid = SpatialGrid.line(_count(opts, "source_nodes", path, least=2, most=MAX_DIM),
                             _positive(opts, "source_spacing", path))
     probes = _numbers(opts, "probe_distances", path, "a list of positive distances",
                       lambda d: d > 0)

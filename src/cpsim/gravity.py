@@ -18,23 +18,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erf
 
 from .dynamics import ModelParams, integrate_master
 from .errors import ContractViolationError, ConvergenceError, DomainError
 from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction
-from .quadrature import integrate_adaptive
+from .quadrature import _integrate_batch, integrate_adaptive
 
 _SQRT_PI = math.sqrt(math.pi)
 
 #: phase magnitude separating the directly-quadratured slow region from
 #: the integration-by-parts tail treatment of the oscillatory foci
 _PHASE_SPLIT = 40.0
+
+#: panel budget of each inner angular quadrature
+_INNER_MAX_PANELS = 400
 
 
 class AccuracyWarning(UserWarning):
@@ -59,7 +60,6 @@ class GravityParams:
     G: float
     r_g: float
     r_m: float
-    f_g: Optional[SmearingFunction] = None
     F_kind: str = "gaussian_smeared"
 
     def __post_init__(self):
@@ -69,8 +69,6 @@ class GravityParams:
             raise ContractViolationError("gravitational smearing radius must be positive")
         if self.r_m < 0:
             raise ContractViolationError("flash length scale r_m must be non-negative")
-        if self.f_g is None:
-            self.f_g = SmearingFunction("gaussian", self.r_g, "density")
 
     @classmethod
     def from_model(cls, G, m_r, mass, lambda_grw, hbar, r_g,
@@ -86,6 +84,47 @@ class GravityParams:
 # radial potential profile of one flash
 # ---------------------------------------------------------------------------
 
+def _profile(kind: str, a: float):
+    """Profile P of one flash and its first two radial derivatives, for
+    arrays of radii in any length unit; ``a`` is the gaussian smearing
+    radius in that unit."""
+    if kind == "point_source":
+        return (lambda x: 1.0 / x), (lambda x: -1.0 / x ** 2), (lambda x: 2.0 / x ** 3)
+
+    def _e(x):
+        return (2.0 / (a * _SQRT_PI)) * np.exp(-(x / a) ** 2)
+
+    def p(x):
+        small = x < 1e-8 * a
+        safe = np.where(small, a, x)
+        return np.where(small, (2.0 / (a * _SQRT_PI)) * (1.0 - x ** 2 / (3 * a * a)),
+                        erf(safe / a) / safe)
+
+    def p1(x):
+        small = x < 1e-6 * a
+        safe = np.where(small, a, x)
+        return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * x / a ** 3,
+                        -(erf(safe / a) - (2.0 * safe / (a * _SQRT_PI))
+                          * np.exp(-(safe / a) ** 2)) / safe ** 2)
+
+    def p2(x):
+        small = x < 1e-4 * a
+        safe = np.where(small, a, x)
+        epp = _e(safe) * (-2.0 * safe / (a * a))
+        return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) / a ** 3,
+                        epp / safe - 2.0 * _e(safe) / safe ** 2 + 2.0 * erf(safe / a) / safe ** 3)
+    return p, p1, p2
+
+
+def _radii(r, gp: GravityParams):
+    rv = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(rv < 0):
+        raise DomainError("radius must be non-negative")
+    if gp.F_kind == "point_source" and np.any(rv == 0):
+        raise DomainError("the point-source profile diverges at r = 0")
+    return rv
+
+
 def grav_profile_F(r, gp: GravityParams, method: str = "auto"):
     """Radial profile F(r) of the flash potential (units 1/length).
 
@@ -94,24 +133,12 @@ def grav_profile_F(r, gp: GravityParams, method: str = "auto"):
     evaluates the defining radial integrals with the adaptive engine
     instead; useful as an independent route.
     """
-    scalar = np.isscalar(r)
-    rv = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rv < 0):
-        raise DomainError("radius must be non-negative")
-    if gp.F_kind == "point_source":
-        if np.any(rv == 0):
-            raise DomainError("the point-source profile diverges at r = 0")
-        out = 1.0 / rv
-        return float(out[0]) if scalar else out
-    a = gp.r_g
-    if method == "quadrature":
-        out = np.array([_profile_by_quadrature(float(x), a) for x in rv])
+    rv = _radii(r, gp)
+    if method == "quadrature" and gp.F_kind != "point_source":
+        out = np.array([_profile_by_quadrature(float(x), gp.r_g) for x in rv])
     else:
-        small = rv < 1e-8 * a
-        safe = np.where(small, a, rv)
-        out = np.where(small, 2.0 / (_SQRT_PI * a) * (1.0 - rv ** 2 / (3 * a * a)),
-                       erf(safe / a) / safe)
-    return float(out[0]) if scalar else out
+        out = _profile(gp.F_kind, gp.r_g)[0](rv)
+    return float(out[0]) if np.isscalar(r) else out
 
 
 def _profile_by_quadrature(r: float, a: float) -> float:
@@ -127,19 +154,8 @@ def _profile_by_quadrature(r: float, a: float) -> float:
 
 def grav_profile_F_prime(r, gp: GravityParams):
     """dF/dr; equals -(4 pi / r^2) times the enclosed source."""
-    scalar = np.isscalar(r)
-    rv = np.atleast_1d(np.asarray(r, dtype=float))
-    if gp.F_kind == "point_source":
-        if np.any(rv == 0):
-            raise DomainError("the point-source profile diverges at r = 0")
-        out = -1.0 / rv ** 2
-        return float(out[0]) if scalar else out
-    a = gp.r_g
-    small = rv < 1e-6 * a
-    safe = np.where(small, a, rv)
-    full = -(erf(safe / a) - (2.0 * safe / (a * _SQRT_PI)) * np.exp(-(safe / a) ** 2)) / safe ** 2
-    out = np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * rv / a ** 3, full)
-    return float(out[0]) if scalar else out
+    out = _profile(gp.F_kind, gp.r_g)[1](_radii(r, gp))
+    return float(out[0]) if np.isscalar(r) else out
 
 
 # ---------------------------------------------------------------------------
@@ -202,68 +218,27 @@ def probe_line_family(flash_grid: SpatialGrid, probe_positions, f_c: SmearingFun
 # dephasing exponent Gamma(d)
 # ---------------------------------------------------------------------------
 
-def _phase_profile(kind: str, rho_g: float):
-    """Dimensionless profile P and derivatives in collapse-radius units."""
-    if kind == "point_source":
-        def p(x):
-            return 1.0 / x
-
-        def p1(x):
-            return -1.0 / x ** 2
-
-        def p2(x):
-            return 2.0 / x ** 3
-    else:
-        a = rho_g
-
-        def _e(x):
-            return (2.0 / (a * _SQRT_PI)) * np.exp(-(x / a) ** 2)
-
-        def p(x):
-            x = np.asarray(x, dtype=float)
-            small = x < 1e-8 * a
-            safe = np.where(small, a, x)
-            val = np.where(small, (2.0 / (a * _SQRT_PI)) * (1.0 - x ** 2 / (3 * a * a)),
-                           erf(safe / a) / safe)
-            return val if val.ndim else float(val)
-
-        def p1(x):
-            x = np.asarray(x, dtype=float)
-            small = x < 1e-6 * a
-            safe = np.where(small, a, x)
-            val = np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * x / a ** 3,
-                           _e(safe) / safe - erf(safe / a) / safe ** 2)
-            return val if val.ndim else float(val)
-
-        def p2(x):
-            x = np.asarray(x, dtype=float)
-            small = x < 1e-4 * a
-            safe = np.where(small, a, x)
-            epp = _e(safe) * (-2.0 * safe / (a * a))
-            val = np.where(small, -(4.0 / (3.0 * _SQRT_PI)) / a ** 3,
-                           epp / safe - 2.0 * _e(safe) / safe ** 2 + 2.0 * erf(safe / a) / safe ** 3)
-            return val if val.ndim else float(val)
-    return p, p1, p2
-
-
 class _InnerIntegral:
-    """Angular integral q(rho) = int_-1^1 (1 - cos Delta) dt.
+    """Angular integral q(rho) = int_-1^1 (1 - cos Delta) dt, for arrays of rho.
 
     Delta is the phase difference accumulated between the two probe
-    points. When the peak phase stays below _PHASE_SPLIT the integral
+    points. Where the peak phase stays below _PHASE_SPLIT the integral
     is taken directly in t (as 2 sin^2(Delta/2), positive and
     cancellation-free).  Beyond that the integration variable switches
     to the separation L from one probe, the band |phase| <= split is
     quadratured, and the two infinitely-oscillatory tails are summed by
-    two-term integration by parts in the phase variable.
+    two-term integration by parts in the phase variable.  All rho of
+    one call are integrated as one batch; ``converged`` turns false for
+    good once any inner problem exhausts its panel budget.
     """
 
     def __init__(self, delta: float, rho_m: float, kind: str, rho_g: float, tol: float):
         self.delta = delta
         self.rho_m = rho_m
         self.tol = tol
-        self.p, self.p1, self.p2 = _phase_profile(kind, rho_g)
+        self.p, self.p1, self.p2 = _profile(kind, rho_g)
         self.tail_error = 0.0
+        self.converged = True
 
     def phase(self, lm, lp):
         return self.rho_m * (self.p(lm) - self.p(lp))
@@ -272,63 +247,80 @@ class _InnerIntegral:
         other = np.sqrt(np.maximum(s - length * length, 0.0))
         return self.phase(length, other)
 
-    def _w_and_derivs(self, length, s):
-        """W = -L/phi' and dW/dL, dphi/dL at one point."""
-        k2 = max(s - length * length, 1e-300)
-        k = math.sqrt(k2)
-        dphi = self.rho_m * (float(self.p1(length)) + float(self.p1(k)) * length / k)
+    def _tail_term(self, length, k, u, low_side):
+        """W sin u + dW/du cos u, the integration-by-parts boundary term at phase
+        u with W = -L/phi' and K = sqrt(s - L^2) = k, and dW/du itself."""
+        dphi = self.rho_m * (self.p1(length) + self.p1(k) * length / k)
         # phi'' = rho_m [P''(L) - P''(K) K'^2 - P'(K) K''], K' = -L/K
         d2k = -(1.0 / k + length ** 2 / k ** 3)
-        ddphi = self.rho_m * (float(self.p2(length))
-                              - float(self.p2(k)) * (length / k) ** 2
-                              - float(self.p1(k)) * d2k)
+        ddphi = self.rho_m * (self.p2(length) - self.p2(k) * (length / k) ** 2
+                              - self.p1(k) * d2k)
         w = -length / dphi
         wp = (length * ddphi - dphi) / (dphi * dphi)
-        return w, wp, dphi
+        dwdu = wp / dphi if low_side else wp / np.abs(dphi)
+        return w * np.sin(u) + dwdu * np.cos(u), dwdu
 
-    def value(self, rho: float) -> float:
+    def _quad(self, f, lo, hi, abs_tol):
+        value, _, _, converged = _integrate_batch(f, lo, hi, np.arange(len(lo)), abs_tol,
+                                                  1e-12, _INNER_MAX_PANELS)
+        self.converged &= bool(converged.all())
+        return value
+
+    def value(self, rho):
+        out = np.zeros_like(rho)
         delta = self.delta
-        if rho == 0.0 or delta == 0.0 or self.rho_m == 0.0:
-            return 0.0
-        lmin, lmax = abs(rho - delta), rho + delta
+        lmin, lmax = np.abs(rho - delta), rho + delta
         s = 2.0 * (rho * rho + delta * delta)
-        phimax = self._phi(lmin, s) if lmin > 0 else math.inf
-        if phimax <= _PHASE_SPLIT:
-            def integrand(t):
-                lm = np.sqrt(np.maximum(rho * rho - 2 * delta * rho * t + delta * delta, 0.0))
-                lp = np.sqrt(rho * rho + 2 * delta * rho * t + delta * delta)
+        with np.errstate(divide="ignore"):   # the point-source phase is infinite at L = 0
+            phimax = self._phi(lmin, s)
+        direct = phimax <= _PHASE_SPLIT
+        band = ~direct
+
+        if direct.any():
+            r = rho[direct]
+
+            def integrand(t, owner):
+                rr = r[owner, None]
+                lm = np.sqrt(np.maximum(rr * rr - 2 * delta * rr * t + delta * delta, 0.0))
+                lp = np.sqrt(rr * rr + 2 * delta * rr * t + delta * delta)
                 return 2.0 * np.sin(0.5 * self.phase(lm, lp)) ** 2
-            res = integrate_adaptive(integrand, -1.0, 1.0, abs_tol=self.tol,
-                                     rel_tol=1e-12, max_panels=400)
-            return res.value
+            out[direct] = self._quad(integrand, -np.ones(len(r)), np.ones(len(r)), self.tol)
 
-        lmid = math.sqrt(s / 2.0)
-        l1 = brentq(lambda L: self._phi(L, s) - _PHASE_SPLIT, lmin if lmin > 0 else 1e-300,
-                    lmid, rtol=1e-14, maxiter=200)
-        l2 = math.sqrt(s - l1 * l1)
+        if band.any():
+            r, s, lmin, lmax, phimax = rho[band], s[band], lmin[band], lmax[band], phimax[band]
+            # phi(L, s) falls monotonically from phimax at lmin to 0 at lmid:
+            # bisect each row to its split crossing l1, freezing rows once done
+            lo, hi = np.where(lmin > 0, lmin, 1e-300), np.sqrt(s / 2.0)
+            for _ in range(200):
+                live = hi - lo > 1e-14 * hi
+                if not live.any():
+                    break
+                mid = 0.5 * (lo + hi)
+                above = self._phi(mid, s) > _PHASE_SPLIT
+                lo = np.where(live & above, mid, lo)
+                hi = np.where(live & ~above, mid, hi)
+            l1 = 0.5 * (lo + hi)
+            l2 = np.sqrt(s - l1 * l1)
 
-        def mid(L):
-            return L * np.cos(self._phi(L, s))
-        band = integrate_adaptive(mid, l1, l2, abs_tol=self.tol * delta * rho,
-                                  rel_tol=1e-12, max_panels=400)
-        c_total = band.value
+            def mid_integrand(length, owner):
+                return length * np.cos(self._phi(length, s[owner, None]))
+            c_total = self._quad(mid_integrand, l1, l2, self.tol * delta * r)
 
-        # oscillatory tails: int W(u) cos u du over [split, phimax] on both
-        # sides; on the low side u = phi (dL/du = 1/phi'), on the high side
-        # u = -phi (dL/du = 1/|phi'|)
-        for sign, length_at_split, boundary_len in ((1.0, l1, lmin), (-1.0, l2, lmax)):
-            def boundary_term(length, u):
-                w, wp, dphi = self._w_and_derivs(length, s)
-                dwdu = wp / dphi if sign > 0 else wp / abs(dphi)
-                return w * math.sin(u) + dwdu * math.cos(u), dwdu
-            t0, dwdu0 = boundary_term(length_at_split, _PHASE_SPLIT)
-            if boundary_len > 0 and phimax < 1e15:
-                t1, _ = boundary_term(boundary_len, phimax)
-            else:
-                t1 = 0.0
-            c_total += t1 - t0
-            self.tail_error = max(self.tail_error, 4.0 * abs(dwdu0) / _PHASE_SPLIT)
-        return 2.0 - c_total / (delta * rho)
+            # oscillatory tails: int W(u) cos u du over [split, phimax] on both
+            # sides; on the low side u = phi (dL/du = 1/phi'), on the high side
+            # u = -phi (dL/du = 1/|phi'|)
+            far = (lmin > 0) & (phimax < 1e15)
+            # K is passed, not recomputed: at lmax, s - L^2 cancels to noise
+            for low_side, split_lk, far_lk in ((True, (l1, l2), (lmin, lmax)),
+                                               (False, (l2, l1), (lmax, lmin))):
+                t0, dwdu0 = self._tail_term(*split_lk, _PHASE_SPLIT, low_side)
+                t1, _ = self._tail_term(*np.where(far, far_lk, split_lk),
+                                        np.where(far, phimax, _PHASE_SPLIT), low_side)
+                c_total = c_total + np.where(far, t1, 0.0) - t0
+                self.tail_error = max(self.tail_error,
+                                      float(np.max(4.0 * np.abs(dwdu0) / _PHASE_SPLIT)))
+            out[band] = 2.0 - c_total / (delta * r)
+        return out
 
 
 def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
@@ -338,12 +330,14 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     Evaluates the spherical double integral of the phase-dressed
     localization overlap, reduced to collapse-radius units; the smooth
     gaussian factor is integrated adaptively in the radial variable and
-    the angular factor by the oscillation-aware inner scheme.  Returns
-    (gamma, error_estimate).  Gamma(0) = 0 exactly and gamma is real by
-    the cosine form of the integrand.
+    the angular factor by the oscillation-aware inner scheme, all radial
+    nodes of one refinement round at once.  Returns (gamma,
+    error_estimate).  Gamma(0) = 0 exactly and gamma is real by the
+    cosine form of the integrand.
 
     Raises ConvergenceError (with the best estimate attached) if the
-    radial quadrature cannot reach the requested tolerance.
+    radial quadrature or any inner angular quadrature cannot reach the
+    requested tolerance.
     """
     if d < 0:
         raise DomainError("separation must be non-negative")
@@ -353,12 +347,11 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     rho_m = gp.r_m / r_c
     if rho_m == 0.0:
         return float(np.expm1(-delta * delta)), 1e-15
-    rho_g = gp.r_g / r_c
     inner_tol = 0.4 * quad_tol
-    inner = _InnerIntegral(delta, rho_m, gp.F_kind, rho_g, inner_tol)
+    inner = _InnerIntegral(delta, rho_m, gp.F_kind, gp.r_g / r_c, inner_tol)
 
-    def outer(rho_arr):
-        return np.array([r * r * math.exp(-r * r) * inner.value(float(r)) for r in rho_arr])
+    def outer(rho):
+        return rho * rho * np.exp(-rho * rho) * inner.value(rho)
 
     onset = math.sqrt(2.0 * rho_m * delta)
     breaks = {delta / 2, delta, 2 * delta, 0.3 * onset, onset, 3 * onset, 10 * onset,
@@ -369,10 +362,10 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
     gamma = float(np.expm1(-delta * delta)) - pref * res.value
     err = pref * res.error + 0.5 * inner_tol + pref * inner.tail_error
-    if not res.converged:
-        raise ConvergenceError(
-            f"dephasing quadrature stalled at error {err!r} for d = {d!r}",
-            best_estimate=gamma, error_estimate=err)
+    if not (res.converged and inner.converged):
+        stage = "inner angular" if res.converged else "dephasing"
+        raise ConvergenceError(f"{stage} quadrature stalled at error {err!r} for d = {d!r}",
+                               best_estimate=gamma, error_estimate=err)
     return gamma, err
 
 
@@ -426,12 +419,8 @@ class DephasingCurve:
 
 def compute_dephasing_curve(d_values, gp: GravityParams, r_c: float,
                             quad_tol: float = 1e-9) -> DephasingCurve:
-    gs, es = [], []
-    for d in d_values:
-        g, e = gamma_of_d(float(d), gp, r_c, quad_tol)
-        gs.append(g)
-        es.append(e)
-    return DephasingCurve(np.asarray(d_values, dtype=float), np.array(gs), np.array(es),
+    points = np.array([gamma_of_d(float(d), gp, r_c, quad_tol) for d in d_values]).reshape(-1, 2)
+    return DephasingCurve(np.asarray(d_values, dtype=float), points[:, 0], points[:, 1],
                           r_c=r_c, r_m=gp.r_m)
 
 

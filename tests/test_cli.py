@@ -221,9 +221,11 @@ class TestExitCodes:
         (ensemble_config, ("options",), "n_checkpoints", 10 ** 400, "options.n_checkpoints"),
         (exact_config, ("params", "grid"), "nodes", MAX_DIM + 1, "params.grid.nodes"),
         (born_config, ("params", "grid"), "nodes", MAX_DIM // 2 + 1, "options.amplitudes"),
+        (energy_config, ("options",), "n_r", 2 ** 62, "options.n_r"),
+        (potential_config, ("options",), "source_nodes", 2 ** 62, "options.source_nodes"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
-            "born-dimension-over-cap"])
+            "born-dimension-over-cap", "n_r-huge", "source_nodes-huge"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")

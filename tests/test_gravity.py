@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
+from cpsim import gravity
 from cpsim.dynamics import ModelParams
 from cpsim.errors import ContractViolationError, ConvergenceError, DomainError
 from cpsim.gravity import (AccuracyWarning, DephasingCurve, GravityParams,
@@ -181,6 +182,39 @@ class TestGammaOfD:
             devs.append(abs(g / d ** 1.5 / limit - 1.0))
         assert all(dev < 0.02 for dev in devs)
         assert devs == sorted(devs, reverse=True)
+
+    @pytest.mark.parametrize("d", [0.05, 0.2, 0.6, 1.5])
+    @pytest.mark.parametrize("rho_m,rho_g", [(0.5, 0.8), (1.2, 0.6), (3.0, 0.5)])
+    def test_error_estimate_bounds_scipy_oracle(self, d, rho_m, rho_g):
+        gp = gauss_params(rho_m, rho_g)
+        mine, err = gamma_of_d(d, gp, 1.0, quad_tol=1e-8)
+        assert abs(mine - brute_gamma_gaussian(d, rho_m, rho_g)) <= err
+
+    # the test_08 halving sequence, then the benchmark's four separations
+    @pytest.mark.parametrize("d", [np.sqrt(3.0 / 8.0) ** 3 / 10.0 * 2.0 ** -k for k in range(8)]
+                             + [0.01, 0.0669433, 0.44814, 3.0])
+    def test_point_kind_error_estimate_bounds_tighter_solution(self, d):
+        # dblquad cannot resolve the point-source phase, so the reference is
+        # the same scheme at a 100x tighter tolerance: not independent, it
+        # only shows that the stated error covers the change on refinement
+        gp = point_params(np.sqrt(3.0 / 8.0))
+        coarse, err = gamma_of_d(d, gp, 1.0, quad_tol=1e-9)
+        fine, _ = gamma_of_d(d, gp, 1.0, quad_tol=1e-11)
+        assert abs(coarse - fine) <= err
+
+    @pytest.mark.parametrize("gp", [point_params(1.0), gauss_params(1.0)], ids=["point", "gaussian"])
+    def test_inner_integral_continuous_where_a_node_meets_the_near_probe(self, gp):
+        # rho = delta puts the near probe at L = 0, where the point-source
+        # phase is infinite and the gaussian one finite
+        inner = gravity._InnerIntegral(0.3, gp.r_m, gp.F_kind, gp.r_g, 4e-10)
+        q = inner.value(0.3 * (1.0 + np.array([-1e-9, 0.0, 1e-9])))
+        assert np.all(np.isfinite(q)) and np.ptp(q) < 1e-6
+
+    def test_stalled_inner_integral_raises(self, monkeypatch):
+        monkeypatch.setattr(gravity, "_INNER_MAX_PANELS", 1)
+        with pytest.raises(ConvergenceError, match="inner") as info:
+            gamma_of_d(0.3, point_params(1.0), 1.0)
+        assert info.value.best_estimate is not None
 
     def test_tolerance_unreachable_within_budget_raises(self):
         with pytest.raises(ConvergenceError) as info:
