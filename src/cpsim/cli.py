@@ -32,19 +32,26 @@ from . import __version__
 from .dynamics import ModelParams, ensemble_vs_master, integrate_master, run_trajectories
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
-from .exact import sample_chain, sample_poisson_collapse_points
+from .exact import _sample_windows
 from .gravity import (GravityParams, compute_dephasing_curve, energy_after_flash,
                       macro_potential)
 from .hilbert import MAX_DIM, SpatialGrid
 from .measurement import PointerModel, born_experiment, born_initial_state, pointer_family
 from .operators import build_grw_family, grw_gaussian
-from .rng import GENERATOR_NAME, stream
+from .rng import GENERATOR_NAME
 
 _REQUIRED = object()
 
 #: most radial samples of an ``energy`` run: each of its ~10 complex
 #: work arrays then stays within 16 MiB
 _MAX_RADIAL_POINTS = 2 ** 20
+#: most windows, trajectories or Born runs of one config: each leaves a
+#: results row or a per-run record of at most a few hundred bytes, so
+#: they stay within a few hundred MiB
+_MAX_RUNS = 2 ** 20
+#: most state amplitudes a ``trajectories`` run keeps at its checkpoints
+#: (16 bytes each, so 256 MiB)
+_MAX_KEPT_AMPLITUDES = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +214,18 @@ def _exact(cfg, opts):
     mu = _positive(opts, "mu", "options")
     gamma = _nonnegative(opts, "gamma", "options")
     t_end = _positive(opts, "t_end", "options")
-    n_samples = _count(opts, "n_samples", "options")
-    prefactor = params.mass / params.m_r
+    n_samples = _count(opts, "n_samples", "options", most=_MAX_RUNS)
 
     def run(seed):
         rows = []
-        for i in range(n_samples):
-            rng = stream(seed, i)
-            points = sample_poisson_collapse_points(
-                params.grid, params.family, mu, params.c_light, gamma,
-                (0.0, t_end), rng, mass_prefactor=prefactor)
-            rec = sample_chain(psi0, points, H=params.hamiltonian, rng=rng, hbar=params.hbar)
-            flashes = [m for m, bit in enumerate(rec.outcomes) if bit]
-            first_node = points[flashes[0]].node_index if flashes else -1
-            first_time = points[flashes[0]].time if flashes else -1.0
-            rows.append((i, len(points), len(flashes), first_node, first_time))
+        windows = _sample_windows(psi0, params.family, mu, params.c_light, gamma, t_end,
+                                  n_samples, seed, H=params.hamiltonian, hbar=params.hbar,
+                                  mass_prefactor=params.mass / params.m_r)
+        for i, (times, nodes, bits) in enumerate(windows):
+            flashes = np.flatnonzero(bits)
+            first_node = int(nodes[flashes[0]]) if flashes.size else -1
+            first_time = times[flashes[0]] if flashes.size else -1.0
+            rows.append((i, len(times), flashes.size, first_node, first_time))
         return ("csv", ["sample", "n_points", "n_flashes", "first_flash_node",
                         "first_flash_time"], rows)
     return run
@@ -232,11 +236,16 @@ def _ensemble(cfg, opts):
     params = _parse_params(cfg)
     _reject_unknown(opts, {"t_end", "n_traj", "n_checkpoints", "psi0"}, "options")
     return (params, _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options"),
-            _count(opts, "n_traj", "options"), _count(opts, "n_checkpoints", "options", 11))
+            _count(opts, "n_traj", "options", most=_MAX_RUNS),
+            _count(opts, "n_checkpoints", "options", 11))
 
 
 def _trajectories(cfg, opts):
     params, psi0, t_end, n_traj, n_checkpoints = _ensemble(cfg, opts)
+    kept = n_traj * min(n_checkpoints, t_end / params.dt + 1.0) * params.grid.n
+    if kept > _MAX_KEPT_AMPLITUDES:
+        raise ConfigError(f"options.n_traj: {n_traj} trajectories would keep {kept:.3g} "
+                          f"checkpoint amplitudes, above {_MAX_KEPT_AMPLITUDES}")
 
     def run(seed):
         rows = []
@@ -285,7 +294,7 @@ def _born(cfg, opts):
     if abs(sum(a ** 2 for a in amps) - 1.0) > 1e-9:
         raise ConfigError(f"{path}.amplitudes: squared amplitudes must sum to 1")
     t_obs = _positive(opts, "t_obs", path)
-    n_runs = _count(opts, "n_runs", path)
+    n_runs = _count(opts, "n_runs", path, most=_MAX_RUNS)
     ptr_path = f"{path}.pointer"
     ptr = _field(opts, "pointer", dict, path)
     _reject_unknown(ptr, {"centers", "amplification", "region_halfwidth"}, ptr_path)

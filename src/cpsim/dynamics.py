@@ -24,8 +24,8 @@ import numpy as np
 
 from . import constants
 from .errors import ContractViolationError, StepSizeError
-from .exact import sample_chain, sample_poisson_collapse_points
-from .hilbert import SpatialGrid, hermitize, unitary_from_generator
+from .exact import _sample_windows
+from .hilbert import SpatialGrid, _apply, hermitize, unitary_from_generator
 from .operators import OperatorFamily
 from .rng import stream
 
@@ -143,12 +143,6 @@ _BLOCK = 128
 
 def _abs2(v):
     return v.real ** 2 + v.imag ** 2
-
-
-def _apply(m, v):
-    """m @ v for each row of v (m: one matrix or one per row), without BLAS,
-    whose sums depend on the row count and which starts a second thread."""
-    return np.einsum("...ij,...j->...i", m, v)
 
 
 def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
@@ -292,11 +286,11 @@ def run_trajectories(psi0, params: ModelParams, t_end: float, n_traj: int,
     """
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
     trajs = [Trajectory(np.array(marks) * params.dt, []) for _ in range(n_traj)]
-    positions = params.family.grid.positions
+    positions, due = params.family.grid.positions, set(marks)
     for first, i, v, flashed, nodes in propagate_batch(psi0, params, n_steps, n_traj, seed):
         for r, k in zip(flashed.tolist(), nodes.tolist()):
             trajs[first + r].flashes.append(FlashEvent(i * params.dt, k, positions[k]))
-        if i in marks:
+        if i in due:
             for tr, state in zip(trajs[first:], v.copy()):
                 tr.states.append(state)
     return trajs
@@ -360,14 +354,15 @@ def integrate_master(rho0, params: ModelParams, t_end: float,
                      n_checkpoints: int = 11, check_positivity: bool = True):
     """Repeatedly step the master equation, returning checkpoint snapshots."""
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
+    due = set(marks)
     r = np.asarray(rho0).astype(complex)
     times, rhos = [], []
-    if 0 in marks:
+    if 0 in due:
         times.append(0.0)
         rhos.append(r.copy())
     for i in range(1, n_steps + 1):
         r = lindblad_step(r, params, check_positivity=check_positivity)
-        if i in marks:
+        if i in due:
             times.append(i * params.dt)
             rhos.append(r.copy())
     return np.array(times), rhos
@@ -400,9 +395,10 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
     v = np.asarray(psi0).astype(complex)
     avg = np.zeros((len(marks), v.size, v.size), dtype=complex)
+    slot = {step: j for j, step in enumerate(marks)}
     for _, i, states, _, _ in propagate_batch(v, params, n_steps, n_traj, seed):
-        if i in marks:
-            avg[marks.index(i)] += np.einsum("ri,rj->ij", states, states.conj())
+        if i in slot:
+            avg[slot[i]] += np.einsum("ri,rj->ij", states, states.conj())
     avg /= n_traj
     _, rhos = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
     dist = np.array([np.linalg.norm(a - r) for a, r in zip(avg, rhos)])
@@ -448,19 +444,15 @@ def coarse_grain_consistency(params: ModelParams, psi0, gamma: float,
     noflash = 0
     single = 0
     multi = 0
-    for w in range(n_windows):
-        rng = stream(seed, w)
-        points = sample_poisson_collapse_points(
-            params.family.grid, params.family, mu, params.c_light, gamma,
-            (0.0, delta_t), rng, mass_prefactor=prefactor)
-        rec = sample_chain(v, points, H=None, rng=rng, hbar=params.hbar)
-        n_flash = sum(rec.outcomes)
+    for _, nodes, bits in _sample_windows(v, params.family, mu, params.c_light, gamma,
+                                          delta_t, n_windows, seed, hbar=params.hbar,
+                                          mass_prefactor=prefactor):
+        n_flash = int(bits.sum())
         if n_flash == 0:
             noflash += 1
         elif n_flash == 1:
             single += 1
-            k = points[rec.outcomes.index(1)].node_index
-            histogram[k] += 1
+            histogram[nodes[bits][0]] += 1
         else:
             multi += 1
     p0 = noflash / n_windows

@@ -9,6 +9,18 @@ cos(sqrt(gamma) L / hbar) block (no flash) and a sin block (flash), so
 chains of any length reduce to alternating system evolutions and these
 two block actions.  Joint outcome distributions, sequential sampling
 and the reduced-density-matrix consistency check all live here.
+
+Sampling runs on one engine.  A window is one Poisson placement of
+collapse points over [0, t_end) followed by the chain it defines, and
+window w draws from ``stream(seed, w)`` alone, in a fixed order: first
+the placement, an ``exponential(1 / rate)`` gap and then one uniform
+that picks the node for each point (plus the gap that overshoots the
+window), then one uniform per point for the chain outcomes, drawn as a
+single block.  ``_sample_windows`` places a chunk of windows and steps
+their chains together, one collapse point of every live window per
+step; ``sample_chain`` is a window of one through the same step, and
+``sample_poisson_collapse_points`` uses the same placement draw.  No
+result depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -19,10 +31,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError
-from .hilbert import unitary_from_generator
+from .hilbert import _apply, unitary_from_generator
 from .operators import OperatorFamily
+from .rng import stream
 
 MAX_ENUMERATION = 12
+
+#: windows whose chains are stepped together
+_CHUNK = 512
 
 
 @dataclass
@@ -58,30 +74,46 @@ class FlashRecord:
             raise ContractViolationError(f"probability {self.probability!r} outside [0, 1]")
 
 
-class _JumpPair:
-    """cos / sin blocks of one collapse-point unitary, precomputed."""
+class _JumpTable:
+    """cos / sin blocks of exp(-i scale_k L_k sigma_x) for a stack of operators.
 
-    def __init__(self, cp: CollapsePoint, hbar: float):
-        scale = np.sqrt(cp.gamma) / hbar
-        op = cp.operator
-        if op.ndim == 1:
-            self.diag = True
-            self.c = np.cos(scale * op.real)
-            self.s = np.sin(scale * op.real)
+    ``ops`` stacks diagonals (n, dim) or dense Hermitian matrices
+    (n, dim, dim); each dense one costs one eigh, once per table.  Entry
+    k of ``cs`` holds the cos block and then the sin block.
+    """
+
+    def __init__(self, ops, scales):
+        ops = np.asarray(ops)
+        self.diag = ops.ndim == 2
+        if self.diag:
+            w = ops.real
         else:
-            dev = np.max(np.abs(op - op.conj().T))
+            dev = np.abs(ops - ops.conj().swapaxes(1, 2)).max()
             if dev > 1e-12:
-                raise ContractViolationError(f"collapse operator deviates from Hermiticity by {dev!r}")
-            self.diag = False
-            w, v = np.linalg.eigh(op)
-            self.c = (v * np.cos(scale * w)) @ v.conj().T
-            self.s = (v * np.sin(scale * w)) @ v.conj().T
+                raise ContractViolationError(
+                    f"collapse operator deviates from Hermiticity by {dev!r}")
+            w, v = np.linalg.eigh(ops)
+        arg = np.asarray(scales, dtype=float)[:, None] * w
+        trig = np.empty((len(arg), 2, arg.shape[1]))
+        np.cos(arg, out=trig[:, 0])
+        np.sin(arg, out=trig[:, 1])
+        if self.diag:
+            self.cs = trig
+        else:   # V cos V^dag and V sin V^dag of each member
+            self.cs = (v[:, None] * trig[..., None, :]) @ v.conj().swapaxes(1, 2)[:, None]
 
-    def apply_cos(self, psi):
-        return self.c * psi if self.diag else self.c @ psi
+    def apply(self, k, psi):
+        """(cos block, sin block) of entry k applied to psi; k and psi may be per row."""
+        if self.diag:
+            return self.cs[k] * psi[..., None, :]
+        return (self.cs[k] @ psi[..., None, :, None])[..., 0]
 
-    def apply_sin(self, psi):
-        return self.s * psi if self.diag else self.s @ psi
+
+def _chain_table(chain, hbar: float) -> _JumpTable:
+    ops = [cp.operator for cp in chain]
+    if any(op.ndim == 2 for op in ops):
+        ops = [op if op.ndim == 2 else np.diag(op.real) for op in ops]
+    return _JumpTable(ops, np.sqrt([cp.gamma for cp in chain]) / hbar)
 
 
 def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
@@ -93,9 +125,8 @@ def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     A branch of zero probability yields None for its state.
     """
     v = np.asarray(psi).astype(complex)
-    pair = _JumpPair(cp, hbar)
-    flash = -1j * pair.apply_sin(v)
-    noflash = pair.apply_cos(v)
+    noflash, flash = _chain_table([cp], hbar).apply(0, v)
+    flash = -1j * flash
     p_flash = float(np.vdot(flash, flash).real)
     sf = flash / np.sqrt(p_flash) if p_flash > 0 else None
     pn = float(np.vdot(noflash, noflash).real)
@@ -103,16 +134,34 @@ def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     return p_flash, sf, sn
 
 
+def _check_times(times, t0: float):
+    if any(b < a for a, b in zip([t0, *times], times)):
+        raise ContractViolationError("collapse-point times must be non-decreasing")
+
+
 def _gap_unitaries(chain, H, hbar, t0):
     times = [cp.time for cp in chain]
-    if any(t2 < t1 for t1, t2 in zip([t0] + times, times)):
-        raise ContractViolationError("collapse-point times must be non-decreasing")
+    _check_times(times, t0)
     if H is None:
         return [None] * len(chain)
     h = np.asarray(H)
     gaps = np.diff([t0] + times)
     unique = {float(g): unitary_from_generator(h, float(g), hbar) for g in set(gaps)}
     return [unique[float(g)] for g in gaps]
+
+
+def _evolution(H, hbar: float):
+    """exp(-i H g / hbar) applied to each row with its own gap g, from one
+    eigendecomposition of H; None when H is absent or zero."""
+    if H is None or not np.any(H):
+        return None
+    w, v = np.linalg.eigh(np.asarray(H))
+    vh = v.conj().T
+
+    def evolve(rows, gaps):
+        phase = np.exp(-1j * w * gaps[:, None] / hbar)
+        return _apply(v, phase * _apply(vh, rows))
+    return evolve
 
 
 def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
@@ -127,7 +176,7 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
     if n > MAX_ENUMERATION:
         raise ContractViolationError(f"chain length {n} above the enumeration cap {MAX_ENUMERATION}")
     gaps = _gap_unitaries(chain, H, hbar, t0)
-    pairs = [_JumpPair(cp, hbar) for cp in chain]
+    table = _chain_table(chain, hbar) if n else None
     records = []
 
     def descend(m, state, prob, outcomes):
@@ -139,8 +188,8 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
                 descend(m + 1, None, 0.0, outcomes + [bit])
             return
         cur = state if gaps[m] is None else gaps[m] @ state
-        flash = -1j * pairs[m].apply_sin(cur)
-        noflash = pairs[m].apply_cos(cur)
+        noflash, flash = table.apply(m, cur)
+        flash = -1j * flash
         p1 = float(np.vdot(flash, flash).real)
         p0 = float(np.vdot(noflash, noflash).real)
         descend(m + 1, noflash / np.sqrt(p0) if p0 > 0 else None, prob * p0, outcomes + [0])
@@ -154,37 +203,44 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
     return records
 
 
+def _step(table: _JumpTable, x, k, u):
+    """One collapse point for each row of x: table entry k, a flash where
+    u < p_flash.  Returns (conditional states, flash bits, branch probabilities)."""
+    branches = table.apply(k, x)
+    p0, p1 = np.square(branches.view(float)).sum(axis=-1).T
+    hit = u < p1
+    p = np.where(hit, p1, p0)
+    new = np.where(hit[:, None], -1j * branches[:, 1], branches[:, 0])
+    return new / np.sqrt(p)[:, None], hit, p
+
+
 def sample_chain(psi0, chain, H=None, rng: np.random.Generator = None,
                  hbar: float = 1.0, t0: float = 0.0) -> FlashRecord:
     """Draw one outcome sequence by successive conditional Bernoulli trials.
 
     Works for chains of any length; only the running conditional state
-    is kept.  The returned probability is the product of the sampled
-    conditional probabilities, i.e. the joint probability of the drawn
-    sequence.
+    is kept.  A chain is a window of one through the step of the window
+    engine, and its uniforms, one per point, are drawn as one block.
+    The returned probability is the product of the sampled conditional
+    probabilities, i.e. the joint probability of the drawn sequence.
     """
     if rng is None:
         raise ContractViolationError("sampling requires an explicit random generator")
-    gaps = _gap_unitaries(chain, H, hbar, t0)
-    state = np.asarray(psi0).astype(complex)
-    outcomes = []
-    prob = 1.0
-    for m, cp in enumerate(chain):
-        cur = state if gaps[m] is None else gaps[m] @ state
-        pair = _JumpPair(cp, hbar)
-        flash = -1j * pair.apply_sin(cur)
-        p1 = float(np.vdot(flash, flash).real)
-        if rng.random() < p1:
-            outcomes.append(1)
-            prob *= p1
-            state = flash / np.sqrt(p1)
-        else:
-            noflash = pair.apply_cos(cur)
-            p0 = float(np.vdot(noflash, noflash).real)
-            outcomes.append(0)
-            prob *= p0
-            state = noflash / np.sqrt(p0)
-    return FlashRecord(tuple(outcomes), prob, state)
+    times = [cp.time for cp in chain]
+    _check_times(times, t0)
+    v = np.asarray(psi0).astype(complex)[None]
+    if not chain:
+        return FlashRecord((), 1.0, v[0])
+    table, evolve = _chain_table(chain, hbar), _evolution(H, hbar)
+    gaps = np.diff([t0, *times]) if evolve else None
+    uniforms = rng.random(len(chain))
+    bits, prob = [], 1.0
+    for m in range(len(chain)):
+        x = v if evolve is None else evolve(v, gaps[m:m + 1])
+        v, hit, p = _step(table, x, m, uniforms[m:m + 1])
+        bits.append(int(hit[0]))
+        prob *= float(p[0])
+    return FlashRecord(tuple(bits), prob, v[0])
 
 
 def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> float:
@@ -208,24 +264,62 @@ def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> flo
                 marginal[m] += rec.probability
 
     gaps = _gap_unitaries(chain, H, hbar, t0)
+    table = _chain_table(chain, hbar) if n else None
     v = np.asarray(psi0).astype(complex)
     rho = np.outer(v, v.conj())
     worst = 0.0
-    for m, cp in enumerate(chain):
+    for m in range(n):
         if gaps[m] is not None:
             rho = gaps[m] @ rho @ gaps[m].conj().T
-        pair = _JumpPair(cp, hbar)
-        if pair.diag:
-            rho_s = pair.s[:, None] * rho * pair.s[None, :]
-            rho_c = pair.c[:, None] * rho * pair.c[None, :]
+        c, s = table.cs[m]
+        if table.diag:
+            rho_s = s[:, None] * rho * s[None, :]
+            rho_c = c[:, None] * rho * c[None, :]
         else:
-            rho_s = pair.s @ rho @ pair.s.conj().T
-            rho_c = pair.c @ rho @ pair.c.conj().T
+            rho_s = s @ rho @ s.conj().T
+            rho_c = c @ rho @ c.conj().T
         p1 = float(rho_s.trace().real)
         p0 = float(rho_c.trace().real)
         worst = max(worst, abs(p1 - marginal[m]), abs(p0 - (1.0 - marginal[m])))
         rho = rho_c + rho_s
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Poisson windows
+# ---------------------------------------------------------------------------
+
+def _cell_cdf(grid) -> np.ndarray:
+    """Normalised cdf of the cell probabilities w_k / V, as Generator.choice builds it."""
+    cdf = (grid.weights / grid.volume).cumsum()
+    return cdf / cdf[-1]
+
+
+def _placement(rng: np.random.Generator, rate: float, cdf, t0: float, t1: float):
+    """Times and nodes of one homogeneous Poisson placement over [t0, t1).
+
+    Each point costs ``rng.exponential(1 / rate)`` and then one uniform
+    u whose node is ``cdf.searchsorted(u, side="right")``, the rule of
+    ``Generator.choice(p=...)``; the gap that overshoots t1 is drawn too.
+    A non-positive rate draws nothing.
+    """
+    times, us = [], []
+    if rate > 0:
+        exponential, uniform, scale = rng.exponential, rng.random, 1.0 / rate
+        t = t0
+        while True:
+            t += exponential(scale)
+            if t >= t1:
+                break
+            times.append(t)
+            us.append(uniform())
+    return times, cdf.searchsorted(np.array(us), side="right")
+
+
+def _members(family: OperatorFamily, mass_prefactor: float) -> np.ndarray:
+    """Coupling operators of the family's nodes, scaled by sqrt(mass_prefactor)."""
+    members = family.diagonals if family.is_diagonal else family.dense_members
+    return np.sqrt(mass_prefactor) * members
 
 
 def sample_poisson_collapse_points(grid, family: OperatorFamily, mu: float,
@@ -239,20 +333,60 @@ def sample_poisson_collapse_points(grid, family: OperatorFamily, mu: float,
     The coupling operator at an event is the family member at that
     node scaled by sqrt(mass_prefactor).
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    times, nodes = _placement(rng, mu * c_light * grid.volume, _cell_cdf(grid),
+                              float(t_span[0]), float(t_span[1]))
+    members = _members(family, mass_prefactor)
+    return [CollapsePoint(time=t, gamma=gamma, operator=members[k], node_index=k,
+                          position=grid.positions[k])
+            for t, k in zip(times, nodes.tolist())]
+
+
+def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gamma: float,
+                    t_end: float, n_windows: int, seed: int, H=None, hbar: float = 1.0,
+                    mass_prefactor: float = 1.0):
+    """Windows 0 .. n_windows - 1 of Poisson collapse points over [0, t_end).
+
+    Window w draws its placement from ``stream(seed, w)`` as
+    ``sample_poisson_collapse_points`` does, then the uniforms of its
+    chain from the same stream as one block.  The chains of ``_CHUNK``
+    windows start from psi0 and are stepped together, longest first, one
+    point of every live window per step, with H evolving each state
+    over its own gap; a window that has ended is left alone.  Sums run
+    along rows, so a window's outcomes depend neither on the others nor
+    on the chunk.  Yields (times, nodes, outcome bits) of each window in
+    order; only the current state of each window is kept.
+    """
+    grid = family.grid
     rate = mu * c_light * grid.volume
-    if rate <= 0:
-        return []
-    cell_p = grid.weights / grid.volume
-    scale = np.sqrt(mass_prefactor)
-    points = []
-    t = t0
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= t1:
-            break
-        k = int(rng.choice(grid.n, p=cell_p))
-        op = scale * family.diagonals[k] if family.is_diagonal else scale * family.dense_members[k]
-        points.append(CollapsePoint(time=t, gamma=gamma, operator=op,
-                                    node_index=k, position=grid.positions[k]))
-    return points
+    members = _members(family, mass_prefactor)
+    table = _JumpTable(members, np.full(len(members), np.sqrt(gamma) / hbar))
+    evolve = _evolution(H, hbar)
+    cdf = _cell_cdf(grid)
+    v0 = np.asarray(psi0).astype(complex)
+    for first in range(0, n_windows, _CHUNK):
+        windows = []
+        for w in range(first, min(first + _CHUNK, n_windows)):
+            rng = stream(seed, w)
+            times, nodes = _placement(rng, rate, cdf, 0.0, t_end)
+            windows.append((times, nodes, rng.random(len(times))))
+        order = sorted(range(len(windows)), key=lambda i: -len(windows[i][0]))
+        lengths = [len(windows[i][0]) for i in order]
+        depth = lengths[0]
+        ks = np.zeros((len(order), depth), dtype=int)
+        gaps = np.zeros((len(order), depth))
+        uniforms = np.ones((len(order), depth))
+        for r, i in enumerate(order):
+            times, ks[r, :lengths[r]], uniforms[r, :lengths[r]] = windows[i]
+            if evolve is not None:
+                gaps[r, :lengths[r]] = np.diff(times, prepend=0.0)
+        v = np.tile(v0, (len(order), 1))
+        bits = np.zeros((len(order), depth), dtype=bool)
+        live = len(order)
+        for m in range(depth):
+            while lengths[live - 1] <= m:
+                live -= 1
+            x = v[:live] if evolve is None else evolve(v[:live], gaps[:live, m])
+            v[:live], bits[:live, m], _ = _step(table, x, ks[:live, m], uniforms[:live, m])
+        rows = dict(zip(order, bits))
+        for i, (times, nodes, _) in enumerate(windows):
+            yield times, nodes, rows[i][:len(times)]

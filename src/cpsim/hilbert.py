@@ -116,6 +116,12 @@ def unitary_from_generator(H, dt: float, hbar: float = 1.0) -> np.ndarray:
     return (v * phase) @ v.conj().T
 
 
+def _apply(m, v):
+    """m @ v for each row of v (m: one matrix or one per row), without BLAS,
+    whose sums depend on the row count and which starts a second thread."""
+    return np.einsum("...ij,...j->...i", m, v)
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 

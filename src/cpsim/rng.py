@@ -3,11 +3,19 @@
 Every stochastic routine in the package draws from a counter-based
 Philox generator keyed through ``numpy.random.SeedSequence``.  Stream k
 of a base seed is ``SeedSequence(entropy=seed, spawn_key=(k,))``, which
-is a documented, stable hash of (seed, k).  Trajectory k of an ensemble
-owns stream k and draws its uniforms from it in blocks: ``random(m)``
-gives the same doubles as m calls of ``random()``, so a trajectory
-consumes one draw per step and one more per flash whatever the block
-or chunk size, and reproduces bit-for-bit.
+is a documented, stable hash of (seed, k).  Each unit of work owns one
+stream and draws from it in a fixed order, so it reproduces bit-for-bit
+whatever the number of units or the chunk they are computed in;
+``random(m)`` gives the same doubles as m calls of ``random()``, which
+lets the engines draw uniforms in blocks.
+
+- Trajectory k of an ensemble owns stream k and consumes one uniform
+  per step and one more per flash, drawn in blocks.
+- Collapse-point window w owns stream w.  Its placement draws come
+  first: for each point an ``exponential(1 / rate)`` gap, then one
+  uniform that picks the point's node, and finally the gap that
+  overshoots the window.  Then come the chain's uniforms, one per
+  point, drawn as one block.
 """
 
 import numpy as np

@@ -223,9 +223,17 @@ class TestExitCodes:
         (born_config, ("params", "grid"), "nodes", MAX_DIM // 2 + 1, "options.amplitudes"),
         (energy_config, ("options",), "n_r", 2 ** 62, "options.n_r"),
         (potential_config, ("options",), "source_nodes", 2 ** 62, "options.source_nodes"),
+        (born_config, ("options",), "n_runs", 2 ** 62, "options.n_runs"),
+        (exact_config, ("options",), "n_samples", 2 ** 62, "options.n_samples"),
+        (ensemble_config, ("options",), "n_traj", 2 ** 62, "options.n_traj"),
+        (lambda path: ensemble_config(path, "compare"), ("options",), "n_traj", 2 ** 62,
+         "options.n_traj"),
+        # under the count cap, but 12 amplitudes at 3 checkpoints each exceed the kept-state cap
+        (ensemble_config, ("options",), "n_traj", 2 ** 20, "options.n_traj"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
-            "born-dimension-over-cap", "n_r-huge", "source_nodes-huge"])
+            "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
+            "n_samples-huge", "n_traj-huge", "compare-n_traj-huge", "n_traj-kept-states"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cpsim import exact
 from cpsim.errors import ContractViolationError
-from cpsim.exact import (CollapsePoint, enumerate_chain, interact_once,
+from cpsim.exact import (CollapsePoint, _sample_windows, enumerate_chain, interact_once,
                          markov_check, sample_chain,
                          sample_poisson_collapse_points)
 from cpsim.hilbert import SpatialGrid, random_hermitian, random_state, unitary_from_generator
-from cpsim.operators import build_grw_family, grw_gaussian
+from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -220,3 +221,123 @@ class TestPoissonPlacement:
         b = sample_poisson_collapse_points(grid, fam, 2.0, 1.0, 0.1, (0.0, 1.0), stream(7))
         assert [p.time for p in a] == [p.time for p in b]
         assert [p.node_index for p in a] == [p.node_index for p in b]
+
+
+# ---------------------------------------------------------------------------
+# the window engine against a plain interact_once loop
+# ---------------------------------------------------------------------------
+
+MU, C, GAMMA, T_END, HBAR, PREFACTOR = 5.0, 1.0, 0.3, 0.5, 0.9, 1.5
+
+
+def line_hopping(n, j=3.0):
+    h = np.zeros((n, n), dtype=complex)
+    for i in range(n - 1):
+        h[i, i + 1] = h[i + 1, i] = -j
+    return h
+
+
+def dense_family():
+    grid = SpatialGrid.line(6, 0.5)
+    diag = build_grw_family(grid, grw_gaussian(1.0)).diagonals
+    dense = np.array([np.diag(d).astype(complex) + 0.2 * line_hopping(6, d[k])
+                      for k, d in enumerate(diag)])
+    return OperatorFamily(grid, "grw_position", dense=dense)
+
+
+WINDOW_CASES = {
+    "diagonal": lambda: (build_grw_family(SpatialGrid.line(8, 0.5), grw_gaussian(1.0)), None),
+    "diagonal+hopping": lambda: (build_grw_family(SpatialGrid.line(8, 0.5), grw_gaussian(1.0)),
+                                 line_hopping(8)),
+    "dense": lambda: (dense_family(), None),
+}
+
+
+def start_state(grid):
+    v = np.exp(-((grid.x - 0.3) ** 2) / 2.0).astype(complex)
+    return v / np.linalg.norm(v)
+
+
+def reference_window(psi0, family, H, seed, w):
+    """Window w drawn point by point: Generator.choice for the nodes, then one
+    interact_once per point with unitary_from_generator for the gaps."""
+    grid = family.grid
+    rng = stream(seed, w)
+    times, nodes, t = [], [], 0.0
+    while True:
+        t += rng.exponential(1.0 / (MU * C * grid.volume))
+        if t >= T_END:
+            break
+        times.append(t)
+        nodes.append(int(rng.choice(grid.n, p=grid.weights / grid.volume)))
+    state, prev, bits, prob = psi0, 0.0, [], 1.0
+    for t, k in zip(times, nodes):
+        if H is not None:
+            state = unitary_from_generator(H, t - prev, HBAR) @ state
+        prev = t
+        p1, flash, noflash = interact_once(
+            state, CollapsePoint(t, GAMMA, np.sqrt(PREFACTOR) * family.member(k)), HBAR)
+        bit = int(rng.random() < p1)
+        bits.append(bit)
+        state = flash if bit else noflash
+        prob *= p1 if bit else 1.0 - p1
+    return times, nodes, bits, state, prob
+
+
+def engine_windows(psi0, family, H, seed, n_windows):
+    return [(times, nodes.tolist(), bits.astype(int).tolist())
+            for times, nodes, bits in _sample_windows(
+                psi0, family, MU, C, GAMMA, T_END, n_windows, seed, H=H, hbar=HBAR,
+                mass_prefactor=PREFACTOR)]
+
+
+class TestWindowEngine:
+    N_WINDOWS = 7
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_windows_match_point_by_point_reference(self, case):
+        family, H = WINDOW_CASES[case]()
+        psi0 = start_state(family.grid)
+        got = engine_windows(psi0, family, H, 31, self.N_WINDOWS)
+        flashes = 0
+        for w, window in enumerate(got):
+            assert window == reference_window(psi0, family, H, 31, w)[:3]
+            flashes += sum(window[2])
+        assert 0 < flashes < sum(len(window[0]) for window in got)
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_sample_chain_matches_point_by_point_reference(self, case):
+        family, H = WINDOW_CASES[case]()
+        grid, psi0 = family.grid, start_state(family.grid)
+        for w in range(self.N_WINDOWS):
+            rng = stream(31, w)
+            points = sample_poisson_collapse_points(grid, family, MU, C, GAMMA, (0.0, T_END),
+                                                    rng, mass_prefactor=PREFACTOR)
+            rec = sample_chain(psi0, points, H=H, rng=rng, hbar=HBAR)
+            times, nodes, bits, state, prob = reference_window(psi0, family, H, 31, w)
+            assert [cp.time for cp in points] == times
+            assert [cp.node_index for cp in points] == nodes
+            assert list(rec.outcomes) == bits
+            assert np.max(np.abs(rec.conditional_state - state)) < 1e-10
+            assert abs(rec.probability - prob) <= 1e-10 * prob
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_chunk_size_does_not_change_windows(self, case, monkeypatch):
+        family, H = WINDOW_CASES[case]()
+        psi0 = start_state(family.grid)
+        runs = []
+        for chunk in (1, 3, self.N_WINDOWS, 64):
+            monkeypatch.setattr(exact, "_CHUNK", chunk)
+            runs.append(engine_windows(psi0, family, H, 5, self.N_WINDOWS))
+        assert all(run == runs[0] for run in runs[1:])
+        assert len({len(times) for times, _, _ in runs[0]}) > 1   # windows of unequal length
+
+    def test_zero_rate_window_has_no_points(self):
+        family, _ = WINDOW_CASES["diagonal"]()
+        psi0 = start_state(family.grid)
+        windows = list(_sample_windows(psi0, family, 0.0, C, GAMMA, T_END, 3, 8))
+        assert [(len(t), len(n), len(b)) for t, n, b in windows] == [(0, 0, 0)] * 3
+        rng = stream(8, 0)
+        assert sample_poisson_collapse_points(family.grid, family, 0.0, C, GAMMA,
+                                              (0.0, T_END), rng) == []
+        assert rng.random() == stream(8, 0).random()   # nothing was drawn

@@ -222,6 +222,40 @@ class TestGammaOfD:
         assert info.value.best_estimate is not None
 
 
+def direct_inner_point(rho, delta, rho_m):
+    """q(rho) = int_-1^1 2 sin^2(Delta / 2) dt for the point source, by scipy's
+    adaptive quadrature on the t-integrand: no phase split, no tails."""
+    def f(t):
+        lm = np.sqrt(max(rho * rho - 2 * delta * rho * t + delta * delta, 0.0))
+        lp = np.sqrt(rho * rho + 2 * delta * rho * t + delta * delta)
+        return 2.0 * np.sin(0.5 * rho_m * (1.0 / lm - 1.0 / lp)) ** 2
+    value, err = integrate.quad(f, -1.0, 1.0, limit=20000, epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-12
+    return value
+
+
+_TAIL_BOUND_MISSED = pytest.mark.xfail(strict=True, reason=(
+    "tail_error is the larger of the two tails' two-term remainder estimates in units "
+    "of delta * rho * (2 - q), not their sum divided by delta * rho: at delta 0.3, rho_m 1 "
+    "band rows are off by 1.5e-6 to 1.8e-6 against tol + tail_error = 1.0e-7"))
+
+
+@pytest.mark.parametrize("delta, rho_m", [
+    (1.5, 1.0), (2.0, 1.0),
+    pytest.param(0.3, 1.0, marks=_TAIL_BOUND_MISSED),
+    pytest.param(0.05, 0.6, marks=_TAIL_BOUND_MISSED),
+])
+def test_point_band_rows_within_tol_plus_tail_error_of_direct_quadrature(delta, rho_m):
+    inner = gravity._InnerIntegral(delta, rho_m, "point_source", 1.0, 4e-10)
+    rho = delta * np.array([0.99, 0.995, 1.005, 1.01])
+    phimax = rho_m * (1.0 / np.abs(rho - delta) - 1.0 / (rho + delta))
+    assert np.all(phimax > gravity._PHASE_SPLIT) and np.all(phimax < 1e15)   # band rows, both tails
+    value = inner.value(rho)
+    assert inner.tail_error > 0.0
+    for r, q in zip(rho, value):
+        assert abs(q - direct_inner_point(r, delta, rho_m)) <= inner.tol + inner.tail_error
+
+
 class TestGammaAsymptotic:
     def test_zero_separation(self):
         assert gamma_asymptotic(0.0, point_params(1.0), 1.0) == 0.0
