@@ -37,8 +37,11 @@ from .rng import stream
 
 MAX_ENUMERATION = 12
 
-#: windows whose chains are stepped together
+#: most windows whose chains are stepped together, and most padded point
+#: slots (windows x longest window) among them: a chunk's arrays and point
+#: lists then stay within a few tens of MiB whatever the point rate
 _CHUNK = 512
+_CHUNK_POINTS = 2 ** 18
 
 
 @dataclass
@@ -341,6 +344,38 @@ def sample_poisson_collapse_points(grid, family: OperatorFamily, mu: float,
             for t, k in zip(times, nodes.tolist())]
 
 
+def _run_windows(windows, v0, table: _JumpTable, evolve):
+    """Step the chains of windows (times, nodes, uniforms) together from v0.
+
+    Longest first, one point of every live window per step, with evolve
+    taking each state over its own gap; a window that has ended is left
+    alone.  Sums run along rows, so a window's outcomes depend neither on
+    the others nor on the chunk.  Yields (times, nodes, outcome bits) of
+    each window in order; only the current state of each window is kept.
+    """
+    order = sorted(range(len(windows)), key=lambda i: -len(windows[i][0]))
+    lengths = [len(windows[i][0]) for i in order]
+    depth = lengths[0]
+    ks = np.zeros((len(order), depth), dtype=int)
+    gaps = np.zeros((len(order), depth))
+    uniforms = np.ones((len(order), depth))
+    for r, i in enumerate(order):
+        times, ks[r, :lengths[r]], uniforms[r, :lengths[r]] = windows[i]
+        if evolve is not None:
+            gaps[r, :lengths[r]] = np.diff(times, prepend=0.0)
+    v = np.tile(v0, (len(order), 1))
+    bits = np.zeros((len(order), depth), dtype=bool)
+    live = len(order)
+    for m in range(depth):
+        while lengths[live - 1] <= m:
+            live -= 1
+        x = v[:live] if evolve is None else evolve(v[:live], gaps[:live, m])
+        v[:live], bits[:live, m], _ = _step(table, x, ks[:live, m], uniforms[:live, m])
+    rows = dict(zip(order, bits))
+    for i, (times, nodes, _) in enumerate(windows):
+        yield times, nodes, rows[i][:len(times)]
+
+
 def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gamma: float,
                     t_end: float, n_windows: int, seed: int, H=None, hbar: float = 1.0,
                     mass_prefactor: float = 1.0):
@@ -348,13 +383,11 @@ def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gam
 
     Window w draws its placement from ``stream(seed, w)`` as
     ``sample_poisson_collapse_points`` does, then the uniforms of its
-    chain from the same stream as one block.  The chains of ``_CHUNK``
-    windows start from psi0 and are stepped together, longest first, one
-    point of every live window per step, with H evolving each state
-    over its own gap; a window that has ended is left alone.  Sums run
-    along rows, so a window's outcomes depend neither on the others nor
-    on the chunk.  Yields (times, nodes, outcome bits) of each window in
-    order; only the current state of each window is kept.
+    chain from the same stream as one block.  Consecutive windows are
+    gathered into chunks of at most ``_CHUNK`` windows and
+    ``_CHUNK_POINTS`` padded points and stepped together from psi0, with
+    H acting between points (``_run_windows``).  Yields (times, nodes,
+    outcome bits) of each window in order; the jump table is built once.
     """
     grid = family.grid
     rate = mu * c_light * grid.volume
@@ -363,30 +396,15 @@ def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gam
     evolve = _evolution(H, hbar)
     cdf = _cell_cdf(grid)
     v0 = np.asarray(psi0).astype(complex)
-    for first in range(0, n_windows, _CHUNK):
-        windows = []
-        for w in range(first, min(first + _CHUNK, n_windows)):
-            rng = stream(seed, w)
-            times, nodes = _placement(rng, rate, cdf, 0.0, t_end)
-            windows.append((times, nodes, rng.random(len(times))))
-        order = sorted(range(len(windows)), key=lambda i: -len(windows[i][0]))
-        lengths = [len(windows[i][0]) for i in order]
-        depth = lengths[0]
-        ks = np.zeros((len(order), depth), dtype=int)
-        gaps = np.zeros((len(order), depth))
-        uniforms = np.ones((len(order), depth))
-        for r, i in enumerate(order):
-            times, ks[r, :lengths[r]], uniforms[r, :lengths[r]] = windows[i]
-            if evolve is not None:
-                gaps[r, :lengths[r]] = np.diff(times, prepend=0.0)
-        v = np.tile(v0, (len(order), 1))
-        bits = np.zeros((len(order), depth), dtype=bool)
-        live = len(order)
-        for m in range(depth):
-            while lengths[live - 1] <= m:
-                live -= 1
-            x = v[:live] if evolve is None else evolve(v[:live], gaps[:live, m])
-            v[:live], bits[:live, m], _ = _step(table, x, ks[:live, m], uniforms[:live, m])
-        rows = dict(zip(order, bits))
-        for i, (times, nodes, _) in enumerate(windows):
-            yield times, nodes, rows[i][:len(times)]
+    chunk, longest = [], 0
+    for w in range(n_windows):
+        rng = stream(seed, w)
+        times, nodes = _placement(rng, rate, cdf, 0.0, t_end)
+        if chunk and (len(chunk) == _CHUNK
+                      or (len(chunk) + 1) * max(longest, len(times)) > _CHUNK_POINTS):
+            yield from _run_windows(chunk, v0, table, evolve)
+            chunk, longest = [], 0
+        chunk.append((times, nodes, rng.random(len(times))))
+        longest = max(longest, len(times))
+    if chunk:
+        yield from _run_windows(chunk, v0, table, evolve)

@@ -326,11 +326,28 @@ class TestWindowEngine:
         family, H = WINDOW_CASES[case]()
         psi0 = start_state(family.grid)
         runs = []
-        for chunk in (1, 3, self.N_WINDOWS, 64):
+        # the last budget of padded points closes chunks of one to a few windows
+        for chunk, points in ((1, 2 ** 16), (3, 2 ** 16), (self.N_WINDOWS, 2 ** 16),
+                              (64, 2 ** 16), (64, 20)):
             monkeypatch.setattr(exact, "_CHUNK", chunk)
+            monkeypatch.setattr(exact, "_CHUNK_POINTS", points)
             runs.append(engine_windows(psi0, family, H, 5, self.N_WINDOWS))
         assert all(run == runs[0] for run in runs[1:])
         assert len({len(times) for times, _, _ in runs[0]}) > 1   # windows of unequal length
+
+    def test_chunks_stay_within_the_point_budget(self, monkeypatch):
+        family, _ = WINDOW_CASES["diagonal"]()
+        chunks, run = [], exact._run_windows
+
+        def spy(windows, *args):
+            chunks.append([len(times) for times, _, _ in windows])
+            return run(windows, *args)
+        monkeypatch.setattr(exact, "_run_windows", spy)
+        monkeypatch.setattr(exact, "_CHUNK_POINTS", 20)
+        engine_windows(start_state(family.grid), family, None, 5, self.N_WINDOWS)
+        assert sum(len(c) for c in chunks) == self.N_WINDOWS
+        assert all(len(c) == 1 or len(c) * max(c) <= 20 for c in chunks)
+        assert max(len(c) for c in chunks) > 1
 
     def test_zero_rate_window_has_no_points(self):
         family, _ = WINDOW_CASES["diagonal"]()
