@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .constants import C_LIGHT, G_NEWTON, GRW_COLLAPSE_RADIUS, HBAR, NUCLEON_MASS
 from .dynamics import (FlashEvent, ModelParams, Trajectory, dissipator,
                        ensemble_vs_master, flash_rate_density, integrate_master,
-                       lindblad_step, run_trajectories, sse_step)
+                       run_trajectories, sse_step)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import (CollapsePoint, FlashRecord, enumerate_chain, interact_once,

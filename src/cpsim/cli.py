@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import ModelParams, ensemble_vs_master, integrate_master, run_trajectories
+from .dynamics import ModelParams, _master_checkpoints, ensemble_vs_master, run_trajectories
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -49,8 +49,9 @@ _MAX_RADIAL_POINTS = 2 ** 20
 #: results row or a per-run record of at most a few hundred bytes, so
 #: they stay within a few hundred MiB
 _MAX_RUNS = 2 ** 20
-#: most state amplitudes a ``trajectories`` run keeps at its checkpoints
-#: (16 bytes each, so 256 MiB)
+#: most state amplitudes a ``trajectories`` run keeps at its checkpoints,
+#: and most averaged density-matrix entries of a ``compare`` run (16 bytes
+#: each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24
 
 
@@ -259,6 +260,11 @@ def _trajectories(cfg, opts):
 
 def _compare(cfg, opts):
     params, psi0, t_end, n_traj, n_checkpoints = _ensemble(cfg, opts)
+    kept = min(n_checkpoints, t_end / params.dt + 1.0) * params.grid.n ** 2
+    if kept > _MAX_KEPT_AMPLITUDES:
+        raise ConfigError(f"options.n_checkpoints: {n_checkpoints} checkpoints would keep "
+                          f"{kept:.3g} averaged density-matrix entries, above "
+                          f"{_MAX_KEPT_AMPLITUDES}")
 
     def run(seed):
         rep = ensemble_vs_master(psi0, params, t_end, n_traj, seed, n_checkpoints)
@@ -275,9 +281,9 @@ def _master(cfg, opts):
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
 
     def run(seed):
-        times, rhos = integrate_master(np.outer(psi0, psi0.conj()), params, t_end, n_checkpoints)
         rows = []
-        for t, r in zip(times, rhos):
+        for t, r, _ in _master_checkpoints(np.outer(psi0, psi0.conj()), params, t_end,
+                                           n_checkpoints):
             off = r - np.diag(np.diag(r))
             rows.append((t, float(r.trace().real), float(np.trace(r @ r).real),
                          float(np.linalg.norm(off))))

@@ -8,10 +8,12 @@ Ensembles run on one batched engine, ``propagate_batch``, which steps a
 (chunk, dim) array of states row by row and hands each step's flashes
 to its consumer; trajectory k draws from its own stream(seed, k), one
 uniform per step and one per flash, so no result depends on the chunk
-size.  The ensemble average of the projector obeys the matching master equation,
-integrated here with classic fourth-order Runge-Kutta; the two routes
-are cross-checked by ``ensemble_vs_master``.  ``coarse_grain_consistency``
-closes the loop against the exact collapse-point chains.
+size.  The ensemble average of the projector obeys the matching master
+equation, whose time-independent generator L is propagated from one
+checkpoint to the next by the action of exp(L t), through scaling and
+a truncated Taylor series; the two routes are cross-checked by
+``ensemble_vs_master``.  ``coarse_grain_consistency`` closes the loop
+against the exact collapse-point chains.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ class ModelParams:
     operator family does not already carry species masses the effective
     rate picks up a factor mass / m_r (mass proportionality of the
     flash probability).  ``hamiltonian`` may be None for pure collapse
-    dynamics.  ``dt`` must keep the per-step flash probability under
-    STEP_VALIDITY_LIMIT for every evolved state; this is asserted at
-    runtime by the stepper.  Frozen: derive variants with
+    dynamics.  ``dt`` is the step of the jump process and must keep the
+    per-step flash probability under STEP_VALIDITY_LIMIT for every
+    evolved state; this is asserted at runtime by the stepper.  For the
+    master equation ``dt`` only sets the checkpoint grid: it does not
+    affect the master solution.  Frozen: derive variants with
     ``dataclasses.replace``, which also starts fresh derived caches.
     """
 
@@ -300,6 +304,11 @@ def run_trajectories(psi0, params: ModelParams, t_end: float, n_traj: int,
 # master equation
 # ---------------------------------------------------------------------------
 
+#: largest t_end * ||L|| the propagator accepts: it makes one Taylor substep
+#: per unit, so this bounds a run's work at about 2^20 * 18 applications of L
+_MAX_SUBSTEPS = 2 ** 20
+
+
 def dissipator(a, rho):
     """D_A(rho) = A rho A^dag - (1/2){A^dag A, rho}."""
     a = np.asarray(a, dtype=complex)
@@ -325,46 +334,92 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     return out
 
 
-def lindblad_step(rho, params: ModelParams, check_positivity: bool = True) -> np.ndarray:
-    """One RK4 step of the master equation.
+def _spectral_bound(a):
+    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of each matrix of a stack."""
+    m = np.abs(a)
+    return np.sqrt(m.sum(axis=-1).max(axis=-1) * m.sum(axis=-2).max(axis=-1))
 
-    Hermiticity is restored by symmetrization after the step; the trace
-    must be preserved to 1e-11 per step and the smallest eigenvalue may
-    not drop below -1e-8, otherwise the step size is too coarse.
+
+def _generator_norm(params: ModelParams) -> float:
+    """Upper bound on the Frobenius-induced norm of L = ``lindblad_rhs``.
+
+    ||[H, rho]|| <= 2 ||H||_2 ||rho||; a diagonal family acts as the
+    Hadamard product with ``dephasing_matrix`` G, bounded by max |G|;
+    a dense member's dissipator is bounded by 2 ||L_k||_2^2.
     """
-    r = np.asarray(rho).astype(complex)
-    h = params.dt
-    k1 = lindblad_rhs(r, params)
-    k2 = lindblad_rhs(r + 0.5 * h * k1, params)
-    k3 = lindblad_rhs(r + 0.5 * h * k2, params)
-    k4 = lindblad_rhs(r + h * k3, params)
-    out = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    out = hermitize(out)
-    drift = abs(out.trace() - r.trace())
-    if drift > 1e-11:
-        raise StepSizeError(f"trace drifted by {drift!r} in one step; reduce dt")
-    if check_positivity:
-        lo = float(np.linalg.eigvalsh(out).min())
-        if lo < -1e-8:
-            raise StepSizeError(f"smallest eigenvalue {lo!r} below -1e-8; reduce dt")
-    return out
+    norm = 0.0
+    if params.hamiltonian is not None:
+        norm = 2.0 * float(_spectral_bound(params.hamiltonian)) / params.hbar
+    fam = params.family
+    if fam.is_diagonal:
+        dis = float(np.abs(params.dephasing_matrix).max())
+    else:
+        dis = 2.0 * float(fam.grid.weights @ _spectral_bound(fam.dense_members) ** 2)
+    return norm + params.rate_scale * dis
 
 
-def integrate_master(rho0, params: ModelParams, t_end: float,
-                     n_checkpoints: int = 11, check_positivity: bool = True):
-    """Repeatedly step the master equation, returning checkpoint snapshots."""
+def _taylor_degree(x: float):
+    """Least m with remainder bound x^(m+1) / (m+1)! e^x <= 2^-53, and that bound."""
+    m, rem = 0, x * np.exp(x)
+    while rem > 2.0 ** -53:
+        m += 1
+        rem *= x / (m + 1)
+    return m, rem
+
+
+def _master_checkpoints(rho0, params: ModelParams, t_end: float, n_checkpoints: int):
+    """Yield (t, rho, err) at each checkpoint of the master equation.
+
+    rho goes from one checkpoint to the next by the action of exp(L tau),
+    as s = ceil(tau ||L||) substeps h = tau / s of the degree-m Taylor
+    polynomial of exp(L h), with ||L|| the bound of ``_generator_norm``
+    and m the least degree whose remainder bound at h ||L|| <= 1 is
+    2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  L
+    is only applied, never formed.  exp(L t) is a Frobenius-norm
+    contraction for diagonal or Hermitian collapse operators, so the
+    substeps' remainders add up: ``err`` bounds the Frobenius distance
+    of rho from the exact solution, rounding aside.  At each checkpoint
+    rho is made Hermitian; its trace may have moved by at most 1e-11
+    since the previous checkpoint and its smallest eigenvalue may not
+    be below -1e-8, otherwise ``StepSizeError``.
+    """
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
-    due = set(marks)
+    norm = _generator_norm(params)
+    if not norm * n_steps * params.dt <= _MAX_SUBSTEPS:
+        raise StepSizeError(f"the generator norm bound {norm!r} over t = {n_steps * params.dt!r} "
+                            f"needs more than {_MAX_SUBSTEPS} Taylor substeps")
     r = np.asarray(rho0).astype(complex)
+    err, last = 0.0, 0
+    for step in marks:
+        if step > last:
+            tau = (step - last) * params.dt
+            s = max(1, int(np.ceil(tau * norm)))
+            m, rem = _taylor_degree(tau * norm / s)
+            err += s * rem * float(np.linalg.norm(r))
+            trace = r.trace()
+            for _ in range(s):
+                term = out = r
+                for j in range(1, m + 1):
+                    term = lindblad_rhs(term, params) * (tau / s / j)
+                    out = out + term
+                r = out
+            r = hermitize(r)
+            drift = abs(r.trace() - trace)
+            if drift > 1e-11:
+                raise StepSizeError(f"trace drifted by {drift!r} between checkpoints")
+            lo = float(np.linalg.eigvalsh(r).min())
+            if lo < -1e-8:
+                raise StepSizeError(f"smallest eigenvalue {lo!r} below -1e-8")
+        last = step
+        yield step * params.dt, r, err
+
+
+def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int = 11):
+    """Checkpoint times and density matrices of the master equation from rho0."""
     times, rhos = [], []
-    if 0 in due:
-        times.append(0.0)
-        rhos.append(r.copy())
-    for i in range(1, n_steps + 1):
-        r = lindblad_step(r, params, check_positivity=check_positivity)
-        if i in due:
-            times.append(i * params.dt)
-            rhos.append(r.copy())
+    for t, r, _ in _master_checkpoints(rho0, params, t_end, n_checkpoints):
+        times.append(t)
+        rhos.append(r)
     return np.array(times), rhos
 
 
@@ -400,8 +455,8 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
         if i in slot:
             avg[slot[i]] += np.einsum("ri,rj->ij", states, states.conj())
     avg /= n_traj
-    _, rhos = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
-    dist = np.array([np.linalg.norm(a - r) for a, r in zip(avg, rhos)])
+    master = _master_checkpoints(np.outer(v, v.conj()), params, t_end, n_checkpoints)
+    dist = np.array([np.linalg.norm(a - r) for a, (_, r, _) in zip(avg, master)])
     bound = np.full(len(marks), 5.0 / np.sqrt(n_traj))
     return EnsembleComparison(np.array(marks) * params.dt, dist, bound, n_traj)
 

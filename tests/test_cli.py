@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,12 @@ def ensemble_config(path, experiment="trajectories"):
     }
     if experiment == "master":
         del cfg["options"]["n_traj"]
+    return cfg
+
+
+def long_compare_config(path):
+    cfg = ensemble_config(path, "compare")
+    cfg["options"]["t_end"] = 1e4
     return cfg
 
 
@@ -161,6 +168,22 @@ class TestExitCodes:
         assert main(["run", str(p)]) == 3
         assert "probability" in capsys.readouterr().err
 
+    def test_master_holds_one_density_matrix_at_a_time(self, tmp_path, capsys):
+        cfg = ensemble_config(tmp_path / "m.csv", "master")
+        cfg["params"] = base_params(n=64, dt=0.01)
+        cfg["options"].update(t_end=2.0, n_checkpoints=201)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert main(["run", str(p)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_results(tmp_path / "m.csv")["rows"]) == 201
+        # 201 kept 64 x 64 complex matrices would take 201 * 64 KiB
+        assert peak < 32 * 64 * 64 * 16
+
     @pytest.mark.parametrize("make, section, key, value", [
         (exact_config, "params", "lambda_grw", float("nan")),
         (exact_config, "params", "dt", float("inf")),
@@ -230,10 +253,13 @@ class TestExitCodes:
          "options.n_traj"),
         # under the count cap, but 12 amplitudes at 3 checkpoints each exceed the kept-state cap
         (ensemble_config, ("options",), "n_traj", 2 ** 20, "options.n_traj"),
+        # 144 averaged density-matrix entries at each of 2^20 checkpoints exceed the same cap
+        (long_compare_config, ("options",), "n_checkpoints", 2 ** 20, "options.n_checkpoints"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
-            "n_samples-huge", "n_traj-huge", "compare-n_traj-huge", "n_traj-kept-states"])
+            "n_samples-huge", "n_traj-huge", "compare-n_traj-huge", "n_traj-kept-states",
+            "compare-checkpoints-kept"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")

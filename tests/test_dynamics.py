@@ -7,8 +7,7 @@ from cpsim import dynamics
 from cpsim.dynamics import (ModelParams, coarse_grain_consistency, dissipator,
                             ensemble_vs_master, expected_noflash_probability,
                             flash_rate_density, integrate_master, lindblad_rhs,
-                            lindblad_step, noflash_bias_vs_gamma, run_trajectories,
-                            sse_step)
+                            noflash_bias_vs_gamma, run_trajectories, sse_step)
 from cpsim.errors import ContractViolationError, StepSizeError
 from cpsim.hilbert import SpatialGrid, random_hermitian, unitary_from_generator
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
@@ -263,9 +262,8 @@ class TestLindblad:
         fam = build_grw_family(grid, grw_gaussian(1.0))
         params = ModelParams.natural(lambda_grw=0.0, family=fam, dt=0.01, hamiltonian=h)
         psi = packet(grid, width=0.7)
-        rho = np.outer(psi, psi.conj())
-        for _ in range(100):
-            rho = lindblad_step(rho, params)
+        _, rhos = integrate_master(np.outer(psi, psi.conj()), params, 1.0, n_checkpoints=2)
+        rho = rhos[-1]
         u = unitary_from_generator(h, 1.0)
         ref = u @ np.outer(psi, psi.conj()) @ u.conj().T
         assert np.max(np.abs(rho - ref)) < 1e-9
@@ -301,23 +299,31 @@ class TestLindblad:
         params = natural_params(lam=1.0, dt=0.01)
         n = params.grid.n
         rho = np.eye(n, dtype=complex) / n
-        out = lindblad_step(rho, params)
-        assert np.max(np.abs(out - rho)) < 1e-10
+        _, rhos = integrate_master(rho, params, 1.0, n_checkpoints=2)
+        assert np.max(np.abs(rhos[-1] - rho)) < 1e-10
 
     def test_trace_over_thousand_steps(self):
         params = natural_params(lam=1.0, dt=0.005)
         psi = packet(params.grid)
-        rho = np.outer(psi, psi.conj())
-        for _ in range(1000):
-            rho = lindblad_step(rho, params, check_positivity=False)
+        _, rhos = integrate_master(np.outer(psi, psi.conj()), params, 5.0, n_checkpoints=1001)
+        assert len(rhos) == 1001
+        rho = rhos[-1]
         assert abs(rho.trace().real - 1.0) < 1e-8
         assert float(np.linalg.eigvalsh(rho).min()) > -1e-8
 
-    def test_oversized_step_raises(self):
-        params = natural_params(lam=1.0, dt=80.0)
+    def test_negative_checkpoint_eigenvalue_raises(self):
+        params = natural_params(lam=1.0)
+        n = params.grid.n
+        rho = np.diag(np.r_[1.1, -0.1, np.zeros(n - 2)]).astype(complex)
+        with pytest.raises(StepSizeError, match="eigenvalue"):
+            integrate_master(rho, params, 0.1, n_checkpoints=2)
+
+    def test_unbounded_propagation_work_raises(self):
+        params = natural_params(lam=1.0, hamiltonian=hopping(33))
+        params = replace(params, hbar=1e-300)
         psi = packet(params.grid)
-        with pytest.raises(StepSizeError):
-            lindblad_step(np.outer(psi, psi.conj()), params)
+        with pytest.raises(StepSizeError, match="substeps"):
+            integrate_master(np.outer(psi, psi.conj()), params, 1.0)
 
     def test_jump_phase_is_unobservable(self):
         params = natural_params()
@@ -325,6 +331,57 @@ class TestLindblad:
         out, _ = sse_step(psi, params, _AlwaysJump())
         alt = -1j * out
         assert np.max(np.abs(np.outer(out, out.conj()) - np.outer(alt, alt.conj()))) < 1e-14
+
+
+def liouvillian(params):
+    """Dense Liouvillian of the collapse master equation on row-major vec(rho).
+
+    Built term by term from Kronecker products, vec(A X B) = (A kron B^T) vec(X),
+    with every member in the generic dissipator form (no Hadamard shortcut).
+    """
+    fam = params.family
+    members = ([np.diag(b.astype(complex)) for b in fam.diagonals] if fam.is_diagonal
+               else fam.dense_members)
+    eye = np.eye(fam.dim)
+    out = np.zeros((fam.dim ** 2, fam.dim ** 2), dtype=complex)
+    if params.hamiltonian is not None:
+        h = params.hamiltonian
+        out += (-1j / params.hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
+    for w, a in zip(fam.grid.weights, members):
+        aa = a.conj().T @ a
+        out += params.rate_scale * w * (np.kron(a, a.conj())
+                                        - 0.5 * (np.kron(aa, eye) + np.kron(eye, aa.T)))
+    return out
+
+
+ORACLE_CASES = {
+    "diagonal": lambda: natural_params(grid=SpatialGrid.line(5, 0.5), lam=1.7),
+    "diagonal+hopping": lambda: natural_params(grid=SpatialGrid.line(5, 0.5), lam=1.7,
+                                               hamiltonian=hopping(5, 0.9)),
+    "dense+hopping": lambda: replace(dense_params(), hamiltonian=hopping(6, 0.7)),
+}
+
+
+class TestPropagatorOracle:
+    """The propagator against scipy.linalg.expm of the dense Liouvillian."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_within_reported_truncation_bound(self, case, rng):
+        from scipy.linalg import expm
+
+        params = ORACLE_CASES[case]()
+        n = params.family.dim
+        rho0 = random_hermitian(n, rng)
+        rho0 = rho0 @ rho0
+        rho0 /= rho0.trace()
+        times, rhos = integrate_master(rho0, params, 3.0, n_checkpoints=7)
+        errs = [err for _, _, err in dynamics._master_checkpoints(rho0, params, 3.0, 7)]
+        lv = liouvillian(params)
+        assert len(times) == len(errs) == 7
+        for t, rho, err in zip(times, rhos, errs):
+            ref = (expm(lv * t) @ rho0.ravel()).reshape(n, n)
+            assert np.max(np.abs(rho - ref)) <= err + 1e-14
+        assert 0.0 < errs[-1] < 1e-13
 
 
 class TestEnsembleVsMaster:
