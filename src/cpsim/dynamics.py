@@ -394,13 +394,14 @@ def _master_checkpoints(rho0, params: ModelParams, t_end: float, n_checkpoints: 
         if step > last:
             tau = (step - last) * params.dt
             s = max(1, int(np.ceil(tau * norm)))
-            m, rem = _taylor_degree(tau * norm / s)
+            h = tau / s
+            m, rem = _taylor_degree(h * norm)
             err += s * rem * float(np.linalg.norm(r))
             trace = r.trace()
             for _ in range(s):
                 term = out = r
                 for j in range(1, m + 1):
-                    term = lindblad_rhs(term, params) * (tau / s / j)
+                    term = lindblad_rhs(term, params) * (h / j)
                     out = out + term
                 r = out
             r = hermitize(r)
