@@ -3,13 +3,11 @@
 __version__ = "0.1.0"
 
 from .constants import C_LIGHT, G_NEWTON, GRW_COLLAPSE_RADIUS, HBAR, NUCLEON_MASS
-from .dynamics import (FlashEvent, ModelParams, Trajectory, dissipator,
-                       ensemble_vs_master, flash_rate_density, integrate_master,
-                       run_trajectories, sse_step)
+from .dynamics import (ModelParams, dissipator, ensemble_vs_master, flash_rate_density,
+                       integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
-from .exact import (CollapsePoint, FlashRecord, enumerate_chain, interact_once,
-                    markov_check, sample_chain, sample_poisson_collapse_points)
+from .exact import CollapsePoint, FlashRecord, enumerate_chain, interact_once, markov_check
 from .gravity import (DephasingCurve, GravityParams, compute_dephasing_curve,
                       energy_after_flash, gamma_asymptotic, gamma_of_d,
                       grav_master_dephasing_check, grav_profile_F, grav_unitary,

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import ModelParams, _master_checkpoints, ensemble_vs_master, run_trajectories
+from .dynamics import ModelParams, _master_checkpoints, ensemble_vs_master, propagate_batch
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -49,9 +49,8 @@ _MAX_RADIAL_POINTS = 2 ** 20
 #: results row or a per-run record of at most a few hundred bytes, so
 #: they stay within a few hundred MiB
 _MAX_RUNS = 2 ** 20
-#: most state amplitudes a ``trajectories`` run keeps at its checkpoints,
-#: and most averaged density-matrix entries of a ``compare`` run (16 bytes
-#: each, so 256 MiB)
+#: most averaged density-matrix entries a ``compare`` run keeps at its
+#: checkpoints (16 bytes each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24
 
 
@@ -232,34 +231,36 @@ def _exact(cfg, opts):
     return run
 
 
-def _ensemble(cfg, opts):
+def _ensemble(cfg, opts, keys=()):
     """The shared part of ``trajectories`` and ``compare``."""
     params = _parse_params(cfg)
-    _reject_unknown(opts, {"t_end", "n_traj", "n_checkpoints", "psi0"}, "options")
+    _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
     return (params, _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options"),
-            _count(opts, "n_traj", "options", most=_MAX_RUNS),
-            _count(opts, "n_checkpoints", "options", 11))
+            _count(opts, "n_traj", "options", most=_MAX_RUNS))
 
 
 def _trajectories(cfg, opts):
-    params, psi0, t_end, n_traj, n_checkpoints = _ensemble(cfg, opts)
-    kept = n_traj * min(n_checkpoints, t_end / params.dt + 1.0) * params.grid.n
-    if kept > _MAX_KEPT_AMPLITUDES:
-        raise ConfigError(f"options.n_traj: {n_traj} trajectories would keep {kept:.3g} "
-                          f"checkpoint amplitudes, above {_MAX_KEPT_AMPLITUDES}")
+    params, psi0, t_end, n_traj = _ensemble(cfg, opts)
 
     def run(seed):
-        rows = []
-        for i, tr in enumerate(run_trajectories(psi0, params, t_end, n_traj, seed, n_checkpoints)):
-            mean_x = float(np.sum(params.grid.x * np.abs(tr.states[-1]) ** 2))
-            first = tr.flashes[0].time if tr.flashes else -1.0
-            rows.append((i, len(tr.flashes), first, mean_x))
+        n_steps = int(round(t_end / params.dt))
+        # per trajectory: flash count, first flash time, mean position after the last step
+        counts, first = np.zeros(n_traj, dtype=int), np.full(n_traj, -1.0)
+        mean_x = np.zeros(n_traj)
+        for start, i, v, flashed, _ in propagate_batch(psi0, params, n_steps, n_traj, seed):
+            hit = start + flashed
+            first[hit[counts[hit] == 0]] = i * params.dt
+            counts[hit] += 1
+            if i == n_steps:
+                mean_x[start:start + len(v)] = np.sum(params.grid.x * np.abs(v) ** 2, axis=-1)
+        rows = list(zip(range(n_traj), counts, first, mean_x))
         return ("csv", ["trajectory", "n_flashes", "first_flash_time", "final_mean_position"], rows)
     return run
 
 
 def _compare(cfg, opts):
-    params, psi0, t_end, n_traj, n_checkpoints = _ensemble(cfg, opts)
+    params, psi0, t_end, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
+    n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
     kept = min(n_checkpoints, t_end / params.dt + 1.0) * params.grid.n ** 2
     if kept > _MAX_KEPT_AMPLITUDES:
         raise ConfigError(f"options.n_checkpoints: {n_checkpoints} checkpoints would keep "
@@ -285,7 +286,7 @@ def _master(cfg, opts):
         for t, r, _ in _master_checkpoints(np.outer(psi0, psi0.conj()), params, t_end,
                                            n_checkpoints):
             off = r - np.diag(np.diag(r))
-            rows.append((t, float(r.trace().real), float(np.trace(r @ r).real),
+            rows.append((t, float(r.trace().real), float(np.vdot(r, r).real),
                          float(np.linalg.norm(off))))
         return ("csv", ["time", "trace", "purity", "offdiagonal_frobenius"], rows)
     return run

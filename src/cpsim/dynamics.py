@@ -4,12 +4,13 @@ The piecewise-deterministic jump process: between flashes the state
 follows the Hamiltonian plus a quadratic drift that rewards low
 localization-operator variance, and at Poisson-distributed flash times
 it is multiplied by the local collapse operator and renormalized.
-Ensembles run on one batched engine, ``propagate_batch``, which steps a
-(chunk, dim) array of states row by row and hands each step's flashes
-to its consumer; trajectory k draws from its own stream(seed, k), one
-uniform per step and one per flash, so no result depends on the chunk
-size.  The ensemble average of the projector obeys the matching master
-equation, whose time-independent generator L is propagated from one
+Every trajectory runs on one batched engine, ``propagate_batch``, which
+steps a (chunk, dim) array of states row by row and hands each step's
+states and flashes to its consumer, which keeps only what it reads;
+trajectory k draws from its own stream(seed, k), one uniform per step
+and one per flash, so no result depends on the chunk size.  The
+ensemble average of the projector obeys the matching master equation,
+whose time-independent generator L is propagated from one
 checkpoint to the next by the action of exp(L t), through scaling and
 a truncated Taylor series; the two routes are cross-checked by
 ``ensemble_vs_master``.  ``coarse_grain_consistency`` closes the loop
@@ -18,7 +19,7 @@ against the exact collapse-point chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -118,23 +119,6 @@ class ModelParams:
         return cross - 0.5 * (a[:, None] + a[None, :])
 
 
-@dataclass
-class FlashEvent:
-    """One flash: when, at which node, with which outcome bit."""
-
-    time: float
-    node_index: int
-    position: np.ndarray
-    outcome: int = 1
-
-
-@dataclass
-class Trajectory:
-    times: np.ndarray
-    states: list
-    flashes: list = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # jump process
 # ---------------------------------------------------------------------------
@@ -170,10 +154,16 @@ def _weighted(x, params: ModelParams):
 
 
 def _step(v, params: ModelParams, uniform):
-    """One step of each row of v, the only step implementation.
+    """One step of the jump stochastic Schroedinger equation for each row of v.
 
-    ``uniform(rows)`` returns the next uniform of each listed row's own
-    stream.  Returns (states, flashed rows, their nodes).
+    No-flash branch: Hamiltonian half step, variance drift
+    1 + (rate dt / 2) sum_k w_k (<L_k^2> - L_k^2), Hamiltonian half
+    step, exact renormalization.  Flash branch: node drawn
+    proportionally to its rate, state multiplied by the local collapse
+    operator and renormalized (the overall phase of the jump carries no
+    observable content and is dropped).  ``uniform(rows)`` returns the
+    next uniform of each listed row's own stream: one per row, then one
+    per flashed row for its node.  Returns (states, flashed rows, their nodes).
     """
     fam, dt = params.family, params.dt
     wv, s2 = _weighted(v, params)
@@ -216,25 +206,6 @@ def _step(v, params: ModelParams, uniform):
     return out, flashed, nodes
 
 
-def sse_step(psi, params: ModelParams, rng: np.random.Generator, t: float = 0.0):
-    """One step of the jump stochastic Schroedinger equation.
-
-    No-flash branch: Hamiltonian half step, variance drift
-    1 + (rate dt / 2) sum_k w_k (<L_k^2> - L_k^2), Hamiltonian half
-    step, exact renormalization.  Flash branch: node drawn
-    proportionally to its rate, state multiplied by the local collapse
-    operator and renormalized (the overall phase of the jump carries no
-    observable content and is dropped).  Draws ``rng.random()`` once,
-    and once more for a flash's node.  Returns (state, event-or-None).
-    """
-    v = np.asarray(psi).astype(complex)[None]
-    out, _, nodes = _step(v, params, lambda rows: np.array([rng.random() for _ in rows]))
-    if not nodes.size:
-        return out[0], None
-    k = int(nodes[0])
-    return out[0], FlashEvent(time=t, node_index=k, position=params.family.grid.positions[k])
-
-
 def _uniforms(rngs):
     """Next uniform of each listed row's stream, drawn ``_BLOCK`` at a time;
     ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls."""
@@ -254,11 +225,12 @@ def _uniforms(rngs):
 def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: int):
     """Run trajectories 0 .. n_traj - 1 from psi0, ``_CHUNK`` at a time.
 
-    Trajectory k draws from ``stream(seed, k)`` alone, so its flashes and
-    states do not depend on n_traj or the chunking.  Yields ``(first, i,
-    states, flashed, nodes)`` for i = 0 .. n_steps of each chunk:
+    Each trajectory k draws from ``stream(seed, k)`` alone, so its flashes
+    and states do not depend on n_traj or the chunking.  Yields ``(first,
+    i, states, flashed, nodes)`` for i = 0 .. n_steps of each chunk:
     trajectory first + r is row r of ``states`` after step i, and the
-    rows ``flashed`` flashed at ``nodes`` in step i.
+    rows ``flashed`` flashed at ``nodes`` in step i.  ``states`` is
+    replaced, not updated, by the next step; a caller keeps what it reads.
     """
     if n_traj < 1:
         raise ContractViolationError("need at least one trajectory")
@@ -279,25 +251,6 @@ def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
     n_steps = int(round(t_end / dt))
     marks = np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1))
     return n_steps, sorted({int(round(c)) for c in marks})
-
-
-def run_trajectories(psi0, params: ModelParams, t_end: float, n_traj: int,
-                     seed: int, n_checkpoints: int = 11):
-    """Independent trajectories on decorrelated streams derived from seed.
-
-    Stream k depends only on (seed, k), so each trajectory reproduces
-    bit-for-bit whatever n_traj; states are stored at the checkpoints.
-    """
-    n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
-    trajs = [Trajectory(np.array(marks) * params.dt, []) for _ in range(n_traj)]
-    positions, due = params.family.grid.positions, set(marks)
-    for first, i, v, flashed, nodes in propagate_batch(psi0, params, n_steps, n_traj, seed):
-        for r, k in zip(flashed.tolist(), nodes.tolist()):
-            trajs[first + r].flashes.append(FlashEvent(i * params.dt, k, positions[k]))
-        if i in due:
-            for tr, state in zip(trajs[first:], v.copy()):
-                tr.states.append(state)
-    return trajs
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +395,7 @@ class EnsembleComparison:
 
 def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
                        seed: int, n_checkpoints: int = 11) -> EnsembleComparison:
-    """Trajectory-average projector versus deterministic master solution.
+    """Projector averaged over trajectories versus the deterministic master solution.
 
     The projectors are summed chunk by chunk as the trajectories run.
     The Frobenius distance at every checkpoint is compared against the

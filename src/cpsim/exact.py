@@ -7,20 +7,20 @@ outcome 1 is a flash.  Because the coupling generator squares to
 L^2 (x) identity on the ancilla, the interaction splits exactly into a
 cos(sqrt(gamma) L / hbar) block (no flash) and a sin block (flash), so
 chains of any length reduce to alternating system evolutions and these
-two block actions.  Joint outcome distributions, sequential sampling
-and the reduced-density-matrix consistency check all live here.
+two block actions, with the Hamiltonian acting over the gap between
+points (``_evolution``).  Joint outcome distributions, sampling and the
+reduced-density-matrix consistency check all live here.
 
 Sampling runs on one engine.  A window is one Poisson placement of
 collapse points over [0, t_end) followed by the chain it defines, and
 window w draws from ``stream(seed, w)`` alone, in a fixed order: first
-the placement, an ``exponential(1 / rate)`` gap and then one uniform
-that picks the node for each point (plus the gap that overshoots the
-window), then one uniform per point for the chain outcomes, drawn as a
-single block.  ``_sample_windows`` places a chunk of windows and steps
-their chains together, one collapse point of every live window per
-step; ``sample_chain`` is a window of one through the same step, and
-``sample_poisson_collapse_points`` uses the same placement draw.  No
-result depends on the chunk size.
+the placement (``_placement``), an ``exponential(1 / rate)`` gap and
+then one uniform that picks the node for each point (plus the gap that
+overshoots the window), then one uniform per point for the chain
+outcomes, drawn as a single block.  ``_sample_windows`` places a chunk
+of windows and ``_run_windows`` steps their chains together, one
+collapse point of every live window per step.  No result depends on
+the chunk size.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError
-from .hilbert import _apply, unitary_from_generator
+from .hilbert import _apply
 from .operators import OperatorFamily
 from .rng import stream
 
@@ -46,7 +46,7 @@ _CHUNK_POINTS = 2 ** 18
 
 @dataclass
 class CollapsePoint:
-    """One weak-measurement event: location, time, strength, coupling operator.
+    """One weak-measurement event: time, strength, coupling operator.
 
     ``operator`` may be a dense Hermitian matrix or a 1-D array holding
     the diagonal of a position-basis operator.
@@ -55,8 +55,6 @@ class CollapsePoint:
     time: float
     gamma: float
     operator: np.ndarray
-    node_index: Optional[int] = None
-    position: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -137,25 +135,19 @@ def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     return p_flash, sf, sn
 
 
-def _check_times(times, t0: float):
-    if any(b < a for a, b in zip([t0, *times], times)):
+def _gaps(chain, t0: float) -> np.ndarray:
+    """Time from t0 or the previous point to each point of the chain."""
+    gaps = np.diff([t0, *(cp.time for cp in chain)])
+    if np.any(gaps < 0):
         raise ContractViolationError("collapse-point times must be non-decreasing")
-
-
-def _gap_unitaries(chain, H, hbar, t0):
-    times = [cp.time for cp in chain]
-    _check_times(times, t0)
-    if H is None:
-        return [None] * len(chain)
-    h = np.asarray(H)
-    gaps = np.diff([t0] + times)
-    unique = {float(g): unitary_from_generator(h, float(g), hbar) for g in set(gaps)}
-    return [unique[float(g)] for g in gaps]
+    return gaps
 
 
 def _evolution(H, hbar: float):
     """exp(-i H g / hbar) applied to each row with its own gap g, from one
-    eigendecomposition of H; None when H is absent or zero."""
+    eigendecomposition of H; None when H is absent or zero.  The only
+    evolution between collapse points: chains, windows and density
+    matrices all go through it."""
     if H is None or not np.any(H):
         return None
     w, v = np.linalg.eigh(np.asarray(H))
@@ -178,7 +170,7 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
     n = len(chain)
     if n > MAX_ENUMERATION:
         raise ContractViolationError(f"chain length {n} above the enumeration cap {MAX_ENUMERATION}")
-    gaps = _gap_unitaries(chain, H, hbar, t0)
+    gaps, evolve = _gaps(chain, t0), _evolution(H, hbar)
     table = _chain_table(chain, hbar) if n else None
     records = []
 
@@ -190,7 +182,7 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
             for bit in (0, 1):
                 descend(m + 1, None, 0.0, outcomes + [bit])
             return
-        cur = state if gaps[m] is None else gaps[m] @ state
+        cur = state if evolve is None else evolve(state[None], gaps[m:m + 1])[0]
         noflash, flash = table.apply(m, cur)
         flash = -1j * flash
         p1 = float(np.vdot(flash, flash).real)
@@ -217,35 +209,6 @@ def _step(table: _JumpTable, x, k, u):
     return new / np.sqrt(p)[:, None], hit, p
 
 
-def sample_chain(psi0, chain, H=None, rng: np.random.Generator = None,
-                 hbar: float = 1.0, t0: float = 0.0) -> FlashRecord:
-    """Draw one outcome sequence by successive conditional Bernoulli trials.
-
-    Works for chains of any length; only the running conditional state
-    is kept.  A chain is a window of one through the step of the window
-    engine, and its uniforms, one per point, are drawn as one block.
-    The returned probability is the product of the sampled conditional
-    probabilities, i.e. the joint probability of the drawn sequence.
-    """
-    if rng is None:
-        raise ContractViolationError("sampling requires an explicit random generator")
-    times = [cp.time for cp in chain]
-    _check_times(times, t0)
-    v = np.asarray(psi0).astype(complex)[None]
-    if not chain:
-        return FlashRecord((), 1.0, v[0])
-    table, evolve = _chain_table(chain, hbar), _evolution(H, hbar)
-    gaps = np.diff([t0, *times]) if evolve else None
-    uniforms = rng.random(len(chain))
-    bits, prob = [], 1.0
-    for m in range(len(chain)):
-        x = v if evolve is None else evolve(v, gaps[m:m + 1])
-        v, hit, p = _step(table, x, m, uniforms[m:m + 1])
-        bits.append(int(hit[0]))
-        prob *= float(p[0])
-    return FlashRecord(tuple(bits), prob, v[0])
-
-
 def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> float:
     """Compare single-point flash probabilities along two routes.
 
@@ -266,14 +229,15 @@ def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> flo
             if bit:
                 marginal[m] += rec.probability
 
-    gaps = _gap_unitaries(chain, H, hbar, t0)
+    gaps, evolve = _gaps(chain, t0), _evolution(H, hbar)
     table = _chain_table(chain, hbar) if n else None
     v = np.asarray(psi0).astype(complex)
     rho = np.outer(v, v.conj())
     worst = 0.0
     for m in range(n):
-        if gaps[m] is not None:
-            rho = gaps[m] @ rho @ gaps[m].conj().T
+        if evolve is not None:   # U rho U^dag: U on the columns, then on the rows
+            g = gaps[m:m + 1]
+            rho = evolve(evolve(rho.T, g).T.conj(), g).conj()
         c, s = table.cs[m]
         if table.diag:
             rho_s = s[:, None] * rho * s[None, :]
@@ -319,31 +283,6 @@ def _placement(rng: np.random.Generator, rate: float, cdf, t0: float, t1: float)
     return times, cdf.searchsorted(np.array(us), side="right")
 
 
-def _members(family: OperatorFamily, mass_prefactor: float) -> np.ndarray:
-    """Coupling operators of the family's nodes, scaled by sqrt(mass_prefactor)."""
-    members = family.diagonals if family.is_diagonal else family.dense_members
-    return np.sqrt(mass_prefactor) * members
-
-
-def sample_poisson_collapse_points(grid, family: OperatorFamily, mu: float,
-                                   c_light: float, gamma: float, t_span,
-                                   rng: np.random.Generator,
-                                   mass_prefactor: float = 1.0):
-    """Homogeneous spacetime point process over the grid box.
-
-    Events arrive at rate mu * c * V per unit time (exponential
-    inter-arrival), each landing in cell k with probability w_k / V.
-    The coupling operator at an event is the family member at that
-    node scaled by sqrt(mass_prefactor).
-    """
-    times, nodes = _placement(rng, mu * c_light * grid.volume, _cell_cdf(grid),
-                              float(t_span[0]), float(t_span[1]))
-    members = _members(family, mass_prefactor)
-    return [CollapsePoint(time=t, gamma=gamma, operator=members[k], node_index=k,
-                          position=grid.positions[k])
-            for t, k in zip(times, nodes.tolist())]
-
-
 def _run_windows(windows, v0, table: _JumpTable, evolve):
     """Step the chains of windows (times, nodes, uniforms) together from v0.
 
@@ -381,9 +320,11 @@ def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gam
                     mass_prefactor: float = 1.0):
     """Windows 0 .. n_windows - 1 of Poisson collapse points over [0, t_end).
 
-    Window w draws its placement from ``stream(seed, w)`` as
-    ``sample_poisson_collapse_points`` does, then the uniforms of its
-    chain from the same stream as one block.  Consecutive windows are
+    Events arrive at rate mu * c * V per unit time, each landing in cell
+    k with probability w_k / V, where its coupling operator is the family
+    member at node k scaled by sqrt(mass_prefactor).  Window w draws its
+    placement from ``stream(seed, w)``, then the uniforms of its chain
+    from the same stream as one block.  Consecutive windows are
     gathered into chunks of at most ``_CHUNK`` windows and
     ``_CHUNK_POINTS`` padded points and stepped together from psi0, with
     H acting between points (``_run_windows``).  Yields (times, nodes,
@@ -391,7 +332,8 @@ def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gam
     """
     grid = family.grid
     rate = mu * c_light * grid.volume
-    members = _members(family, mass_prefactor)
+    members = np.sqrt(mass_prefactor) * (family.diagonals if family.is_diagonal
+                                         else family.dense_members)
     table = _JumpTable(members, np.full(len(members), np.sqrt(gamma) / hbar))
     evolve = _evolution(H, hbar)
     cdf = _cell_cdf(grid)

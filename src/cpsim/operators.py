@@ -267,12 +267,6 @@ class FockBasis:
         a = self.annihilation(species, site)
         return a.T @ a
 
-    def number_diagonal(self, species: str) -> np.ndarray:
-        """Occupations per state for one species, shape (dim, sites)."""
-        s = self.species_index(species)
-        lo = self.mode(s, 0)
-        return np.array([occ[lo:lo + self.sites] for occ in self.states], dtype=float)
-
     def total_number_block(self, total: int):
         return [i for i, occ in enumerate(self.states) if sum(occ) == total]
 

@@ -9,8 +9,8 @@ whatever the number of units or the chunk they are computed in;
 ``random(m)`` gives the same doubles as m calls of ``random()``, which
 lets the engines draw uniforms in blocks.
 
-- Trajectory k of an ensemble owns stream k and consumes one uniform
-  per step and one more per flash, drawn in blocks.
+- Each trajectory k of an ensemble owns stream k and consumes one
+  uniform per step and one more per flash, drawn in blocks.
 - Collapse-point window w owns stream w.  Its placement draws come
   first: for each point an ``exponential(1 / rate)`` gap, then one
   uniform that picks the point's node, and finally the gap that

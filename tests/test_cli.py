@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpsim import cli
 from cpsim.cli import main, read_results, run_config, validate_config
+from cpsim.dynamics import propagate_batch
 from cpsim.errors import ConfigError
 from cpsim.hilbert import MAX_DIM
 
@@ -68,6 +70,8 @@ def ensemble_config(path, experiment="trajectories"):
     }
     if experiment == "master":
         del cfg["options"]["n_traj"]
+    if experiment == "trajectories":   # only the final state is read
+        del cfg["options"]["n_checkpoints"]
     return cfg
 
 
@@ -184,6 +188,23 @@ class TestExitCodes:
         # 201 kept 64 x 64 complex matrices would take 201 * 64 KiB
         assert peak < 32 * 64 * 64 * 16
 
+    def test_trajectories_keep_no_states(self, tmp_path, capsys):
+        n_traj, nodes = 1024, 64
+        cfg = ensemble_config(tmp_path / "t.csv")
+        cfg["params"] = dict(base_params(n=nodes), hamiltonian={"kind": "hopping", "strength": 0.5})
+        cfg["options"].update(t_end=0.5, n_traj=n_traj)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert main(["run", str(p)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_results(tmp_path / "t.csv")["rows"]) == n_traj
+        # every state of every trajectory at 11 checkpoints would take this much
+        assert peak < n_traj * 11 * nodes * 16
+
     @pytest.mark.parametrize("make, section, key, value", [
         (exact_config, "params", "lambda_grw", float("nan")),
         (exact_config, "params", "dt", float("inf")),
@@ -241,7 +262,8 @@ class TestExitCodes:
         (exact_config, ("options",), "psi0", {"width": 0.5, "center": 1000.0}, "options.psi0:"),
         (born_config, ("options", "pointer"), "amplification", 10 ** 400,
          "options.pointer.amplification"),
-        (ensemble_config, ("options",), "n_checkpoints", 10 ** 400, "options.n_checkpoints"),
+        (lambda path: ensemble_config(path, "compare"), ("options",), "n_checkpoints", 10 ** 400,
+         "options.n_checkpoints"),
         (exact_config, ("params", "grid"), "nodes", MAX_DIM + 1, "params.grid.nodes"),
         (born_config, ("params", "grid"), "nodes", MAX_DIM // 2 + 1, "options.amplitudes"),
         (energy_config, ("options",), "n_r", 2 ** 62, "options.n_r"),
@@ -251,15 +273,15 @@ class TestExitCodes:
         (ensemble_config, ("options",), "n_traj", 2 ** 62, "options.n_traj"),
         (lambda path: ensemble_config(path, "compare"), ("options",), "n_traj", 2 ** 62,
          "options.n_traj"),
-        # under the count cap, but 12 amplitudes at 3 checkpoints each exceed the kept-state cap
-        (ensemble_config, ("options",), "n_traj", 2 ** 20, "options.n_traj"),
+        # a trajectories run keeps no checkpoints, so it has no checkpoint count
+        (ensemble_config, ("options",), "n_checkpoints", 3, "options.n_checkpoints"),
         # 144 averaged density-matrix entries at each of 2^20 checkpoints exceed the same cap
         (long_compare_config, ("options",), "n_checkpoints", 2 ** 20, "options.n_checkpoints"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
-            "n_samples-huge", "n_traj-huge", "compare-n_traj-huge", "n_traj-kept-states",
-            "compare-checkpoints-kept"])
+            "n_samples-huge", "n_traj-huge", "compare-n_traj-huge",
+            "trajectories-n_checkpoints", "compare-checkpoints-kept"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")
@@ -350,6 +372,24 @@ class TestRunners:
         sidecar = json.loads((tmp_path / "a.csv.meta.json").read_text())
         assert sidecar["metadata"]["seed"] == 17
         assert "wall_time_s" in sidecar
+
+    def test_trajectories_rows_reduce_the_engine_run(self, tmp_path):
+        n_traj, n_steps = 40, 100
+        cfg = ensemble_config(tmp_path / "t.csv")
+        cfg["options"].update(t_end=n_steps * cfg["params"]["dt"], n_traj=n_traj)
+        doc = read_results(run_config(cfg))
+        params = cli._parse_params(cfg)
+        psi0 = cli._parse_psi0(cfg["options"], params.grid)
+        flashes = [[] for _ in range(n_traj)]
+        for first, i, v, flashed, _ in propagate_batch(psi0, params, n_steps, n_traj, cfg["seed"]):
+            for r in flashed.tolist():
+                flashes[first + r].append(i * params.dt)
+            final = v
+        assert any(not f for f in flashes) and any(len(f) > 1 for f in flashes)
+        for (_, count, first_time, mean_x), f, state in zip(doc["rows"], flashes, final):
+            assert count == len(f)
+            assert first_time == (f[0] if f else -1.0)
+            assert mean_x == float(np.sum(params.grid.x * np.abs(state) ** 2))
 
     def test_compare_experiment(self, tmp_path):
         cfg = {

@@ -7,29 +7,40 @@ from cpsim import dynamics
 from cpsim.dynamics import (ModelParams, coarse_grain_consistency, dissipator,
                             ensemble_vs_master, expected_noflash_probability,
                             flash_rate_density, integrate_master, lindblad_rhs,
-                            noflash_bias_vs_gamma, run_trajectories, sse_step)
+                            noflash_bias_vs_gamma, propagate_batch)
 from cpsim.errors import ContractViolationError, StepSizeError
 from cpsim.hilbert import SpatialGrid, random_hermitian, unitary_from_generator
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
 
 
-class _NeverJump:
-    """Stand-in generator whose uniform draw always refuses the jump branch."""
-
-    def random(self):
-        return 1.0
+def never_jump(rows):
+    """Stand-in uniforms that always refuse the jump branch."""
+    return np.ones(len(rows))
 
 
-class _AlwaysJump:
-    def __init__(self, node_rng=None):
-        self.node_rng = node_rng or np.random.default_rng(0)
+def always_jump(rows):
+    """Stand-in uniforms that always take the jump branch, at the first node
+    with a nonzero rate."""
+    return np.zeros(len(rows))
 
-    def random(self):
-        return 0.0
 
-    def choice(self, n, p=None):
-        return self.node_rng.choice(n, p=p)
+def step(psi, params, uniform):
+    """One state through ``dynamics._step``: (state, flashed node or None)."""
+    out, _, nodes = dynamics._step(np.asarray(psi).astype(complex)[None], params, uniform)
+    return out[0], (int(nodes[0]) if nodes.size else None)
+
+
+def run_engine(psi0, params, n_steps, n_traj, seed):
+    """Flashes (step, node) of each trajectory, and every trajectory's state
+    after every step, read from ``propagate_batch``."""
+    events = [[] for _ in range(n_traj)]
+    states = np.empty((n_steps + 1, n_traj, params.family.dim), dtype=complex)
+    for first, i, v, flashed, nodes in propagate_batch(psi0, params, n_steps, n_traj, seed):
+        for r, k in zip(flashed.tolist(), nodes.tolist()):
+            events[first + r].append((i, k))
+        states[i, first:first + len(v)] = v
+    return events, states
 
 
 def natural_params(grid=None, lam=1.0, dt=0.01, hamiltonian=None, r_c=1.0):
@@ -80,8 +91,8 @@ class TestSseStep:
         params = natural_params(lam=1e-6)
         psi = np.zeros(params.grid.n, dtype=complex)
         psi[16] = 1.0
-        out, event = sse_step(psi, params, _NeverJump())
-        assert event is None
+        out, node = step(psi, params, never_jump)
+        assert node is None
         assert np.max(np.abs(out - psi)) < 1e-12
 
     def test_jump_applies_projector(self):
@@ -91,8 +102,8 @@ class TestSseStep:
         fam = OperatorFamily(grid, "grw_position", diagonals=diag)
         params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
         psi = np.full(4, 0.5, dtype=complex)
-        out, event = sse_step(psi, params, _AlwaysJump())
-        assert event is not None and event.node_index == 2
+        out, node = step(psi, params, always_jump)
+        assert node == 2
         expected = np.zeros(4, dtype=complex)
         expected[2] = 1.0
         assert np.max(np.abs(out - expected)) < 1e-14
@@ -105,7 +116,7 @@ class TestSseStep:
     def test_step_validity_enforced(self):
         params = natural_params(lam=10.0, dt=0.01)
         with pytest.raises(StepSizeError):
-            sse_step(packet(params.grid), params, _NeverJump())
+            step(packet(params.grid), params, never_jump)
 
     def test_drift_dt_halving_convergence(self):
         # conditioned on no flash the step is deterministic; global error O(dt)
@@ -119,7 +130,7 @@ class TestSseStep:
                                          hamiltonian=hopping(17))
             v = psi0.copy()
             for _ in range(int(round(t_end / dt))):
-                v, _ = sse_step(v, params, _NeverJump())
+                v, _ = step(v, params, never_jump)
             return v
 
         ref = evolve(1e-4)
@@ -133,34 +144,27 @@ class TestTrajectories:
         h = hopping(33)
         params = natural_params(lam=0.0, dt=0.01, hamiltonian=h)
         psi0 = packet(params.grid)
-        traj = run_trajectories(psi0, params, 1.0, 1, seed=3)[0]
+        events, states = run_engine(psi0, params, 100, 1, seed=3)
         exact = unitary_from_generator(h, 1.0) @ psi0
-        assert not traj.flashes
-        assert np.max(np.abs(traj.states[-1] - exact)) < 1e-8
+        assert events == [[]]
+        assert np.max(np.abs(states[-1, 0] - exact)) < 1e-8
 
     def test_seed_reproducibility(self):
         params = natural_params(lam=1.0, dt=0.01)
         psi0 = packet(params.grid)
-        a = run_trajectories(psi0, params, 0.5, 3, seed=11)
-        b = run_trajectories(psi0, params, 0.5, 3, seed=11)
-        for ta, tb in zip(a, b):
-            assert len(ta.flashes) == len(tb.flashes)
-            for fa, fb in zip(ta.flashes, tb.flashes):
-                assert fa.time == fb.time and fa.node_index == fb.node_index
-            assert np.array_equal(ta.states[-1], tb.states[-1])
+        events_a, states_a = run_engine(psi0, params, 50, 3, seed=11)
+        events_b, states_b = run_engine(psi0, params, 50, 3, seed=11)
+        assert events_a == events_b
+        assert np.array_equal(states_a, states_b)
 
     def test_mean_flash_count(self):
         params = natural_params(lam=1.0, dt=0.01)
         psi0 = packet(params.grid)
-        trajs = run_trajectories(psi0, params, 1.0, 300, seed=8)
-        counts = [len(t.flashes) for t in trajs]
+        events, _ = run_engine(psi0, params, 100, 300, seed=8)
+        counts = [len(e) for e in events]
         mean = np.mean(counts)
         # Poisson with rate lambda t_end = 1
         assert abs(mean - 1.0) < 3 * np.sqrt(1.0 / 300)
-
-
-def events(traj):
-    return [(f.time, f.node_index) for f in traj.flashes]
 
 
 def dense_params():
@@ -192,13 +196,12 @@ class TestBatchEngine:
         runs = {}
         for chunk in (1, 3, 7, self.N_TRAJ + 1):
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-            runs[chunk] = run_trajectories(psi0, params, 2.0, self.N_TRAJ, seed=31)
-        ref = runs[self.N_TRAJ + 1]
-        assert sum(len(t.flashes) for t in ref) >= 5
-        for trajs in runs.values():
-            for a, b in zip(trajs, ref):
-                assert events(a) == events(b)
-                assert np.max(np.abs(np.array(a.states) - np.array(b.states))) < 1e-12
+            runs[chunk] = run_engine(psi0, params, 200, self.N_TRAJ, seed=31)
+        ref_events, ref_states = runs[self.N_TRAJ + 1]
+        assert sum(len(e) for e in ref_events) >= 5
+        for events, states in runs.values():
+            assert events == ref_events
+            assert np.max(np.abs(states - ref_states)) < 1e-12
 
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_matches_sse_step_loop(self, case, monkeypatch):
@@ -206,16 +209,18 @@ class TestBatchEngine:
         params = ENGINE_CASES[case]()
         psi0 = packet(params.grid)
         n_steps = 50
-        trajs = run_trajectories(psi0, params, n_steps * params.dt, self.N_TRAJ, seed=32)
-        for k, traj in enumerate(trajs):
+        events, states = run_engine(psi0, params, n_steps, self.N_TRAJ, seed=32)
+        for k in range(self.N_TRAJ):
+            # reference: one row stepped alone, drawing rng.random() once per
+            # step and once more per flash
             rng = stream(32, k)
             v, loop = psi0, []
             for i in range(1, n_steps + 1):
-                v, event = sse_step(v, params, rng, t=i * params.dt)
-                if event is not None:
-                    loop.append((event.time, event.node_index))
-            assert events(traj) == loop
-            assert np.max(np.abs(traj.states[-1] - v)) < 1e-12
+                v, node = step(v, params, lambda rows: np.array([rng.random() for _ in rows]))
+                if node is not None:
+                    loop.append((i, node))
+            assert events[k] == loop
+            assert np.max(np.abs(states[-1, k] - v)) < 1e-12
 
     def test_any_row_over_the_step_limit_raises(self):
         grid = SpatialGrid.line(2, 1.0)
@@ -224,13 +229,10 @@ class TestBatchEngine:
         low = np.array([0.0, 1.0], dtype=complex)    # p = 0.0008
         high = np.array([1.0, 0.0], dtype=complex)   # p = 0.08
 
-        def never(rows):
-            return np.ones(len(rows))
-
-        dynamics._step(np.array([low, low]), params, never)
+        dynamics._step(np.array([low, low]), params, never_jump)
         for batch in ([low, high], [high, low], [low, low, high]):
             with pytest.raises(StepSizeError):
-                dynamics._step(np.array(batch), params, never)
+                dynamics._step(np.array(batch), params, never_jump)
 
 
 class TestLindblad:
@@ -328,7 +330,7 @@ class TestLindblad:
     def test_jump_phase_is_unobservable(self):
         params = natural_params()
         psi = packet(params.grid)
-        out, _ = sse_step(psi, params, _AlwaysJump())
+        out, _ = step(psi, params, always_jump)
         alt = -1j * out
         assert np.max(np.abs(np.outer(out, out.conj()) - np.outer(alt, alt.conj()))) < 1e-14
 
@@ -470,10 +472,10 @@ class TestModelParams:
         h = hopping(16)
         params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=0.0, dt=0.01, hamiltonian=h)
         psi = packet(params.grid)
-        sse_step(psi, params, np.random.default_rng(0))   # caches the dt = 0.01 half step
+        step(psi, params, never_jump)   # caches the dt = 0.01 half step
         wide = replace(params, dt=0.2)
-        out, event = sse_step(psi, wide, np.random.default_rng(0))
-        assert event is None
+        out, node = step(psi, wide, never_jump)
+        assert node is None
         assert np.max(np.abs(out - unitary_from_generator(h, 0.2) @ psi)) < 1e-12
 
 

@@ -6,9 +6,8 @@ from scipy.linalg import expm
 
 from cpsim import exact
 from cpsim.errors import ContractViolationError
-from cpsim.exact import (CollapsePoint, _sample_windows, enumerate_chain, interact_once,
-                         markov_check, sample_chain,
-                         sample_poisson_collapse_points)
+from cpsim.exact import (CollapsePoint, _placement, _sample_windows, enumerate_chain,
+                         interact_once, markov_check)
 from cpsim.hilbert import SpatialGrid, random_hermitian, random_state, unitary_from_generator
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
@@ -152,12 +151,21 @@ class TestEnumerateChain:
             enumerate_chain(psi, chain)
 
 
+def chain_outcomes(psi, chain, uniforms):
+    """Outcomes of one window over the whole chain per row of uniforms,
+    all stepped together by the window engine."""
+    times, nodes = [cp.time for cp in chain], np.arange(len(chain))
+    windows = [(times, nodes, u) for u in uniforms]
+    table = exact._chain_table(chain, 1.0)
+    return [tuple(bits.astype(int).tolist())
+            for _, _, bits in exact._run_windows(windows, psi, table, None)]
+
+
 class TestSampleChain:
     def test_zero_coupling_all_zero(self, rng):
         psi = random_state(3, rng)
         chain = [CollapsePoint(0.1 * m, 0.0, random_hermitian(3, rng)) for m in range(30)]
-        rec = sample_chain(psi, chain, rng=stream(1))
-        assert rec.outcomes == (0,) * 30
+        assert chain_outcomes(psi, chain, stream(1).random((1, 30))) == [(0,) * 30]
 
     def test_frequencies_match_enumeration(self, rng):
         psi = random_state(2, rng)
@@ -166,9 +174,8 @@ class TestSampleChain:
         probs = {r.outcomes: r.probability for r in recs}
         n_samples = 100_000
         counts = {k: 0 for k in probs}
-        gen = stream(99)
-        for _ in range(n_samples):
-            counts[sample_chain(psi, chain, rng=gen).outcomes] += 1
+        for outcomes in chain_outcomes(psi, chain, stream(99).random((n_samples, 2))):
+            counts[outcomes] += 1
         for outcome, p in probs.items():
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / n_samples)
             assert abs(counts[outcome] / n_samples - p) <= 4 * sigma + 1e-9
@@ -176,8 +183,8 @@ class TestSampleChain:
     def test_seed_determinism(self, rng):
         psi = random_state(3, rng)
         chain = random_chain(rng, 20, 3, gamma=0.5)
-        a = sample_chain(psi, chain, rng=stream(5)).outcomes
-        b = sample_chain(psi, chain, rng=stream(5)).outcomes
+        a = chain_outcomes(psi, chain, stream(5).random((1, 20)))
+        b = chain_outcomes(psi, chain, stream(5).random((1, 20)))
         assert a == b
 
 
@@ -201,13 +208,13 @@ class TestMarkovCheck:
 class TestPoissonPlacement:
     def test_counts_and_ordering(self):
         grid = SpatialGrid.line(9, 1.0)
-        fam = build_grw_family(grid, grw_gaussian(2.0))
         mu, c, t = 4.0, 1.0, 3.0
         counts = []
         for k in range(400):
-            pts = sample_poisson_collapse_points(grid, fam, mu, c, 0.1, (0.0, t), stream(k))
-            counts.append(len(pts))
-            times = [p.time for p in pts]
+            times, nodes = _placement(stream(k), mu * c * grid.volume, exact._cell_cdf(grid),
+                                      0.0, t)
+            counts.append(len(times))
+            assert len(nodes) == len(times)
             assert times == sorted(times)
             assert all(0.0 <= s < t for s in times)
         mean = np.mean(counts)
@@ -216,11 +223,11 @@ class TestPoissonPlacement:
 
     def test_determinism(self):
         grid = SpatialGrid.line(9, 1.0)
-        fam = build_grw_family(grid, grw_gaussian(2.0))
-        a = sample_poisson_collapse_points(grid, fam, 2.0, 1.0, 0.1, (0.0, 1.0), stream(7))
-        b = sample_poisson_collapse_points(grid, fam, 2.0, 1.0, 0.1, (0.0, 1.0), stream(7))
-        assert [p.time for p in a] == [p.time for p in b]
-        assert [p.node_index for p in a] == [p.node_index for p in b]
+        rate, cdf = 2.0 * grid.volume, exact._cell_cdf(grid)
+        a_times, a_nodes = _placement(stream(7), rate, cdf, 0.0, 1.0)
+        b_times, b_nodes = _placement(stream(7), rate, cdf, 0.0, 1.0)
+        assert a_times == b_times
+        assert a_nodes.tolist() == b_nodes.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +277,7 @@ def reference_window(psi0, family, H, seed, w):
             break
         times.append(t)
         nodes.append(int(rng.choice(grid.n, p=grid.weights / grid.volume)))
-    state, prev, bits, prob = psi0, 0.0, [], 1.0
+    state, prev, bits = psi0, 0.0, []
     for t, k in zip(times, nodes):
         if H is not None:
             state = unitary_from_generator(H, t - prev, HBAR) @ state
@@ -280,8 +287,7 @@ def reference_window(psi0, family, H, seed, w):
         bit = int(rng.random() < p1)
         bits.append(bit)
         state = flash if bit else noflash
-        prob *= p1 if bit else 1.0 - p1
-    return times, nodes, bits, state, prob
+    return times, nodes, bits
 
 
 def engine_windows(psi0, family, H, seed, n_windows):
@@ -301,25 +307,9 @@ class TestWindowEngine:
         got = engine_windows(psi0, family, H, 31, self.N_WINDOWS)
         flashes = 0
         for w, window in enumerate(got):
-            assert window == reference_window(psi0, family, H, 31, w)[:3]
+            assert window == reference_window(psi0, family, H, 31, w)
             flashes += sum(window[2])
         assert 0 < flashes < sum(len(window[0]) for window in got)
-
-    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-    def test_sample_chain_matches_point_by_point_reference(self, case):
-        family, H = WINDOW_CASES[case]()
-        grid, psi0 = family.grid, start_state(family.grid)
-        for w in range(self.N_WINDOWS):
-            rng = stream(31, w)
-            points = sample_poisson_collapse_points(grid, family, MU, C, GAMMA, (0.0, T_END),
-                                                    rng, mass_prefactor=PREFACTOR)
-            rec = sample_chain(psi0, points, H=H, rng=rng, hbar=HBAR)
-            times, nodes, bits, state, prob = reference_window(psi0, family, H, 31, w)
-            assert [cp.time for cp in points] == times
-            assert [cp.node_index for cp in points] == nodes
-            assert list(rec.outcomes) == bits
-            assert np.max(np.abs(rec.conditional_state - state)) < 1e-10
-            assert abs(rec.probability - prob) <= 1e-10 * prob
 
     @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
     def test_chunk_size_does_not_change_windows(self, case, monkeypatch):
@@ -355,6 +345,6 @@ class TestWindowEngine:
         windows = list(_sample_windows(psi0, family, 0.0, C, GAMMA, T_END, 3, 8))
         assert [(len(t), len(n), len(b)) for t, n, b in windows] == [(0, 0, 0)] * 3
         rng = stream(8, 0)
-        assert sample_poisson_collapse_points(family.grid, family, 0.0, C, GAMMA,
-                                              (0.0, T_END), rng) == []
+        times, nodes = _placement(rng, 0.0, exact._cell_cdf(family.grid), 0.0, T_END)
+        assert times == [] and len(nodes) == 0
         assert rng.random() == stream(8, 0).random()   # nothing was drawn
