@@ -3,8 +3,7 @@
 __version__ = "0.1.0"
 
 from .constants import C_LIGHT, G_NEWTON, GRW_COLLAPSE_RADIUS, HBAR, NUCLEON_MASS
-from .dynamics import (ModelParams, dissipator, ensemble_vs_master, flash_rate_density,
-                       integrate_master)
+from .dynamics import ModelParams, ensemble_vs_master, flash_rate_density, integrate_master
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import CollapsePoint, FlashRecord, enumerate_chain, interact_once, markov_check

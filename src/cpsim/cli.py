@@ -49,6 +49,9 @@ _MAX_RADIAL_POINTS = 2 ** 20
 #: results row or a per-run record of at most a few hundred bytes, so
 #: they stay within a few hundred MiB
 _MAX_RUNS = 2 ** 20
+#: most steps t / dt of one jump-process run or checkpoint grid: the count
+#: must be a finite integer, and a run of 2^24 steps already takes hours
+_MAX_STEPS = 2 ** 24
 #: most averaged density-matrix entries a ``compare`` run keeps at its
 #: checkpoints (16 bytes each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24
@@ -119,6 +122,14 @@ def _numbers(obj: dict, key: str, path: str, need: str, ok=lambda v: True) -> li
     if not nums or None in nums or not all(ok(v) for v in nums):
         raise ConfigError(f"{path}.{key}: need {need}")
     return vals
+
+
+def _steps(t: float, dt: float, path: str, key: str) -> int:
+    """The step count round(t / dt) of ``path.key`` = t, at most ``_MAX_STEPS``."""
+    n = t / dt
+    if not n <= _MAX_STEPS:
+        raise ConfigError(f"{path}.{key}: {key} / params.dt = {n:.3g} steps, above {_MAX_STEPS}")
+    return int(round(n))
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -235,15 +246,15 @@ def _ensemble(cfg, opts, keys=()):
     """The shared part of ``trajectories`` and ``compare``."""
     params = _parse_params(cfg)
     _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
-    return (params, _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options"),
-            _count(opts, "n_traj", "options", most=_MAX_RUNS))
+    psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
+    n_steps = _steps(t_end, params.dt, "options", "t_end")
+    return params, psi0, t_end, n_steps, _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
 
 def _trajectories(cfg, opts):
-    params, psi0, t_end, n_traj = _ensemble(cfg, opts)
+    params, psi0, _, n_steps, n_traj = _ensemble(cfg, opts)
 
     def run(seed):
-        n_steps = int(round(t_end / params.dt))
         # per trajectory: flash count, first flash time, mean position after the last step
         counts, first = np.zeros(n_traj, dtype=int), np.full(n_traj, -1.0)
         mean_x = np.zeros(n_traj)
@@ -259,9 +270,9 @@ def _trajectories(cfg, opts):
 
 
 def _compare(cfg, opts):
-    params, psi0, t_end, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
+    params, psi0, t_end, n_steps, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
-    kept = min(n_checkpoints, t_end / params.dt + 1.0) * params.grid.n ** 2
+    kept = min(n_checkpoints, n_steps + 1) * params.grid.n ** 2
     if kept > _MAX_KEPT_AMPLITUDES:
         raise ConfigError(f"options.n_checkpoints: {n_checkpoints} checkpoints would keep "
                           f"{kept:.3g} averaged density-matrix entries, above "
@@ -279,6 +290,7 @@ def _master(cfg, opts):
     _reject_unknown(opts, {"t_end", "n_checkpoints", "psi0"}, "options")
     psi0 = _parse_psi0(opts, params.grid)
     t_end = _positive(opts, "t_end", "options")
+    _steps(t_end, params.dt, "options", "t_end")
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
 
     def run(seed):
@@ -318,6 +330,7 @@ def _born(cfg, opts):
         return pointer_family(grid, f_c, len(amps))
     params = _parse_params(cfg, build)
     params = replace(params, mass=amplification * params.m_r)
+    _steps(t_obs, params.dt, path, "t_obs")
     pointer = PointerModel(tuple(float(c) for c in centers), params.family.smearing.radius,
                            amplification, region_halfwidth=halfwidth)
     born_initial_state(amps, pointer, params, t_obs)   # raises what the run would raise first

@@ -100,17 +100,19 @@ class ModelParams:
         return unitary_from_generator(self.hamiltonian, self.dt / 2.0, self.hbar)
 
     @cached_property
-    def weighted_l2(self):
-        """W = sum_k w_k L_k^2: a diagonal vector or a dense matrix."""
-        return self.family.weighted_l2_sum()
+    def weighted_l2(self) -> np.ndarray:
+        """Diagonal of W = sum_k w_k L_k^dag L_k, shape (dim,)."""
+        return self.grid.weights @ self.family.l2_diagonals()
 
     @cached_property
     def dephasing_matrix(self) -> np.ndarray:
-        """Closed Hadamard form of the dissipator sum for diagonal families.
+        """Closed Hadamard form of the collapse term of the master equation.
 
-        For members diagonal in the system basis the whole integral
-        sum_k w_k D_k acts entrywise: rho'(x, y) = G(x, y) rho(x, y) with
-        G(x,y) = sum_k w_k [b_k(x) b_k(y)* - |b_k(x)|^2/2 - |b_k(y)|^2/2].
+        The members b_k are diagonal in the system basis, so the whole
+        integral sum_k w_k (b_k rho b_k^dag - {b_k^dag b_k, rho} / 2) acts
+        entrywise: rho'(x, y) = G(x, y) rho(x, y) with
+        G(x,y) = sum_k w_k [b_k(x) b_k(y)* - |b_k(x)|^2/2 - |b_k(y)|^2/2];
+        the conjugate keeps the phase of complex (gravity-dressed) members.
         """
         b = self.family.diagonals
         w = self.family.grid.weights
@@ -135,22 +137,14 @@ def _abs2(v):
 
 def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
     """Per-node flash rates rate_scale * w_k * <L^2(x_k)>, of a state or of each row."""
-    v = np.asarray(psi)
     fam = params.family
-    if fam.is_diagonal:
-        expect = np.einsum("kj,...j->...k", fam.l2_diagonals(), _abs2(v))
-    else:
-        expect = _abs2(np.einsum("kij,...j->...ki", fam.dense_members, v)).sum(axis=-1)
+    expect = np.einsum("kj,...j->...k", fam.l2_diagonals(), _abs2(np.asarray(psi)))
     return params.rate_scale * fam.grid.weights * np.maximum(expect, 0.0)
 
 
 def _weighted(x, params: ModelParams):
-    """W x (None when W is diagonal) and <x|W|x> per row, W = sum_k w_k L_k^2."""
-    w_l2 = params.weighted_l2
-    if params.family.is_diagonal:
-        return None, (_abs2(x) * w_l2).sum(axis=-1)
-    wx = _apply(w_l2, x)
-    return wx, (x.conj() * wx).real.sum(axis=-1)
+    """<x|W|x> per row, W = sum_k w_k L_k^dag L_k."""
+    return (_abs2(x) * params.weighted_l2).sum(axis=-1)
 
 
 def _step(v, params: ModelParams, uniform):
@@ -166,7 +160,7 @@ def _step(v, params: ModelParams, uniform):
     per flashed row for its node.  Returns (states, flashed rows, their nodes).
     """
     fam, dt = params.family, params.dt
-    wv, s2 = _weighted(v, params)
+    s2 = _weighted(v, params)
     p_jump = dt * params.rate_scale * s2
     worst = float(p_jump.max())
     if worst >= STEP_VALIDITY_LIMIT:
@@ -180,11 +174,8 @@ def _step(v, params: ModelParams, uniform):
     out = v
     if u_half is not None:
         out = _apply(u_half, v)
-        wv, s2 = _weighted(out, params)
-    if wv is None:
-        out = out * (1.0 + c * (s2[:, None] - params.weighted_l2))
-    else:
-        out = out + c * (s2[:, None] * out - wv)
+        s2 = _weighted(out, params)
+    out = out * (1.0 + c * (s2[:, None] - params.weighted_l2))
     if u_half is not None:
         out = _apply(u_half, out)
     out *= 1.0 / np.sqrt(_abs2(out).sum(axis=-1, keepdims=True))
@@ -195,10 +186,7 @@ def _step(v, params: ModelParams, uniform):
     rates = flash_rate_density(v[flashed], params)
     cdf = np.cumsum(rates / rates.sum(axis=-1, keepdims=True), axis=-1)
     nodes = (cdf / cdf[:, -1:] <= uniform(flashed)[:, None]).sum(axis=-1)
-    if fam.is_diagonal:
-        jumped = fam.diagonals[nodes] * v[flashed]
-    else:
-        jumped = _apply(fam.dense_members[nodes], v[flashed])
+    jumped = fam.diagonals[nodes] * v[flashed]
     nrm = np.sqrt(_abs2(jumped).sum(axis=-1, keepdims=True))
     if np.any(nrm == 0.0):
         raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
@@ -262,53 +250,32 @@ def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
 _MAX_SUBSTEPS = 2 ** 20
 
 
-def dissipator(a, rho):
-    """D_A(rho) = A rho A^dag - (1/2){A^dag A, rho}."""
-    a = np.asarray(a, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    aa = a.conj().T @ a
-    return a @ rho @ a.conj().T - 0.5 * (aa @ rho + rho @ aa)
-
-
 def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     """Right-hand side of the collapse master equation."""
     out = np.zeros_like(rho)
     if params.hamiltonian is not None:
         h = params.hamiltonian
         out += (-1j / params.hbar) * (h @ rho - rho @ h)
-    fam = params.family
-    if fam.is_diagonal:
-        out += params.rate_scale * params.dephasing_matrix * rho
-    else:
-        acc = np.zeros_like(rho)
-        for k in range(fam.n_members):
-            acc += fam.grid.weights[k] * dissipator(fam.dense_members[k], rho)
-        out += params.rate_scale * acc
+    out += params.rate_scale * params.dephasing_matrix * rho
     return out
 
 
 def _spectral_bound(a):
-    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of each matrix of a stack."""
+    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of a."""
     m = np.abs(a)
-    return np.sqrt(m.sum(axis=-1).max(axis=-1) * m.sum(axis=-2).max(axis=-1))
+    return np.sqrt(m.sum(axis=-1).max() * m.sum(axis=-2).max())
 
 
 def _generator_norm(params: ModelParams) -> float:
     """Upper bound on the Frobenius-induced norm of L = ``lindblad_rhs``.
 
-    ||[H, rho]|| <= 2 ||H||_2 ||rho||; a diagonal family acts as the
-    Hadamard product with ``dephasing_matrix`` G, bounded by max |G|;
-    a dense member's dissipator is bounded by 2 ||L_k||_2^2.
+    ||[H, rho]|| <= 2 ||H||_2 ||rho||, and the collapse part acts as
+    the Hadamard product with ``dephasing_matrix`` G, bounded by max |G|.
     """
     norm = 0.0
     if params.hamiltonian is not None:
         norm = 2.0 * float(_spectral_bound(params.hamiltonian)) / params.hbar
-    fam = params.family
-    if fam.is_diagonal:
-        dis = float(np.abs(params.dephasing_matrix).max())
-    else:
-        dis = 2.0 * float(fam.grid.weights @ _spectral_bound(fam.dense_members) ** 2)
-    return norm + params.rate_scale * dis
+    return norm + params.rate_scale * float(np.abs(params.dephasing_matrix).max())
 
 
 def _taylor_degree(x: float):
@@ -492,8 +459,6 @@ def expected_noflash_probability(params: ModelParams, psi0, gamma: float,
     constant.  gamma = 0 returns the coarse-grain limit
     <psi| exp(-rate dt sum_k w_k L_k^2) |psi>.
     """
-    if not params.family.is_diagonal:
-        raise ContractViolationError("the closed placement average needs a diagonal family")
     v = np.asarray(psi0).astype(complex)
     prefactor = 1.0 if params.family.mass_weighted else params.mass / params.m_r
     diag = np.sqrt(prefactor) * params.family.diagonals

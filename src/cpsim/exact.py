@@ -49,7 +49,7 @@ class CollapsePoint:
     """One weak-measurement event: time, strength, coupling operator.
 
     ``operator`` may be a dense Hermitian matrix or a 1-D array holding
-    the diagonal of a position-basis operator.
+    the real diagonal of a position-basis operator.
     """
 
     time: float
@@ -78,7 +78,7 @@ class FlashRecord:
 class _JumpTable:
     """cos / sin blocks of exp(-i scale_k L_k sigma_x) for a stack of operators.
 
-    ``ops`` stacks diagonals (n, dim) or dense Hermitian matrices
+    ``ops`` stacks real diagonals (n, dim) or dense Hermitian matrices
     (n, dim, dim); each dense one costs one eigh, once per table.  Entry
     k of ``cs`` holds the cos block and then the sin block.
     """
@@ -86,13 +86,13 @@ class _JumpTable:
     def __init__(self, ops, scales):
         ops = np.asarray(ops)
         self.diag = ops.ndim == 2
+        dev = np.abs(ops.imag if self.diag else ops - ops.conj().swapaxes(1, 2)).max()
+        if dev > 1e-12:
+            raise ContractViolationError(
+                f"collapse operator deviates from Hermiticity by {dev!r}")
         if self.diag:
             w = ops.real
         else:
-            dev = np.abs(ops - ops.conj().swapaxes(1, 2)).max()
-            if dev > 1e-12:
-                raise ContractViolationError(
-                    f"collapse operator deviates from Hermiticity by {dev!r}")
             w, v = np.linalg.eigh(ops)
         arg = np.asarray(scales, dtype=float)[:, None] * w
         trig = np.empty((len(arg), 2, arg.shape[1]))
@@ -322,18 +322,18 @@ def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gam
 
     Events arrive at rate mu * c * V per unit time, each landing in cell
     k with probability w_k / V, where its coupling operator is the family
-    member at node k scaled by sqrt(mass_prefactor).  Window w draws its
-    placement from ``stream(seed, w)``, then the uniforms of its chain
-    from the same stream as one block.  Consecutive windows are
-    gathered into chunks of at most ``_CHUNK`` windows and
-    ``_CHUNK_POINTS`` padded points and stepped together from psi0, with
-    H acting between points (``_run_windows``).  Yields (times, nodes,
-    outcome bits) of each window in order; the jump table is built once.
+    member at node k scaled by sqrt(mass_prefactor); members must be
+    real.  Window w draws its placement from ``stream(seed, w)``, then
+    the uniforms of its chain from the same stream as one block.
+    Consecutive windows are gathered into chunks of at most ``_CHUNK``
+    windows and ``_CHUNK_POINTS`` padded points and stepped together from
+    psi0, with H acting between points (``_run_windows``).  Yields (times,
+    nodes, outcome bits) of each window in order; the jump table is built
+    once.
     """
     grid = family.grid
     rate = mu * c_light * grid.volume
-    members = np.sqrt(mass_prefactor) * (family.diagonals if family.is_diagonal
-                                         else family.dense_members)
+    members = np.sqrt(mass_prefactor) * family.diagonals
     table = _JumpTable(members, np.full(len(members), np.sqrt(gamma) / hbar))
     evolve = _evolution(H, hbar)
     cdf = _cell_cdf(grid)

@@ -46,7 +46,7 @@ class AccuracyWarning(UserWarning):
 # parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GravityParams:
     """Gravitational sector: coupling, smearing and the flash length scale.
 
@@ -162,25 +162,21 @@ def grav_profile_F_prime(r, gp: GravityParams):
 # dressed collapse operators
 # ---------------------------------------------------------------------------
 
-def grav_unitary(family: OperatorFamily, gp: GravityParams,
-                 system_positions=None) -> OperatorFamily:
-    """Dress a diagonal family with the per-flash gravitational phase.
+def grav_unitary(family: OperatorFamily, gp: GravityParams) -> OperatorFamily:
+    """Dress a family with the per-flash gravitational phase.
 
     Member k becomes B(x_k) = exp(i r_m F(|x - x_k|)) L(x_k), diagonal
     in the position basis; B^dag B = L^2 by construction.  The system
-    basis positions default to the flash-grid nodes (the usual
-    single-particle case) but may be supplied separately when the
-    system lives on a probe set distinct from the flash grid.
+    basis positions are the family's ``system_positions`` (set by
+    ``probe_line_family`` when the system lives on a probe set distinct
+    from the flash grid), or else the flash-grid nodes.
     """
-    if not family.is_diagonal:
-        raise ContractViolationError("gravitational dressing requires a position-diagonal family")
-    pos = family.system_positions if system_positions is None else system_positions
+    pos = family.system_positions
     if pos is None:
         if family.dim != family.grid.n:
             raise ContractViolationError(
-                "family dimension differs from the flash grid; pass system_positions")
+                "family dimension differs from the flash grid and it has no system_positions")
         pos = family.grid.positions
-    pos = np.asarray(pos, dtype=float)
     if pos.ndim == 1:
         pos = pos[:, None]
     nodes = family.grid.positions

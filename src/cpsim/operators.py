@@ -84,24 +84,24 @@ def grw_gaussian(r_c: float) -> SmearingFunction:
 class OperatorFamily:
     """Indexed family {L(x_k)}, one operator per node of a flash grid.
 
-    Members are stored as diagonals whenever the construction permits
-    (position-basis and Fock-occupation operators all are); dense
-    storage is the fallback for hand-built families.  ``mass_weighted``
-    records whether species masses are already folded into the members,
-    so the dynamics layer knows whether to apply an m/m_R rate factor.
+    Every member is diagonal in the system basis: a smeared mass density
+    is a multiplication operator, diagonal in the position basis and in
+    the Fock occupation basis.  ``diagonals`` holds member k in row k,
+    shape (nodes, dim); rows are real except for the phase-dressed
+    ``gravity_dressed`` kind.  ``mass_weighted`` records whether species
+    masses are already folded into the members, so the dynamics layer
+    knows whether to apply an m/m_R rate factor.
     ``system_positions`` places the system basis states in space when
     they are not the flash-grid nodes (None: they are the nodes, or
     they are not points at all); ``mass_diagonals`` keeps the squared
     members of a mass-weighted square-root family.
     """
 
-    def __init__(self, grid: SpatialGrid, kind: str, *, diagonals=None,
-                 dense=None, mass_weighted=False, smearing=None,
+    def __init__(self, grid: SpatialGrid, kind: str, *, diagonals,
+                 mass_weighted=False, smearing=None,
                  system_positions=None, mass_diagonals=None):
         if kind not in _FAMILY_KINDS:
             raise ContractViolationError(f"unknown family kind {kind!r}")
-        if (diagonals is None) == (dense is None):
-            raise ContractViolationError("exactly one of diagonals/dense must be given")
         self.grid = grid
         self.kind = kind
         self.mass_weighted = bool(mass_weighted)
@@ -109,65 +109,23 @@ class OperatorFamily:
         self.system_positions = (None if system_positions is None
                                  else np.asarray(system_positions, dtype=float))
         self.mass_diagonals = mass_diagonals
-        if diagonals is not None:
-            self.diagonals = np.asarray(diagonals)
-            self.dense_members = None
-            if self.diagonals.shape[0] != grid.n:
-                raise ContractViolationError("need one member per flash-grid node")
-            if kind != "gravity_dressed" and np.iscomplexobj(self.diagonals):
-                dev = float(np.max(np.abs(self.diagonals.imag)))
-                if dev > 1e-12:
-                    raise ContractViolationError(
-                        f"family members deviate from Hermiticity by {dev!r}")
-                self.diagonals = self.diagonals.real
-        else:
-            self.dense_members = np.asarray(dense, dtype=complex)
-            self.diagonals = None
-            if self.dense_members.shape[0] != grid.n:
-                raise ContractViolationError("need one member per flash-grid node")
-            if kind != "gravity_dressed":
-                dev = np.max(np.abs(self.dense_members - self.dense_members.conj().transpose(0, 2, 1)))
-                if dev > 1e-12:
-                    raise ContractViolationError(f"family members deviate from Hermiticity by {dev!r}")
-
-    @property
-    def n_members(self) -> int:
-        return self.grid.n
+        self.diagonals = np.asarray(diagonals)
+        if self.diagonals.shape[0] != grid.n:
+            raise ContractViolationError("need one member per flash-grid node")
+        if kind != "gravity_dressed" and np.iscomplexobj(self.diagonals):
+            dev = float(np.max(np.abs(self.diagonals.imag)))
+            if dev > 1e-12:
+                raise ContractViolationError(
+                    f"family members deviate from Hermiticity by {dev!r}")
+            self.diagonals = self.diagonals.real
 
     @property
     def dim(self) -> int:
-        if self.diagonals is not None:
-            return self.diagonals.shape[1]
-        return self.dense_members.shape[1]
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.diagonals is not None
-
-    def member(self, k: int) -> np.ndarray:
-        if self.diagonals is not None:
-            return np.diag(self.diagonals[k].astype(complex))
-        return self.dense_members[k]
+        return self.diagonals.shape[1]
 
     def l2_diagonals(self) -> np.ndarray:
-        """|L(x_k)|^2 eigenvalues, shape (n_members, dim); diagonal families only."""
-        if self.diagonals is None:
-            raise ContractViolationError("l2_diagonals requires diagonal members")
+        """|L(x_k)|^2 eigenvalues, shape (nodes, dim)."""
         return np.abs(self.diagonals) ** 2
-
-    def l2(self, k: int) -> np.ndarray:
-        """Dense L(x_k)^dagger L(x_k)."""
-        if self.diagonals is not None:
-            return np.diag(np.abs(self.diagonals[k]) ** 2).astype(complex)
-        m = self.dense_members[k]
-        return m.conj().T @ m
-
-    def weighted_l2_sum(self) -> np.ndarray:
-        """Sum_k w_k L(x_k)^dagger L(x_k); diagonal vector or dense matrix."""
-        w = self.grid.weights
-        if self.diagonals is not None:
-            return w @ self.l2_diagonals()
-        return np.einsum("k,kij->ij", w, np.einsum("kji,kjl->kil", self.dense_members.conj(), self.dense_members))
 
 
 def build_grw_family(grid: SpatialGrid, f_c: SmearingFunction) -> OperatorFamily:

@@ -81,6 +81,16 @@ def long_compare_config(path):
     return cfg
 
 
+def tiny_dt(make):
+    """``make`` with ``params.dt`` 1e-10: a t_end of 1e300 then asks for
+    infinitely many steps, and one of 1e3 for 1e13."""
+    def build(path):
+        cfg = make(path)
+        cfg["params"]["dt"] = 1e-10
+        return cfg
+    return build
+
+
 def potential_config(path):
     return {
         "experiment": "potential",
@@ -277,11 +287,19 @@ class TestExitCodes:
         (ensemble_config, ("options",), "n_checkpoints", 3, "options.n_checkpoints"),
         # 144 averaged density-matrix entries at each of 2^20 checkpoints exceed the same cap
         (long_compare_config, ("options",), "n_checkpoints", 2 ** 20, "options.n_checkpoints"),
+        (tiny_dt(ensemble_config), ("options",), "t_end", 1e300, "options.t_end"),
+        (tiny_dt(lambda path: ensemble_config(path, "compare")), ("options",), "t_end", 1e3,
+         "options.t_end"),
+        (tiny_dt(lambda path: ensemble_config(path, "master")), ("options",), "t_end", 1e300,
+         "options.t_end"),
+        (tiny_dt(born_config), ("options",), "t_obs", 1e3, "options.t_obs"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
             "n_samples-huge", "n_traj-huge", "compare-n_traj-huge",
-            "trajectories-n_checkpoints", "compare-checkpoints-kept"])
+            "trajectories-n_checkpoints", "compare-checkpoints-kept",
+            "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
+            "born-steps-huge"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cpsim import dynamics
-from cpsim.dynamics import (ModelParams, coarse_grain_consistency, dissipator,
-                            ensemble_vs_master, expected_noflash_probability,
-                            flash_rate_density, integrate_master, lindblad_rhs,
-                            noflash_bias_vs_gamma, propagate_batch)
+from cpsim.dynamics import (ModelParams, coarse_grain_consistency, ensemble_vs_master,
+                            expected_noflash_probability, flash_rate_density,
+                            integrate_master, noflash_bias_vs_gamma, propagate_batch)
 from cpsim.errors import ContractViolationError, StepSizeError
+from cpsim.gravity import GravityParams, grav_unitary
 from cpsim.hilbert import SpatialGrid, random_hermitian, unitary_from_generator
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
@@ -167,22 +167,19 @@ class TestTrajectories:
         assert abs(mean - 1.0) < 3 * np.sqrt(1.0 / 300)
 
 
-def dense_params():
-    """A hand-built dense family: GRW profiles plus a Hermitian hopping part."""
-    grid = SpatialGrid.line(6, 0.5)
-    diag = build_grw_family(grid, grw_gaussian(1.0)).diagonals
-    dense = np.array([np.diag(d).astype(complex) + 0.2 * hopping(6, d[k])
-                      for k, d in enumerate(diag)])
-    fam = OperatorFamily(grid, "grw_position", dense=dense)
-    # the largest eigenvalue of sum_k w_k L_k^2 keeps every step under the limit
-    return ModelParams.natural(lambda_grw=2.5, family=fam, dt=0.01)
+def dressed_params(n, lam, j):
+    """Gravity-dressed members, whose complex phases vary over the grid, with hopping."""
+    grid = SpatialGrid.line(n, 0.5)
+    gp = GravityParams(G=1.0, r_g=0.5, r_m=0.7, F_kind="gaussian_smeared")
+    fam = grav_unitary(build_grw_family(grid, grw_gaussian(1.0)), gp)
+    return ModelParams.natural(lambda_grw=lam, family=fam, dt=0.01, hamiltonian=hopping(n, j))
 
 
 ENGINE_CASES = {
     "diagonal": lambda: natural_params(grid=SpatialGrid.line(16, 0.5), lam=4.0),
     "diagonal+hopping": lambda: natural_params(grid=SpatialGrid.line(16, 0.5), lam=4.0,
                                                hamiltonian=hopping(16)),
-    "dense": dense_params,
+    "gravity_dressed+hopping": lambda: dressed_params(16, 4.0, 0.5),
 }
 
 
@@ -236,28 +233,6 @@ class TestBatchEngine:
 
 
 class TestLindblad:
-    def test_dissipator_identity_against_literal_oracle(self, rng):
-        a = random_hermitian(5, rng)
-        rho = random_hermitian(5, rng)
-        rho = rho @ rho
-        rho /= rho.trace()
-        got = dissipator(a, rho)
-        lit = a @ rho @ a - 0.5 * (a @ a @ rho + rho @ a @ a)
-        assert np.max(np.abs(got - lit)) < 1e-13
-
-    def test_diagonal_fast_path_matches_dense(self, rng):
-        grid = SpatialGrid.line(5, 1.0)
-        diag = rng.standard_normal((5, 5))
-        fam_diag = OperatorFamily(grid, "grw_position", diagonals=diag)
-        dense = np.array([np.diag(d.astype(complex)) for d in diag])
-        fam_dense = OperatorFamily(grid, "grw_position", dense=dense)
-        rho = random_hermitian(5, rng)
-        rho = rho @ rho
-        rho /= rho.trace()
-        p1 = ModelParams.natural(lambda_grw=0.8, family=fam_diag, dt=0.01)
-        p2 = ModelParams.natural(lambda_grw=0.8, family=fam_dense, dt=0.01)
-        assert np.max(np.abs(lindblad_rhs(rho, p1) - lindblad_rhs(rho, p2))) < 1e-13
-
     def test_free_case_matches_von_neumann(self):
         h = hopping(9, j=0.8)
         grid = SpatialGrid.line(9, 0.5)
@@ -342,8 +317,7 @@ def liouvillian(params):
     with every member in the generic dissipator form (no Hadamard shortcut).
     """
     fam = params.family
-    members = ([np.diag(b.astype(complex)) for b in fam.diagonals] if fam.is_diagonal
-               else fam.dense_members)
+    members = [np.diag(b.astype(complex)) for b in fam.diagonals]
     eye = np.eye(fam.dim)
     out = np.zeros((fam.dim ** 2, fam.dim ** 2), dtype=complex)
     if params.hamiltonian is not None:
@@ -360,7 +334,7 @@ ORACLE_CASES = {
     "diagonal": lambda: natural_params(grid=SpatialGrid.line(5, 0.5), lam=1.7),
     "diagonal+hopping": lambda: natural_params(grid=SpatialGrid.line(5, 0.5), lam=1.7,
                                                hamiltonian=hopping(5, 0.9)),
-    "dense+hopping": lambda: replace(dense_params(), hamiltonian=hopping(6, 0.7)),
+    "gravity_dressed+hopping": lambda: dressed_params(5, 1.7, 0.9),
 }
 
 

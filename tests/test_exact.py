@@ -8,8 +8,9 @@ from cpsim import exact
 from cpsim.errors import ContractViolationError
 from cpsim.exact import (CollapsePoint, _placement, _sample_windows, enumerate_chain,
                          interact_once, markov_check)
+from cpsim.gravity import GravityParams, grav_unitary
 from cpsim.hilbert import SpatialGrid, random_hermitian, random_state, unitary_from_generator
-from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
+from cpsim.operators import build_grw_family, grw_gaussian
 from cpsim.rng import stream
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,19 +245,10 @@ def line_hopping(n, j=3.0):
     return h
 
 
-def dense_family():
-    grid = SpatialGrid.line(6, 0.5)
-    diag = build_grw_family(grid, grw_gaussian(1.0)).diagonals
-    dense = np.array([np.diag(d).astype(complex) + 0.2 * line_hopping(6, d[k])
-                      for k, d in enumerate(diag)])
-    return OperatorFamily(grid, "grw_position", dense=dense)
-
-
 WINDOW_CASES = {
     "diagonal": lambda: (build_grw_family(SpatialGrid.line(8, 0.5), grw_gaussian(1.0)), None),
     "diagonal+hopping": lambda: (build_grw_family(SpatialGrid.line(8, 0.5), grw_gaussian(1.0)),
                                  line_hopping(8)),
-    "dense": lambda: (dense_family(), None),
 }
 
 
@@ -283,7 +275,8 @@ def reference_window(psi0, family, H, seed, w):
             state = unitary_from_generator(H, t - prev, HBAR) @ state
         prev = t
         p1, flash, noflash = interact_once(
-            state, CollapsePoint(t, GAMMA, np.sqrt(PREFACTOR) * family.member(k)), HBAR)
+            state, CollapsePoint(t, GAMMA, np.sqrt(PREFACTOR) * np.diag(family.diagonals[k])),
+            HBAR)
         bit = int(rng.random() < p1)
         bits.append(bit)
         state = flash if bit else noflash
@@ -338,6 +331,15 @@ class TestWindowEngine:
         assert sum(len(c) for c in chunks) == self.N_WINDOWS
         assert all(len(c) == 1 or len(c) * max(c) <= 20 for c in chunks)
         assert max(len(c) for c in chunks) > 1
+
+    def test_gravity_dressed_family_rejected(self):
+        # exp(-i sqrt(gamma) L sigma_x) needs a Hermitian coupling L; a dressed
+        # member exp(i r_m F) L is not one
+        family, _ = WINDOW_CASES["diagonal"]()
+        dressed = grav_unitary(family, GravityParams(G=1.0, r_g=0.5, r_m=0.7,
+                                                     F_kind="gaussian_smeared"))
+        with pytest.raises(ContractViolationError, match="Hermiticity"):
+            next(_sample_windows(start_state(family.grid), dressed, MU, C, GAMMA, T_END, 1, 3))
 
     def test_zero_rate_window_has_no_points(self):
         family, _ = WINDOW_CASES["diagonal"]()

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -67,6 +67,14 @@ class TestProfileF:
             GravityParams.from_model(G=2.0, m_r=3.0, mass=4.0, lambda_grw=5.0,
                                      hbar=6.0, r_g=1.0, r_m=1.0)
 
+    def test_gravity_params_are_frozen(self):
+        gp = gauss_params(0.5)
+        with pytest.raises(FrozenInstanceError):
+            gp.r_m = 0.7
+        with pytest.raises(FrozenInstanceError):
+            gp.F_kind = "point_source"
+        assert replace(gp, r_m=0.7).r_m == 0.7 and gp.r_m == 0.5
+
 
 class TestDressedFamily:
     def test_zero_length_scale_is_identity_dressing(self, line_grid, grw_family):
@@ -93,8 +101,8 @@ class TestDressedFamily:
             v = rng.standard_normal(line_grid.n) + 1j * rng.standard_normal(line_grid.n)
             v /= np.linalg.norm(v)
             k = int(rng.integers(line_grid.n))
-            b = dressed.member(k)
-            l2 = grw_family.l2(k)
+            b = np.diag(dressed.diagonals[k])
+            l2 = np.diag(grw_family.diagonals[k] ** 2)
             assert abs(np.vdot(b @ v, b @ v) - np.vdot(v, l2 @ v)) < 1e-12
 
     def test_probe_positions_carried_through_dressing(self):
@@ -108,13 +116,6 @@ class TestDressedFamily:
         from cpsim.operators import OperatorFamily
         fam = OperatorFamily(line_grid, "grw_position", diagonals=np.ones((line_grid.n, 3)))
         with pytest.raises(ContractViolationError, match="system_positions"):
-            grav_unitary(fam, gauss_params(0.1))
-
-    def test_requires_diagonal_family(self, line_grid):
-        from cpsim.operators import OperatorFamily
-        dense = np.array([np.eye(3, dtype=complex)] * line_grid.n)
-        fam = OperatorFamily(line_grid, "grw_position", dense=dense)
-        with pytest.raises(ContractViolationError):
             grav_unitary(fam, gauss_params(0.1))
 
 
@@ -222,13 +223,14 @@ class TestGammaOfD:
         assert info.value.best_estimate is not None
 
 
-def direct_inner_point(rho, delta, rho_m):
-    """q(rho) = int_-1^1 2 sin^2(Delta / 2) dt for the point source, by scipy's
-    adaptive quadrature on the t-integrand: no phase split, no tails."""
+def direct_inner(rho, delta, rho_m, profile=lambda length: 1.0 / length):
+    """q(rho) = int_-1^1 2 sin^2(Delta / 2) dt for a profile (the point source by
+    default), by scipy's adaptive quadrature on the t-integrand: no phase split,
+    no tails."""
     def f(t):
         lm = np.sqrt(max(rho * rho - 2 * delta * rho * t + delta * delta, 0.0))
         lp = np.sqrt(rho * rho + 2 * delta * rho * t + delta * delta)
-        return 2.0 * np.sin(0.5 * rho_m * (1.0 / lm - 1.0 / lp)) ** 2
+        return 2.0 * np.sin(0.5 * rho_m * (profile(lm) - profile(lp))) ** 2
     value, err = integrate.quad(f, -1.0, 1.0, limit=20000, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-12
     return value
@@ -253,7 +255,25 @@ def test_point_band_rows_within_tol_plus_tail_error_of_direct_quadrature(delta, 
     value = inner.value(rho)
     assert inner.tail_error > 0.0
     for r, q in zip(rho, value):
-        assert abs(q - direct_inner_point(r, delta, rho_m)) <= inner.tol + inner.tail_error
+        assert abs(q - direct_inner(r, delta, rho_m)) <= inner.tol + inner.tail_error
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the integration-by-parts tails assume phi' != 0, but the gaussian phase is stationary "
+    "at L = 0, and at rho = delta exactly lmin = 0 drops both far tails: the rows come out "
+    "5.692, 1.99999991 and 5.690 against 2.0032 from direct quadrature"))
+def test_gaussian_band_rows_at_rho_near_delta_within_tol_plus_tail_error():
+    delta, rho_m, rho_g = 0.3, 200.0, 0.5
+    inner = gravity._InnerIntegral(delta, rho_m, "gaussian_smeared", rho_g, 1e-10)
+    rho = delta * np.array([1.0 - 1e-5, 1.0, 1.0 + 1e-5])
+
+    def profile(length):   # erf(L / rho_g) / L, finite at L = 0
+        if length < 1e-8 * rho_g:
+            return 2.0 / (np.sqrt(np.pi) * rho_g)
+        return erf(length / rho_g) / length
+    value = inner.value(rho)
+    for r, q in zip(rho, value):
+        assert abs(q - direct_inner(r, delta, rho_m, profile)) <= inner.tol + inner.tail_error
 
 
 class TestGammaAsymptotic:

@@ -67,7 +67,7 @@ class TestGrwFamily:
         k, y = 10, 20
         psi = np.zeros(line_grid.n, dtype=complex)
         psi[y] = 1.0
-        out = grw_family.member(k) @ psi
+        out = np.diag(grw_family.diagonals[k]) @ psi
         expected = f.profile(abs(line_grid.x[y] - line_grid.x[k]), 1)
         assert abs(out[y] - expected) < 1e-15
         assert np.all(out[np.arange(line_grid.n) != y] == 0)
