@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import ModelParams, _master_checkpoints, ensemble_vs_master, propagate_batch
+from .dynamics import ModelParams, ensemble_vs_master, integrate_master, propagate_batch
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -215,7 +215,7 @@ def _parse_psi0(opts: dict, grid: SpatialGrid) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # experiments: each parses its config once and returns run(seed), which
-# gives (kind, columns, payload)
+# gives (columns, payload): a table, or None and a JSON document
 # ---------------------------------------------------------------------------
 
 def _exact(cfg, opts):
@@ -229,16 +229,14 @@ def _exact(cfg, opts):
 
     def run(seed):
         rows = []
-        windows = _sample_windows(psi0, params.family, mu, params.c_light, gamma, t_end,
-                                  n_samples, seed, H=params.hamiltonian, hbar=params.hbar,
-                                  mass_prefactor=params.mass / params.m_r)
+        windows = _sample_windows(psi0, params, mu, gamma, t_end, n_samples, seed)
         for i, (times, nodes, bits) in enumerate(windows):
             flashes = np.flatnonzero(bits)
             first_node = int(nodes[flashes[0]]) if flashes.size else -1
             first_time = times[flashes[0]] if flashes.size else -1.0
             rows.append((i, len(times), flashes.size, first_node, first_time))
-        return ("csv", ["sample", "n_points", "n_flashes", "first_flash_node",
-                        "first_flash_time"], rows)
+        return (["sample", "n_points", "n_flashes", "first_flash_node", "first_flash_time"],
+                rows)
     return run
 
 
@@ -265,7 +263,7 @@ def _trajectories(cfg, opts):
             if i == n_steps:
                 mean_x[start:start + len(v)] = np.sum(params.grid.x * np.abs(v) ** 2, axis=-1)
         rows = list(zip(range(n_traj), counts, first, mean_x))
-        return ("csv", ["trajectory", "n_flashes", "first_flash_time", "final_mean_position"], rows)
+        return (["trajectory", "n_flashes", "first_flash_time", "final_mean_position"], rows)
     return run
 
 
@@ -281,7 +279,7 @@ def _compare(cfg, opts):
     def run(seed):
         rep = ensemble_vs_master(psi0, params, t_end, n_traj, seed, n_checkpoints)
         rows = list(zip(rep.times, rep.frobenius_distance, rep.bound))
-        return ("csv", ["time", "frobenius_distance", "bound"], rows)
+        return (["time", "frobenius_distance", "bound"], rows)
     return run
 
 
@@ -295,12 +293,12 @@ def _master(cfg, opts):
 
     def run(seed):
         rows = []
-        for t, r, _ in _master_checkpoints(np.outer(psi0, psi0.conj()), params, t_end,
-                                           n_checkpoints):
+        for t, r, _ in integrate_master(np.outer(psi0, psi0.conj()), params, t_end,
+                                        n_checkpoints):
             off = r - np.diag(np.diag(r))
             rows.append((t, float(r.trace().real), float(np.vdot(r, r).real),
                          float(np.linalg.norm(off))))
-        return ("csv", ["time", "trace", "purity", "offdiagonal_frobenius"], rows)
+        return (["time", "trace", "purity", "offdiagonal_frobenius"], rows)
     return run
 
 
@@ -337,7 +335,7 @@ def _born(cfg, opts):
 
     def run(seed):
         rep = born_experiment(amps, pointer, params, t_obs, n_runs, seed)
-        return ("json", None, {
+        return (None, {
             "n_runs": rep.n_runs,
             "region_counts": [int(k) for k in rep.region_counts],
             "region_frequencies": [float(f) for f in rep.region_frequencies],
@@ -361,7 +359,7 @@ def _gamma(cfg, opts):
     def run(seed):
         curve = compute_dephasing_curve(d_values, gp, r_c, quad_tol)
         rows = list(zip(curve.d_values, curve.gamma_values, curve.quadrature_error_estimates))
-        return ("csv", ["d_m", "gamma", "err_estimate"], rows)
+        return (["d_m", "gamma", "err_estimate"], rows)
     return run
 
 
@@ -383,7 +381,7 @@ def _energy(cfg, opts):
         for r_g in r_g_values:
             gpi = GravityParams(G=gp.G, r_g=float(r_g), r_m=gp.r_m, F_kind="gaussian_smeared")
             rows.append((r_g, energy_after_flash(r, psi, gpi, mass, hbar)))
-        return ("csv", ["r_g_m", "kinetic_energy_j"], rows)
+        return (["r_g_m", "kinetic_energy_j"], rows)
     return run
 
 
@@ -404,7 +402,7 @@ def _potential(cfg, opts):
         for dprobe in probes:
             val = macro_potential(dens, grid, gp, m_r, [float(dprobe)])
             rows.append((dprobe, val, -gp.G * m_r / float(dprobe)))
-        return ("csv", ["probe_m", "potential_j_per_kg", "newtonian_reference"], rows)
+        return (["probe_m", "potential_j_per_kg", "newtonian_reference"], rows)
     return run
 
 
@@ -415,7 +413,7 @@ _EXPERIMENTS = {"exact": _exact, "trajectories": _trajectories, "master": _maste
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """A config after its one parse; ``run(seed)`` returns (kind, columns, payload)."""
+    """A config after its one parse; ``run(seed)`` returns (columns, payload)."""
 
     seed: int
     output_path: Path
@@ -436,9 +434,12 @@ def validate_config(cfg: dict) -> ParsedConfig:
     if not 0 <= seed < 2 ** 64:
         raise ConfigError("config.seed: must fit an unsigned 64-bit integer")
     out = Path(_field(cfg, "output_path", str, "config"))
-    fmt = _field(cfg, "output_format", str, "config", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("config.output_format: expected 'csv' or 'json'")
+    # a born report is a JSON document, not a table
+    formats = ("json",) if exp == "born" else ("csv", "json")
+    fmt = _field(cfg, "output_format", str, "config", formats[0])
+    if fmt not in formats:
+        raise ConfigError(f"config.output_format: expected {' or '.join(map(repr, formats))} "
+                          f"for experiment {exp!r}")
     run = _EXPERIMENTS[exp](cfg, _field(cfg, "options", dict, "config", {}))
     return ParsedConfig(seed, out, fmt, run)
 
@@ -491,7 +492,7 @@ def run_config(cfg: dict, seed_override=None, out_override=None) -> Path:
     seed = int(seed_override) if seed_override is not None else parsed.seed
     out = Path(out_override) if out_override is not None else parsed.output_path
     t0 = time.monotonic()
-    kind, columns, payload = parsed.run(seed)
+    columns, payload = parsed.run(seed)
     wall = time.monotonic() - t0
     metadata = {
         "artifact_version": __version__,
@@ -500,13 +501,13 @@ def run_config(cfg: dict, seed_override=None, out_override=None) -> Path:
         "seed": seed,
     }
     out.parent.mkdir(parents=True, exist_ok=True)
-    if kind == "csv" and parsed.output_format == "csv":
+    if columns is None:
+        write_json(out, metadata, payload)
+    elif parsed.output_format == "csv":
         write_csv(out, metadata, columns, payload)
-    elif kind == "csv":
+    else:
         write_json(out, metadata, {"columns": columns,
                                    "rows": [[float(x) for x in row] for row in payload]})
-    else:
-        write_json(out, metadata, payload)
     sidecar = {"metadata": metadata, "wall_time_s": wall, "results_file": out.name}
     Path(str(out) + ".meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return out

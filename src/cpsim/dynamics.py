@@ -12,20 +12,19 @@ and one per flash, so no result depends on the chunk size.  The
 ensemble average of the projector obeys the matching master equation,
 whose time-independent generator L is propagated from one
 checkpoint to the next by the action of exp(L t), through scaling and
-a truncated Taylor series; the two routes are cross-checked by
-``ensemble_vs_master``.  ``coarse_grain_consistency`` closes the loop
-against the exact collapse-point chains.
+a truncated Taylor series (``integrate_master``); the two routes are
+cross-checked by ``ensemble_vs_master``.  ``coarse_grain_consistency``
+closes the loop against the exact collapse-point chains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from . import constants
 from .errors import ContractViolationError, StepSizeError
 from .exact import _sample_windows
 from .hilbert import SpatialGrid, _apply, hermitize, unitary_from_generator
@@ -44,10 +43,12 @@ class ModelParams:
     ``lambda_grw`` is the coarse-grained flash rate constant; when the
     operator family does not already carry species masses the effective
     rate picks up a factor mass / m_r (mass proportionality of the
-    flash probability).  ``hamiltonian`` may be None for pure collapse
-    dynamics.  ``dt`` is the step of the jump process and must keep the
-    per-step flash probability under STEP_VALIDITY_LIMIT for every
-    evolved state; this is asserted at runtime by the stepper.  For the
+    flash probability, ``mass_scaled``).  ``hbar``, ``c_light``, ``mass``
+    and ``m_r`` have no defaults; ``natural`` sets them all to 1.
+    ``hamiltonian`` may be None for pure collapse dynamics.  ``dt`` is
+    the step of the jump process and must keep the per-step flash
+    probability under STEP_VALIDITY_LIMIT for every evolved state; this
+    is asserted at runtime by the stepper.  For the
     master equation ``dt`` only sets the checkpoint grid: it does not
     affect the master solution.  Frozen: derive variants with
     ``dataclasses.replace``, which also starts fresh derived caches.
@@ -56,10 +57,10 @@ class ModelParams:
     lambda_grw: float
     family: OperatorFamily
     dt: float
-    hbar: float = constants.HBAR
-    c_light: float = constants.C_LIGHT
-    mass: float = constants.NUCLEON_MASS
-    m_r: float = constants.NUCLEON_MASS
+    hbar: float
+    c_light: float
+    mass: float
+    m_r: float
     hamiltonian: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -85,12 +86,15 @@ class ModelParams:
     def grid(self) -> SpatialGrid:
         return self.family.grid
 
+    def mass_scaled(self, x: float) -> float:
+        """x times m / m_R, the mass proportionality of flash rates and
+        couplings; x itself when the family already carries species masses."""
+        return x if self.family.mass_weighted else x * self.mass / self.m_r
+
     @property
     def rate_scale(self) -> float:
         """Effective rate constant multiplying w_k <L^2(x_k)>."""
-        if self.family.mass_weighted:
-            return self.lambda_grw
-        return self.lambda_grw * self.mass / self.m_r
+        return self.mass_scaled(self.lambda_grw)
 
     @cached_property
     def half_step_unitary(self):
@@ -287,8 +291,8 @@ def _taylor_degree(x: float):
     return m, rem
 
 
-def _master_checkpoints(rho0, params: ModelParams, t_end: float, n_checkpoints: int):
-    """Yield (t, rho, err) at each checkpoint of the master equation.
+def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int = 11):
+    """Yield (t, rho, err) at each checkpoint of the master equation from rho0.
 
     rho goes from one checkpoint to the next by the action of exp(L tau),
     as s = ceil(tau ||L||) substeps h = tau / s of the degree-m Taylor
@@ -335,15 +339,6 @@ def _master_checkpoints(rho0, params: ModelParams, t_end: float, n_checkpoints: 
         yield step * params.dt, r, err
 
 
-def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int = 11):
-    """Checkpoint times and density matrices of the master equation from rho0."""
-    times, rhos = [], []
-    for t, r, _ in _master_checkpoints(rho0, params, t_end, n_checkpoints):
-        times.append(t)
-        rhos.append(r)
-    return np.array(times), rhos
-
-
 # ---------------------------------------------------------------------------
 # cross-validation
 # ---------------------------------------------------------------------------
@@ -376,7 +371,7 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
         if i in slot:
             avg[slot[i]] += np.einsum("ri,rj->ij", states, states.conj())
     avg /= n_traj
-    master = _master_checkpoints(np.outer(v, v.conj()), params, t_end, n_checkpoints)
+    master = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
     dist = np.array([np.linalg.norm(a - r) for a, (_, r, _) in zip(avg, master)])
     bound = np.full(len(marks), 5.0 / np.sqrt(n_traj))
     return EnsembleComparison(np.array(marks) * params.dt, dist, bound, n_traj)
@@ -384,17 +379,13 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
 
 @dataclass
 class CoarseGrainReport:
-    lambda_eff: float
-    delta_t: float
     expected_noflash: float
     noflash_freq: float
     noflash_sigma: float
     node_histogram: np.ndarray
     expected_node_probs: np.ndarray
-    single_flash_count: int
     two_or_more_freq: float
     two_flash_expected: float
-    n_windows: int
 
 
 def coarse_grain_consistency(params: ModelParams, psi0, gamma: float,
@@ -411,38 +402,31 @@ def coarse_grain_consistency(params: ModelParams, psi0, gamma: float,
     """
     v = np.asarray(psi0).astype(complex)
     mu = params.lambda_grw * params.hbar ** 2 / (params.c_light * gamma)
-    prefactor = 1.0 if params.family.mass_weighted else params.mass / params.m_r
     rates = flash_rate_density(v, params)
     total_rate = float(rates.sum())
     expected_noflash = 1.0 - total_rate * delta_t
 
     histogram = np.zeros(params.family.grid.n)
     noflash = 0
-    single = 0
     multi = 0
-    for _, nodes, bits in _sample_windows(v, params.family, mu, params.c_light, gamma,
-                                          delta_t, n_windows, seed, hbar=params.hbar,
-                                          mass_prefactor=prefactor):
+    for _, nodes, bits in _sample_windows(v, replace(params, hamiltonian=None), mu, gamma,
+                                          delta_t, n_windows, seed):
         n_flash = int(bits.sum())
         if n_flash == 0:
             noflash += 1
         elif n_flash == 1:
-            single += 1
             histogram[nodes[bits][0]] += 1
         else:
             multi += 1
     p0 = noflash / n_windows
     return CoarseGrainReport(
-        lambda_eff=params.rate_scale, delta_t=delta_t,
         expected_noflash=expected_noflash,
         noflash_freq=p0,
         noflash_sigma=float(np.sqrt(max(p0 * (1 - p0), 1e-12) / n_windows)),
         node_histogram=histogram,
         expected_node_probs=rates / total_rate if total_rate > 0 else rates,
-        single_flash_count=single,
         two_or_more_freq=multi / n_windows,
-        two_flash_expected=(total_rate * delta_t) ** 2,
-        n_windows=n_windows)
+        two_flash_expected=(total_rate * delta_t) ** 2)
 
 
 def expected_noflash_probability(params: ModelParams, psi0, gamma: float,
@@ -457,18 +441,22 @@ def expected_noflash_probability(params: ModelParams, psi0, gamma: float,
 
     with s = sqrt(gamma) / hbar and mu fixed by the coarse-grained rate
     constant.  gamma = 0 returns the coarse-grain limit
-    <psi| exp(-rate dt sum_k w_k L_k^2) |psi>.
+    <psi| exp(-rate dt sum_k w_k L_k^2) |psi>.  The members must be
+    Hermitian, so a gravity-dressed family with complex members raises
+    ``ContractViolationError``, as the window engine does.
     """
     v = np.asarray(psi0).astype(complex)
-    prefactor = 1.0 if params.family.mass_weighted else params.mass / params.m_r
-    diag = np.sqrt(prefactor) * params.family.diagonals
+    dev = float(np.abs(params.family.diagonals.imag).max())
+    if dev > 1e-12:
+        raise ContractViolationError(f"collapse operator deviates from Hermiticity by {dev!r}")
+    diag = np.sqrt(params.mass_scaled(1.0)) * params.family.diagonals.real
     w = params.family.grid.weights
     if gamma == 0.0:
         exponent = -params.lambda_grw * delta_t * (w @ np.abs(diag) ** 2)
     else:
         s = np.sqrt(gamma) / params.hbar
         mu_c = params.lambda_grw * params.hbar ** 2 / gamma
-        exponent = mu_c * delta_t * (w @ (np.cos(s * diag.real) ** 2 - 1.0))
+        exponent = mu_c * delta_t * (w @ (np.cos(s * diag) ** 2 - 1.0))
     return float(np.sum(np.abs(v) ** 2 * np.exp(exponent)))
 
 

@@ -26,14 +26,16 @@ the chunk size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ContractViolationError
 from .hilbert import _apply
-from .operators import OperatorFamily
 from .rng import stream
+
+if TYPE_CHECKING:   # dynamics imports this module
+    from .dynamics import ModelParams
 
 MAX_ENUMERATION = 12
 
@@ -48,8 +50,8 @@ _CHUNK_POINTS = 2 ** 18
 class CollapsePoint:
     """One weak-measurement event: time, strength, coupling operator.
 
-    ``operator`` may be a dense Hermitian matrix or a 1-D array holding
-    the real diagonal of a position-basis operator.
+    ``operator`` is a square Hermitian matrix; a diagonal coupling is
+    passed as ``np.diag`` of its diagonal.
     """
 
     time: float
@@ -60,6 +62,9 @@ class CollapsePoint:
         if self.gamma < 0:
             raise ContractViolationError("coupling gamma must be non-negative")
         self.operator = np.asarray(self.operator)
+        if self.operator.ndim != 2 or self.operator.shape[0] != self.operator.shape[1]:
+            raise ContractViolationError(
+                f"collapse operator must be a square matrix, got shape {self.operator.shape}")
 
 
 @dataclass
@@ -78,9 +83,10 @@ class FlashRecord:
 class _JumpTable:
     """cos / sin blocks of exp(-i scale_k L_k sigma_x) for a stack of operators.
 
-    ``ops`` stacks real diagonals (n, dim) or dense Hermitian matrices
-    (n, dim, dim); each dense one costs one eigh, once per table.  Entry
-    k of ``cs`` holds the cos block and then the sin block.
+    ``ops`` stacks real diagonals (n, dim), the members of a family in
+    the window engine, or Hermitian matrices (n, dim, dim), the
+    collapse points of a chain; each matrix costs one eigh, once per
+    table.  Entry k of ``cs`` holds the cos block and then the sin block.
     """
 
     def __init__(self, ops, scales):
@@ -111,10 +117,7 @@ class _JumpTable:
 
 
 def _chain_table(chain, hbar: float) -> _JumpTable:
-    ops = [cp.operator for cp in chain]
-    if any(op.ndim == 2 for op in ops):
-        ops = [op if op.ndim == 2 else np.diag(op.real) for op in ops]
-    return _JumpTable(ops, np.sqrt([cp.gamma for cp in chain]) / hbar)
+    return _JumpTable([cp.operator for cp in chain], np.sqrt([cp.gamma for cp in chain]) / hbar)
 
 
 def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
@@ -239,12 +242,8 @@ def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> flo
             g = gaps[m:m + 1]
             rho = evolve(evolve(rho.T, g).T.conj(), g).conj()
         c, s = table.cs[m]
-        if table.diag:
-            rho_s = s[:, None] * rho * s[None, :]
-            rho_c = c[:, None] * rho * c[None, :]
-        else:
-            rho_s = s @ rho @ s.conj().T
-            rho_c = c @ rho @ c.conj().T
+        rho_s = s @ rho @ s.conj().T
+        rho_c = c @ rho @ c.conj().T
         p1 = float(rho_s.trace().real)
         p0 = float(rho_c.trace().real)
         worst = max(worst, abs(p1 - marginal[m]), abs(p0 - (1.0 - marginal[m])))
@@ -315,27 +314,26 @@ def _run_windows(windows, v0, table: _JumpTable, evolve):
         yield times, nodes, rows[i][:len(times)]
 
 
-def _sample_windows(psi0, family: OperatorFamily, mu: float, c_light: float, gamma: float,
-                    t_end: float, n_windows: int, seed: int, H=None, hbar: float = 1.0,
-                    mass_prefactor: float = 1.0):
+def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: float,
+                    n_windows: int, seed: int):
     """Windows 0 .. n_windows - 1 of Poisson collapse points over [0, t_end).
 
     Events arrive at rate mu * c * V per unit time, each landing in cell
-    k with probability w_k / V, where its coupling operator is the family
-    member at node k scaled by sqrt(mass_prefactor); members must be
-    real.  Window w draws its placement from ``stream(seed, w)``, then
-    the uniforms of its chain from the same stream as one block.
-    Consecutive windows are gathered into chunks of at most ``_CHUNK``
-    windows and ``_CHUNK_POINTS`` padded points and stepped together from
-    psi0, with H acting between points (``_run_windows``).  Yields (times,
-    nodes, outcome bits) of each window in order; the jump table is built
-    once.
+    k with probability w_k / V, where its coupling operator is the member
+    of ``params.family`` at node k scaled by sqrt(``params.mass_scaled(1)``);
+    members must be real.  Window w draws its placement from
+    ``stream(seed, w)``, then the uniforms of its chain from the same
+    stream as one block.  Consecutive windows are gathered into chunks of
+    at most ``_CHUNK`` windows and ``_CHUNK_POINTS`` padded points and
+    stepped together from psi0, with ``params.hamiltonian`` acting between
+    points (``_run_windows``).  Yields (times, nodes, outcome bits) of each
+    window in order; the jump table is built once.
     """
-    grid = family.grid
-    rate = mu * c_light * grid.volume
-    members = np.sqrt(mass_prefactor) * family.diagonals
+    grid, hbar = params.grid, params.hbar
+    rate = mu * params.c_light * grid.volume
+    members = np.sqrt(params.mass_scaled(1.0)) * params.family.diagonals
     table = _JumpTable(members, np.full(len(members), np.sqrt(gamma) / hbar))
-    evolve = _evolution(H, hbar)
+    evolve = _evolution(params.hamiltonian, hbar)
     cdf = _cell_cdf(grid)
     v0 = np.asarray(psi0).astype(complex)
     chunk, longest = [], 0

@@ -125,31 +125,14 @@ def _radii(r, gp: GravityParams):
     return rv
 
 
-def grav_profile_F(r, gp: GravityParams, method: str = "auto"):
+def grav_profile_F(r, gp: GravityParams):
     """Radial profile F(r) of the flash potential (units 1/length).
 
     Closed forms: 1/r for a point source and erf(r/r_G)/r for the
-    gaussian smearing (finite at the origin).  ``method='quadrature'``
-    evaluates the defining radial integrals with the adaptive engine
-    instead; useful as an independent route.
+    gaussian smearing (finite at the origin).
     """
-    rv = _radii(r, gp)
-    if method == "quadrature" and gp.F_kind != "point_source":
-        out = np.array([_profile_by_quadrature(float(x), gp.r_g) for x in rv])
-    else:
-        out = _profile(gp.F_kind, gp.r_g)[0](rv)
+    out = _profile(gp.F_kind, gp.r_g)[0](_radii(r, gp))
     return float(out[0]) if np.isscalar(r) else out
-
-
-def _profile_by_quadrature(r: float, a: float) -> float:
-    # 4 pi [ (1/r) int_0^r y^2 f_g dy + int_r^inf y f_g dy ], tail cut at 12 a
-    fg = lambda y: (math.pi * a * a) ** -1.5 * np.exp(-(y / a) ** 2)
-    upper = max(r, 0.0) + 12.0 * a
-    second = integrate_adaptive(lambda y: y * fg(y), r, upper, abs_tol=1e-14, rel_tol=1e-12)
-    if r == 0.0:
-        return 4.0 * math.pi * second.value
-    first = integrate_adaptive(lambda y: y * y * fg(y), 0.0, r, abs_tol=1e-14, rel_tol=1e-12)
-    return 4.0 * math.pi * (first.value / r + second.value)
 
 
 def grav_profile_F_prime(r, gp: GravityParams):
@@ -320,7 +303,7 @@ class _InnerIntegral:
 
 
 def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
-               min_depth: int = 0, max_panels: int = 3000):
+               max_panels: int = 3000):
     """Dephasing exponent Gamma at probe half-separation d.
 
     Evaluates the spherical double integral of the phase-dressed
@@ -353,8 +336,7 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     breaks = {delta / 2, delta, 2 * delta, 0.3 * onset, onset, 3 * onset, 10 * onset,
               0.5, 1.0, 2.0}
     res = integrate_adaptive(outer, 0.0, 8.0, abs_tol=0.5 * quad_tol * _SQRT_PI / 2,
-                             rel_tol=0.0, breakpoints=breaks,
-                             min_depth=min_depth, max_panels=max_panels)
+                             rel_tol=0.0, breakpoints=breaks, max_panels=max_panels)
     pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
     gamma = float(np.expm1(-delta * delta)) - pref * res.value
     err = pref * res.error + 0.5 * inner_tol + pref * inner.tail_error
@@ -398,8 +380,6 @@ class DephasingCurve:
     d_values: np.ndarray
     gamma_values: np.ndarray
     quadrature_error_estimates: np.ndarray
-    r_c: float = 1.0
-    r_m: float = 0.0
 
     def __post_init__(self):
         self.d_values = np.asarray(self.d_values, dtype=float)
@@ -416,8 +396,7 @@ class DephasingCurve:
 def compute_dephasing_curve(d_values, gp: GravityParams, r_c: float,
                             quad_tol: float = 1e-9) -> DephasingCurve:
     points = np.array([gamma_of_d(float(d), gp, r_c, quad_tol) for d in d_values]).reshape(-1, 2)
-    return DephasingCurve(np.asarray(d_values, dtype=float), points[:, 0], points[:, 1],
-                          r_c=r_c, r_m=gp.r_m)
+    return DephasingCurve(np.asarray(d_values, dtype=float), points[:, 0], points[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +421,7 @@ def grav_master_dephasing_check(rho0, params: ModelParams, gp: GravityParams,
     pos = fam.grid.positions if fam.system_positions is None else fam.system_positions
     r_c = fam.smearing.radius
     rho_init = np.asarray(rho0)
-    times, rhos = integrate_master(rho_init, params, t_end, n_checkpoints)
+    checkpoints = [(t, r) for t, r, _ in integrate_master(rho_init, params, t_end, n_checkpoints)]
     n = rho_init.shape[0]
     gamma_cache = {}
     worst = 0.0
@@ -455,7 +434,7 @@ def grav_master_dephasing_check(rho0, params: ModelParams, gp: GravityParams,
             if key not in gamma_cache:
                 gamma_cache[key], _ = gamma_of_d(dist / 2.0, gp, r_c, quad_tol)
             rate = params.rate_scale * gamma_cache[key]
-            for t, rho_t in zip(times, rhos):
+            for t, rho_t in checkpoints:
                 ref = rho_init[i, j] * np.exp(rate * t)
                 dev = abs(rho_t[i, j] - ref) / abs(ref)
                 worst = max(worst, dev)

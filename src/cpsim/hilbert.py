@@ -124,14 +124,3 @@ def _apply(m, v):
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
-
-
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(m) * scale
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized complex vector with Gaussian amplitudes."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -120,7 +120,6 @@ class BornReport:
     region_counts: np.ndarray
     region_frequencies: np.ndarray
     wilson_99: list
-    first_flash_times: np.ndarray
     cross_region_runs: int
     zero_flash_runs: int
     mean_branch_fidelity: float
@@ -181,7 +180,6 @@ def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
         region_counts=counts,
         region_frequencies=freqs,
         wilson_99=[wilson_interval(int(k), classified) for k in counts],
-        first_flash_times=first_times,
         cross_region_runs=int(crossed.sum()),
         zero_flash_runs=n_runs - classified,
         mean_branch_fidelity=float(np.mean(fidelities)) if fidelities.size else float("nan"),

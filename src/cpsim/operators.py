@@ -93,13 +93,11 @@ class OperatorFamily:
     knows whether to apply an m/m_R rate factor.
     ``system_positions`` places the system basis states in space when
     they are not the flash-grid nodes (None: they are the nodes, or
-    they are not points at all); ``mass_diagonals`` keeps the squared
-    members of a mass-weighted square-root family.
+    they are not points at all).
     """
 
     def __init__(self, grid: SpatialGrid, kind: str, *, diagonals,
-                 mass_weighted=False, smearing=None,
-                 system_positions=None, mass_diagonals=None):
+                 mass_weighted=False, smearing=None, system_positions=None):
         if kind not in _FAMILY_KINDS:
             raise ContractViolationError(f"unknown family kind {kind!r}")
         self.grid = grid
@@ -108,7 +106,6 @@ class OperatorFamily:
         self.smearing = smearing
         self.system_positions = (None if system_positions is None
                                  else np.asarray(system_positions, dtype=float))
-        self.mass_diagonals = mass_diagonals
         self.diagonals = np.asarray(diagonals)
         if self.diagonals.shape[0] != grid.n:
             raise ContractViolationError("need one member per flash-grid node")
@@ -267,7 +264,7 @@ def build_smeared_mass(basis: FockBasis, grid: SpatialGrid, g: SmearingFunction,
         fam = build_smeared_number(basis, grid, g, label)
         mass_diag += (m_i / m_r) * fam.diagonals
     return OperatorFamily(grid, "sqrt_smeared_mass", diagonals=np.sqrt(mass_diag),
-                          mass_weighted=True, smearing=g, mass_diagonals=mass_diag)
+                          mass_weighted=True, smearing=g)
 
 
 def first_quantized_equiv_check(basis: FockBasis, grid: SpatialGrid,

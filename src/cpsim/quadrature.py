@@ -1,6 +1,8 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals.
 
-Small, deterministic engine used by the gravity integrals.  A 7-point
+Small, deterministic engine of the Gamma(d) double integral in
+``cpsim.gravity``: ``integrate_adaptive`` takes its outer radial
+integral, ``_integrate_batch`` its inner angular ones.  A 7-point
 Gauss / 15-point Kronrod pair gives each panel's value and a local
 error estimate.  ``_integrate_batch`` integrates many independent
 problems at once: each round it bisects, in every unconverged problem,
@@ -100,18 +102,14 @@ class QuadResult:
 
 def integrate_adaptive(f, a: float, b: float, *, abs_tol: float = 1e-10,
                        rel_tol: float = 1e-10, breakpoints=(),
-                       min_depth: int = 0, max_panels: int = 2000) -> QuadResult:
+                       max_panels: int = 2000) -> QuadResult:
     """Adaptively integrate ``f`` (vectorized) over [a, b].
 
     ``f`` is called with a 1-D node array.  ``breakpoints`` are interior
-    abscissae where the integrand changes character; panels never
-    straddle them.  ``min_depth`` bisects every initial panel that many
-    times before adaptivity starts, which gives callers a knob for
-    convergence studies.
+    abscissae where the integrand changes character: they split [a, b]
+    into the initial panels, and no panel ever straddles one.
     """
     edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
-    for _ in range(min_depth):
-        edges = np.insert(edges, np.arange(1, len(edges)), 0.5 * (edges[:-1] + edges[1:]))
     value, error, n, converged = _integrate_batch(
         lambda x, owner: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
         edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int),

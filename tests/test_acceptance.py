@@ -14,11 +14,12 @@ from cpsim.exact import CollapsePoint, enumerate_chain, interact_once, markov_ch
 from cpsim.gravity import (GravityParams, energy_after_flash, gamma_of_d,
                            grav_master_dephasing_check, grav_unitary,
                            macro_potential, probe_line_family)
-from cpsim.hilbert import SpatialGrid, random_hermitian, random_state
+from cpsim.hilbert import SpatialGrid
 from cpsim.measurement import PointerModel, born_experiment, pointer_family
 from cpsim.operators import (FockBasis, SmearingFunction, build_grw_family,
                              first_quantized_equiv_check, grw_gaussian)
 from cpsim.rng import stream
+from helpers import random_hermitian, random_state
 
 
 def verdict(num, name, ok, detail):
@@ -135,7 +136,7 @@ def test_07_grw_dephasing_closed_form():
     u[10:23] = 1.0
     u /= np.linalg.norm(u)
     rho0 = np.outer(u, u.conj())
-    times, rhos = integrate_master(rho0, params, 3.0 / lam, n_checkpoints=7)
+    times, rhos, _ = zip(*integrate_master(rho0, params, 3.0 / lam, n_checkpoints=7))
     worst = 0.0
     for i in range(10, 23):
         for j in range(10, 23):
@@ -189,7 +190,7 @@ def test_09_gravity_dressed_consistency():
     dev = grav_master_dephasing_check(rho0, params, gp, t_end=1.0, n_checkpoints=4)
 
     # guard: without the gravitational enhancement the closed form must miss
-    times, rhos = integrate_master(rho0, params, 1.0, n_checkpoints=4)
+    times, rhos, _ = zip(*integrate_master(rho0, params, 1.0, n_checkpoints=4))
     miss = 0.0
     for i in range(5):
         for j in range(5):

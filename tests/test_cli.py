@@ -293,13 +293,15 @@ class TestExitCodes:
         (tiny_dt(lambda path: ensemble_config(path, "master")), ("options",), "t_end", 1e300,
          "options.t_end"),
         (tiny_dt(born_config), ("options",), "t_obs", 1e3, "options.t_obs"),
+        # a born report is a JSON document, so it cannot be written as CSV
+        (born_config, (), "output_format", "csv", "config.output_format"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
             "n_samples-huge", "n_traj-huge", "compare-n_traj-huge",
             "trajectories-n_checkpoints", "compare-checkpoints-kept",
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
-            "born-steps-huge"])
+            "born-steps-huge", "born-csv"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")

@@ -9,9 +9,10 @@ from cpsim.dynamics import (ModelParams, coarse_grain_consistency, ensemble_vs_m
                             integrate_master, noflash_bias_vs_gamma, propagate_batch)
 from cpsim.errors import ContractViolationError, StepSizeError
 from cpsim.gravity import GravityParams, grav_unitary
-from cpsim.hilbert import SpatialGrid, random_hermitian, unitary_from_generator
+from cpsim.hilbert import SpatialGrid, unitary_from_generator
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
+from helpers import random_hermitian
 
 
 def never_jump(rows):
@@ -239,7 +240,8 @@ class TestLindblad:
         fam = build_grw_family(grid, grw_gaussian(1.0))
         params = ModelParams.natural(lambda_grw=0.0, family=fam, dt=0.01, hamiltonian=h)
         psi = packet(grid, width=0.7)
-        _, rhos = integrate_master(np.outer(psi, psi.conj()), params, 1.0, n_checkpoints=2)
+        _, rhos, _ = zip(*integrate_master(np.outer(psi, psi.conj()), params, 1.0,
+                                           n_checkpoints=2))
         rho = rhos[-1]
         u = unitary_from_generator(h, 1.0)
         ref = u @ np.outer(psi, psi.conj()) @ u.conj().T
@@ -252,7 +254,7 @@ class TestLindblad:
         u[10:23] = 1.0
         u /= np.linalg.norm(u)
         rho0 = np.outer(u, u.conj())
-        times, rhos = integrate_master(rho0, params, 2.0, n_checkpoints=3)
+        times, rhos, _ = zip(*integrate_master(rho0, params, 2.0, n_checkpoints=3))
         worst = 0.0
         for i in range(10, 23):
             for j in range(10, 23):
@@ -269,20 +271,21 @@ class TestLindblad:
         params = natural_params(lam=1.0, dt=0.01)
         psi = packet(params.grid)
         rho0 = np.outer(psi, psi.conj())
-        _, rhos = integrate_master(rho0, params, 1.0, n_checkpoints=2)
+        _, rhos, _ = zip(*integrate_master(rho0, params, 1.0, n_checkpoints=2))
         assert np.max(np.abs(np.diag(rhos[-1]) - np.diag(rho0))) < 1e-9
 
     def test_maximally_mixed_is_stationary(self):
         params = natural_params(lam=1.0, dt=0.01)
         n = params.grid.n
         rho = np.eye(n, dtype=complex) / n
-        _, rhos = integrate_master(rho, params, 1.0, n_checkpoints=2)
+        _, rhos, _ = zip(*integrate_master(rho, params, 1.0, n_checkpoints=2))
         assert np.max(np.abs(rhos[-1] - rho)) < 1e-10
 
     def test_trace_over_thousand_steps(self):
         params = natural_params(lam=1.0, dt=0.005)
         psi = packet(params.grid)
-        _, rhos = integrate_master(np.outer(psi, psi.conj()), params, 5.0, n_checkpoints=1001)
+        _, rhos, _ = zip(*integrate_master(np.outer(psi, psi.conj()), params, 5.0,
+                                           n_checkpoints=1001))
         assert len(rhos) == 1001
         rho = rhos[-1]
         assert abs(rho.trace().real - 1.0) < 1e-8
@@ -293,14 +296,14 @@ class TestLindblad:
         n = params.grid.n
         rho = np.diag(np.r_[1.1, -0.1, np.zeros(n - 2)]).astype(complex)
         with pytest.raises(StepSizeError, match="eigenvalue"):
-            integrate_master(rho, params, 0.1, n_checkpoints=2)
+            list(integrate_master(rho, params, 0.1, n_checkpoints=2))
 
     def test_unbounded_propagation_work_raises(self):
         params = natural_params(lam=1.0, hamiltonian=hopping(33))
         params = replace(params, hbar=1e-300)
         psi = packet(params.grid)
         with pytest.raises(StepSizeError, match="substeps"):
-            integrate_master(np.outer(psi, psi.conj()), params, 1.0)
+            list(integrate_master(np.outer(psi, psi.conj()), params, 1.0))
 
     def test_jump_phase_is_unobservable(self):
         params = natural_params()
@@ -350,8 +353,7 @@ class TestPropagatorOracle:
         rho0 = random_hermitian(n, rng)
         rho0 = rho0 @ rho0
         rho0 /= rho0.trace()
-        times, rhos = integrate_master(rho0, params, 3.0, n_checkpoints=7)
-        errs = [err for _, _, err in dynamics._master_checkpoints(rho0, params, 3.0, 7)]
+        times, rhos, errs = zip(*integrate_master(rho0, params, 3.0, n_checkpoints=7))
         lv = liouvillian(params)
         assert len(times) == len(errs) == 7
         for t, rho, err in zip(times, rhos, errs):
@@ -425,6 +427,20 @@ class TestCoarseGrain:
                                        n_windows=2000, seed=11)
         closed = expected_noflash_probability(params, psi0, 0.02, 0.1)
         assert abs(rep.noflash_freq - closed) < 4 * rep.noflash_sigma
+
+    def test_closed_placement_average_refuses_dressed_family(self):
+        # cos(s b) needs a Hermitian coupling b; cos(s Re b) of a dressed member
+        # would give 0.97595 here, a bias that does not shrink with gamma
+        grid = SpatialGrid.line(21, 0.5)
+        fam = build_grw_family(grid, grw_gaussian(1.0))
+        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
+        psi0 = packet(grid)
+        undressed = expected_noflash_probability(params, psi0, 0.02, 0.1)
+        assert undressed == pytest.approx(0.90508, abs=1e-5)
+        dressed = grav_unitary(fam, GravityParams(G=1.0, r_g=0.5, r_m=0.7,
+                                                  F_kind="gaussian_smeared"))
+        with pytest.raises(ContractViolationError, match="Hermiticity"):
+            expected_noflash_probability(replace(params, family=dressed), psi0, 0.02, 0.1)
 
 
 class TestModelParams:

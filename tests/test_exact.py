@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpsim import exact
+from cpsim.dynamics import ModelParams
 from cpsim.errors import ContractViolationError
 from cpsim.exact import (CollapsePoint, _placement, _sample_windows, enumerate_chain,
                          interact_once, markov_check)
 from cpsim.gravity import GravityParams, grav_unitary
-from cpsim.hilbert import SpatialGrid, random_hermitian, random_state, unitary_from_generator
-from cpsim.operators import build_grw_family, grw_gaussian
+from cpsim.hilbert import SpatialGrid, unitary_from_generator
+from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
+from helpers import random_hermitian, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -23,6 +27,12 @@ def random_chain(rng, n, dim, gamma=0.3, dt=0.1):
 
 
 class TestInteractOnce:
+    @pytest.mark.parametrize("operator", [np.ones(3), np.ones((3, 2)), np.ones((2, 2, 2))],
+                             ids=["diagonal", "rectangular", "stack"])
+    def test_non_square_operator_rejected(self, operator):
+        with pytest.raises(ContractViolationError, match="square"):
+            CollapsePoint(0.0, 0.1, operator)
+
     def test_identity_coupling(self, rng):
         psi = random_state(3, rng)
         gamma = 0.4
@@ -283,11 +293,17 @@ def reference_window(psi0, family, H, seed, w):
     return times, nodes, bits
 
 
+def window_params(family, H=None):
+    """Parameters whose c, hbar and m / m_R are C, HBAR and PREFACTOR;
+    the rate constant and step are not read by the window engine."""
+    return ModelParams(lambda_grw=1.0, family=family, dt=1.0, hbar=HBAR, c_light=C,
+                       mass=PREFACTOR, m_r=1.0, hamiltonian=H)
+
+
 def engine_windows(psi0, family, H, seed, n_windows):
     return [(times, nodes.tolist(), bits.astype(int).tolist())
             for times, nodes, bits in _sample_windows(
-                psi0, family, MU, C, GAMMA, T_END, n_windows, seed, H=H, hbar=HBAR,
-                mass_prefactor=PREFACTOR)]
+                psi0, window_params(family, H), MU, GAMMA, T_END, n_windows, seed)]
 
 
 class TestWindowEngine:
@@ -332,6 +348,18 @@ class TestWindowEngine:
         assert all(len(c) == 1 or len(c) * max(c) <= 20 for c in chunks)
         assert max(len(c) for c in chunks) > 1
 
+    def test_mass_weighted_family_takes_no_mass_factor(self):
+        family, _ = WINDOW_CASES["diagonal"]()
+        weighted = OperatorFamily(family.grid, "grw_position", diagonals=family.diagonals,
+                                  mass_weighted=True)
+        psi0 = start_state(family.grid)
+
+        def bits(params):
+            return [b.tolist() for _, _, b in _sample_windows(psi0, params, MU, GAMMA, T_END,
+                                                              self.N_WINDOWS, 5)]
+        unit_mass = bits(replace(window_params(family), mass=1.0))
+        assert bits(window_params(weighted)) == unit_mass != bits(window_params(family))
+
     def test_gravity_dressed_family_rejected(self):
         # exp(-i sqrt(gamma) L sigma_x) needs a Hermitian coupling L; a dressed
         # member exp(i r_m F) L is not one
@@ -339,12 +367,13 @@ class TestWindowEngine:
         dressed = grav_unitary(family, GravityParams(G=1.0, r_g=0.5, r_m=0.7,
                                                      F_kind="gaussian_smeared"))
         with pytest.raises(ContractViolationError, match="Hermiticity"):
-            next(_sample_windows(start_state(family.grid), dressed, MU, C, GAMMA, T_END, 1, 3))
+            next(_sample_windows(start_state(family.grid), window_params(dressed), MU, GAMMA,
+                                 T_END, 1, 3))
 
     def test_zero_rate_window_has_no_points(self):
         family, _ = WINDOW_CASES["diagonal"]()
         psi0 = start_state(family.grid)
-        windows = list(_sample_windows(psi0, family, 0.0, C, GAMMA, T_END, 3, 8))
+        windows = list(_sample_windows(psi0, window_params(family), 0.0, GAMMA, T_END, 3, 8))
         assert [(len(t), len(n), len(b)) for t, n, b in windows] == [(0, 0, 0)] * 3
         rng = stream(8, 0)
         times, nodes = _placement(rng, 0.0, exact._cell_cdf(family.grid), 0.0, T_END)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsim.errors import ContractViolationError
-from cpsim.hilbert import SpatialGrid, random_hermitian, random_state, unitary_from_generator
+from cpsim.hilbert import SpatialGrid, unitary_from_generator
+from helpers import random_hermitian, random_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -124,7 +124,7 @@ class TestDecoherenceTiming:
         rho0 = np.outer(psi0, psi0.conj())
         t_med = np.log(2.0) / params.rate_scale
         params = replace(params, dt=t_med / 40.0)
-        _, rhos = integrate_master(rho0, params, t_med, n_checkpoints=2)
+        _, rhos, _ = zip(*integrate_master(rho0, params, t_med, n_checkpoints=2))
         n = grid.n
         left = np.abs(grid.x - pointer.region_centers[0]) < 2 * R_C
         right = np.abs(grid.x - pointer.region_centers[1]) < 2 * R_C

@@ -166,14 +166,15 @@ class TestSmearedOperators:
         grid = SpatialGrid.line(4, 1.0)
         num = build_smeared_number(basis, grid, self.g, "n")
         mass = build_smeared_mass(basis, grid, self.g, m_r=1.0)
-        assert np.max(np.abs(mass.mass_diagonals - num.diagonals)) < 1e-14
+        assert np.max(np.abs(mass.diagonals ** 2 - num.diagonals)) < 1e-14
 
     def test_sqrt_members_square_back_exactly(self):
         basis = FockBasis(4, "boson", 3)
         grid = SpatialGrid.line(4, 1.0)
         mass = build_smeared_mass(basis, grid, self.g, m_r=1.0)
+        species_sum = build_smeared_number(basis, grid, self.g, "a").diagonals
         assert np.all(mass.diagonals >= 0)
-        assert np.max(np.abs(mass.diagonals ** 2 - mass.mass_diagonals)) < 1e-15
+        assert np.max(np.abs(mass.diagonals ** 2 - species_sum)) < 1e-15
 
     def test_single_nucleon_l2_eigenvalue_is_profile(self):
         basis = FockBasis(4, "boson", 1, species=(("n", 3.2e-27),))
@@ -197,7 +198,7 @@ class TestSmearedOperators:
         idx = basis.index[tuple(occ)]
         for k in range(grid.n):
             profile = self.g.profile(abs(grid.x[z] - grid.x[k]), 1)
-            assert abs(mass.mass_diagonals[k, idx] - 3.0 * profile) < 1e-13
+            assert abs(mass.diagonals[k, idx] ** 2 - 3.0 * profile) < 1e-13
 
     def test_nonpositive_reference_mass(self):
         basis = FockBasis(4, "boson", 1)

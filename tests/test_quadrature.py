@@ -44,14 +44,9 @@ class TestAdaptive:
     def test_round_stops_at_the_panel_budget(self):
         # all 8 initial panels are above their share, but only 3 fit
         res = integrate_adaptive(lambda x: np.sin(200.0 * x), 0.0, 1.0, abs_tol=1e-14,
-                                 rel_tol=0.0, min_depth=3, max_panels=11)
+                                 rel_tol=0.0, breakpoints=np.arange(1, 8) / 8, max_panels=11)
         assert not res.converged
         assert res.n_panels == 11
-
-    def test_min_depth_bisects_initial_panels(self):
-        res = integrate_adaptive(lambda x: x, 0.0, 1.0, breakpoints=[0.25], min_depth=2)
-        assert res.n_panels == 8
-        assert res.value == pytest.approx(0.5, rel=1e-14)
 
 
 class TestBatch:
