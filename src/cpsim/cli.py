@@ -33,8 +33,8 @@ from .dynamics import ModelParams, ensemble_vs_master, integrate_master, propaga
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
-from .gravity import (GravityParams, compute_dephasing_curve, energy_after_flash,
-                      macro_potential)
+from .gravity import (R_G_MAX, R_G_MIN, GravityParams, compute_dephasing_curve,
+                      energy_after_flash, macro_potential)
 from .hilbert import MAX_DIM, SpatialGrid
 from .measurement import PointerModel, born_experiment, born_initial_state, pointer_family
 from .operators import build_grw_family, grw_gaussian
@@ -186,7 +186,10 @@ def _parse_gravity(cfg: dict) -> GravityParams:
     obj = _field(cfg, path, dict, "config")
     _reject_unknown(obj, {"g_newton", "r_g", "r_m", "f_kind"}, path)
     g = _positive(obj, "g_newton", path)
-    r_g = _positive(obj, "r_g", path)
+    r_g = _field(obj, "r_g", float, path)
+    if not R_G_MIN <= r_g <= R_G_MAX:
+        raise ConfigError(f"{path}.r_g: need a radius from {R_G_MIN:g} to {R_G_MAX:g}, "
+                          f"got {r_g!r}")
     r_m = _nonnegative(obj, "r_m", path)
     f_kind = _field(obj, "f_kind", str, path, "point_source")
     if f_kind not in ("point_source", "gaussian_smeared"):
@@ -354,6 +357,10 @@ def _gamma(cfg, opts):
                                            "a list of non-negative separations",
                                            lambda d: d >= 0)]
     r_c = _positive(opts, "r_c", "options")
+    # the gaussian profile is evaluated in collapse-radius units
+    if gp.F_kind == "gaussian_smeared" and not R_G_MIN <= gp.r_g / r_c <= R_G_MAX:
+        raise ConfigError(f"options.r_c: gravity.r_g / r_c = {gp.r_g / r_c!r} lies outside "
+                          f"{R_G_MIN:g} to {R_G_MAX:g}")
     quad_tol = _positive(opts, "quad_tol", "options", 1e-9)
 
     def run(seed):
@@ -367,7 +374,9 @@ def _energy(cfg, opts):
     gp = _parse_gravity(cfg)
     path = "options"
     _reject_unknown(opts, {"r_g_values", "psi_width", "r_max", "n_r", "mass", "hbar"}, path)
-    r_g_values = _numbers(opts, "r_g_values", path, "a list of positive radii", lambda v: v > 0)
+    r_g_values = _numbers(opts, "r_g_values", path,
+                          f"a list of radii from {R_G_MIN:g} to {R_G_MAX:g}",
+                          lambda v: R_G_MIN <= v <= R_G_MAX)
     width = _positive(opts, "psi_width", path)
     r_max = _positive(opts, "r_max", path, 12.0 * width)
     n_r = _count(opts, "n_r", path, 2000, most=_MAX_RADIAL_POINTS)

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .dynamics import ModelParams, integrate_master
 from .errors import ContractViolationError, ConvergenceError, DomainError
@@ -29,6 +28,11 @@ from .operators import OperatorFamily, SmearingFunction
 from .quadrature import _integrate_batch, integrate_adaptive
 
 _SQRT_PI = math.sqrt(math.pi)
+
+#: range of the gaussian smearing radius a in which every intermediate of
+#: ``_profile`` stays finite at radii from 0 to 1e4 a; at a = 1e-100 the
+#: term 2 erf(x/a) / x^3 of P'' already overflows at x = 1e-4 a
+R_G_MIN, R_G_MAX = 1e-50, 1e50
 
 #: phase magnitude separating the directly-quadratured slow region from
 #: the integration-by-parts tail treatment of the oscillatory foci
@@ -54,7 +58,8 @@ class GravityParams:
     (G, m_R, m, lambda).  If a value is supplied alongside the model
     parameters it must be consistent with them to 1e-12 relative.
     ``F_kind`` selects the potential profile of one flash: the smeared
-    gaussian form or the bare point source 1/r.
+    gaussian form or the bare point source 1/r.  ``r_g`` must lie in
+    [R_G_MIN, R_G_MAX].
     """
 
     G: float
@@ -65,8 +70,9 @@ class GravityParams:
     def __post_init__(self):
         if self.F_kind not in ("gaussian_smeared", "point_source"):
             raise ContractViolationError(f"unknown potential profile kind {self.F_kind!r}")
-        if self.r_g <= 0:
-            raise ContractViolationError("gravitational smearing radius must be positive")
+        if not R_G_MIN <= self.r_g <= R_G_MAX:
+            raise ContractViolationError(
+                f"gravitational smearing radius {self.r_g!r} outside [{R_G_MIN:g}, {R_G_MAX:g}]")
         if self.r_m < 0:
             raise ContractViolationError("flash length scale r_m must be non-negative")
 
@@ -84,6 +90,15 @@ class GravityParams:
 # radial potential profile of one flash
 # ---------------------------------------------------------------------------
 
+_erf_object = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erf(x):
+    """Elementwise error function of a float array, from ``math.erf``; it
+    keeps SciPy off the import path, as nothing else here needs it."""
+    return np.asarray(_erf_object(x), dtype=float)
+
+
 def _profile(kind: str, a: float):
     """Profile P of one flash and its first two radial derivatives, for
     arrays of radii in any length unit; ``a`` is the gaussian smearing
@@ -98,13 +113,13 @@ def _profile(kind: str, a: float):
         small = x < 1e-8 * a
         safe = np.where(small, a, x)
         return np.where(small, (2.0 / (a * _SQRT_PI)) * (1.0 - x ** 2 / (3 * a * a)),
-                        erf(safe / a) / safe)
+                        _erf(safe / a) / safe)
 
     def p1(x):
         small = x < 1e-6 * a
         safe = np.where(small, a, x)
         return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * x / a ** 3,
-                        -(erf(safe / a) - (2.0 * safe / (a * _SQRT_PI))
+                        -(_erf(safe / a) - (2.0 * safe / (a * _SQRT_PI))
                           * np.exp(-(safe / a) ** 2)) / safe ** 2)
 
     def p2(x):
@@ -112,7 +127,7 @@ def _profile(kind: str, a: float):
         safe = np.where(small, a, x)
         epp = _e(safe) * (-2.0 * safe / (a * a))
         return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) / a ** 3,
-                        epp / safe - 2.0 * _e(safe) / safe ** 2 + 2.0 * erf(safe / a) / safe ** 3)
+                        epp / safe - 2.0 * _e(safe) / safe ** 2 + 2.0 * _erf(safe / a) / safe ** 3)
     return p, p1, p2
 
 
@@ -326,8 +341,12 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     rho_m = gp.r_m / r_c
     if rho_m == 0.0:
         return float(np.expm1(-delta * delta)), 1e-15
+    rho_g = gp.r_g / r_c
+    if gp.F_kind == "gaussian_smeared" and not R_G_MIN <= rho_g <= R_G_MAX:
+        raise DomainError(
+            f"smearing radius r_g / r_c = {rho_g!r} outside [{R_G_MIN:g}, {R_G_MAX:g}]")
     inner_tol = 0.4 * quad_tol
-    inner = _InnerIntegral(delta, rho_m, gp.F_kind, gp.r_g / r_c, inner_tol)
+    inner = _InnerIntegral(delta, rho_m, gp.F_kind, rho_g, inner_tol)
 
     def outer(rho):
         return rho * rho * np.exp(-rho * rho) * inner.value(rho)

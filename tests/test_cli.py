@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -78,6 +81,13 @@ def ensemble_config(path, experiment="trajectories"):
 def long_compare_config(path):
     cfg = ensemble_config(path, "compare")
     cfg["options"]["t_end"] = 1e4
+    return cfg
+
+
+def smeared_gamma_config(path, r_g=1.0):
+    """A ``gamma`` config on the gaussian profile with r_m = r_c = 1."""
+    cfg = gamma_config(path, r_m=1.0)
+    cfg["gravity"].update(r_g=r_g, f_kind="gaussian_smeared")
     return cfg
 
 
@@ -295,13 +305,20 @@ class TestExitCodes:
         (tiny_dt(born_config), ("options",), "t_obs", 1e3, "options.t_obs"),
         # a born report is a JSON document, so it cannot be written as CSV
         (born_config, (), "output_format", "csv", "config.output_format"),
+        # gaussian smearing radii outside 1e-50 to 1e50 overflow the profile's terms
+        (smeared_gamma_config, ("gravity",), "r_g", 1e-320, "gravity.r_g"),
+        (energy_config, ("options",), "r_g_values", [1e300], "options.r_g_values"),
+        (energy_config, ("options",), "r_g_values", [1e-320], "options.r_g_values"),
+        (lambda path: smeared_gamma_config(path, r_g=1e-40), ("options",), "r_c", 1e70,
+         "options.r_c"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
             "n_samples-huge", "n_traj-huge", "compare-n_traj-huge",
             "trajectories-n_checkpoints", "compare-checkpoints-kept",
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
-            "born-steps-huge", "born-csv"])
+            "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
+            "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")
@@ -447,6 +464,19 @@ def test_example_configs_validate(capsys):
     assert configs
     for path in configs:
         assert main(["validate", str(path)]) == 0, path.name
+
+
+def test_cli_import_loads_no_scipy():
+    """SciPy serves the tests and the benchmark only.  This process has
+    loaded it through the test oracles, so a fresh interpreter checks."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, cpsim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,48 @@ class TestProfileF:
             GravityParams.from_model(G=2.0, m_r=3.0, mass=4.0, lambda_grw=5.0,
                                      hbar=6.0, r_g=1.0, r_m=1.0)
 
+    def test_smearing_radius_range(self):
+        for r_g in (0.0, 1e-60, 1e60):
+            with pytest.raises(ContractViolationError):
+                gauss_params(1.0, r_g=r_g)
+        # Gamma(d) evaluates the profile in collapse-radius units, r_g / r_c = 1e-60
+        with pytest.raises(DomainError):
+            gamma_of_d(0.25, gauss_params(1e20, r_g=1e-40), r_c=1e20)
+
+    @pytest.mark.parametrize("a", [gravity.R_G_MIN, gravity.R_G_MAX])
+    def test_profile_terms_finite_across_smearing_range(self, a):
+        r = np.concatenate([[0.0], a * np.logspace(-12, 4, 401)])
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            for f in gravity._profile("gaussian_smeared", a):
+                assert np.all(np.isfinite(f(r)))
+
+    def test_erf_matches_scipy(self):
+        x = np.concatenate([[0.0, 5e-324, 1e-310, 1e-8, np.inf, np.nan],
+                            np.logspace(-8, np.log10(30.0), 401)])
+        x = np.concatenate([x, -x])
+        for arg in [np.asarray(v) for v in x[:6]] + [x, x.reshape(2, -1)]:
+            got, want = gravity._erf(arg), erf(arg)
+            assert got.dtype == np.float64 and got.shape == np.shape(want)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.all(np.abs(got - want)[~nan] <= 2 * np.spacing(np.abs(want[~nan])))
+
+    @pytest.mark.parametrize("a", [0.7, 1e-3])
+    def test_profile_matches_scipy_erf_forms(self, monkeypatch, a):
+        """P, P' and P'' against the same closed forms evaluated with
+        scipy.special.erf.  P' and P'' subtract terms that nearly cancel
+        just above their small-radius branches (P' loses 12 digits at
+        x = 1e-6 a), so there the few-ulp gap between the two erfs is
+        amplified; their bound is 1e-15 of the erf term, erf(x/a)/x^2
+        and 2 erf(x/a)/x^3."""
+        r = a * np.logspace(-9, np.log10(50.0), 2001)
+        new = [f(r) for f in gravity._profile("gaussian_smeared", a)]
+        monkeypatch.setattr(gravity, "_erf", erf)
+        old = [f(r) for f in gravity._profile("gaussian_smeared", a)]
+        assert np.all(np.abs(new[0] - old[0]) <= 1e-15 * np.abs(old[0]))
+        assert np.all(np.abs(new[1] - old[1]) <= 1e-15 * erf(r / a) / r ** 2)
+        assert np.all(np.abs(new[2] - old[2]) <= 2e-15 * erf(r / a) / r ** 3)
+
     def test_gravity_params_are_frozen(self):
         gp = gauss_params(0.5)
         with pytest.raises(FrozenInstanceError):
