@@ -55,6 +55,9 @@ _MAX_STEPS = 2 ** 24
 #: most averaged density-matrix entries a ``compare`` run keeps at its
 #: checkpoints (16 bytes each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24
+#: most expected collapse points mu * c * V * t_end in one ``exact``
+#: window: a window's chain arrays then stay within a few tens of MiB
+_MAX_WINDOW_POINTS = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +231,10 @@ def _exact(cfg, opts):
     mu = _positive(opts, "mu", "options")
     gamma = _nonnegative(opts, "gamma", "options")
     t_end = _positive(opts, "t_end", "options")
+    points = mu * params.c_light * params.grid.volume * t_end
+    if not points <= _MAX_WINDOW_POINTS:
+        raise ConfigError(f"options.mu: mu * c_light * V * t_end = {points:.3g} expected points "
+                          f"per window, above {_MAX_WINDOW_POINTS}")
     n_samples = _count(opts, "n_samples", "options", most=_MAX_RUNS)
 
     def run(seed):

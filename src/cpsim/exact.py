@@ -13,14 +13,15 @@ reduced-density-matrix consistency check all live here.
 
 Sampling runs on one engine.  A window is one Poisson placement of
 collapse points over [0, t_end) followed by the chain it defines, and
-window w draws from ``stream(seed, w)`` alone, in a fixed order: first
-the placement (``_placement``), an ``exponential(1 / rate)`` gap and
-then one uniform that picks the node for each point (plus the gap that
-overshoots the window), then one uniform per point for the chain
-outcomes, drawn as a single block.  ``_sample_windows`` places a chunk
-of windows and ``_run_windows`` steps their chains together, one
-collapse point of every live window per step.  No result depends on
-the chunk size.
+window w draws from ``stream(seed, w)`` alone, in a fixed order
+(``_placement``): first the point count, ``poisson(rate * t_end)``; then
+one block of uniforms for the times, which are the sorted uniforms
+scaled by t_end (given its count, a homogeneous Poisson process places
+its points as independent uniforms); then one block of uniforms that
+pick the nodes; then the chain outcomes, one uniform per point, drawn
+as a single block.  ``_sample_windows`` places a chunk of windows and
+``_run_windows`` steps their chains together, one collapse point of
+every live window per step.  No result depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ if TYPE_CHECKING:   # dynamics imports this module
 MAX_ENUMERATION = 12
 
 #: most windows whose chains are stepped together, and most padded point
-#: slots (windows x longest window) among them: a chunk's arrays and point
-#: lists then stay within a few tens of MiB whatever the point rate
+#: slots (windows x longest window) among them: a chunk's arrays then
+#: stay within a few tens of MiB whatever the point rate
 _CHUNK = 512
 _CHUNK_POINTS = 2 ** 18
 
@@ -261,25 +262,19 @@ def _cell_cdf(grid) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def _placement(rng: np.random.Generator, rate: float, cdf, t0: float, t1: float):
-    """Times and nodes of one homogeneous Poisson placement over [t0, t1).
+def _placement(rng: np.random.Generator, rate: float, cdf, t_end: float):
+    """Times and nodes of one homogeneous Poisson placement over [0, t_end).
 
-    Each point costs ``rng.exponential(1 / rate)`` and then one uniform
-    u whose node is ``cdf.searchsorted(u, side="right")``, the rule of
-    ``Generator.choice(p=...)``; the gap that overshoots t1 is drawn too.
-    A non-positive rate draws nothing.
+    Draws the count n = ``rng.poisson(rate * t_end)`` first.  Given n, the
+    points are independent and uniform (the order-statistics property;
+    Kingman, *Poisson Processes*, 1993), so the times are
+    ``t_end * sort(rng.random(n))`` and the nodes come from one more block
+    u = ``rng.random(n)`` as ``cdf.searchsorted(u, side="right")``, the rule
+    of ``Generator.choice(p=...)``.  A zero rate draws nothing.
     """
-    times, us = [], []
-    if rate > 0:
-        exponential, uniform, scale = rng.exponential, rng.random, 1.0 / rate
-        t = t0
-        while True:
-            t += exponential(scale)
-            if t >= t1:
-                break
-            times.append(t)
-            us.append(uniform())
-    return times, cdf.searchsorted(np.array(us), side="right")
+    n = rng.poisson(rate * t_end)
+    times = t_end * np.sort(rng.random(n))
+    return times, cdf.searchsorted(rng.random(n), side="right")
 
 
 def _run_windows(windows, v0, table: _JumpTable, evolve):
@@ -339,12 +334,12 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
     chunk, longest = [], 0
     for w in range(n_windows):
         rng = stream(seed, w)
-        times, nodes = _placement(rng, rate, cdf, 0.0, t_end)
-        if chunk and (len(chunk) == _CHUNK
-                      or (len(chunk) + 1) * max(longest, len(times)) > _CHUNK_POINTS):
+        times, nodes = _placement(rng, rate, cdf, t_end)
+        n = len(times)
+        if chunk and (len(chunk) == _CHUNK or (len(chunk) + 1) * max(longest, n) > _CHUNK_POINTS):
             yield from _run_windows(chunk, v0, table, evolve)
             chunk, longest = [], 0
-        chunk.append((times, nodes, rng.random(len(times))))
-        longest = max(longest, len(times))
+        chunk.append((times, nodes, rng.random(n)))
+        longest = max(longest, n)
     if chunk:
         yield from _run_windows(chunk, v0, table, evolve)

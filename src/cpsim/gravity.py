@@ -345,6 +345,11 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     if gp.F_kind == "gaussian_smeared" and not R_G_MIN <= rho_g <= R_G_MAX:
         raise DomainError(
             f"smearing radius r_g / r_c = {rho_g!r} outside [{R_G_MIN:g}, {R_G_MAX:g}]")
+    pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
+    if pref == 0.0:
+        # the inner integral is at most 4, so the outer term is at most
+        # 2 exp(-delta^2), which underflows: only the rounding of expm1 is left
+        return float(np.expm1(-delta * delta)), 1e-15
     inner_tol = 0.4 * quad_tol
     inner = _InnerIntegral(delta, rho_m, gp.F_kind, rho_g, inner_tol)
 
@@ -356,7 +361,6 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
               0.5, 1.0, 2.0}
     res = integrate_adaptive(outer, 0.0, 8.0, abs_tol=0.5 * quad_tol * _SQRT_PI / 2,
                              rel_tol=0.0, breakpoints=breaks, max_panels=max_panels)
-    pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
     gamma = float(np.expm1(-delta * delta)) - pref * res.value
     err = pref * res.error + 0.5 * inner_tol + pref * inner.tail_error
     if not (res.converged and inner.converged):

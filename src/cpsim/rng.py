@@ -12,15 +12,15 @@ lets the engines draw uniforms in blocks.
 - Each trajectory k of an ensemble owns stream k and consumes one
   uniform per step and one more per flash, drawn in blocks.
 - Collapse-point window w owns stream w.  Its placement draws come
-  first: for each point an ``exponential(1 / rate)`` gap, then one
-  uniform that picks the point's node, and finally the gap that
-  overshoots the window.  Then come the chain's uniforms, one per
-  point, drawn as one block.
+  first: the point count n from ``poisson(rate * t_end)``, then a block
+  of n uniforms whose sorted values, scaled by t_end, are the times,
+  then a block of n uniforms that pick the nodes.  Then come the
+  chain's uniforms, one per point, drawn as one block.
 """
 
 import numpy as np
 
-GENERATOR_NAME = "philox4x64/seedseq-spawn-v1"
+GENERATOR_NAME = "philox4x64/seedseq-spawn-v2"
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

@@ -311,6 +311,8 @@ class TestExitCodes:
         (energy_config, ("options",), "r_g_values", [1e-320], "options.r_g_values"),
         (lambda path: smeared_gamma_config(path, r_g=1e-40), ("options",), "r_c", 1e70,
          "options.r_c"),
+        # 1.7e12 expected collapse points in each window
+        (exact_config, ("options",), "mu", 1e12, "options.mu"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
@@ -318,7 +320,7 @@ class TestExitCodes:
             "trajectories-n_checkpoints", "compare-checkpoints-kept",
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
             "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
-            "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny"])
+            "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")
@@ -375,6 +377,15 @@ class TestRunners:
         doc = read_results(out)
         for d, g, err in doc["rows"]:
             assert abs(g - np.expm1(-d * d)) <= 10 * max(err, 1e-15)
+
+    def test_gamma_beyond_double_range_exits_zero(self, tmp_path, capsys):
+        # d / r_c = 2.5e199, where Gamma is -1 to double precision
+        cfg = gamma_config(tmp_path / "curve.csv", r_m=1e-200)
+        cfg["options"].update(r_c=1e-200, d_values=[0.25])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 0
+        assert read_results(tmp_path / "curve.csv")["rows"] == [[0.25, -1.0, 1e-15]]
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = run_config(exact_config(tmp_path / "a.csv"))

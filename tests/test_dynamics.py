@@ -10,7 +10,8 @@ from cpsim.dynamics import (ModelParams, coarse_grain_consistency, ensemble_vs_m
 from cpsim.errors import ContractViolationError, StepSizeError
 from cpsim.gravity import GravityParams, grav_unitary
 from cpsim.hilbert import SpatialGrid, unitary_from_generator
-from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
+from cpsim.operators import (FockBasis, OperatorFamily, SmearingFunction, build_grw_family,
+                             build_smeared_mass, grw_gaussian)
 from cpsim.rng import stream
 from helpers import random_hermitian
 
@@ -138,6 +139,35 @@ class TestSseStep:
         errs = [np.linalg.norm(evolve(dt) - ref) for dt in (0.02, 0.01, 0.005)]
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(1.5 < r < 3.0 for r in ratios)
+
+    def test_noflash_branch_matches_closed_no_jump_state(self):
+        # mass-proportional rates on a Fock space: W is the smeared total mass,
+        # 0.976 on the one-particle and 1.951 on the two-particle component, so
+        # the drift (<W> - W) does not vanish as it nearly does on a
+        # localization family that obeys the completeness sum rule
+        grid = SpatialGrid.line(6, 1.0)
+        g = SmearingFunction("gaussian", 1.8, "density")
+        basis = FockBasis(6, "boson", 2)
+        params = ModelParams.natural(lambda_grw=1.0, family=build_smeared_mass(basis, grid, g, 1.0),
+                                     dt=0.005)
+        # W_j = sum_s n_s(j) sum_k w_k g(y_s - x_k), from the occupations alone
+        per_site = [grid.weights @ g.lattice_values(grid, y) for y in grid.positions]
+        w_diag = np.array(basis.states) @ per_site
+        psi0 = np.zeros(basis.dim, dtype=complex)
+        support = [basis.index[(0, 0, 1, 0, 0, 0)], basis.index[(0, 0, 1, 1, 0, 0)]]
+        psi0[support] = np.sqrt(0.5)
+        t_end, rate = 1.5, params.rate_scale
+        v = psi0
+        for _ in range(int(round(t_end / params.dt))):
+            v, node = step(v, params, never_jump)
+            assert node is None
+        closed = psi0 * np.exp(-0.5 * rate * w_diag * t_end)
+        closed /= np.linalg.norm(closed)
+        # per step the factor 1 + c (<W> - W_j), c = rate dt / 2, misses
+        # exp(-c W_j) by at most c^2 spread^2 / 2 in each log-ratio of
+        # amplitudes, and an amplitude moves by at most half that log-ratio
+        spread = np.ptp(w_diag[support])
+        assert np.max(np.abs(v - closed)) <= rate ** 2 * t_end * spread ** 2 / 8 * params.dt
 
 
 class TestTrajectories:

@@ -272,6 +272,13 @@ class TestGammaOfD:
             gamma_of_d(0.3, point_params(1.0), 1.0)
         assert info.value.best_estimate is not None
 
+    def test_separation_beyond_double_range_is_the_bare_overlap(self):
+        # delta = 2.5e199: 2 (rho^2 + delta^2) overflows, while the outer term,
+        # at most 2 exp(-delta^2), underflows and cannot move Gamma
+        gp = GravityParams(G=1.0, r_g=1.0, r_m=1e-200, F_kind="point_source")
+        g, err = gamma_of_d(0.25, gp, r_c=1e-200)
+        assert g == -1.0 and 0.0 < err <= 1e-15
+
     def test_tolerance_unreachable_within_budget_raises(self):
         with pytest.raises(ConvergenceError) as info:
             gamma_of_d(0.3, point_params(1.0), 1.0, quad_tol=1e-14, max_panels=8)
