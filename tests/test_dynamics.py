@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +66,47 @@ def hopping(n, j=0.5):
     for i in range(n - 1):
         h[i, i + 1] = h[i + 1, i] = -j
     return h
+
+
+def fock_mass_case():
+    """Mass-proportional rates on a 6-site boson Fock space (at most 2 particles).
+
+    W is the smeared total mass, 0.976 on |site 2> and 1.951 on |sites 2,3>,
+    so the drift (<W> - W) does not vanish as it nearly does on a
+    localization family that obeys the completeness sum rule.  Returns the
+    params, the diagonal of W built from the occupations alone, and the start
+    state (|site 2> + |sites 2,3>) / sqrt(2).
+    """
+    grid = SpatialGrid.line(6, 1.0)
+    g = SmearingFunction("gaussian", 1.8, "density")
+    basis = FockBasis(6, "boson", 2)
+    params = ModelParams.natural(lambda_grw=1.0, family=build_smeared_mass(basis, grid, g, 1.0),
+                                 dt=0.005)
+    # W_j = sum_s n_s(j) sum_k w_k g(y_s - x_k)
+    per_site = [grid.weights @ g.lattice_values(grid, y) for y in grid.positions]
+    w_diag = np.array(basis.states) @ per_site
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[[basis.index[(0, 0, 1, 0, 0, 0)], basis.index[(0, 0, 1, 1, 0, 0)]]] = np.sqrt(0.5)
+    return params, w_diag, psi0
+
+
+def noflash_path(psi0, params, t_end):
+    """The state after t_end / dt steps of ``dynamics._step`` that all refuse the jump."""
+    v = psi0
+    for _ in range(int(round(t_end / params.dt))):
+        v, node = step(v, params, never_jump)
+        assert node is None
+    return v
+
+
+def drift_bound(rate, t_end, w_diag, dt):
+    """Bound on the no-flash state's distance from the closed no-jump state.
+
+    Per step the factor 1 + c (<W> - W_j), c = rate dt / 2, misses
+    exp(-c W_j) by at most c^2 spread^2 / 2 in each log-ratio of
+    amplitudes, and an amplitude moves by at most half that log-ratio.
+    """
+    return rate ** 2 * t_end * np.ptp(w_diag) ** 2 / 8 * dt
 
 
 class TestFlashRateDensity:
@@ -141,33 +187,57 @@ class TestSseStep:
         assert all(1.5 < r < 3.0 for r in ratios)
 
     def test_noflash_branch_matches_closed_no_jump_state(self):
-        # mass-proportional rates on a Fock space: W is the smeared total mass,
-        # 0.976 on the one-particle and 1.951 on the two-particle component, so
-        # the drift (<W> - W) does not vanish as it nearly does on a
-        # localization family that obeys the completeness sum rule
-        grid = SpatialGrid.line(6, 1.0)
-        g = SmearingFunction("gaussian", 1.8, "density")
-        basis = FockBasis(6, "boson", 2)
-        params = ModelParams.natural(lambda_grw=1.0, family=build_smeared_mass(basis, grid, g, 1.0),
-                                     dt=0.005)
-        # W_j = sum_s n_s(j) sum_k w_k g(y_s - x_k), from the occupations alone
-        per_site = [grid.weights @ g.lattice_values(grid, y) for y in grid.positions]
-        w_diag = np.array(basis.states) @ per_site
-        psi0 = np.zeros(basis.dim, dtype=complex)
-        support = [basis.index[(0, 0, 1, 0, 0, 0)], basis.index[(0, 0, 1, 1, 0, 0)]]
-        psi0[support] = np.sqrt(0.5)
+        params, w_diag, psi0 = fock_mass_case()
         t_end, rate = 1.5, params.rate_scale
-        v = psi0
-        for _ in range(int(round(t_end / params.dt))):
-            v, node = step(v, params, never_jump)
-            assert node is None
+        v = noflash_path(psi0, params, t_end)
         closed = psi0 * np.exp(-0.5 * rate * w_diag * t_end)
         closed /= np.linalg.norm(closed)
-        # per step the factor 1 + c (<W> - W_j), c = rate dt / 2, misses
-        # exp(-c W_j) by at most c^2 spread^2 / 2 in each log-ratio of
-        # amplitudes, and an amplitude moves by at most half that log-ratio
-        spread = np.ptp(w_diag[support])
-        assert np.max(np.abs(v - closed)) <= rate ** 2 * t_end * spread ** 2 / 8 * params.dt
+        assert np.max(np.abs(v - closed)) <= drift_bound(rate, t_end, w_diag[psi0 != 0],
+                                                         params.dt)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.005])
+    def test_noflash_branch_with_hamiltonian_matches_closed_no_jump_state(self, dt, rng):
+        from scipy.linalg import expm
+
+        params, w_diag, psi0 = fock_mass_case()
+        h = 0.5 * random_hermitian(len(psi0), rng)
+        params = replace(params, dt=dt, hamiltonian=h)
+        t_end, rate = 1.5, params.rate_scale
+        v = noflash_path(psi0, params, t_end)
+        closed = expm(-(1j * h / params.hbar + 0.5 * rate * np.diag(w_diag)) * t_end) @ psi0
+        closed /= np.linalg.norm(closed)
+        # H mixes every sector, so the drift error takes the spread of all of
+        # W; the symmetric splitting around H adds only O(dt^2)
+        assert np.max(np.abs(v - closed)) <= drift_bound(rate, t_end, w_diag, dt)
+
+    @pytest.mark.parametrize("dt", [0.02, 0.01, 0.005])
+    def test_noflash_branch_at_the_grid_edge(self, dt):
+        # on the 16-node localization grid W is 1.000 in the bulk but 0.641
+        # at the edge, so a state on nodes 0 and 8 feels the drift there
+        grid = SpatialGrid.line(16, 0.5)
+        params = natural_params(grid=grid, lam=1.0, dt=dt)
+        # W_j = sum_k w_k |L_k(x_j)|^2 with |L_k(x)|^2 = exp(-(x - x_k)^2) / sqrt(pi)
+        w_diag = np.exp(-np.subtract.outer(grid.x, grid.x) ** 2) @ grid.weights / np.sqrt(np.pi)
+        psi0 = np.zeros(grid.n, dtype=complex)
+        psi0[[0, 8]] = np.sqrt(0.5)
+        t_end, rate = 2.0, params.rate_scale
+        v = noflash_path(psi0, params, t_end)
+        closed = psi0 * np.exp(-0.5 * rate * w_diag * t_end)
+        closed /= np.linalg.norm(closed)
+        assert np.max(np.abs(v - closed)) <= drift_bound(rate, t_end, w_diag[[0, 8]], dt)
+
+    def test_noflash_fraction_matches_closed_survival(self):
+        # the jump process itself on the Fock family: survival without a flash
+        # up to t is sum_j |psi_j|^2 exp(-rate W_j t)
+        params, w_diag, psi0 = fock_mass_case()
+        t_end, n_traj = 1.5, 4000
+        survived = np.ones(n_traj, dtype=bool)
+        n_steps = int(round(t_end / params.dt))
+        for first, _, v, flashed, _ in propagate_batch(psi0, params, n_steps, n_traj, seed=11):
+            survived[first + flashed] = False
+        p = float(np.sum(np.abs(psi0) ** 2 * np.exp(-params.rate_scale * w_diag * t_end)))
+        sigma = np.sqrt(p * (1 - p) / n_traj)
+        assert abs(survived.mean() - p) < 4 * sigma
 
 
 class TestTrajectories:
@@ -328,6 +398,52 @@ class TestLindblad:
         with pytest.raises(StepSizeError, match="eigenvalue"):
             list(integrate_master(rho, params, 0.1, n_checkpoints=2))
 
+    def test_negative_part_over_the_limit_raises(self):
+        # the smallest eigenvalue, -0.6e-8, is above -1e-8, but the negative
+        # eigenvalues sum to -1.2e-8
+        params = natural_params(lam=0.0)
+        n = params.grid.n
+        rho = np.diag(np.r_[1 + 1.2e-8, -0.6e-8, -0.6e-8, np.zeros(n - 3)]).astype(complex)
+        with pytest.raises(StepSizeError, match="eigenvalue"):
+            list(integrate_master(rho, params, 0.1, n_checkpoints=2))
+
+    def test_non_hermitian_start_state_raises(self):
+        # lindblad_rhs forms [H, rho] as A - A^dag with A = H rho, which needs rho = rho^dag
+        params = natural_params(grid=SpatialGrid.line(5, 0.5), hamiltonian=hopping(5))
+        rho = np.eye(5, dtype=complex) / 5
+        rho[0, 1] = 1e-3
+        with pytest.raises(ContractViolationError, match="Hermiticity"):
+            list(integrate_master(rho, params, 0.1, n_checkpoints=2))
+
+    def test_master_run_leaves_no_busy_blas_thread(self):
+        # a threaded BLAS call at 64 nodes wakes a second thread that spins for
+        # about 0.13 s of CPU after the call; a run on one thread spends no more
+        # CPU than wall time, even counting the sleep after it
+        code = textwrap.dedent("""
+            import time
+            import numpy as np
+            from cpsim.dynamics import ModelParams, integrate_master
+            from cpsim.hilbert import SpatialGrid
+            from cpsim.operators import build_grw_family, grw_gaussian
+            n = 64
+            grid = SpatialGrid.line(n, 0.5)
+            h = np.diag(np.full(n - 1, -0.5 + 0j), 1)
+            h = h + h.T
+            params = ModelParams.natural(lambda_grw=1.0, family=build_grw_family(
+                grid, grw_gaussian(1.0)), dt=0.01, hamiltonian=h)
+            psi = np.exp(-grid.x ** 2 / 4.0).astype(complex)
+            psi /= np.linalg.norm(psi)
+            cpu, wall = time.process_time(), time.perf_counter()
+            list(integrate_master(np.outer(psi, psi.conj()), params, 3.0))
+            wall = time.perf_counter() - wall
+            time.sleep(0.3)
+            print(time.process_time() - cpu - wall)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(dynamics.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert float(out.stdout) <= 0.05
+
     def test_unbounded_propagation_work_raises(self):
         params = natural_params(lam=1.0, hamiltonian=hopping(33))
         params = replace(params, hbar=1e-300)
@@ -368,6 +484,10 @@ ORACLE_CASES = {
     "diagonal+hopping": lambda: natural_params(grid=SpatialGrid.line(5, 0.5), lam=1.7,
                                                hamiltonian=hopping(5, 0.9)),
     "gravity_dressed+hopping": lambda: dressed_params(5, 1.7, 0.9),
+    # Im H != 0 takes the second real product of lindblad_rhs
+    "diagonal+complex_hermitian": lambda: natural_params(
+        grid=SpatialGrid.line(5, 0.5), lam=1.7,
+        hamiltonian=random_hermitian(5, np.random.default_rng(5))),
 }
 
 
