@@ -25,7 +25,7 @@ from .dynamics import ModelParams, integrate_master
 from .errors import ContractViolationError, ConvergenceError, DomainError
 from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction
-from .quadrature import _integrate_batch, integrate_adaptive
+from .quadrature import _integrate_batch
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -40,6 +40,14 @@ _PHASE_SPLIT = 40.0
 
 #: panel budget of each inner angular quadrature
 _INNER_MAX_PANELS = 400
+
+#: default panel budget of each outer radial quadrature
+_OUTER_MAX_PANELS = 3000
+
+#: radial nodes whose inner quadratures run as one batch; a batch holds up
+#: to _INNER_MAX_PANELS panels of 15 nodes per row, so this bounds its
+#: working set however many separations and panels an outer round carries
+_INNER_ROWS = 1024
 
 
 class AccuracyWarning(UserWarning):
@@ -213,26 +221,28 @@ def probe_line_family(flash_grid: SpatialGrid, probe_positions, f_c: SmearingFun
 # ---------------------------------------------------------------------------
 
 class _InnerIntegral:
-    """Angular integral q(rho) = int_-1^1 (1 - cos Delta) dt, for arrays of rho.
+    """Angular integral q(rho) = int_-1^1 (1 - cos Delta) dt, for rows (rho, problem).
 
     Delta is the phase difference accumulated between the two probe
-    points. Where the peak phase stays below _PHASE_SPLIT the integral
-    is taken directly in t (as 2 sin^2(Delta/2), positive and
-    cancellation-free).  Beyond that the integration variable switches
-    to the separation L from one probe, the band |phase| <= split is
-    quadratured, and the two infinitely-oscillatory tails are summed by
-    two-term integration by parts in the phase variable.  All rho of
-    one call are integrated as one batch; ``converged`` turns false for
-    good once any inner problem exhausts its panel budget.
+    points at half-separation ``delta[problem]``. Where the peak phase
+    stays below _PHASE_SPLIT the integral is taken directly in t (as
+    2 sin^2(Delta/2), positive and cancellation-free).  Beyond that the
+    integration variable switches to the separation L from one probe, the
+    band |phase| <= split is quadratured, and the two infinitely-oscillatory
+    tails are summed by two-term integration by parts in the phase
+    variable.  The rows of one call are integrated as batches of at most
+    _INNER_ROWS.  Per problem, ``tail_error`` is the largest tail remainder
+    estimate over its rows and ``converged`` turns false for good once
+    any of its inner quadratures exhausts its panel budget.
     """
 
-    def __init__(self, delta: float, rho_m: float, kind: str, rho_g: float, tol: float):
-        self.delta = delta
+    def __init__(self, delta, rho_m: float, kind: str, rho_g: float, tol: float):
+        self.delta = np.asarray(delta, dtype=float)
         self.rho_m = rho_m
         self.tol = tol
         self.p, self.p1, self.p2 = _profile(kind, rho_g)
-        self.tail_error = 0.0
-        self.converged = True
+        self.tail_error = np.zeros(len(self.delta))
+        self.converged = np.ones(len(self.delta), dtype=bool)
 
     def phase(self, lm, lp):
         return self.rho_m * (self.p(lm) - self.p(lp))
@@ -254,15 +264,22 @@ class _InnerIntegral:
         dwdu = wp / dphi if low_side else wp / np.abs(dphi)
         return w * np.sin(u) + dwdu * np.cos(u), dwdu
 
-    def _quad(self, f, lo, hi, abs_tol):
+    def _quad(self, f, lo, hi, abs_tol, problem):
         value, _, _, converged = _integrate_batch(f, lo, hi, np.arange(len(lo)), abs_tol,
                                                   1e-12, _INNER_MAX_PANELS)
-        self.converged &= bool(converged.all())
+        np.logical_and.at(self.converged, problem, converged)
         return value
 
-    def value(self, rho):
+    def value(self, rho, problem):
+        out = np.empty_like(rho)
+        for first in range(0, len(rho), _INNER_ROWS):
+            rows = slice(first, first + _INNER_ROWS)
+            out[rows] = self._batch(rho[rows], problem[rows])
+        return out
+
+    def _batch(self, rho, problem):
         out = np.zeros_like(rho)
-        delta = self.delta
+        delta = self.delta[problem]
         lmin, lmax = np.abs(rho - delta), rho + delta
         s = 2.0 * (rho * rho + delta * delta)
         with np.errstate(divide="ignore"):   # the point-source phase is infinite at L = 0
@@ -271,17 +288,19 @@ class _InnerIntegral:
         band = ~direct
 
         if direct.any():
-            r = rho[direct]
+            r, dr = rho[direct], delta[direct]
 
             def integrand(t, owner):
-                rr = r[owner, None]
-                lm = np.sqrt(np.maximum(rr * rr - 2 * delta * rr * t + delta * delta, 0.0))
-                lp = np.sqrt(rr * rr + 2 * delta * rr * t + delta * delta)
+                rr, dd = r[owner, None], dr[owner, None]
+                lm = np.sqrt(np.maximum(rr * rr - 2 * dd * rr * t + dd * dd, 0.0))
+                lp = np.sqrt(rr * rr + 2 * dd * rr * t + dd * dd)
                 return 2.0 * np.sin(0.5 * self.phase(lm, lp)) ** 2
-            out[direct] = self._quad(integrand, -np.ones(len(r)), np.ones(len(r)), self.tol)
+            out[direct] = self._quad(integrand, -np.ones(len(r)), np.ones(len(r)), self.tol,
+                                     problem[direct])
 
         if band.any():
-            r, s, lmin, lmax, phimax = rho[band], s[band], lmin[band], lmax[band], phimax[band]
+            r, dr, pb = rho[band], delta[band], problem[band]
+            s, lmin, lmax, phimax = s[band], lmin[band], lmax[band], phimax[band]
             # phi(L, s) falls monotonically from phimax at lmin to 0 at lmid:
             # bisect each row to its split crossing l1, freezing rows once done
             lo, hi = np.where(lmin > 0, lmin, 1e-300), np.sqrt(s / 2.0)
@@ -298,7 +317,7 @@ class _InnerIntegral:
 
             def mid_integrand(length, owner):
                 return length * np.cos(self._phi(length, s[owner, None]))
-            c_total = self._quad(mid_integrand, l1, l2, self.tol * delta * r)
+            c_total = self._quad(mid_integrand, l1, l2, self.tol * dr * r, pb)
 
             # oscillatory tails: int W(u) cos u du over [split, phimax] on both
             # sides; on the low side u = phi (dL/du = 1/phi'), on the high side
@@ -311,14 +330,88 @@ class _InnerIntegral:
                 t1, _ = self._tail_term(*np.where(far, far_lk, split_lk),
                                         np.where(far, phimax, _PHASE_SPLIT), low_side)
                 c_total = c_total + np.where(far, t1, 0.0) - t0
-                self.tail_error = max(self.tail_error,
-                                      float(np.max(4.0 * np.abs(dwdu0) / _PHASE_SPLIT)))
-            out[band] = 2.0 - c_total / (delta * r)
+                np.maximum.at(self.tail_error, pb, 4.0 * np.abs(dwdu0) / _PHASE_SPLIT)
+            out[band] = 2.0 - c_total / (dr * r)
         return out
 
 
+def _outer_edges(delta: float, rho_m: float) -> np.ndarray:
+    """Initial panels of one separation's outer radial integral over [0, 8],
+    split where the integrand changes character."""
+    onset = math.sqrt(2.0 * rho_m * delta)
+    breaks = {delta / 2, delta, 2 * delta, 0.3 * onset, onset, 3 * onset, 10 * onset,
+              0.5, 1.0, 2.0}
+    return np.array([0.0] + sorted(p for p in breaks if 0.0 < p < 8.0) + [8.0])
+
+
+def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
+                 max_panels: int = _OUTER_MAX_PANELS):
+    """(gamma, error_estimate) arrays of the dephasing exponent at each
+    probe half-separation in ``d_values``.
+
+    Separations with a closed value return it: Gamma(0) = 0, and without
+    gravity, or once the outer prefactor 2 exp(-delta^2) / sqrt(pi)
+    underflows, Gamma is expm1(-delta^2).  All others are the problems of
+    one outer ``_integrate_batch``, whose integrand evaluates the inner
+    angular integrals of every separation's radial nodes together; each
+    separation's result and error are those it has when computed alone.
+    Raises ConvergenceError for the first separation in input order that
+    stalled, with its best estimate attached.
+    """
+    ds = [float(d) for d in d_values]
+    if any(d < 0 for d in ds):
+        raise DomainError("separation must be non-negative")
+    gamma, err = np.zeros(len(ds)), np.zeros(len(ds))
+    rho_m = gp.r_m / r_c
+    rho_g = gp.r_g / r_c
+    if rho_m != 0.0 and any(d != 0.0 for d in ds) and gp.F_kind == "gaussian_smeared" \
+            and not R_G_MIN <= rho_g <= R_G_MAX:
+        raise DomainError(
+            f"smearing radius r_g / r_c = {rho_g!r} outside [{R_G_MIN:g}, {R_G_MAX:g}]")
+    todo = []
+    for k, d in enumerate(ds):
+        if d == 0.0:
+            continue
+        delta = d / r_c
+        pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
+        if rho_m == 0.0 or pref == 0.0:
+            # without gravity the inner integral vanishes; once pref underflows
+            # the outer term, at most 2 exp(-delta^2) since the inner integral
+            # is at most 4, cannot move Gamma: only the rounding of expm1 is left
+            gamma[k], err[k] = float(np.expm1(-delta * delta)), 1e-15
+        else:
+            todo.append((k, delta, pref))
+    if not todo:
+        return gamma, err
+    inner_tol = 0.4 * quad_tol
+    inner = _InnerIntegral([delta for _, delta, _ in todo], rho_m, gp.F_kind, rho_g, inner_tol)
+
+    def outer(x, owner):
+        rho = x.ravel()
+        q = inner.value(rho, np.repeat(owner, x.shape[1]))
+        return (rho * rho * np.exp(-rho * rho) * q).reshape(x.shape)
+
+    edges = [_outer_edges(delta, rho_m) for _, delta, _ in todo]
+    value, error, _, converged = _integrate_batch(
+        outer, np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]),
+        np.repeat(np.arange(len(todo)), [len(e) - 1 for e in edges]),
+        0.5 * quad_tol * _SQRT_PI / 2, 0.0, max_panels)
+    stalled = None
+    for j, (k, delta, pref) in enumerate(todo):
+        gamma[k] = float(np.expm1(-delta * delta)) - pref * float(value[j])
+        err[k] = pref * float(error[j]) + 0.5 * inner_tol + pref * float(inner.tail_error[j])
+        if stalled is None and not (converged[j] and inner.converged[j]):
+            stalled = k, "inner angular" if converged[j] else "dephasing"
+    if stalled is not None:
+        k, stage = stalled
+        best, bound = float(gamma[k]), float(err[k])
+        raise ConvergenceError(f"{stage} quadrature stalled at error {bound!r} for d = {ds[k]!r}",
+                               best_estimate=best, error_estimate=bound)
+    return gamma, err
+
+
 def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
-               max_panels: int = 3000):
+               max_panels: int = _OUTER_MAX_PANELS):
     """Dephasing exponent Gamma at probe half-separation d.
 
     Evaluates the spherical double integral of the phase-dressed
@@ -327,47 +420,16 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     the angular factor by the oscillation-aware inner scheme, all radial
     nodes of one refinement round at once.  Returns (gamma,
     error_estimate).  Gamma(0) = 0 exactly and gamma is real by the
-    cosine form of the integrand.
+    cosine form of the integrand.  This is the one-separation call of the
+    batched engine behind ``compute_dephasing_curve``, and returns what
+    that gives for d bit for bit.
 
     Raises ConvergenceError (with the best estimate attached) if the
     radial quadrature or any inner angular quadrature cannot reach the
     requested tolerance.
     """
-    if d < 0:
-        raise DomainError("separation must be non-negative")
-    if d == 0.0:
-        return 0.0, 0.0
-    delta = d / r_c
-    rho_m = gp.r_m / r_c
-    if rho_m == 0.0:
-        return float(np.expm1(-delta * delta)), 1e-15
-    rho_g = gp.r_g / r_c
-    if gp.F_kind == "gaussian_smeared" and not R_G_MIN <= rho_g <= R_G_MAX:
-        raise DomainError(
-            f"smearing radius r_g / r_c = {rho_g!r} outside [{R_G_MIN:g}, {R_G_MAX:g}]")
-    pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
-    if pref == 0.0:
-        # the inner integral is at most 4, so the outer term is at most
-        # 2 exp(-delta^2), which underflows: only the rounding of expm1 is left
-        return float(np.expm1(-delta * delta)), 1e-15
-    inner_tol = 0.4 * quad_tol
-    inner = _InnerIntegral(delta, rho_m, gp.F_kind, rho_g, inner_tol)
-
-    def outer(rho):
-        return rho * rho * np.exp(-rho * rho) * inner.value(rho)
-
-    onset = math.sqrt(2.0 * rho_m * delta)
-    breaks = {delta / 2, delta, 2 * delta, 0.3 * onset, onset, 3 * onset, 10 * onset,
-              0.5, 1.0, 2.0}
-    res = integrate_adaptive(outer, 0.0, 8.0, abs_tol=0.5 * quad_tol * _SQRT_PI / 2,
-                             rel_tol=0.0, breakpoints=breaks, max_panels=max_panels)
-    gamma = float(np.expm1(-delta * delta)) - pref * res.value
-    err = pref * res.error + 0.5 * inner_tol + pref * inner.tail_error
-    if not (res.converged and inner.converged):
-        stage = "inner angular" if res.converged else "dephasing"
-        raise ConvergenceError(f"{stage} quadrature stalled at error {err!r} for d = {d!r}",
-                               best_estimate=gamma, error_estimate=err)
-    return gamma, err
+    gamma, err = _gamma_batch([d], gp, r_c, quad_tol, max_panels)
+    return float(gamma[0]), float(err[0])
 
 
 def gamma_asymptotic(d: float, gp: GravityParams, r_c: float) -> float:
@@ -418,8 +480,15 @@ class DephasingCurve:
 
 def compute_dephasing_curve(d_values, gp: GravityParams, r_c: float,
                             quad_tol: float = 1e-9) -> DephasingCurve:
-    points = np.array([gamma_of_d(float(d), gp, r_c, quad_tol) for d in d_values]).reshape(-1, 2)
-    return DephasingCurve(np.asarray(d_values, dtype=float), points[:, 0], points[:, 1])
+    """Gamma(d) and its error estimate at every separation of ``d_values``.
+
+    All separations are refined together as the problems of one batched
+    quadrature, and each comes out bit for bit as ``gamma_of_d`` gives it
+    alone.  A stalled separation raises ConvergenceError for the first
+    such d in input order.
+    """
+    gamma, err = _gamma_batch(d_values, gp, r_c, quad_tol)
+    return DephasingCurve(np.asarray(d_values, dtype=float), gamma, err)
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +515,23 @@ def grav_master_dephasing_check(rho0, params: ModelParams, gp: GravityParams,
     rho_init = np.asarray(rho0)
     checkpoints = [(t, r) for t, r, _ in integrate_master(rho_init, params, t_end, n_checkpoints)]
     n = rho_init.shape[0]
-    gamma_cache = {}
-    worst = 0.0
+    pair_keys = {}
+    halves = {}   # distinct half-distance -> d of the first pair at it
     for i in range(n):
         for j in range(n):
             if i == j or abs(rho_init[i, j]) < 1e-12:
                 continue
             dist = float(np.linalg.norm(pos[i] - pos[j]))
-            key = round(dist / 2.0, 15)
-            if key not in gamma_cache:
-                gamma_cache[key], _ = gamma_of_d(dist / 2.0, gp, r_c, quad_tol)
-            rate = params.rate_scale * gamma_cache[key]
-            for t, rho_t in checkpoints:
-                ref = rho_init[i, j] * np.exp(rate * t)
-                dev = abs(rho_t[i, j] - ref) / abs(ref)
-                worst = max(worst, dev)
+            key = pair_keys[i, j] = round(dist / 2.0, 15)
+            halves.setdefault(key, dist / 2.0)
+    gamma, _ = _gamma_batch(list(halves.values()), gp, r_c, quad_tol)
+    rates = {key: params.rate_scale * g for key, g in zip(halves, gamma.tolist())}
+    worst = 0.0
+    for (i, j), key in pair_keys.items():
+        for t, rho_t in checkpoints:
+            ref = rho_init[i, j] * np.exp(rates[key] * t)
+            dev = abs(rho_t[i, j] - ref) / abs(ref)
+            worst = max(worst, dev)
     return float(worst)
 
 

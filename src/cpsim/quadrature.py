@@ -1,21 +1,24 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals.
 
 Small, deterministic engine of the Gamma(d) double integral in
-``cpsim.gravity``: ``integrate_adaptive`` takes its outer radial
-integral, ``_integrate_batch`` its inner angular ones.  A 7-point
-Gauss / 15-point Kronrod pair gives each panel's value and a local
-error estimate.  ``_integrate_batch`` integrates many independent
-problems at once: each round it bisects, in every unconverged problem,
-the panels whose error exceeds that problem's tolerance shared out over
-its panels (always including its worst panel), and evaluates all new
-panels of all problems with one vectorized integrand call, as in
-QUADPACK ``qag`` and scipy's ``quad_vec``.  Weighted sums run along
-rows, so a problem's result does not depend on what it is batched with.
+``cpsim.gravity``: ``_integrate_batch`` takes both its outer radial
+integrals, one problem per separation, and its inner angular ones, one
+problem per radial node.  A 7-point Gauss / 15-point Kronrod pair gives
+each panel's value and a local error estimate.  ``_integrate_batch``
+integrates many independent problems at once: each round it bisects, in
+every open problem, the panels whose error exceeds that problem's
+tolerance shared out over its panels (always including its worst
+panel), and evaluates all new panels of all problems with vectorized
+integrand calls of at most ``_MAX_CALL_PANELS`` panels, as in QUADPACK
+``qag`` and scipy's ``quad_vec``.  A problem that closes (converged, or
+out of panel budget) is retired: its result is stored and its panels
+leave the working arrays, so later rounds sort and copy only the panels
+of open problems.  Weighted sums run along rows, and retiring keeps each
+open problem's panels in order, so a problem's result does not depend
+on what it is batched with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +36,22 @@ _WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
 _WG = np.concatenate((_WG, _WG[-2::-1]))
 _GAUSS_IDX = np.arange(1, 15, 2)
 
+#: panels per integrand call; 2048 panels are 30,720 nodes, which bounds
+#: what an integrand that is itself a batch of quadratures holds at once
+_MAX_CALL_PANELS = 2048
+
 
 def _gk15(f, lo, hi, owner):
     """(kronrod, error_estimate) arrays for panels [lo, hi] of problems ``owner``."""
+    parts = [_gk15_call(f, lo[s:s + _MAX_CALL_PANELS], hi[s:s + _MAX_CALL_PANELS],
+                        owner[s:s + _MAX_CALL_PANELS])
+             for s in range(0, len(lo), _MAX_CALL_PANELS)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+def _gk15_call(f, lo, hi, owner):
     h = (hi - lo) / 2.0
     x = lo[:, None] + (1.0 + _XK) * h[:, None]
     y = np.asarray(f(x, owner), dtype=float)
@@ -63,6 +79,8 @@ def _integrate_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
     m = int(owner.max()) + 1
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     val, err = _gk15(f, lo, hi, owner)
+    value, error = np.zeros(m), np.zeros(m)
+    n_panels, converged = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     while True:
         n = np.bincount(owner, minlength=m)
         total = np.bincount(owner, val, minlength=m)
@@ -70,15 +88,34 @@ def _integrate_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         room = max_panels - n
         open_ = (total_err > tol) & (room > 0)
-        if not open_.any():
-            return total, total_err, n, total_err <= tol
-        # rank each problem's panels worst first; a stable sort keeps the
-        # tie order a function of that problem's own panels
-        order = np.lexsort((-err, owner))
-        rank = np.empty_like(owner)
-        grouped = owner[order]
-        rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
-        pick = open_[owner] & ((err > (tol / n)[owner]) | (rank == 0)) & (rank < room[owner])
+        # a closed problem never reopens: its tolerance depends only on its
+        # own total, which no longer changes
+        closed = (n > 0) & ~open_
+        if closed.any():
+            value[closed], error[closed], n_panels[closed] = total[closed], total_err[closed], n[closed]
+            converged[closed] = total_err[closed] <= tol[closed]
+            if not open_.any():
+                return value, error, n_panels, converged
+            live = open_[owner]
+            lo, hi, owner, val, err = lo[live], hi[live], owner[live], val[live], err[live]
+        # bisect the panels above their share, or else the worst one, and at
+        # most ``room`` of them, worst first.  The panels above their share
+        # lead a problem's worst-first ranking, and since its errors sum to
+        # more than tol there is nearly always one; only problems with none
+        # or too many need the ranking
+        share = tol / np.maximum(n, 1)   # retired problems own no panels
+        pick = err > share[owner]
+        count = np.bincount(owner[pick], minlength=m)
+        ranked = ((count == 0) | (count > room))[owner]
+        if ranked.any():
+            rows = np.flatnonzero(ranked)
+            sub = owner[rows]
+            # a stable sort keeps the tie order a function of the problem's own panels
+            order = np.lexsort((-err[rows], sub))
+            grouped = sub[order]
+            rank = np.empty_like(sub)
+            rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+            pick[rows] = (pick[rows] | (rank == 0)) & (rank < room[sub])
         mid = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate((lo[pick], mid))
         new_hi = np.concatenate((mid, hi[pick]))
@@ -90,28 +127,3 @@ def _integrate_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
         owner = np.concatenate((owner[keep], new_owner))
         val = np.concatenate((val[keep], new_val))
         err = np.concatenate((err[keep], new_err))
-
-
-@dataclass
-class QuadResult:
-    value: float
-    error: float
-    n_panels: int
-    converged: bool
-
-
-def integrate_adaptive(f, a: float, b: float, *, abs_tol: float = 1e-10,
-                       rel_tol: float = 1e-10, breakpoints=(),
-                       max_panels: int = 2000) -> QuadResult:
-    """Adaptively integrate ``f`` (vectorized) over [a, b].
-
-    ``f`` is called with a 1-D node array.  ``breakpoints`` are interior
-    abscissae where the integrand changes character: they split [a, b]
-    into the initial panels, and no panel ever straddles one.
-    """
-    edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
-    value, error, n, converged = _integrate_batch(
-        lambda x, owner: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
-        edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int),
-        abs_tol, rel_tol, max_panels)
-    return QuadResult(float(value[0]), float(error[0]), int(n[0]), bool(converged[0]))

@@ -113,7 +113,7 @@ class TestDecoherenceTiming:
         assert rep.coherence_ratio_at_median == pytest.approx(rep.predicted_ratio, abs=1e-6)
         assert rep.coherence_ratio_at_median == pytest.approx(0.5, abs=1e-3)
 
-    @pytest.mark.xfail(strict=True, reason=(
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the interband dephasing rate equals the total flash rate for "
         "non-overlapping branches, so the coherence ratio at the median "
         "first-flash time is 2^-(1-overlap) ~ 0.5 for every parameter "
