@@ -124,9 +124,18 @@ def _profile(kind: str, a: float):
                         _erf(safe / a) / safe)
 
     def p1(x):
-        small = x < 1e-6 * a
+        # P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2 with y = x/a; the
+        # difference cancels as y -> 0, so below y = 1 it is summed as the
+        # positive series (2y/sqrt(pi)) e^{-y^2} sum_{k>=1} (2y^2)^k / (3 5 ... (2k+1)),
+        # 39 terms in nested form: 1 + (z/5)(1 + (z/7)(1 + ... (1 + z/79)))
+        small = x < a
+        y = np.where(small, x / a, 0.0)
+        z = 2.0 * y * y
+        nested = np.ones_like(z)
+        for odd in range(79, 3, -2):
+            nested = 1.0 + z * nested / odd
         safe = np.where(small, a, x)
-        return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * x / a ** 3,
+        return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * y * np.exp(-y * y) * nested / (a * a),
                         -(_erf(safe / a) - (2.0 * safe / (a * _SQRT_PI))
                           * np.exp(-(safe / a) ** 2)) / safe ** 2)
 

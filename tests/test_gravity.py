@@ -1,5 +1,6 @@
 from dataclasses import FrozenInstanceError, replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -103,11 +104,11 @@ class TestProfileF:
     @pytest.mark.parametrize("a", [0.7, 1e-3])
     def test_profile_matches_scipy_erf_forms(self, monkeypatch, a):
         """P, P' and P'' against the same closed forms evaluated with
-        scipy.special.erf.  P' and P'' subtract terms that nearly cancel
-        just above their small-radius branches (P' loses 12 digits at
-        x = 1e-6 a), so there the few-ulp gap between the two erfs is
-        amplified; their bound is 1e-15 of the erf term, erf(x/a)/x^2
-        and 2 erf(x/a)/x^3."""
+        scipy.special.erf.  P'' subtracts terms that nearly cancel just
+        above its small-radius branch, and P' does so above x = a, so
+        there the few-ulp gap between the two erfs is amplified; their
+        bound is 1e-15 of the erf term, erf(x/a)/x^2 and 2 erf(x/a)/x^3.
+        Below x = a, P' is a series that calls no erf."""
         r = a * np.logspace(-9, np.log10(50.0), 2001)
         new = [f(r) for f in gravity._profile("gaussian_smeared", a)]
         monkeypatch.setattr(gravity, "_erf", erf)
@@ -115,6 +116,22 @@ class TestProfileF:
         assert np.all(np.abs(new[0] - old[0]) <= 1e-15 * np.abs(old[0]))
         assert np.all(np.abs(new[1] - old[1]) <= 1e-15 * erf(r / a) / r ** 2)
         assert np.all(np.abs(new[2] - old[2]) <= 2e-15 * erf(r / a) / r ** 3)
+
+    @pytest.mark.parametrize("a", [0.7, 1.0, 1e-3])
+    def test_profile_slope_against_high_precision(self, a):
+        """P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2, y = x/a, against
+        120-bit mpmath from 1e-8 a to 50 a, across 1e-6 a, where the closed
+        form alone keeps about 4 digits, and a, where the series hands over
+        to it."""
+        x = a * np.concatenate([np.logspace(-8, np.log10(50.0), 501),
+                                [0.999999e-6, 1e-6, 1.04e-6, 1.0 - 1e-12, 1.0 + 1e-12]])
+        got = gravity._profile("gaussian_smeared", a)[1](x)
+        with mpmath.workprec(120):
+            for xi, g in zip(x, got):
+                xm = mpmath.mpf(float(xi))
+                y = xm / a
+                ref = -(mpmath.erf(y) - 2 * y / mpmath.sqrt(mpmath.pi) * mpmath.exp(-y * y)) / xm ** 2
+                assert abs((g - ref) / ref) <= 1e-15
 
     def test_gravity_params_are_frozen(self):
         gp = gauss_params(0.5)
