@@ -92,8 +92,8 @@ def _integrate_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
         # own total, which no longer changes
         closed = (n > 0) & ~open_
         if closed.any():
-            value[closed], error[closed], n_panels[closed] = total[closed], total_err[closed], n[closed]
-            converged[closed] = total_err[closed] <= tol[closed]
+            value[closed], error[closed] = total[closed], total_err[closed]
+            n_panels[closed], converged[closed] = n[closed], total_err[closed] <= tol[closed]
             if not open_.any():
                 return value, error, n_panels, converged
             live = open_[owner]
