@@ -36,7 +36,7 @@ from .exact import _sample_windows
 from .gravity import (R_G_MAX, R_G_MIN, GravityParams, compute_dephasing_curve,
                       energy_after_flash, macro_potential)
 from .hilbert import MAX_DIM, SpatialGrid
-from .measurement import PointerModel, born_experiment, born_initial_state, pointer_family
+from .measurement import born_experiment, born_initial_state, pointer_family
 from .operators import build_grw_family, grw_gaussian
 from .rng import GENERATOR_NAME
 
@@ -313,6 +313,11 @@ def _master(cfg, opts):
 
 
 def _born(cfg, opts):
+    p_obj = _field(cfg, "params", dict, "config")
+    for key, why in (("hamiltonian", "a born run evolves the pointer by collapse alone"),
+                     ("mass", "the pointer mass is options.pointer.amplification * params.m_r")):
+        if key in p_obj:
+            raise ConfigError(f"params.{key}: {why}")
     path = "options"
     _reject_unknown(opts, {"amplitudes", "t_obs", "n_runs", "pointer"}, path)
     amps = [float(a) for a in _numbers(opts, "amplitudes", path, "at least two real amplitudes")]
@@ -324,12 +329,11 @@ def _born(cfg, opts):
     n_runs = _count(opts, "n_runs", path, most=_MAX_RUNS)
     ptr_path = f"{path}.pointer"
     ptr = _field(opts, "pointer", dict, path)
-    _reject_unknown(ptr, {"centers", "amplification", "region_halfwidth"}, ptr_path)
+    _reject_unknown(ptr, {"centers", "amplification"}, ptr_path)
     centers = _numbers(ptr, "centers", ptr_path, "a list of region centres")
     if len(centers) != len(amps):
         raise ConfigError(f"{ptr_path}.centers: need one centre per amplitude")
     amplification = _count(ptr, "amplification", ptr_path)
-    halfwidth = _positive(ptr, "region_halfwidth", ptr_path, None)
 
     def build(grid, f_c):
         if grid.n * len(amps) > MAX_DIM:
@@ -339,12 +343,10 @@ def _born(cfg, opts):
     params = _parse_params(cfg, build)
     params = replace(params, mass=amplification * params.m_r)
     _steps(t_obs, params.dt, path, "t_obs")
-    pointer = PointerModel(tuple(float(c) for c in centers), params.family.smearing.radius,
-                           amplification, region_halfwidth=halfwidth)
-    born_initial_state(amps, pointer, params, t_obs)   # raises what the run would raise first
+    born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):
-        rep = born_experiment(amps, pointer, params, t_obs, n_runs, seed)
+        rep = born_experiment(amps, centers, params, t_obs, n_runs, seed)
         return (None, {
             "n_runs": rep.n_runs,
             "region_counts": [int(k) for k in rep.region_counts],
@@ -389,6 +391,10 @@ def _energy(cfg, opts):
     n_r = _count(opts, "n_r", path, 2000, most=_MAX_RADIAL_POINTS)
     mass = _positive(opts, "mass", path, 1.0)
     hbar = _positive(opts, "hbar", path, 1.0)
+    # every row uses the gaussian profile at its own radius, so gravity.r_g is unread
+    if gp.F_kind != "gaussian_smeared":
+        raise ConfigError("gravity.f_kind: energy needs 'gaussian_smeared', the profile "
+                          "it evaluates at each of options.r_g_values")
 
     def run(seed):
         r = np.linspace(r_max / n_r, r_max, n_r)

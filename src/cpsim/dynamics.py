@@ -45,7 +45,8 @@ class ModelParams:
     rate picks up a factor mass / m_r (mass proportionality of the
     flash probability, ``mass_scaled``).  ``hbar``, ``c_light``, ``mass``
     and ``m_r`` have no defaults; ``natural`` sets them all to 1.
-    ``hamiltonian`` may be None for pure collapse dynamics.  ``dt`` is
+    ``hamiltonian`` may be None for pure collapse dynamics; otherwise it
+    is a (dim, dim) matrix on the family's system space.  ``dt`` is
     the step of the jump process and must keep the per-step flash
     probability under STEP_VALIDITY_LIMIT for every evolved state; this
     is asserted at runtime by the stepper.  For the
@@ -71,7 +72,12 @@ class ModelParams:
         if self.mass <= 0 or self.m_r <= 0:
             raise ContractViolationError("masses must be positive")
         if self.hamiltonian is not None:
-            object.__setattr__(self, "hamiltonian", np.asarray(self.hamiltonian, dtype=complex))
+            h = np.asarray(self.hamiltonian, dtype=complex)
+            if h.shape != (self.family.dim,) * 2:
+                raise ContractViolationError(
+                    f"hamiltonian of shape {h.shape} does not act on the family's "
+                    f"dimension {self.family.dim}")
+            object.__setattr__(self, "hamiltonian", h)
 
     @classmethod
     def natural(cls, lambda_grw, family, dt, **kw):

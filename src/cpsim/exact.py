@@ -139,9 +139,9 @@ def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     return p_flash, sf, sn
 
 
-def _gaps(chain, t0: float) -> np.ndarray:
-    """Time from t0 or the previous point to each point of the chain."""
-    gaps = np.diff([t0, *(cp.time for cp in chain)])
+def _gaps(chain) -> np.ndarray:
+    """Time from 0 or the previous point to each point of the chain."""
+    gaps = np.diff([0.0, *(cp.time for cp in chain)])
     if np.any(gaps < 0):
         raise ContractViolationError("collapse-point times must be non-decreasing")
     return gaps
@@ -163,8 +163,9 @@ def _evolution(H, hbar: float):
     return evolve
 
 
-def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
-    """All 2^n outcome records for a chain of collapse points.
+def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0):
+    """All 2^n outcome records for a chain of collapse points, from
+    ``psi0`` at time 0.
 
     Records are ordered by outcome tuple, first point most significant.
     Joint probabilities are accumulated as products of conditional
@@ -174,7 +175,7 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0):
     n = len(chain)
     if n > MAX_ENUMERATION:
         raise ContractViolationError(f"chain length {n} above the enumeration cap {MAX_ENUMERATION}")
-    gaps, evolve = _gaps(chain, t0), _evolution(H, hbar)
+    gaps, evolve = _gaps(chain), _evolution(H, hbar)
     table = _chain_table(chain, hbar) if n else None
     records = []
 
@@ -213,7 +214,7 @@ def _step(table: _JumpTable, x, k, u):
     return new / np.sqrt(p)[:, None], hit, p
 
 
-def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> float:
+def markov_check(psi0, chain, H=None, hbar: float = 1.0) -> float:
     """Compare single-point flash probabilities along two routes.
 
     Route one marginalizes the full joint distribution over all other
@@ -226,14 +227,14 @@ def markov_check(psi0, chain, H=None, hbar: float = 1.0, t0: float = 0.0) -> flo
     n = len(chain)
     if n > 10:
         raise ContractViolationError("markov check restricted to chains of length <= 10")
-    records = enumerate_chain(psi0, chain, H, hbar, t0)
+    records = enumerate_chain(psi0, chain, H, hbar)
     marginal = np.zeros(n)
     for rec in records:
         for m, bit in enumerate(rec.outcomes):
             if bit:
                 marginal[m] += rec.probability
 
-    gaps, evolve = _gaps(chain, t0), _evolution(H, hbar)
+    gaps, evolve = _gaps(chain), _evolution(H, hbar)
     table = _chain_table(chain, hbar) if n else None
     v = np.asarray(psi0).astype(complex)
     rho = np.outer(v, v.conj())

@@ -30,8 +30,8 @@ from .quadrature import _integrate_batch
 _SQRT_PI = math.sqrt(math.pi)
 
 #: range of the gaussian smearing radius a in which every intermediate of
-#: ``_profile`` stays finite at radii from 0 to 1e4 a; at a = 1e-100 the
-#: term 2 erf(x/a) / x^3 of P'' already overflows at x = 1e-4 a
+#: ``_profile`` stays finite at radii from 0 to 1e4 a; P'' is of order
+#: a^-3 there, and its terms overflow at a = 1e-104 and a = 1e100
 R_G_MIN, R_G_MAX = 1e-50, 1e50
 
 #: phase magnitude separating the directly-quadratured slow region from
@@ -114,37 +114,45 @@ def _profile(kind: str, a: float):
     if kind == "point_source":
         return (lambda x: 1.0 / x), (lambda x: -1.0 / x ** 2), (lambda x: 2.0 / x ** 3)
 
-    def _e(x):
-        return (2.0 / (a * _SQRT_PI)) * np.exp(-(x / a) ** 2)
-
     def p(x):
         small = x < 1e-8 * a
         safe = np.where(small, a, x)
         return np.where(small, (2.0 / (a * _SQRT_PI)) * (1.0 - x ** 2 / (3 * a * a)),
                         _erf(safe / a) / safe)
 
-    def p1(x):
-        # P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2 with y = x/a; the
-        # difference cancels as y -> 0, so below y = 1 it is summed as the
-        # positive series (2y/sqrt(pi)) e^{-y^2} sum_{k>=1} (2y^2)^k / (3 5 ... (2k+1)),
-        # 39 terms in nested form: 1 + (z/5)(1 + (z/7)(1 + ... (1 + z/79)))
-        small = x < a
-        y = np.where(small, x / a, 0.0)
+    # Below y = x/a = 1 both derivatives are summed from the positive series
+    # erf(y) - (2y/sqrt(pi)) e^{-y^2} = (4y^3/(3 sqrt(pi))) e^{-y^2} N(z), z = 2y^2,
+    # N = sum_{k>=0} z^k / (5 7 ... (2k+3)) = 1 + (z/5) N_2, 39 terms in nested
+    # form: N_2 = 1 + (z/7)(1 + (z/9)(1 + ... (1 + z/79))).  The closed forms
+    # subtract nearly equal terms as y -> 0.
+    def series(x):
+        """(y, z, N_2) on x < a; y = 0 elsewhere."""
+        y = np.where(x < a, x / a, 0.0)
         z = 2.0 * y * y
         nested = np.ones_like(z)
-        for odd in range(79, 3, -2):
+        for odd in range(79, 5, -2):
             nested = 1.0 + z * nested / odd
-        safe = np.where(small, a, x)
-        return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) * y * np.exp(-y * y) * nested / (a * a),
+        return y, z, nested
+
+    def p1(x):
+        # P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2
+        y, z, n2 = series(x)
+        safe = np.where(x < a, a, x)
+        return np.where(x < a, -(4.0 / (3.0 * _SQRT_PI)) * y * np.exp(-y * y)
+                        * (1.0 + z * n2 / 5.0) / (a * a),
                         -(_erf(safe / a) - (2.0 * safe / (a * _SQRT_PI))
                           * np.exp(-(safe / a) ** 2)) / safe ** 2)
 
     def p2(x):
-        small = x < 1e-4 * a
-        safe = np.where(small, a, x)
-        epp = _e(safe) * (-2.0 * safe / (a * a))
-        return np.where(small, -(4.0 / (3.0 * _SQRT_PI)) / a ** 3,
-                        epp / safe - 2.0 * _e(safe) / safe ** 2 + 2.0 * _erf(safe / a) / safe ** 3)
+        # P'' = -(4/(sqrt(pi) a^3)) e^{-y^2} + 2 (erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^3,
+        # which the series turns into -(4/(3 sqrt(pi) a^3)) e^{-y^2} (1 - (2z/5) N_2)
+        y, z, n2 = series(x)
+        safe = np.where(x < a, a, x)
+        e = (2.0 / (a * _SQRT_PI)) * np.exp(-(safe / a) ** 2)
+        return np.where(x < a, -(4.0 / (3.0 * _SQRT_PI)) * np.exp(-y * y)
+                        * (1.0 - 2.0 * z * n2 / 5.0) / a ** 3,
+                        e * (-2.0 * safe / (a * a)) / safe - 2.0 * e / safe ** 2
+                        + 2.0 * _erf(safe / a) / safe ** 3)
     return p, p1, p2
 
 
@@ -200,8 +208,7 @@ def grav_unitary(family: OperatorFamily, gp: GravityParams) -> OperatorFamily:
         raise DomainError("a system position coincides with a flash node; "
                           "the point-source phase diverges there")
     phases = np.exp(1j * gp.r_m * grav_profile_F(dist, gp))
-    return OperatorFamily(family.grid, "gravity_dressed",
-                          diagonals=phases * family.diagonals,
+    return OperatorFamily(family.grid, diagonals=phases * family.diagonals,
                           mass_weighted=family.mass_weighted,
                           smearing=family.smearing, system_positions=pos)
 
@@ -220,9 +227,8 @@ def probe_line_family(flash_grid: SpatialGrid, probe_positions, f_c: SmearingFun
     if pos.shape[1] != flash_grid.dim:
         raise ContractViolationError("probe coordinates must match the flash-grid dimension")
     dist = np.linalg.norm(flash_grid.positions[:, None, :] - pos[None, :, :], axis=2)
-    return OperatorFamily(flash_grid, "grw_position",
-                          diagonals=f_c.profile(dist, flash_grid.dim), smearing=f_c,
-                          system_positions=pos)
+    return OperatorFamily(flash_grid, diagonals=f_c.profile(dist, flash_grid.dim),
+                          smearing=f_c, system_positions=pos)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +523,7 @@ def grav_master_dephasing_check(rho0, params: ModelParams, gp: GravityParams,
     if params.hamiltonian is not None:
         raise ContractViolationError("the closed dephasing form assumes no Hamiltonian")
     fam = params.family
-    if fam.kind != "gravity_dressed" and gp.r_m != 0.0:
+    if not np.iscomplexobj(fam.diagonals) and gp.r_m != 0.0:
         raise ContractViolationError("params.family must be the gravity-dressed family")
     pos = fam.grid.positions if fam.system_positions is None else fam.system_positions
     r_c = fam.smearing.radius

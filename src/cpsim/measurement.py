@@ -2,13 +2,17 @@
 
 A microscopic system is entangled with a mesoscopic pointer whose
 wavepacket sits in a different spatial region for every outcome.  The
-pointer is modelled as one effective particle whose mass carries an
-integer amplification factor, which is equivalent to a many-particle
-pointer for flash statistics because flash rates are mass
-proportional.  Running the jump process and classifying each run by
-the region of its first flash reproduces Born statistics; the residual
-amplitude left in the unflashed regions (the tail) is reported, not
-resolved.
+pointer is modelled as one effective particle of mass ``params.mass``,
+an amplification ``params.mass / params.m_r`` over the reference
+nucleon, which is equivalent to a many-particle pointer for flash
+statistics because flash rates are mass proportional.  The outcome
+regions are given by their centres alone: a flash belongs to the
+region of the nearest centre, and every packet is a gaussian of
+amplitude width r_C / 2, r_C being the radius of the collapse family
+``params.family``.  Running the jump process and classifying each run
+by the region of its first flash reproduces Born statistics; the
+residual amplitude left in the unflashed regions (the tail) is
+reported, not resolved.
 """
 
 from __future__ import annotations
@@ -24,68 +28,33 @@ from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
 
 
-@dataclass
-class PointerModel:
-    """Outcome regions on the pointer grid plus the mass amplification.
-
-    ``region_centers`` are the packet centres, one per outcome; regions
-    are the intervals of half-width ``region_halfwidth`` around them
-    and must be disjoint with centres at least 4 r_C apart.
-    """
-
-    region_centers: tuple
-    r_c: float
-    amplification: int
-    region_halfwidth: float = None
-
-    def __post_init__(self):
-        self.region_centers = tuple(float(c) for c in self.region_centers)
-        if len(self.region_centers) < 2:
-            raise ContractViolationError("need at least two outcome regions")
-        if self.amplification < 1:
-            raise ContractViolationError("amplification must be a positive integer")
-        if self.region_halfwidth is None:
-            self.region_halfwidth = self.r_c
-        cs = sorted(self.region_centers)
-        for a, b in zip(cs[:-1], cs[1:]):
-            if b - a < 4.0 * self.r_c:
-                raise ContractViolationError(
-                    f"region centres {a!r} and {b!r} closer than 4 r_C")
-            if b - a < 2.0 * self.region_halfwidth:
-                raise ContractViolationError("outcome regions overlap")
-
-    @property
-    def outcome_count(self) -> int:
-        return len(self.region_centers)
-
-    def classify(self, position: float) -> int:
-        """Index of the region whose centre is nearest to the flash."""
-        d = [abs(position - c) for c in self.region_centers]
-        return int(np.argmin(d))
-
-
-def premeasure(c, pointer: PointerModel, grid: SpatialGrid) -> np.ndarray:
+def premeasure(c, centers, family: OperatorFamily) -> np.ndarray:
     """Entangled post-interaction state of system and pointer (normalized).
 
     Branch i carries amplitude c_i on system outcome i with the pointer
     in a normalized gaussian packet of amplitude width r_C / 2 centred
-    in region i.  Packet tails must not leak into other regions.
+    on ``centers[i]``, r_C = ``family.smearing.radius``, on the grid of
+    ``family``.  Packet tails must not leak into other regions, which
+    keeps the centres at least about 7.4 r_C apart.
     """
     amps = np.asarray(c, dtype=complex)
+    if len(centers) < 2:
+        raise ContractViolationError("need at least two outcome regions")
     if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > 1e-10:
         raise ContractViolationError("branch amplitudes must be normalized")
-    if amps.size != pointer.outcome_count:
+    if amps.size != len(centers):
         raise ContractViolationError("one amplitude per outcome region required")
-    width = pointer.r_c / 2.0
+    grid = family.grid
+    width = family.smearing.radius / 2.0
     x = grid.x
     joint = np.zeros((amps.size, grid.n), dtype=complex)
-    for i, center in enumerate(pointer.region_centers):
+    for i, center in enumerate(centers):
         if not (grid.extent[0, 0] < center < grid.extent[0, 1]):
             raise ContractViolationError(f"region centre {center!r} lies outside the grid")
         packet = np.exp(-((x - center) ** 2) / (4.0 * width ** 2))
         packet /= np.linalg.norm(packet)
         # a packet centred in region i must be negligible elsewhere
-        others = min(abs(center - oc) for j, oc in enumerate(pointer.region_centers) if j != i)
+        others = min(abs(center - oc) for j, oc in enumerate(centers) if j != i)
         if math.exp(-(others / 2.0) ** 2 / (4.0 * width ** 2)) > 1e-6:
             raise ContractViolationError("pointer packets overlap a foreign region")
         joint[i] = amps[i] * packet
@@ -100,7 +69,7 @@ def pointer_family(grid: SpatialGrid, f_c: SmearingFunction, n_outcomes: int) ->
     """
     base = build_grw_family(grid, f_c)
     tiled = np.tile(base.diagonals, (1, n_outcomes))
-    return OperatorFamily(grid, "grw_position", diagonals=tiled, smearing=f_c)
+    return OperatorFamily(grid, diagonals=tiled, smearing=f_c)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 2.5758293035489004):
@@ -126,8 +95,7 @@ class BornReport:
     median_first_flash_time: float
 
 
-def born_initial_state(c, pointer: PointerModel, params: ModelParams,
-                       t_obs: float) -> np.ndarray:
+def born_initial_state(c, centers, params: ModelParams, t_obs: float) -> np.ndarray:
     """The premeasured state a Born run starts from, after every check
     that ``born_experiment`` makes before it simulates."""
     expected_flashes = params.rate_scale * t_obs
@@ -135,10 +103,10 @@ def born_initial_state(c, pointer: PointerModel, params: ModelParams,
         raise ContractViolationError(
             f"amplification x rate x t_obs = {expected_flashes!r} < 20; "
             "no-flash runs would not be negligible")
-    return premeasure(c, pointer, params.family.grid)
+    return premeasure(c, centers, params.family)
 
 
-def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
+def born_experiment(c, centers, params: ModelParams, t_obs: float,
                     n_runs: int, seed: int) -> BornReport:
     """Flash statistics of repeated pointer measurements.
 
@@ -151,10 +119,11 @@ def born_experiment(c, pointer: PointerModel, params: ModelParams, t_obs: float,
     the flashed region.
     """
     grid = params.family.grid
-    psi0 = born_initial_state(c, pointer, params, t_obs)
-    n_out = pointer.outcome_count
+    psi0 = born_initial_state(c, centers, params, t_obs)
+    n_out = len(centers)
     n_steps = int(round(t_obs / params.dt))
-    node_region = np.array([pointer.classify(float(x)) for x in grid.x])
+    # a flash at node k belongs to the region of the nearest centre
+    node_region = np.argmin(np.abs(grid.x[:, None] - np.asarray(centers, dtype=float)), axis=1)
 
     first_region = np.full(n_runs, -1)
     first_time = np.zeros(n_runs)
@@ -204,7 +173,7 @@ class DecoherenceTimingReport:
     predicted_ratio: float
 
 
-def decoherence_vs_reduction(c, pointer: PointerModel, params: ModelParams) -> DecoherenceTimingReport:
+def decoherence_vs_reduction(c, centers, params: ModelParams) -> DecoherenceTimingReport:
     """Compare the interband dephasing rate with the flash rate.
 
     Uses the closed dephasing form of the diagonal family: the
@@ -213,12 +182,10 @@ def decoherence_vs_reduction(c, pointer: PointerModel, params: ModelParams) -> D
     rate_scale * sum_k w_k <L_k^2>.  Both are evaluated on the
     premeasured state.
     """
-    grid = params.family.grid
-    psi0 = premeasure(np.asarray(c, dtype=complex), pointer, grid)
+    psi0 = premeasure(c, centers, params.family)
     rates = flash_rate_density(psi0, params)
     total = float(rates.sum())
     f = params.family.smearing
-    centers = pointer.region_centers
     d = max(abs(a - b) for a in centers for b in centers) / 2.0
     overlap = math.exp(-(d / f.radius) ** 2)
     dephasing = params.rate_scale * (1.0 - overlap)

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import ContractViolationError, DomainError
 from .hilbert import MAX_DIM, SpatialGrid
 
-_FAMILY_KINDS = ("grw_position", "smeared_number", "sqrt_smeared_mass", "gravity_dressed")
-
 
 # ---------------------------------------------------------------------------
 # smearing profiles
@@ -88,7 +86,8 @@ class OperatorFamily:
     is a multiplication operator, diagonal in the position basis and in
     the Fock occupation basis.  ``diagonals`` holds member k in row k,
     shape (nodes, dim); rows are real except for the phase-dressed
-    ``gravity_dressed`` kind.  ``mass_weighted`` records whether species
+    family of ``gravity.grav_unitary``, and the engines that need
+    Hermitian members refuse complex ones.  ``mass_weighted`` records whether species
     masses are already folded into the members, so the dynamics layer
     knows whether to apply an m/m_R rate factor.
     ``system_positions`` places the system basis states in space when
@@ -96,12 +95,9 @@ class OperatorFamily:
     they are not points at all).
     """
 
-    def __init__(self, grid: SpatialGrid, kind: str, *, diagonals,
+    def __init__(self, grid: SpatialGrid, *, diagonals,
                  mass_weighted=False, smearing=None, system_positions=None):
-        if kind not in _FAMILY_KINDS:
-            raise ContractViolationError(f"unknown family kind {kind!r}")
         self.grid = grid
-        self.kind = kind
         self.mass_weighted = bool(mass_weighted)
         self.smearing = smearing
         self.system_positions = (None if system_positions is None
@@ -109,12 +105,6 @@ class OperatorFamily:
         self.diagonals = np.asarray(diagonals)
         if self.diagonals.shape[0] != grid.n:
             raise ContractViolationError("need one member per flash-grid node")
-        if kind != "gravity_dressed" and np.iscomplexobj(self.diagonals):
-            dev = float(np.max(np.abs(self.diagonals.imag)))
-            if dev > 1e-12:
-                raise ContractViolationError(
-                    f"family members deviate from Hermiticity by {dev!r}")
-            self.diagonals = self.diagonals.real
 
     @property
     def dim(self) -> int:
@@ -142,7 +132,7 @@ def build_grw_family(grid: SpatialGrid, f_c: SmearingFunction) -> OperatorFamily
     diff = grid.positions[:, None, :] - grid.positions[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     diagonals = f_c.profile(dist, grid.dim)
-    return OperatorFamily(grid, "grw_position", diagonals=diagonals, smearing=f_c)
+    return OperatorFamily(grid, diagonals=diagonals, smearing=f_c)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +235,7 @@ def build_smeared_number(basis: FockBasis, grid: SpatialGrid, g: SmearingFunctio
     number_diags = np.array([np.diag(basis.number_operator(species, s)) for s in range(basis.sites)])
     profiles = np.array([g.lattice_values(grid, grid.positions[k]) for k in range(grid.n)])
     diagonals = profiles @ number_diags
-    return OperatorFamily(grid, "smeared_number", diagonals=diagonals, smearing=g)
+    return OperatorFamily(grid, diagonals=diagonals, smearing=g)
 
 
 def build_smeared_mass(basis: FockBasis, grid: SpatialGrid, g: SmearingFunction,
@@ -263,7 +253,7 @@ def build_smeared_mass(basis: FockBasis, grid: SpatialGrid, g: SmearingFunction,
     for label, m_i in basis.species:
         fam = build_smeared_number(basis, grid, g, label)
         mass_diag += (m_i / m_r) * fam.diagonals
-    return OperatorFamily(grid, "sqrt_smeared_mass", diagonals=np.sqrt(mass_diag),
+    return OperatorFamily(grid, diagonals=np.sqrt(mass_diag),
                           mass_weighted=True, smearing=g)
 
 

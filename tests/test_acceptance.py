@@ -15,7 +15,7 @@ from cpsim.gravity import (GravityParams, energy_after_flash, gamma_of_d,
                            grav_master_dephasing_check, grav_unitary,
                            macro_potential, probe_line_family)
 from cpsim.hilbert import SpatialGrid
-from cpsim.measurement import PointerModel, born_experiment, pointer_family
+from cpsim.measurement import born_experiment, pointer_family
 from cpsim.operators import (FockBasis, SmearingFunction, build_grw_family,
                              first_quantized_equiv_check, grw_gaussian)
 from cpsim.rng import stream
@@ -115,10 +115,10 @@ def test_05_indistinguishable_operators():
 
 def test_06_born_rule():
     grid = SpatialGrid.line(36, 0.5)
-    pointer = PointerModel(region_centers=(-4.5, 4.5), r_c=1.0, amplification=50)
     family = pointer_family(grid, grw_gaussian(1.0), 2)
+    # a pointer of 50 reference masses: amplification 50
     params = ModelParams.natural(lambda_grw=1.0, family=family, dt=8e-4, mass=50.0)
-    rep = born_experiment(np.sqrt([0.25, 0.75]), pointer, params,
+    rep = born_experiment(np.sqrt([0.25, 0.75]), (-4.5, 4.5), params,
                           t_obs=0.5, n_runs=4000, seed=606)
     inside = all(lo <= p <= hi for (lo, hi), p in zip(rep.wilson_99, (0.25, 0.75)))
     cross_ok = rep.cross_region_runs <= 0.01 * rep.n_runs

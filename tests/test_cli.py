@@ -256,16 +256,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("amplitudes", [float("nan"), 1.0]),
         ("centers", [-4.5, "right"]),
-        ("region_halfwidth", "wide"),
+        # the hopping matrix acts on the 36 grid nodes, the pointer family on
+        # 36 nodes x 2 outcomes
+        ("hamiltonian", {"kind": "hopping", "strength": 0.5}),
+        # the pointer mass is options.pointer.amplification * params.m_r
+        ("mass", 50.0),
     ])
     def test_bad_born_numbers_exit_two(self, tmp_path, capsys, key, value):
         cfg = born_config(tmp_path / "born.json")
-        opts = cfg["options"] if key == "amplitudes" else cfg["options"]["pointer"]
-        opts[key] = value
+        section = {"amplitudes": "options", "centers": "options.pointer"}.get(key, "params")
+        parent = cfg
+        for name in section.split("."):
+            parent = parent[name]
+        parent[key] = value
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        assert main(["run", str(p)]) == 2
-        assert key in capsys.readouterr().err
+        for command in ("validate", "run"):
+            assert main([command, str(p)]) == 2
+            assert f"{section}.{key}:" in capsys.readouterr().err
 
     def test_zero_energy_r_max_exits_two(self, tmp_path, capsys):
         cfg = energy_config(tmp_path / "en.csv")
@@ -313,6 +321,8 @@ class TestExitCodes:
          "options.r_c"),
         # 1.7e12 expected collapse points in each window
         (exact_config, ("options",), "mu", 1e12, "options.mu"),
+        # every energy row is computed on the gaussian profile
+        (energy_config, ("gravity",), "f_kind", "point_source", "gravity.f_kind"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
@@ -320,7 +330,8 @@ class TestExitCodes:
             "trajectories-n_checkpoints", "compare-checkpoints-kept",
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
             "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
-            "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap"])
+            "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap",
+            "energy-point-source"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")

@@ -147,7 +147,7 @@ class TestSseStep:
         grid = SpatialGrid.line(4, 1.0)
         diag = np.zeros((4, 4))
         diag[2, 2] = 1.0   # member 2 projects onto node 2
-        fam = OperatorFamily(grid, "grw_position", diagonals=diag)
+        fam = OperatorFamily(grid, diagonals=diag)
         params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
         psi = np.full(4, 0.5, dtype=complex)
         out, node = step(psi, params, always_jump)
@@ -322,7 +322,7 @@ class TestBatchEngine:
 
     def test_any_row_over_the_step_limit_raises(self):
         grid = SpatialGrid.line(2, 1.0)
-        fam = OperatorFamily(grid, "grw_position", diagonals=np.diag([1.0, 0.1]))
+        fam = OperatorFamily(grid, diagonals=np.diag([1.0, 0.1]))
         params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.08)
         low = np.array([0.0, 1.0], dtype=complex)    # p = 0.0008
         high = np.array([1.0, 0.0], dtype=complex)   # p = 0.08
@@ -522,7 +522,7 @@ class TestEnsembleVsMaster:
     def test_two_node_toy_within_bound(self):
         grid = SpatialGrid.line(2, 1.0)
         diag = np.array([[1.0, -1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        fam = OperatorFamily(grid, "grw_position", diagonals=diag)
+        fam = OperatorFamily(grid, diagonals=diag)
         params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01,
                                      hamiltonian=np.array([[0, 1], [1, 0]], dtype=complex))
         psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -599,6 +599,18 @@ class TestModelParams:
             ModelParams.natural(lambda_grw=-1.0, family=grw_family, dt=0.01)
         with pytest.raises(ContractViolationError):
             ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.0)
+        for mass in (0.0, -1.0):
+            with pytest.raises(ContractViolationError, match="masses"):
+                ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.01, mass=mass)
+            with pytest.raises(ContractViolationError, match="masses"):
+                ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.01, m_r=mass)
+
+    def test_hamiltonian_must_act_on_the_family_dimension(self, grw_family):
+        n = grw_family.dim
+        ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.01, hamiltonian=hopping(n))
+        for h in (hopping(n - 1), hopping(n + 1), np.ones(n), np.ones((n, n + 1))):
+            with pytest.raises(ContractViolationError, match="hamiltonian"):
+                ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.01, hamiltonian=h)
 
     def test_fields_are_frozen(self, grw_family):
         params = ModelParams.natural(lambda_grw=1.0, family=grw_family, dt=0.01)

@@ -375,7 +375,7 @@ class TestWindowEngine:
 
     def test_mass_weighted_family_takes_no_mass_factor(self):
         family, _ = WINDOW_CASES["diagonal"]()
-        weighted = OperatorFamily(family.grid, "grw_position", diagonals=family.diagonals,
+        weighted = OperatorFamily(family.grid, diagonals=family.diagonals,
                                   mass_weighted=True)
         psi0 = start_state(family.grid)
 

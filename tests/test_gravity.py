@@ -104,11 +104,10 @@ class TestProfileF:
     @pytest.mark.parametrize("a", [0.7, 1e-3])
     def test_profile_matches_scipy_erf_forms(self, monkeypatch, a):
         """P, P' and P'' against the same closed forms evaluated with
-        scipy.special.erf.  P'' subtracts terms that nearly cancel just
-        above its small-radius branch, and P' does so above x = a, so
-        there the few-ulp gap between the two erfs is amplified; their
-        bound is 1e-15 of the erf term, erf(x/a)/x^2 and 2 erf(x/a)/x^3.
-        Below x = a, P' is a series that calls no erf."""
+        scipy.special.erf.  P' and P'' subtract terms that nearly cancel
+        just above x = a, so there the few-ulp gap between the two erfs is
+        amplified; their bound is 1e-15 of the erf term, erf(x/a)/x^2 and
+        2 erf(x/a)/x^3.  Below x = a, both are a series that calls no erf."""
         r = a * np.logspace(-9, np.log10(50.0), 2001)
         new = [f(r) for f in gravity._profile("gaussian_smeared", a)]
         monkeypatch.setattr(gravity, "_erf", erf)
@@ -117,22 +116,38 @@ class TestProfileF:
         assert np.all(np.abs(new[1] - old[1]) <= 1e-15 * erf(r / a) / r ** 2)
         assert np.all(np.abs(new[2] - old[2]) <= 2e-15 * erf(r / a) / r ** 3)
 
-    @pytest.mark.parametrize("a", [0.7, 1.0, 1e-3])
-    def test_profile_slope_against_high_precision(self, a):
-        """P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2, y = x/a, against
-        120-bit mpmath from 1e-8 a to 50 a, across 1e-6 a, where the closed
-        form alone keeps about 4 digits, and a, where the series hands over
-        to it."""
+    @pytest.mark.parametrize("a, order", [
+        pytest.param(a, order, id=str(a) if order == 1 else f"{a}-second")
+        for order in (1, 2) for a in (0.7, 1.0, 1e-3)])
+    def test_profile_slope_against_high_precision(self, a, order):
+        """P' = -S / x^2 and P'' = -(4/(sqrt(pi) a^3)) e^{-y^2} + 2 S / x^3,
+        S = erf(y) - (2y/sqrt(pi)) e^{-y^2}, y = x/a, against 120-bit mpmath
+        from 1e-8 a to 50 a, across 1e-6 a and 1e-4 a, where the closed forms
+        keep only a few digits, and a, where the series hands over to them.
+
+        P' is checked to 1e-15 relative.  P'' changes sign at y = 0.968, and
+        near there no double evaluation is relatively exact: rounding y alone
+        moves P'' by 1e-16 |x P'''|.  So P'' is held to 1e-15 (|P''| + |x P'''|),
+        which is 1e-15 relative wherever y is not within a few per cent of
+        that zero."""
         x = a * np.concatenate([np.logspace(-8, np.log10(50.0), 501),
-                                [0.999999e-6, 1e-6, 1.04e-6, 1.0 - 1e-12, 1.0 + 1e-12]])
-        got = gravity._profile("gaussian_smeared", a)[1](x)
+                                [0.999999e-6, 1e-6, 1.04e-6, 0.999999e-4, 1e-4, 1.04e-4,
+                                 1.0 - 1e-12, 1.0 + 1e-12]])
+        got = gravity._profile("gaussian_smeared", a)[order](x)
         with mpmath.workprec(120):
+            root_pi, am = mpmath.sqrt(mpmath.pi), mpmath.mpf(a)
             for xi, g in zip(x, got):
                 xm = mpmath.mpf(float(xi))
-                y = xm / a
-                ref = -(mpmath.erf(y) - 2 * y / mpmath.sqrt(mpmath.pi) * mpmath.exp(-y * y))
-                ref /= xm ** 2
-                assert abs((g - ref) / ref) <= 1e-15
+                y = xm / am
+                e = mpmath.exp(-y * y)
+                s = mpmath.erf(y) - 2 * y / root_pi * e
+                if order == 1:
+                    ref, x_slope = -s / xm ** 2, 0
+                else:
+                    ref = -4 / (root_pi * am ** 3) * e + 2 * s / xm ** 3
+                    # x P''' = -3 P'' + (4/(sqrt(pi) a^3)) e^{-y^2} (2y^2 - 1)
+                    x_slope = -3 * ref + 4 / (root_pi * am ** 3) * e * (2 * y * y - 1)
+                assert abs(g - ref) <= 1e-15 * (abs(ref) + abs(x_slope))
 
     def test_gravity_params_are_frozen(self):
         gp = gauss_params(0.5)
@@ -181,7 +196,7 @@ class TestDressedFamily:
 
     def test_basis_without_positions_rejected(self, line_grid):
         from cpsim.operators import OperatorFamily
-        fam = OperatorFamily(line_grid, "grw_position", diagonals=np.ones((line_grid.n, 3)))
+        fam = OperatorFamily(line_grid, diagonals=np.ones((line_grid.n, 3)))
         with pytest.raises(ContractViolationError, match="system_positions"):
             grav_unitary(fam, gauss_params(0.1))
 

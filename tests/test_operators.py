@@ -89,7 +89,7 @@ class TestGrwFamily:
 
     def test_family_requires_one_member_per_node(self, line_grid):
         with pytest.raises(ContractViolationError):
-            OperatorFamily(line_grid, "grw_position", diagonals=np.ones((3, line_grid.n)))
+            OperatorFamily(line_grid, diagonals=np.ones((3, line_grid.n)))
 
 
 class TestFockBasis:
