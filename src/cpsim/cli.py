@@ -33,8 +33,8 @@ from .dynamics import ModelParams, ensemble_vs_master, integrate_master, propaga
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
-from .gravity import (R_G_MAX, R_G_MIN, GravityParams, compute_dephasing_curve,
-                      energy_after_flash, macro_potential)
+from .gravity import (_QUAD_TOL_FLOOR, R_G_MAX, R_G_MIN, GravityParams,
+                      compute_dephasing_curve, energy_after_flash, macro_potential)
 from .hilbert import MAX_DIM, SpatialGrid
 from .measurement import born_experiment, born_initial_state, pointer_family
 from .operators import build_grw_family, grw_gaussian
@@ -371,6 +371,9 @@ def _gamma(cfg, opts):
         raise ConfigError(f"options.r_c: gravity.r_g / r_c = {gp.r_g / r_c!r} lies outside "
                           f"{R_G_MIN:g} to {R_G_MAX:g}")
     quad_tol = _positive(opts, "quad_tol", "options", 1e-9)
+    if quad_tol < _QUAD_TOL_FLOOR:
+        raise ConfigError(f"options.quad_tol: {quad_tol!r} is below {_QUAD_TOL_FLOOR:g}, "
+                          "which double precision cannot deliver")
 
     def run(seed):
         curve = compute_dephasing_curve(d_values, gp, r_c, quad_tol)

@@ -7,10 +7,11 @@ r_m = G m_R m / (hbar lambda); dressing the collapse operators with
 that phase leaves all flash rates untouched (the phase is unimodular)
 but speeds up position-basis dephasing.  This module evaluates the
 radial potential profile F, the dressed operator families, the
-dephasing exponent Gamma(d) as an oscillatory double quadrature with
-its small-separation expansion, the post-flash kinetic-energy integral,
-and the recovery of the macroscopic Newtonian potential from the mean
-flash rate.
+dephasing exponent Gamma(d) by the two-centre reduction (one radial
+integral per separation over a shared table of the phased probe
+profile) with its small-separation expansion, the post-flash
+kinetic-energy integral, and the recovery of the macroscopic Newtonian
+potential from the mean flash rate.
 """
 
 from __future__ import annotations
@@ -25,29 +26,33 @@ from .dynamics import ModelParams, integrate_master
 from .errors import ContractViolationError, ConvergenceError, DomainError
 from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction
-from .quadrature import _integrate_batch
+from .quadrature import _WK, _XK, _gk15, _integrate_batch
 
 _SQRT_PI = math.sqrt(math.pi)
 
 #: range of the gaussian smearing radius a in which every intermediate of
-#: ``_profile`` stays finite at radii from 0 to 1e4 a; P'' is of order
-#: a^-3 there, and its terms overflow at a = 1e-104 and a = 1e100
+#: ``_profile`` stays finite at radii from 0 to 1e4 a
 R_G_MIN, R_G_MAX = 1e-50, 1e50
-
-#: phase magnitude separating the directly-quadratured slow region from
-#: the integration-by-parts tail treatment of the oscillatory foci
-_PHASE_SPLIT = 40.0
-
-#: panel budget of each inner angular quadrature
-_INNER_MAX_PANELS = 400
 
 #: default panel budget of each outer radial quadrature
 _OUTER_MAX_PANELS = 3000
 
-#: radial nodes whose inner quadratures run as one batch; a batch holds up
-#: to _INNER_MAX_PANELS panels of 15 nodes per row, so this bounds its
-#: working set however many separations and panels an outer round carries
-_INNER_ROWS = 1024
+#: radius, in collapse radii, at which the outer integral and the profile
+#: table end; beyond it |h(r)| = r e^{-r^2/2} is below 2e-21
+_R_MAX = 10.0
+
+#: most cells of one profile table; its bisection rounds then evaluate at
+#: most 2^19 Kronrod panels
+_TABLE_MAX_CELLS = 2 ** 18
+
+_FOUR_OVER_SQRT_PI = 4.0 / _SQRT_PI
+
+#: smallest Gamma(d) tolerance doubles can deliver, and the error reported for
+#: a closed value
+_QUAD_TOL_FLOOR = 1e-15
+
+#: rounding allowance of Gamma = -1 + (4 / sqrt(pi)) Re int h conj(J): two ulps of 1
+_ROUNDING = 2.0 * np.finfo(float).eps
 
 
 class AccuracyWarning(UserWarning):
@@ -108,11 +113,11 @@ def _erf(x):
 
 
 def _profile(kind: str, a: float):
-    """Profile P of one flash and its first two radial derivatives, for
+    """Profile P of one flash and its radial derivative, for
     arrays of radii in any length unit; ``a`` is the gaussian smearing
     radius in that unit."""
     if kind == "point_source":
-        return (lambda x: 1.0 / x), (lambda x: -1.0 / x ** 2), (lambda x: 2.0 / x ** 3)
+        return (lambda x: 1.0 / x), (lambda x: -1.0 / x ** 2)
 
     def p(x):
         small = x < 1e-8 * a
@@ -120,40 +125,23 @@ def _profile(kind: str, a: float):
         return np.where(small, (2.0 / (a * _SQRT_PI)) * (1.0 - x ** 2 / (3 * a * a)),
                         _erf(safe / a) / safe)
 
-    # Below y = x/a = 1 both derivatives are summed from the positive series
+    # Below y = x/a = 1 the slope is summed from the positive series
     # erf(y) - (2y/sqrt(pi)) e^{-y^2} = (4y^3/(3 sqrt(pi))) e^{-y^2} N(z), z = 2y^2,
-    # N = sum_{k>=0} z^k / (5 7 ... (2k+3)) = 1 + (z/5) N_2, 39 terms in nested
-    # form: N_2 = 1 + (z/7)(1 + (z/9)(1 + ... (1 + z/79))).  The closed forms
-    # subtract nearly equal terms as y -> 0.
-    def series(x):
-        """(y, z, N_2) on x < a; y = 0 elsewhere."""
+    # N = sum_{k>=0} z^k / (5 7 ... (2k+3)), 39 terms in nested form:
+    # N = 1 + (z/5)(1 + (z/7)(1 + ... (1 + z/79))).  The closed form
+    # subtracts nearly equal terms as y -> 0.
+    def p1(x):
+        # P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2
         y = np.where(x < a, x / a, 0.0)
         z = 2.0 * y * y
         nested = np.ones_like(z)
-        for odd in range(79, 5, -2):
+        for odd in range(79, 3, -2):
             nested = 1.0 + z * nested / odd
-        return y, z, nested
-
-    def p1(x):
-        # P' = -(erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^2
-        y, z, n2 = series(x)
         safe = np.where(x < a, a, x)
-        return np.where(x < a, -(4.0 / (3.0 * _SQRT_PI)) * y * np.exp(-y * y)
-                        * (1.0 + z * n2 / 5.0) / (a * a),
+        return np.where(x < a, -(4.0 / (3.0 * _SQRT_PI)) * y * np.exp(-y * y) * nested / (a * a),
                         -(_erf(safe / a) - (2.0 * safe / (a * _SQRT_PI))
                           * np.exp(-(safe / a) ** 2)) / safe ** 2)
-
-    def p2(x):
-        # P'' = -(4/(sqrt(pi) a^3)) e^{-y^2} + 2 (erf(y) - (2y/sqrt(pi)) e^{-y^2}) / x^3,
-        # which the series turns into -(4/(3 sqrt(pi) a^3)) e^{-y^2} (1 - (2z/5) N_2)
-        y, z, n2 = series(x)
-        safe = np.where(x < a, a, x)
-        e = (2.0 / (a * _SQRT_PI)) * np.exp(-(safe / a) ** 2)
-        return np.where(x < a, -(4.0 / (3.0 * _SQRT_PI)) * np.exp(-y * y)
-                        * (1.0 - 2.0 * z * n2 / 5.0) / a ** 3,
-                        e * (-2.0 * safe / (a * a)) / safe - 2.0 * e / safe ** 2
-                        + 2.0 * _erf(safe / a) / safe ** 3)
-    return p, p1, p2
+    return p, p1
 
 
 def _radii(r, gp: GravityParams):
@@ -235,128 +223,51 @@ def probe_line_family(flash_grid: SpatialGrid, probe_positions, f_c: SmearingFun
 # dephasing exponent Gamma(d)
 # ---------------------------------------------------------------------------
 
-class _InnerIntegral:
-    """Angular integral q(rho) = int_-1^1 (1 - cos Delta) dt, for rows (rho, problem).
+def _outer_edges(delta: float) -> np.ndarray:
+    """Initial panels of one separation's outer integral over [0, _R_MAX], split at
+    its one kink, r1 = delta, where the inner interval's lower end turns from
+    2 delta - r1 to r1."""
+    return np.array([0.0, delta, _R_MAX] if delta < _R_MAX else [0.0, _R_MAX])
 
-    Delta is the phase difference accumulated between the two probe
-    points at half-separation ``delta[problem]``. Where the peak phase
-    stays below _PHASE_SPLIT the integral is taken directly in t (as
-    2 sin^2(Delta/2), positive and cancellation-free).  Beyond that the
-    integration variable switches to the separation L from one probe, the
-    band |phase| <= split is quadratured, and the two infinitely-oscillatory
-    tails are summed by two-term integration by parts in the phase
-    variable.  The rows of one call are integrated as batches of at most
-    _INNER_ROWS.  Per problem, ``tail_error`` is the largest tail remainder
-    estimate over its rows and ``converged`` turns false for good once
-    any of its inner quadratures exhausts its panel budget.
+
+def _profile_table(h, lo: float, density: float):
+    """Cells of [lo, _R_MAX] (from 0.25 if lo is above it) and the integral of h
+    over each, as (edges, prefix, prefix_low, achieved density), or None once
+    more than _TABLE_MAX_CELLS cells are needed.
+
+    Each cell is one Gauss-Kronrod panel, bisected until its error is at most
+    ``density`` per unit length, so h is resolved on every part of a cell and
+    the integral over any interval of the table is known to ``density`` times
+    its length.  The prefix sums of the integrals are a double-double pair: the
+    difference of two of them is accurate relative to itself, not to H.
     """
+    below = lo * 2.0 ** np.arange(math.ceil(math.log2(0.25 / lo))) if lo > 0 else [0.0]
+    edges = np.concatenate((below, np.arange(0.25, _R_MAX + 0.125, 0.25)))
+    left, right = edges[:-1], edges[1:]
+    done = []
 
-    def __init__(self, delta, rho_m: float, kind: str, rho_g: float, tol: float):
-        self.delta = np.asarray(delta, dtype=float)
-        self.rho_m = rho_m
-        self.tol = tol
-        self.p, self.p1, self.p2 = _profile(kind, rho_g)
-        self.tail_error = np.zeros(len(self.delta))
-        self.converged = np.ones(len(self.delta), dtype=bool)
+    def part(x, owner):   # rows of even owner take Re h, of odd owner Im h
+        y = h(x)
+        return np.where(owner[:, None] % 2 == 0, y.real, y.imag)
 
-    def phase(self, lm, lp):
-        return self.rho_m * (self.p(lm) - self.p(lp))
-
-    def _phi(self, length, s):
-        other = np.sqrt(np.maximum(s - length * length, 0.0))
-        return self.phase(length, other)
-
-    def _tail_term(self, length, k, u, low_side):
-        """W sin u + dW/du cos u, the integration-by-parts boundary term at phase
-        u with W = -L/phi' and K = sqrt(s - L^2) = k, and dW/du itself."""
-        dphi = self.rho_m * (self.p1(length) + self.p1(k) * length / k)
-        # phi'' = rho_m [P''(L) - P''(K) K'^2 - P'(K) K''], K' = -L/K
-        d2k = -(1.0 / k + length ** 2 / k ** 3)
-        ddphi = self.rho_m * (self.p2(length) - self.p2(k) * (length / k) ** 2
-                              - self.p1(k) * d2k)
-        w = -length / dphi
-        wp = (length * ddphi - dphi) / (dphi * dphi)
-        dwdu = wp / dphi if low_side else wp / np.abs(dphi)
-        return w * np.sin(u) + dwdu * np.cos(u), dwdu
-
-    def _quad(self, f, lo, hi, abs_tol, problem):
-        value, _, _, converged = _integrate_batch(f, lo, hi, np.arange(len(lo)), abs_tol,
-                                                  1e-12, _INNER_MAX_PANELS)
-        np.logical_and.at(self.converged, problem, converged)
-        return value
-
-    def value(self, rho, problem):
-        out = np.empty_like(rho)
-        for first in range(0, len(rho), _INNER_ROWS):
-            rows = slice(first, first + _INNER_ROWS)
-            out[rows] = self._batch(rho[rows], problem[rows])
-        return out
-
-    def _batch(self, rho, problem):
-        out = np.zeros_like(rho)
-        delta = self.delta[problem]
-        lmin, lmax = np.abs(rho - delta), rho + delta
-        s = 2.0 * (rho * rho + delta * delta)
-        with np.errstate(divide="ignore"):   # the point-source phase is infinite at L = 0
-            phimax = self._phi(lmin, s)
-        direct = phimax <= _PHASE_SPLIT
-        band = ~direct
-
-        if direct.any():
-            r, dr = rho[direct], delta[direct]
-
-            def integrand(t, owner):
-                rr, dd = r[owner, None], dr[owner, None]
-                lm = np.sqrt(np.maximum(rr * rr - 2 * dd * rr * t + dd * dd, 0.0))
-                lp = np.sqrt(rr * rr + 2 * dd * rr * t + dd * dd)
-                return 2.0 * np.sin(0.5 * self.phase(lm, lp)) ** 2
-            out[direct] = self._quad(integrand, -np.ones(len(r)), np.ones(len(r)), self.tol,
-                                     problem[direct])
-
-        if band.any():
-            r, dr, pb = rho[band], delta[band], problem[band]
-            s, lmin, lmax, phimax = s[band], lmin[band], lmax[band], phimax[band]
-            # phi(L, s) falls monotonically from phimax at lmin to 0 at lmid:
-            # bisect each row to its split crossing l1, freezing rows once done
-            lo, hi = np.where(lmin > 0, lmin, 1e-300), np.sqrt(s / 2.0)
-            for _ in range(200):
-                live = hi - lo > 1e-14 * hi
-                if not live.any():
-                    break
-                mid = 0.5 * (lo + hi)
-                above = self._phi(mid, s) > _PHASE_SPLIT
-                lo = np.where(live & above, mid, lo)
-                hi = np.where(live & ~above, mid, hi)
-            l1 = 0.5 * (lo + hi)
-            l2 = np.sqrt(s - l1 * l1)
-
-            def mid_integrand(length, owner):
-                return length * np.cos(self._phi(length, s[owner, None]))
-            c_total = self._quad(mid_integrand, l1, l2, self.tol * dr * r, pb)
-
-            # oscillatory tails: int W(u) cos u du over [split, phimax] on both
-            # sides; on the low side u = phi (dL/du = 1/phi'), on the high side
-            # u = -phi (dL/du = 1/|phi'|)
-            far = (lmin > 0) & (phimax < 1e15)
-            # K is passed, not recomputed: at lmax, s - L^2 cancels to noise
-            for low_side, split_lk, far_lk in ((True, (l1, l2), (lmin, lmax)),
-                                               (False, (l2, l1), (lmax, lmin))):
-                t0, dwdu0 = self._tail_term(*split_lk, _PHASE_SPLIT, low_side)
-                t1, _ = self._tail_term(*np.where(far, far_lk, split_lk),
-                                        np.where(far, phimax, _PHASE_SPLIT), low_side)
-                c_total = c_total + np.where(far, t1, 0.0) - t0
-                np.maximum.at(self.tail_error, pb, 4.0 * np.abs(dwdu0) / _PHASE_SPLIT)
-            out[band] = 2.0 - c_total / (dr * r)
-        return out
-
-
-def _outer_edges(delta: float, rho_m: float) -> np.ndarray:
-    """Initial panels of one separation's outer radial integral over [0, 8],
-    split where the integrand changes character."""
-    onset = math.sqrt(2.0 * rho_m * delta)
-    breaks = {delta / 2, delta, 2 * delta, 0.3 * onset, onset, 3 * onset, 10 * onset,
-              0.5, 1.0, 2.0}
-    return np.array([0.0] + sorted(p for p in breaks if 0.0 < p < 8.0) + [8.0])
+    while left.size:
+        if left.size + sum(len(c[0]) for c in done) > _TABLE_MAX_CELLS:
+            return None
+        val, err = _gk15(part, np.repeat(left, 2), np.repeat(right, 2),
+                         np.arange(2 * left.size))
+        val, err = val[0::2] + 1j * val[1::2], err[0::2] + err[1::2]
+        ok = err <= density * (right - left)
+        done.append((left[ok], right[ok], val[ok], err[ok]))
+        mid = 0.5 * (left + right)[~ok]
+        left, right = np.concatenate((left[~ok], mid)), np.concatenate((mid, right[~ok]))
+    left, right, val, err = (np.concatenate(c) for c in zip(*done))
+    order = np.argsort(left)
+    left, right, val, err = left[order], right[order], val[order], err[order]
+    prefix = np.concatenate(([0.0], np.cumsum(val)))
+    # TwoSum of each step prefix[k + 1] = prefix[k] + val[k] recovers its rounding error
+    back = prefix[1:] - prefix[:-1]
+    low = np.concatenate(([0.0], np.cumsum((prefix[:-1] - (prefix[1:] - back)) + (val - back))))
+    return np.append(left, right[-1]), prefix, low, float(np.max(err / (right - left)))
 
 
 def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
@@ -364,14 +275,35 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
     """(gamma, error_estimate) arrays of the dephasing exponent at each
     probe half-separation in ``d_values``.
 
+    In collapse-radius units, with the probes at +-delta and r1, r2 the
+    distances from them (prolate spheroidal coordinates),
+
+        Gamma = -1 + (4 / sqrt(pi)) Re int_0^inf h(r1) conj(J(r1)) dr1,
+        J(r1) = (1 / (2 delta)) int_{max(r1, 2 delta - r1)}^{r1 + 2 delta} h(r2) dr2,
+        h(r) = r exp(-r^2 / 2) exp(i rho_m P(r)).
+
+    The inner integral J is read off one table of h's integral over cells
+    (``_profile_table``), shared by every separation: whole cells from the
+    prefix sums, and the parts of the interval's end cells, or the whole
+    interval when it lies in one cell, by a Kronrod rule taken directly on
+    them.  Every separation's outer integral is a problem of one
+    ``_integrate_batch``, whose initial panels split at the kink r1 = delta.
+    The point-source phase oscillates without end as r1 -> 0; since
+    |J(r1)| <= 2 r1 the cut part r1 < eps adds at most 8 eps^3 / (3 sqrt(pi)).
+
+    The error estimate adds the outer quadrature error, the table's error
+    (its error per unit length bounds that of J), the cut bound and two
+    ulps of rounding, with shares of the tolerance of 1/4, 1/8 and 1/8.
+
     Separations with a closed value return it: Gamma(0) = 0, and without
-    gravity, or once the outer prefactor 2 exp(-delta^2) / sqrt(pi)
-    underflows, Gamma is expm1(-delta^2).  All others are the problems of
-    one outer ``_integrate_batch``, whose integrand evaluates the inner
-    angular integrals of every separation's radial nodes together; each
+    gravity, or once exp(-delta^2), which bounds the overlap Gamma + 1,
+    underflows, Gamma is expm1(-delta^2).  The table
+    depends only on the profile, rho_m and the tolerance, so each
     separation's result and error are those it has when computed alone.
-    Raises ConvergenceError for the first separation in input order that
-    stalled, with its best estimate attached.
+    Raises ConvergenceError for the first separation in input order whose
+    outer quadrature stalled or whose error exceeds max(quad_tol, 1e-15),
+    with its best estimate attached, or for the first one that needed a
+    table over _TABLE_MAX_CELLS cells.
     """
     ds = [float(d) for d in d_values]
     if any(d < 0 for d in ds):
@@ -388,40 +320,80 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
         if d == 0.0:
             continue
         delta = d / r_c
-        pref = (2.0 / _SQRT_PI) * math.exp(-delta * delta)
-        if rho_m == 0.0 or pref == 0.0:
-            # without gravity the inner integral vanishes; once pref underflows
-            # the outer term, at most 2 exp(-delta^2) since the inner integral
-            # is at most 4, cannot move Gamma: only the rounding of expm1 is left
-            gamma[k], err[k] = float(np.expm1(-delta * delta)), 1e-15
+        if rho_m == 0.0 or math.exp(-delta * delta) == 0.0:
+            # without gravity the phase vanishes; the overlap Gamma + 1 is at
+            # most its value without gravity, exp(-delta^2), so once that
+            # underflows only the rounding of expm1 is left
+            gamma[k], err[k] = float(np.expm1(-delta * delta)), _QUAD_TOL_FLOOR
         else:
-            todo.append((k, delta, pref))
+            todo.append((k, delta))
     if not todo:
         return gamma, err
-    inner_tol = 0.4 * quad_tol
-    inner = _InnerIntegral([delta for _, delta, _ in todo], rho_m, gp.F_kind, rho_g, inner_tol)
+    p = _profile(gp.F_kind, rho_g)[0]
 
-    def outer(x, owner):
-        rho = x.ravel()
-        q = inner.value(rho, np.repeat(owner, x.shape[1]))
-        return (rho * rho * np.exp(-rho * rho) * q).reshape(x.shape)
+    def h(r):
+        return r * np.exp(-0.5 * r * r) * np.exp(1j * rho_m * p(r))
 
-    edges = [_outer_edges(delta, rho_m) for _, delta, _ in todo]
+    eps = 0.0 if gp.F_kind == "gaussian_smeared" else \
+        min(1.0, (3.0 * _SQRT_PI / 64.0 * quad_tol) ** (1.0 / 3.0))
+    cut = 8.0 * eps ** 3 / (3.0 * _SQRT_PI)
+    # a cell is one Kronrod panel, which resolves less than one turn of the
+    # phase (4 to 5 radians at tolerance 1e-9): a longer phase span cannot
+    # fit the cell budget, so it is refused before tabulating
+    span = rho_m * float(p(np.array([eps]))[0] - p(np.array([_R_MAX]))[0])
+    table = _profile_table(h, eps, quad_tol / 8.0 / _FOUR_OVER_SQRT_PI) \
+        if span <= 2.0 * math.pi * _TABLE_MAX_CELLS else None
+    if table is None:
+        k, _ = todo[0]
+        raise ConvergenceError(f"profile table needs over {_TABLE_MAX_CELLS} cells for "
+                               f"d = {ds[k]!r}")
+    edges, prefix, low, density = table
+    last = len(edges) - 2
+    deltas = np.array([delta for _, delta in todo])
+
+    def piece(r1, width, s0, s1):
+        """int_s0^s1 h(r1 + width s) ds by one Kronrod rule."""
+        half = 0.5 * (s1 - s0)
+        s = s0[:, None] + half[:, None] * (1.0 + _XK)
+        return half * np.einsum("nk,k->n", h(r1[:, None] + width[:, None] * s), _WK)
+
+    def bracket(x, owner):
+        r1 = x.ravel()
+        delta = np.repeat(deltas[owner], x.shape[1])
+        width = 2.0 * delta
+        # J = int_lo^hi h(r1 + width s) ds, its interval ending at the table's edge
+        hi = np.divide(_R_MAX - r1, width, out=np.ones_like(r1), where=r1 + width > _R_MAX)
+        lo = np.minimum(np.divide(delta - r1, delta, out=np.zeros_like(r1), where=r1 < delta),
+                        hi)
+        first = np.clip(np.searchsorted(edges, r1 + width * lo, "right") - 1, 0, last)
+        final = np.clip(np.searchsorted(edges, r1 + width * hi, "right") - 1, 0, last)
+        split = final > first
+        inner = piece(r1, width, lo, np.divide(edges[first + 1] - r1, width, out=hi.copy(),
+                                               where=split))
+        if split.any():
+            a, b, r, w = first[split] + 1, final[split], r1[split], width[split]
+            whole = (prefix[b] - prefix[a]) + (low[b] - low[a])
+            inner[split] += piece(r, w, (edges[b] - r) / w, hi[split]) + whole / w
+        return (h(r1) * np.conj(inner)).real.reshape(x.shape)
+
+    outer_edges = [np.concatenate(([eps], e[e > eps]))
+                   for e in (_outer_edges(delta) for delta in deltas)]
     value, error, _, converged = _integrate_batch(
-        outer, np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]),
-        np.repeat(np.arange(len(todo)), [len(e) - 1 for e in edges]),
-        0.5 * quad_tol * _SQRT_PI / 2, 0.0, max_panels)
+        bracket, np.concatenate([e[:-1] for e in outer_edges]),
+        np.concatenate([e[1:] for e in outer_edges]),
+        np.repeat(np.arange(len(todo)), [len(e) - 1 for e in outer_edges]),
+        quad_tol / 4.0 / _FOUR_OVER_SQRT_PI, 0.0, max_panels)
     stalled = None
-    for j, (k, delta, pref) in enumerate(todo):
-        gamma[k] = float(np.expm1(-delta * delta)) - pref * float(value[j])
-        err[k] = pref * float(error[j]) + 0.5 * inner_tol + pref * float(inner.tail_error[j])
-        if stalled is None and not (converged[j] and inner.converged[j]):
-            stalled = k, "inner angular" if converged[j] else "dephasing"
+    for j, (k, _) in enumerate(todo):
+        gamma[k] = _FOUR_OVER_SQRT_PI * float(value[j]) - 1.0
+        err[k] = _FOUR_OVER_SQRT_PI * (float(error[j]) + density) + cut + _ROUNDING
+        within = err[k] <= max(quad_tol, _QUAD_TOL_FLOOR)
+        if stalled is None and not (converged[j] and within):
+            stalled = k
     if stalled is not None:
-        k, stage = stalled
-        best, bound = float(gamma[k]), float(err[k])
-        raise ConvergenceError(f"{stage} quadrature stalled at error {bound!r} for d = {ds[k]!r}",
-                               best_estimate=best, error_estimate=bound)
+        best, bound = float(gamma[stalled]), float(err[stalled])
+        raise ConvergenceError(f"dephasing quadrature stalled at error {bound!r} for "
+                               f"d = {ds[stalled]!r}", best_estimate=best, error_estimate=bound)
     return gamma, err
 
 
@@ -429,19 +401,17 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
                max_panels: int = _OUTER_MAX_PANELS):
     """Dephasing exponent Gamma at probe half-separation d.
 
-    Evaluates the spherical double integral of the phase-dressed
-    localization overlap, reduced to collapse-radius units; the smooth
-    gaussian factor is integrated adaptively in the radial variable and
-    the angular factor by the oscillation-aware inner scheme, all radial
-    nodes of one refinement round at once.  Returns (gamma,
-    error_estimate).  Gamma(0) = 0 exactly and gamma is real by the
-    cosine form of the integrand.  This is the one-separation call of the
+    The overlap of the two phase-dressed localization profiles, reduced to
+    collapse-radius units and to one radial integral over the distance
+    from one probe (see ``_gamma_batch``).  Returns (gamma,
+    error_estimate), the estimate at most max(quad_tol, 1e-15).  Gamma(0)
+    = 0 exactly and gamma is real.  This is the one-separation call of the
     batched engine behind ``compute_dephasing_curve``, and returns what
     that gives for d bit for bit.
 
     Raises ConvergenceError (with the best estimate attached) if the
-    radial quadrature or any inner angular quadrature cannot reach the
-    requested tolerance.
+    radial quadrature cannot reach the requested tolerance within
+    ``max_panels`` panels, or the profile table within its cell budget.
     """
     gamma, err = _gamma_batch([d], gp, r_c, quad_tol, max_panels)
     return float(gamma[0]), float(err[0])

@@ -1,43 +1,43 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals.
 
-Small, deterministic engine of the Gamma(d) double integral in
-``cpsim.gravity``: ``_integrate_batch`` takes both its outer radial
-integrals, one problem per separation, and its inner angular ones, one
-problem per radial node.  A 7-point Gauss / 15-point Kronrod pair gives
-each panel's value and a local error estimate.  ``_integrate_batch``
-integrates many independent problems at once: each round it bisects, in
-every open problem, the panels whose error exceeds that problem's
-tolerance shared out over its panels (always including its worst
-panel), and evaluates all new panels of all problems with vectorized
-integrand calls of at most ``_MAX_CALL_PANELS`` panels, as in QUADPACK
-``qag`` and scipy's ``quad_vec``.  A problem that closes (converged, or
-out of panel budget) is retired: its result is stored and its panels
-leave the working arrays, so later rounds sort and copy only the panels
-of open problems.  Weighted sums run along rows, and retiring keeps each
-open problem's panels in order, so a problem's result does not depend
-on what it is batched with.
+Small, deterministic engine of Gamma(d) in ``cpsim.gravity``:
+``_integrate_batch`` takes its radial integrals, one problem per
+separation, and ``_gk15`` the cells of its profile table.  A 7-point
+Gauss / 15-point Kronrod pair gives each panel's value and a local error
+estimate.  ``_integrate_batch`` integrates many independent problems at
+once: each round it bisects, in every open problem, the panels whose
+error exceeds that problem's tolerance shared out over its panels
+(always including its worst panel), and evaluates all new panels of all
+problems with vectorized integrand calls of at most ``_MAX_CALL_PANELS``
+panels, as in QUADPACK ``qag`` and scipy's ``quad_vec``.  A problem that
+closes (converged, or out of panel budget) is retired: its result is
+stored and its panels leave the working arrays, so later rounds sort and
+copy only the panels of open problems.  Weighted sums run along rows,
+and retiring keeps each open problem's panels in order, so a problem's
+result does not depend on what it is batched with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# G7/K15 nodes and weights on [-1, 1], mirrored about the centre node
-_XK = np.array([-0.991455371120813, -0.949107912342759, -0.864864423359769,
-                -0.741531185599394, -0.586087235467691, -0.405845151377397,
-                -0.207784955007898, 0.0])
+# G7/K15 nodes and weights on [-1, 1], mirrored about the centre node, to full double
+# precision: any shortfall of the weights' sum from 2 biases every integral by it
+_XK = np.array([-0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+                -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+                -0.20778495500789848, 0.0])
 _XK = np.concatenate((_XK, -_XK[-2::-1]))
-_WK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250,
-                0.140653259715525, 0.169004726639267, 0.190350578064785,
-                0.204432940075298, 0.209482141084728])
+_WK = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                0.20443294007529889, 0.20948214108472782])
 _WK = np.concatenate((_WK, _WK[-2::-1]))
-_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
-                0.417959183673469])
+_WG = np.array([0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+                0.4179591836734694])
 _WG = np.concatenate((_WG, _WG[-2::-1]))
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 #: panels per integrand call; 2048 panels are 30,720 nodes, which bounds
-#: what an integrand that is itself a batch of quadratures holds at once
+#: what an integrand that runs further Kronrod rules at each node holds at once
 _MAX_CALL_PANELS = 2048
 
 

@@ -323,6 +323,9 @@ class TestExitCodes:
         (exact_config, ("options",), "mu", 1e12, "options.mu"),
         # every energy row is computed on the gaussian profile
         (energy_config, ("gravity",), "f_kind", "point_source", "gravity.f_kind"),
+        # Gamma(d) rounds to about 1e-16, so a tolerance below 1e-15 cannot be met
+        (gamma_config, ("options",), "quad_tol", 5e-324, "options.quad_tol"),
+        (gamma_config, ("options",), "quad_tol", 1e-16, "options.quad_tol"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
@@ -331,7 +334,7 @@ class TestExitCodes:
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
             "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
             "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap",
-            "energy-point-source"])
+            "energy-point-source", "gamma-quad_tol-subnormal", "gamma-quad_tol-below-floor"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")
@@ -397,6 +400,23 @@ class TestRunners:
         p.write_text(json.dumps(cfg))
         assert main(["run", str(p)]) == 0
         assert read_results(tmp_path / "curve.csv")["rows"] == [[0.25, -1.0, 1e-15]]
+
+    def test_gamma_huge_collapse_radius_exits_zero(self, tmp_path):
+        # rho_m = r_m / r_c = 5e-301 and delta = d / r_c down to 2.5e-301
+        cfg = gamma_config(tmp_path / "curve.csv", r_m=0.5)
+        cfg["options"]["r_c"] = 1e300
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 0
+        rows = read_results(tmp_path / "curve.csv")["rows"]
+        assert len(rows) == 4 and all(math.isfinite(x) for row in rows for x in row)
+
+    @pytest.mark.parametrize("quad_tol", [1e-9, 1e-12])
+    def test_gamma_rows_within_tolerance(self, tmp_path, quad_tol):
+        cfg = gamma_config(tmp_path / "curve.csv", r_m=0.5)
+        cfg["options"]["quad_tol"] = quad_tol
+        rows = read_results(run_config(cfg))["rows"]
+        assert all(0.0 <= err <= quad_tol for d, _, err in rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = run_config(exact_config(tmp_path / "a.csv"))
@@ -523,6 +543,31 @@ FUZZ_BASES = {
 }
 BAD_VALUES = ["text", [1.0], {"x": 1.0}, None, True, float("nan"), float("inf"),
               float("-inf"), 0, 0.0, -1, -0.5, 10 ** 400]
+
+
+#: finite magnitudes at the ends of the double range (1.8e308 itself rounds to
+#: infinity, so the largest finite double stands in for it)
+EXTREMES = [5e-324, 1e-300, 1e300, sys.float_info.max]
+
+
+@pytest.mark.parametrize("f_kind", ["point_source", "gaussian_smeared"])
+@pytest.mark.parametrize("section, key", [("gravity", "g_newton"), ("gravity", "r_g"),
+                                          ("gravity", "r_m"), ("options", "r_c"),
+                                          ("options", "quad_tol")])
+def test_gamma_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path, f_kind,
+                                                                          section, key):
+    for value in EXTREMES:
+        cfg = gamma_config(tmp_path / "out.csv", r_m=1.0)
+        cfg["gravity"]["f_kind"] = f_kind
+        cfg[section][key] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = main(["run", str(p)])
+        assert code in (0, 2, 3, 4), (key, value)
+        out = tmp_path / "out.csv"
+        if code == 0:
+            assert all(math.isfinite(x) for x in all_numbers(read_results(out))), (key, value)
+        out.unlink(missing_ok=True)
 
 
 def field_paths(node, prefix=()):

@@ -60,6 +60,11 @@ class TestSinglePanel:
         assert n == 1
         assert abs(value - exact) <= 1e-14 * max(1.0, abs(exact))
 
+    def test_weights_sum_to_the_interval_length(self):
+        # a shortfall of the sum biases every integral by it, below any error estimate
+        assert abs(quadrature._WK.sum() - 2.0) <= 2 * np.finfo(float).eps
+        assert abs(quadrature._WG.sum() - 2.0) <= 2 * np.finfo(float).eps
+
     def test_degree_beyond_the_rule_is_not_exact(self):
         # guards the test above: the rule must not be exact by accident
         value, _, _, _ = one_problem(lambda x: x ** 40, [0.0, 2.0], max_panels=1)
