@@ -18,7 +18,7 @@ at eps = 8.7e-5, and 8 eps^3 / (3 sqrt(pi)) < 1e-12 bounds the part cut off.
 
 Each row's ``ref_err`` adds that bound and the outer quadrature's own error
 estimate; the interpolants' error, of order (pi/8)^24 / 24! of h on a step,
-is left out.  From the repository root (about ten minutes):
+is left out.  From the repository root (about 12 minutes on one core):
 
     python tests/gamma_identity_reference.py
 """
