@@ -58,6 +58,13 @@ _MAX_KEPT_AMPLITUDES = 2 ** 24
 #: most expected collapse points mu * c * V * t_end in one ``exact``
 #: window: a window's chain arrays then stay within a few tens of MiB
 _MAX_WINDOW_POINTS = 2 ** 20
+#: largest grid spacing and largest magnitude of a grid, packet or region
+#: centre: with gaussian radii of at least R_G_MIN, every squared distance
+#: over a squared radius then stays finite
+_MAX_LENGTH = 1e50
+#: largest Hamiltonian phase |strength| * dt / hbar of one jump step: a phase
+#: x rounds by about x * 2^-53, which stays below 1e-8 up to here
+_MAX_STEP_PHASE = 2 ** 26
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +110,30 @@ def _positive(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
     return val
 
 
+def _length(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
+    val = _positive(obj, key, path, default)
+    if key in obj and val > _MAX_LENGTH:
+        raise ConfigError(f"{path}.{key}: need a length of at most {_MAX_LENGTH:g}, got {val!r}")
+    return val
+
+
+def _position(obj: dict, key: str, path: str, default) -> float:
+    val = _field(obj, key, float, path, default)
+    if abs(val) > _MAX_LENGTH:
+        raise ConfigError(f"{path}.{key}: need a position within {_MAX_LENGTH:g} of 0, "
+                          f"got {val!r}")
+    return val
+
+
+def _radius(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
+    """A gaussian radius from R_G_MIN to R_G_MAX; a default is checked too."""
+    val = _field(obj, key, float, path, default)
+    if not R_G_MIN <= val <= R_G_MAX:
+        raise ConfigError(f"{path}.{key}: need a radius from {R_G_MIN:g} to {R_G_MAX:g}, "
+                          f"got {val!r}")
+    return val
+
+
 def _nonnegative(obj: dict, key: str, path: str) -> float:
     val = _field(obj, key, float, path)
     if val < 0:
@@ -127,11 +158,14 @@ def _numbers(obj: dict, key: str, path: str, need: str, ok=lambda v: True) -> li
     return vals
 
 
-def _steps(t: float, dt: float, path: str, key: str) -> int:
-    """The step count round(t / dt) of ``path.key`` = t, at most ``_MAX_STEPS``."""
+def _steps(t: float, dt: float, path: str, key: str, jump=False) -> int:
+    """The step count round(t / dt) of ``path.key`` = t, at most ``_MAX_STEPS``
+    and, for a jump-process run, at least 1."""
     n = t / dt
     if not n <= _MAX_STEPS:
         raise ConfigError(f"{path}.{key}: {key} / params.dt = {n:.3g} steps, above {_MAX_STEPS}")
+    if jump and round(n) < 1:
+        raise ConfigError(f"params.dt: {path}.{key} / dt = {n:.3g} rounds to 0 steps")
     return int(round(n))
 
 
@@ -157,14 +191,14 @@ def _parse_params(cfg: dict, build=None) -> ModelParams:
     g_obj, g_path = _field(obj, "grid", dict, path), f"{path}.grid"
     _reject_unknown(g_obj, {"nodes", "spacing", "center"}, g_path)
     grid = SpatialGrid.line(_count(g_obj, "nodes", g_path, least=2, most=MAX_DIM),
-                            _positive(g_obj, "spacing", g_path),
-                            _field(g_obj, "center", float, g_path, 0.0))
+                            _length(g_obj, "spacing", g_path),
+                            _position(g_obj, "center", g_path, 0.0))
     fam_obj = _field(obj, "family", dict, path)
     _reject_unknown(fam_obj, {"kind", "r_c"}, f"{path}.family")
     kind = _field(fam_obj, "kind", str, f"{path}.family")
     if kind != "grw_position":
         raise ConfigError(f"{path}.family.kind: only 'grw_position' is configurable here")
-    r_c = _positive(fam_obj, "r_c", f"{path}.family")
+    r_c = _radius(fam_obj, "r_c", f"{path}.family")
     h = None
     h_obj = _field(obj, "hamiltonian", dict, path, {"kind": "none"})
     _reject_unknown(h_obj, {"kind", "strength"}, f"{path}.hamiltonian")
@@ -189,10 +223,7 @@ def _parse_gravity(cfg: dict) -> GravityParams:
     obj = _field(cfg, path, dict, "config")
     _reject_unknown(obj, {"g_newton", "r_g", "r_m", "f_kind"}, path)
     g = _positive(obj, "g_newton", path)
-    r_g = _field(obj, "r_g", float, path)
-    if not R_G_MIN <= r_g <= R_G_MAX:
-        raise ConfigError(f"{path}.r_g: need a radius from {R_G_MIN:g} to {R_G_MAX:g}, "
-                          f"got {r_g!r}")
+    r_g = _radius(obj, "r_g", path)
     r_m = _nonnegative(obj, "r_m", path)
     f_kind = _field(obj, "f_kind", str, path, "point_source")
     if f_kind not in ("point_source", "gaussian_smeared"):
@@ -206,8 +237,8 @@ def _parse_psi0(opts: dict, grid: SpatialGrid) -> np.ndarray:
     _reject_unknown(obj, {"kind", "width", "center"}, path)
     kind = _field(obj, "kind", str, path, "gaussian")
     if kind == "gaussian":
-        width = _positive(obj, "width", path, 2.0 * grid.spacing)
-        center = _field(obj, "center", float, path, 0.0)
+        width = _radius(obj, "width", path, 2.0 * grid.spacing)
+        center = _position(obj, "center", path, 0.0)
         v = np.exp(-((grid.x - center) ** 2) / (4.0 * width ** 2)).astype(complex)
     elif kind == "uniform":
         v = np.ones(grid.n, dtype=complex)
@@ -255,7 +286,12 @@ def _ensemble(cfg, opts, keys=()):
     params = _parse_params(cfg)
     _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
     psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
-    n_steps = _steps(t_end, params.dt, "options", "t_end")
+    n_steps = _steps(t_end, params.dt, "options", "t_end", jump=True)
+    if params.hamiltonian is not None:
+        phase = float(np.abs(params.hamiltonian).max()) * params.dt / params.hbar
+        if not phase <= _MAX_STEP_PHASE:
+            raise ConfigError(f"params.hamiltonian.strength: |strength| * dt / hbar = "
+                              f"{phase:.3g} rad per step, above {_MAX_STEP_PHASE:.3g}")
     return params, psi0, t_end, n_steps, _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
 
@@ -320,7 +356,8 @@ def _born(cfg, opts):
             raise ConfigError(f"params.{key}: {why}")
     path = "options"
     _reject_unknown(opts, {"amplitudes", "t_obs", "n_runs", "pointer"}, path)
-    amps = [float(a) for a in _numbers(opts, "amplitudes", path, "at least two real amplitudes")]
+    amps = [float(a) for a in _numbers(opts, "amplitudes", path, "at least two real amplitudes "
+                                       "of magnitude at most 1", lambda a: abs(a) <= 1)]
     if len(amps) < 2:
         raise ConfigError(f"{path}.amplitudes: need at least two real amplitudes")
     if abs(sum(a ** 2 for a in amps) - 1.0) > 1e-9:
@@ -330,7 +367,9 @@ def _born(cfg, opts):
     ptr_path = f"{path}.pointer"
     ptr = _field(opts, "pointer", dict, path)
     _reject_unknown(ptr, {"centers", "amplification"}, ptr_path)
-    centers = _numbers(ptr, "centers", ptr_path, "a list of region centres")
+    centers = _numbers(ptr, "centers", ptr_path,
+                       f"a list of region centres within {_MAX_LENGTH:g} of 0",
+                       lambda x: abs(x) <= _MAX_LENGTH)
     if len(centers) != len(amps):
         raise ConfigError(f"{ptr_path}.centers: need one centre per amplitude")
     amplification = _count(ptr, "amplification", ptr_path)
@@ -342,7 +381,7 @@ def _born(cfg, opts):
         return pointer_family(grid, f_c, len(amps))
     params = _parse_params(cfg, build)
     params = replace(params, mass=amplification * params.m_r)
-    _steps(t_obs, params.dt, path, "t_obs")
+    _steps(t_obs, params.dt, path, "t_obs", jump=True)
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):

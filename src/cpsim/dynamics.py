@@ -8,7 +8,10 @@ Every trajectory runs on one batched engine, ``propagate_batch``, which
 steps a (chunk, dim) array of states row by row and hands each step's
 states and flashes to its consumer, which keeps only what it reads;
 trajectory k draws from its own stream(seed, k), one uniform per step
-and one per flash, so no result depends on the chunk size.  The
+and one per flash, so no result depends on the chunk size.  A run
+without a Hamiltonian, with real members and a real start state keeps
+its rows real, which gives the same bits as complex arithmetic, and
+each step renormalizes flashed and unflashed rows in one pass.  The
 ensemble average of the projector obeys the matching master equation,
 whose time-independent generator L is propagated from one
 checkpoint to the next by the action of exp(L t), through scaling and
@@ -120,6 +123,13 @@ class ModelParams:
                 np.ascontiguousarray(h.imag) if np.any(h.imag) else None)
 
     @cached_property
+    def _jump_constants(self):
+        """What every jump step reads: (dt rate, rate dt / 2, rate w_k, |L_k|^2 rows)."""
+        rate = self.rate_scale
+        return (self.dt * rate, 0.5 * rate * self.dt, rate * self.grid.weights,
+                self.family.l2_diagonals())
+
+    @cached_property
     def weighted_l2(self) -> np.ndarray:
         """Diagonal of W = sum_k w_k L_k^dag L_k, shape (dim,)."""
         return self.grid.weights @ self.family.l2_diagonals()
@@ -152,19 +162,26 @@ _BLOCK = 128
 
 
 def _abs2(v):
-    return v.real ** 2 + v.imag ** 2
+    """|v|^2 entrywise; v * v for a real v, the same bits as re^2 + 0^2."""
+    if v.dtype.kind == "c":
+        return v.real ** 2 + v.imag ** 2
+    return v * v
+
+
+def _rates(a2, params: ModelParams):
+    """Per-node flash rates from |psi|^2, of a state or of each row."""
+    _, _, rate_w, l2 = params._jump_constants
+    return rate_w * np.einsum("kj,...j->...k", l2, a2)
 
 
 def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
     """Per-node flash rates rate_scale * w_k * <L^2(x_k)>, of a state or of each row."""
-    fam = params.family
-    expect = np.einsum("kj,...j->...k", fam.l2_diagonals(), _abs2(np.asarray(psi)))
-    return params.rate_scale * fam.grid.weights * np.maximum(expect, 0.0)
+    return _rates(_abs2(np.asarray(psi)), params)
 
 
-def _weighted(x, params: ModelParams):
-    """<x|W|x> per row, W = sum_k w_k L_k^dag L_k."""
-    return (_abs2(x) * params.weighted_l2).sum(axis=-1)
+def _weighted(a2, params: ModelParams):
+    """<x|W|x> per row from a2 = |x|^2, W = sum_k w_k L_k^dag L_k."""
+    return np.add.reduce(a2 * params.weighted_l2, axis=-1)
 
 
 def _step(v, params: ModelParams, uniform):
@@ -172,60 +189,80 @@ def _step(v, params: ModelParams, uniform):
 
     No-flash branch: Hamiltonian half step, variance drift
     1 + (rate dt / 2) sum_k w_k (<L_k^2> - L_k^2), Hamiltonian half
-    step, exact renormalization.  Flash branch: node drawn
-    proportionally to its rate, state multiplied by the local collapse
-    operator and renormalized (the overall phase of the jump carries no
-    observable content and is dropped).  ``uniform(rows)`` returns the
-    next uniform of each listed row's own stream: one per row, then one
-    per flashed row for its node.  Returns (states, flashed rows, their nodes).
+    step.  Flash branch: node drawn proportionally to its rate, state
+    multiplied by the local collapse operator (the overall phase of the
+    jump carries no observable content and is dropped).  Every row,
+    flashed or not, is then renormalized in one pass.  A real v stays
+    real: without a Hamiltonian and with real members every product
+    then equals the real part of its complex counterpart, bit for bit.
+    ``uniform(rows)`` returns the next uniform of each listed row's own
+    stream, for increasing row indices: one per row, then one per
+    flashed row for its node.  Returns (states, flashed rows, their nodes).
     """
-    fam, dt = params.family, params.dt
-    s2 = _weighted(v, params)
-    p_jump = dt * params.rate_scale * s2
-    worst = float(p_jump.max())
+    p_scale, c, _, _ = params._jump_constants
+    a2 = _abs2(v)
+    s2 = _weighted(a2, params)
+    p_jump = p_scale * s2
+    worst = float(np.maximum.reduce(p_jump))
     if worst >= STEP_VALIDITY_LIMIT:
         raise StepSizeError(
             f"per-step flash probability {worst!r} exceeds {STEP_VALIDITY_LIMIT}; reduce dt")
-    flashed = np.flatnonzero(uniform(np.arange(len(v))) < p_jump)
+    flashed = (uniform(np.arange(len(v))) < p_jump).nonzero()[0]
 
     # no-flash update of every row; the flashed rows are overwritten below
-    c = 0.5 * params.rate_scale * dt
     u_half = params.half_step_unitary
     out = v
     if u_half is not None:
         out = _apply(u_half, v)
-        s2 = _weighted(out, params)
+        s2 = _weighted(_abs2(out), params)
     out = out * (1.0 + c * (s2[:, None] - params.weighted_l2))
     if u_half is not None:
         out = _apply(u_half, out)
-    out *= 1.0 / np.sqrt(_abs2(out).sum(axis=-1, keepdims=True))
-    if not flashed.size:
-        return out, flashed, flashed
-
-    # the rule of Generator.choice(p=rates / total): normalised cdf, searchsorted side="right"
-    rates = flash_rate_density(v[flashed], params)
-    cdf = np.cumsum(rates / rates.sum(axis=-1, keepdims=True), axis=-1)
-    nodes = (cdf / cdf[:, -1:] <= uniform(flashed)[:, None]).sum(axis=-1)
-    jumped = fam.diagonals[nodes] * v[flashed]
-    nrm = np.sqrt(_abs2(jumped).sum(axis=-1, keepdims=True))
-    if np.any(nrm == 0.0):
+    nodes = flashed
+    if flashed.size:
+        # the rule of Generator.choice(p=rates / total): normalised cdf, searchsorted side="right"
+        rates = _rates(a2[flashed], params)
+        cdf = (rates / np.add.reduce(rates, axis=-1, keepdims=True)).cumsum(axis=-1)
+        nodes = np.add.reduce(cdf / cdf[:, -1:] <= uniform(flashed)[:, None], axis=-1)
+        out[flashed] = params.family.diagonals[nodes] * v[flashed]
+    norm2 = np.add.reduce(_abs2(out), axis=-1, keepdims=True)
+    if flashed.size and not norm2[flashed].all():
         raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
-    out[flashed] = jumped / nrm
+    # times the reciprocal, as NumPy's complex division by a real norm does
+    out *= 1.0 / np.sqrt(norm2)
     return out, flashed, nodes
 
 
 def _uniforms(rngs):
     """Next uniform of each listed row's stream, drawn ``_BLOCK`` at a time;
-    ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls."""
-    buf = np.empty((len(rngs), _BLOCK))
-    pos = np.full(len(rngs), _BLOCK)
+    ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls.
+
+    Row r reads its block from ``buf[r * _BLOCK:(r + 1) * _BLOCK]`` at flat
+    position ``at[r]``, so a draw for every row is one gather and one
+    increment.  ``left`` is a lower bound on the unread uniforms of every
+    row; only when it reaches 0 are the used-up blocks refilled.
+    """
+    n = len(rngs)
+    buf = np.empty(n * _BLOCK)
+    end = np.arange(1, n + 1) * _BLOCK
+    at = end.copy()
+    left = 0
 
     def draw(rows):
-        for r in rows[pos[rows] == _BLOCK]:
-            buf[r] = rngs[r].random(_BLOCK)
-            pos[r] = 0
-        out = buf[rows, pos[rows]]
-        pos[rows] += 1
+        nonlocal left, at
+        if not left:
+            for r in np.flatnonzero(at == end):
+                buf[r * _BLOCK:(r + 1) * _BLOCK] = rngs[r].random(_BLOCK)
+                at[r] -= _BLOCK
+            left = int((end - at).min())
+        left -= 1
+        if len(rows) == n:   # increasing and distinct: every row
+            out = buf[at]
+            at += 1
+        else:
+            pos = at[rows]
+            out = buf[pos]
+            at[rows] = pos + 1
         return out
     return draw
 
@@ -239,10 +276,16 @@ def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: 
     trajectory first + r is row r of ``states`` after step i, and the
     rows ``flashed`` flashed at ``nodes`` in step i.  ``states`` is
     replaced, not updated, by the next step; a caller keeps what it reads.
+    ``states`` is real (float64) when the run has no Hamiltonian, the
+    family's members are real and psi0 has no imaginary part; it then
+    holds the same values, bit for bit, as the complex rows would.
     """
     if n_traj < 1:
         raise ContractViolationError("need at least one trajectory")
-    v0 = np.asarray(psi0).astype(complex)
+    v0 = np.asarray(psi0)
+    real = (params.hamiltonian is None and np.isrealobj(params.family.diagonals)
+            and not np.any(np.imag(v0)))
+    v0 = v0.real.astype(float) if real else v0.astype(complex)
     none = np.zeros(0, dtype=int)
     for first in range(0, n_traj, _CHUNK):
         rows = min(_CHUNK, n_traj - first)

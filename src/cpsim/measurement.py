@@ -116,7 +116,10 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
     separately, as are runs with no flash at all (possible but
     exponentially unlikely at the required amplification).  Branch
     fidelity is the post-first-flash weight on the system outcome of
-    the flashed region.
+    the flashed region.  Steps without a flash are skipped, first
+    flashes are looked for only until every run of a chunk has one,
+    and the runs that cross regions are found once, at the end, from
+    the logged (run, region) pairs of every flash.
     """
     grid = params.family.grid
     psi0 = born_initial_state(c, centers, params, t_obs)
@@ -128,16 +131,26 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
     first_region = np.full(n_runs, -1)
     first_time = np.zeros(n_runs)
     fidelity = np.zeros(n_runs)
-    crossed = np.zeros(n_runs, dtype=bool)
+    none = np.zeros(0, dtype=int)
+    flash_runs, flash_regions = [none], [none]
     for first, i, states, flashed, nodes in propagate_batch(psi0, params, n_steps, n_runs, seed):
+        if i == 0:
+            waiting = len(states)   # runs of this chunk without a flash so far
+        if not flashed.size:
+            continue
         runs, region = first + flashed, node_region[nodes]
-        new = first_region[runs] < 0
-        crossed[runs[~new]] |= region[~new] != first_region[runs[~new]]
-        runs, region = runs[new], region[new]
-        first_region[runs] = region
-        first_time[runs] = i * params.dt
-        blocks = states[flashed[new]].reshape(-1, n_out, grid.n)
-        fidelity[runs] = (np.abs(blocks[np.arange(len(runs)), region]) ** 2).sum(axis=-1)
+        flash_runs.append(runs)
+        flash_regions.append(region)
+        if waiting:
+            new = first_region[runs] < 0
+            runs, region, rows = runs[new], region[new], flashed[new]
+            first_region[runs] = region
+            first_time[runs] = i * params.dt
+            blocks = states[rows].reshape(-1, n_out, grid.n)
+            fidelity[runs] = (np.abs(blocks[np.arange(len(runs)), region]) ** 2).sum(axis=-1)
+            waiting -= len(runs)
+    runs, region = np.concatenate(flash_runs), np.concatenate(flash_regions)
+    crossed = np.unique(runs[region != first_region[runs]])
 
     seen = first_region >= 0
     counts = np.bincount(first_region[seen], minlength=n_out)
@@ -149,7 +162,7 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
         region_counts=counts,
         region_frequencies=freqs,
         wilson_99=[wilson_interval(int(k), classified) for k in counts],
-        cross_region_runs=int(crossed.sum()),
+        cross_region_runs=len(crossed),
         zero_flash_runs=n_runs - classified,
         mean_branch_fidelity=float(np.mean(fidelities)) if fidelities.size else float("nan"),
         median_first_flash_time=float(np.median(first_times)) if first_times.size else float("nan"))

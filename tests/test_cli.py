@@ -326,6 +326,26 @@ class TestExitCodes:
         # Gamma(d) rounds to about 1e-16, so a tolerance below 1e-15 cannot be met
         (gamma_config, ("options",), "quad_tol", 5e-324, "options.quad_tol"),
         (gamma_config, ("options",), "quad_tol", 1e-16, "options.quad_tol"),
+        # squared amplitudes above 1 cannot sum to 1, and 1e300 squared overflows
+        (born_config, ("options",), "amplitudes", [1e300, 0.5], "options.amplitudes"),
+        # lengths whose squares, or squares over a squared radius, overflow
+        (born_config, ("params", "family"), "r_c", 1e300, "params.family.r_c"),
+        (lambda path: ensemble_config(path, "compare"), ("params", "family"), "r_c", 1e300,
+         "params.family.r_c"),
+        (lambda path: ensemble_config(path, "compare"), ("options", "psi0"), "width", 1e300,
+         "options.psi0.width"),
+        (ensemble_config, ("options", "psi0"), "width", 1e-300, "options.psi0.width"),
+        (ensemble_config, ("options", "psi0"), "center", 1e300, "options.psi0.center"),
+        (born_config, ("params", "grid"), "spacing", 1e300, "params.grid.spacing"),
+        (born_config, ("options", "pointer"), "centers", [-4.5, 1e300],
+         "options.pointer.centers"),
+        # a jump run of 0 steps
+        (born_config, ("params",), "dt", 1e300, "params.dt"),
+        (lambda path: ensemble_config(path, "compare"), ("params",), "dt", 1e300, "params.dt"),
+        (ensemble_config, ("options",), "t_end", 1e-300, "params.dt"),
+        # a Hamiltonian phase per step of 2e298
+        (ensemble_config, ("params", "hamiltonian"), "strength", 1e300,
+         "params.hamiltonian.strength"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
@@ -334,7 +354,11 @@ class TestExitCodes:
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
             "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
             "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap",
-            "energy-point-source", "gamma-quad_tol-subnormal", "gamma-quad_tol-below-floor"])
+            "energy-point-source", "gamma-quad_tol-subnormal", "gamma-quad_tol-below-floor",
+            "born-amplitude-huge", "born-r_c-huge", "compare-r_c-huge", "compare-width-huge",
+            "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
+            "born-centre-huge", "born-zero-steps", "compare-zero-steps",
+            "trajectories-zero-steps", "trajectories-phase-huge"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")
@@ -568,6 +592,35 @@ def test_gamma_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_pat
         if code == 0:
             assert all(math.isfinite(x) for x in all_numbers(read_results(out))), (key, value)
         out.unlink(missing_ok=True)
+
+
+@pytest.mark.parametrize("experiment", ["born", "trajectories", "compare"])
+def test_jump_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path, experiment):
+    make = FUZZ_BASES[experiment]
+    out = tmp_path / "out.res"
+    base = make(str(out))
+    paths = [path for path in field_paths(base) if isinstance(lookup(base, path), float)]
+    assert len(paths) >= 8
+    for path in paths:
+        for value in EXTREMES:
+            cfg = make(str(out))
+            lookup(cfg, path[:-1])[path[-1]] = value
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(cfg))
+            code = main(["validate", str(p)])
+            assert code in (0, 2, 3, 4), (path, value)
+            if code:
+                continue
+            assert main(["run", str(p)]) in (0, 3, 4), (path, value)
+            if out.exists():
+                assert all(math.isfinite(x) for x in all_numbers(read_results(out))), (path, value)
+                out.unlink()
+
+
+def lookup(node, path):
+    for name in path:
+        node = node[name]
+    return node
 
 
 def field_paths(node, prefix=()):
