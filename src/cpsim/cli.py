@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import ModelParams, ensemble_vs_master, integrate_master, propagate_batch
+from .dynamics import (_MAX_SUBSTEPS, ModelParams, ensemble_vs_master, integrate_master,
+                       propagate_batch)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -52,6 +53,9 @@ _MAX_RUNS = 2 ** 20
 #: most steps t / dt of one jump-process run or checkpoint grid: the count
 #: must be a finite integer, and a run of 2^24 steps already takes hours
 _MAX_STEPS = 2 ** 24
+#: most expected flashes of one Born run, each one event of the waiting-time
+#: engine: a run of 2^24 events already takes hours
+_MAX_FLASHES = 2 ** 24
 #: most averaged density-matrix entries a ``compare`` run keeps at its
 #: checkpoints (16 bytes each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24
@@ -62,6 +66,9 @@ _MAX_WINDOW_POINTS = 2 ** 20
 #: centre: with gaussian radii of at least R_G_MIN, every squared distance
 #: over a squared radius then stays finite
 _MAX_LENGTH = 1e50
+#: smallest source spacing and probe distance of a ``potential`` run: their
+#: squares and the reciprocal -G m_r / d then stay finite
+_MIN_LENGTH = 1e-50
 #: largest Hamiltonian phase |strength| * dt / hbar of one jump step: a phase
 #: x rounds by about x * 2^-53, which stays below 1e-8 up to here
 _MAX_STEP_PHASE = 2 ** 26
@@ -110,10 +117,11 @@ def _positive(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
     return val
 
 
-def _length(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
+def _length(obj: dict, key: str, path: str, default=_REQUIRED, least=0.0) -> float:
     val = _positive(obj, key, path, default)
-    if key in obj and val > _MAX_LENGTH:
-        raise ConfigError(f"{path}.{key}: need a length of at most {_MAX_LENGTH:g}, got {val!r}")
+    if key in obj and not least <= val <= _MAX_LENGTH:
+        raise ConfigError(f"{path}.{key}: need a length from {least:g} to {_MAX_LENGTH:g}, "
+                          f"got {val!r}")
     return val
 
 
@@ -125,11 +133,12 @@ def _position(obj: dict, key: str, path: str, default) -> float:
     return val
 
 
-def _radius(obj: dict, key: str, path: str, default=_REQUIRED) -> float:
-    """A gaussian radius from R_G_MIN to R_G_MAX; a default is checked too."""
+def _radius(obj: dict, key: str, path: str, default=_REQUIRED, what="radius") -> float:
+    """A gaussian radius (or another scale) from R_G_MIN to R_G_MAX; a default is
+    checked too."""
     val = _field(obj, key, float, path, default)
     if not R_G_MIN <= val <= R_G_MAX:
-        raise ConfigError(f"{path}.{key}: need a radius from {R_G_MIN:g} to {R_G_MAX:g}, "
+        raise ConfigError(f"{path}.{key}: need a {what} from {R_G_MIN:g} to {R_G_MAX:g}, "
                           f"got {val!r}")
     return val
 
@@ -336,6 +345,12 @@ def _master(cfg, opts):
     t_end = _positive(opts, "t_end", "options")
     _steps(t_end, params.dt, "options", "t_end")
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
+    if params.hamiltonian is not None:
+        # the propagator takes at least this many Taylor substeps
+        phase = float(np.abs(params.hamiltonian).max()) * t_end / params.hbar
+        if not phase <= _MAX_SUBSTEPS:
+            raise ConfigError(f"params.hamiltonian.strength: |strength| * t_end / hbar = "
+                              f"{phase:.3g} rad, above the {_MAX_SUBSTEPS} substeps of one run")
 
     def run(seed):
         rows = []
@@ -381,7 +396,12 @@ def _born(cfg, opts):
         return pointer_family(grid, f_c, len(amps))
     params = _parse_params(cfg, build)
     params = replace(params, mass=amplification * params.m_r)
+    # a born run does not read dt, which is validated as for every jump run
     _steps(t_obs, params.dt, path, "t_obs", jump=True)
+    flashes = params.rate_scale * float(params.weighted_l2.max()) * t_obs
+    if not flashes <= _MAX_FLASHES:
+        raise ConfigError(f"{path}.t_obs: lambda_grw * amplification * max W * t_obs = "
+                          f"{flashes:.3g} expected flashes per run, above {_MAX_FLASHES}")
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):
@@ -428,11 +448,18 @@ def _energy(cfg, opts):
     r_g_values = _numbers(opts, "r_g_values", path,
                           f"a list of radii from {R_G_MIN:g} to {R_G_MAX:g}",
                           lambda v: R_G_MIN <= v <= R_G_MAX)
-    width = _positive(opts, "psi_width", path)
-    r_max = _positive(opts, "r_max", path, 12.0 * width)
+    width = _radius(opts, "psi_width", path)
     n_r = _count(opts, "n_r", path, 2000, most=_MAX_RADIAL_POINTS)
-    mass = _positive(opts, "mass", path, 1.0)
-    hbar = _positive(opts, "hbar", path, 1.0)
+    r_max = _positive(opts, "r_max", path, 12.0 * width)
+    if r_max / n_r > width:
+        raise ConfigError(f"{path}.r_max: the radial step r_max / n_r = {r_max / n_r:.3g} "
+                          f"does not resolve psi_width {width!r}")
+    mass = _radius(opts, "mass", path, 1.0, what="mass")
+    hbar = _radius(opts, "hbar", path, 1.0, what="value of hbar")
+    # the phase gradient r_m F' of a row is squared
+    if gp.r_m > _MAX_LENGTH:
+        raise ConfigError(f"gravity.r_m: energy needs r_m of at most {_MAX_LENGTH:g}, "
+                          f"got {gp.r_m!r}")
     # every row uses the gaussian profile at its own radius, so gravity.r_g is unread
     if gp.F_kind != "gaussian_smeared":
         raise ConfigError("gravity.f_kind: energy needs 'gaussian_smeared', the profile "
@@ -444,7 +471,10 @@ def _energy(cfg, opts):
         rows = []
         for r_g in r_g_values:
             gpi = GravityParams(G=gp.G, r_g=float(r_g), r_m=gp.r_m, F_kind="gaussian_smeared")
-            rows.append((r_g, energy_after_flash(r, psi, gpi, mass, hbar)))
+            energy = energy_after_flash(r, psi, gpi, mass, hbar)
+            if not math.isfinite(energy):
+                raise DomainError(f"the energy at r_g {r_g!r} overflows double precision")
+            rows.append((r_g, energy))
         return (["r_g_m", "kinetic_energy_j"], rows)
     return run
 
@@ -454,9 +484,10 @@ def _potential(cfg, opts):
     path = "options"
     _reject_unknown(opts, {"source_nodes", "source_spacing", "probe_distances", "m_r"}, path)
     grid = SpatialGrid.line(_count(opts, "source_nodes", path, least=2, most=MAX_DIM),
-                            _positive(opts, "source_spacing", path))
-    probes = _numbers(opts, "probe_distances", path, "a list of positive distances",
-                      lambda d: d > 0)
+                            _length(opts, "source_spacing", path, least=_MIN_LENGTH))
+    probes = _numbers(opts, "probe_distances", path,
+                      f"a list of distances from {_MIN_LENGTH:g} to {_MAX_LENGTH:g}",
+                      lambda d: _MIN_LENGTH <= d <= _MAX_LENGTH)
     m_r = _positive(opts, "m_r", path, 1.0)
 
     def run(seed):

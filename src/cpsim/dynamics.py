@@ -4,20 +4,26 @@ The piecewise-deterministic jump process: between flashes the state
 follows the Hamiltonian plus a quadratic drift that rewards low
 localization-operator variance, and at Poisson-distributed flash times
 it is multiplied by the local collapse operator and renormalized.
-Every trajectory runs on one batched engine, ``propagate_batch``, which
-steps a (chunk, dim) array of states row by row and hands each step's
-states and flashes to its consumer, which keeps only what it reads;
-trajectory k draws from its own stream(seed, k), one uniform per step
-and one per flash, so no result depends on the chunk size.  A run
-without a Hamiltonian, with real members and a real start state keeps
-its rows real, which gives the same bits as complex arithmetic, and
-each step renormalizes flashed and unflashed rows in one pass.  The
-ensemble average of the projector obeys the matching master equation,
-whose time-independent generator L is propagated from one
-checkpoint to the next by the action of exp(L t), through scaling and
-a truncated Taylor series (``integrate_master``); the two routes are
-cross-checked by ``ensemble_vs_master``.  ``coarse_grain_consistency``
-closes the loop against the exact collapse-point chains.
+Trajectories of fixed step dt run on one batched engine,
+``propagate_batch``, which steps a (chunk, dim) array of states row by
+row and hands each step's states and flashes to its consumer, which
+keeps only what it reads; trajectory k draws from its own stream(seed,
+k), one uniform per step and one per flash, so no result depends on the
+chunk size.  A run without a Hamiltonian, with real members and a real
+start state keeps its rows real, which gives the same bits as complex
+arithmetic, and each step renormalizes flashed and unflashed rows in one
+pass.  Without a Hamiltonian the weights |psi_j|^2 decay in closed form
+between flashes, so the waiting-time engine ``_flash_to_flash`` (which
+the Born experiment runs on) jumps from one flash straight to the next:
+each wait is the root of the survival S(tau) = u, found by Newton, and
+no ``dt`` enters (Dalibard, Castin & Moelmer, PRL 68, 580 (1992);
+Plenio & Knight, RMP 70, 101 (1998)).  The ensemble average of the
+projector obeys the matching master equation, whose time-independent
+generator L is propagated from one checkpoint to the next by the action
+of exp(L t), through scaling and a truncated Taylor series
+(``integrate_master``); the two routes are cross-checked by
+``ensemble_vs_master``.  ``coarse_grain_consistency`` closes the loop
+against the exact collapse-point chains.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolationError, StepSizeError
+from .errors import ContractViolationError, ConvergenceError, StepSizeError
 from .exact import _sample_windows
 from .hilbert import SpatialGrid, _apply, hermitize, unitary_from_generator
 from .operators import OperatorFamily
@@ -54,7 +60,7 @@ class ModelParams:
     probability under STEP_VALIDITY_LIMIT for every evolved state; this
     is asserted at runtime by the stepper.  For the
     master equation ``dt`` only sets the checkpoint grid: it does not
-    affect the master solution.  Frozen: derive variants with
+    affect the master solution; the waiting-time engine does not read it.  Frozen: derive variants with
     ``dataclasses.replace``, which also starts fresh derived caches.
     """
 
@@ -295,6 +301,113 @@ def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: 
         for i in range(1, n_steps + 1):
             v, flashed, nodes = _step(v, params, draw)
             yield first, i, v, flashed, nodes
+
+
+# ---------------------------------------------------------------------------
+# waiting-time engine: runs without a Hamiltonian, from flash to flash
+# ---------------------------------------------------------------------------
+
+#: Newton steps allowed for one wait; the convex log-survival closes in a
+#: handful, so reaching this is a bug, not a hard case
+_MAX_NEWTON = 64
+
+
+def _survival(p, rw, tau):
+    """(log S(tau), -d log S / d tau) for each row of the weights p (rows
+    summing to 1) at its wait tau, with S(tau) = sum_j p_j exp(-rw_j tau).
+
+    1 - S = -sum_j p_j expm1(-rw_j tau) keeps its relative precision for
+    short waits, and log S = log1p(-(1 - S)) keeps it in turn; once S is
+    below 1/2, log S is the log of the sum of positive terms instead.
+    """
+    x = tau[:, None] * -rw
+    pe = p * np.exp(x)
+    s = np.add.reduce(pe, axis=-1)
+    near = s > 0.5
+    log_s = np.log(np.where(near, 1.0, s))
+    if near.any():
+        log_s[near] = np.log1p(np.add.reduce(p[near] * np.expm1(x[near]), axis=-1))
+    return log_s, np.add.reduce(pe * rw, axis=-1) / s
+
+
+def _waits(p, rw, log_u):
+    """The wait tau of each row of the weights p with log S(tau) = log_u.
+
+    Newton from tau = 0; log S is convex and decreasing, so the iterates
+    rise monotonically to the root, the first being the Jensen bound
+    -log u / <rw>.  A row stops once its step is non-positive (not taken)
+    or at the rounding level of tau (taken).
+    """
+    tau = np.zeros(len(p))
+    open_, log_s, slope = np.arange(len(p)), np.zeros(len(p)), np.add.reduce(p * rw, axis=-1)
+    for _ in range(_MAX_NEWTON):
+        step = (log_s - log_u[open_]) / slope
+        ahead = step > 0
+        tau[open_[ahead]] += step[ahead]
+        open_ = open_[ahead & (step > tau[open_] * 2.0 ** -50)]
+        if not open_.size:
+            return tau
+        log_s, slope = _survival(p[open_], rw, tau[open_])
+    raise ConvergenceError(f"waiting-time Newton iteration open after {_MAX_NEWTON} steps")
+
+
+def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, seed: int):
+    """Run trajectories 0 .. n_traj - 1 without a Hamiltonian from flash to
+    flash up to t_end, ``_CHUNK`` at a time.
+
+    Every family is diagonal, so between flashes |psi_j(t)|^2 is
+    proportional to p_j exp(-r W_j t), r = ``rate_scale``, W =
+    ``weighted_l2``, and the run survives a wait tau without a flash with
+    probability S(tau) = sum_j p_j exp(-r W_j tau).  Flash statistics do
+    not depend on phases, so the rows are the weights p_j = |psi_j|^2
+    alone, starting from ``weights`` normalised.  In each round every live
+    run draws one uniform u from its own ``stream(seed, k)``: it is done if
+    S(t_end - t) >= u, otherwise it waits the root of S(tau) = u
+    (``_waits``) and draws one more uniform to pick the node, by the rule of
+    ``_step`` at the pre-flash state; its weights are then multiplied by
+    |L_k|^2 and renormalised.  Yields ``(first, rows, times, nodes,
+    states)`` per round: trajectory first + r of each listed row r flashed
+    at time times[i] and node nodes[i], leaving the weights states[i].
+    Nothing depends on n_traj or the chunking.
+    """
+    if n_traj < 1:
+        raise ContractViolationError("need at least one trajectory")
+    if params.hamiltonian is not None:
+        raise ContractViolationError("the waiting-time engine runs without a Hamiltonian")
+    p0 = np.asarray(weights, dtype=float)
+    p0 = p0 / np.add.reduce(p0)
+    rw = params.rate_scale * params.weighted_l2
+    _, _, rate_w, l2 = params._jump_constants
+    node_rates = np.ascontiguousarray((rate_w[:, None] * l2).T)   # weights @ it: rates
+    for first in range(0, n_traj, _CHUNK):
+        rows = min(_CHUNK, n_traj - first)
+        draw = _uniforms([stream(seed, first + r) for r in range(rows)])
+        live, t, p = np.arange(rows), np.zeros(rows), np.tile(p0, (rows, 1))
+        while True:
+            u = draw(live)
+            left = t_end - t
+            flash = u > np.add.reduce(p * np.exp(left[:, None] * -rw), axis=-1)
+            if not flash.all():
+                live, t, p, u, left = live[flash], t[flash], p[flash], u[flash], left[flash]
+                if not live.size:
+                    break
+            tau = np.minimum(_waits(p, rw, np.log(u)), left)
+            t = t + tau
+            pre = p * np.exp(tau[:, None] * -rw)
+            pre /= np.add.reduce(pre, axis=-1, keepdims=True)
+            # the rule of ``_step``: normalised cdf of the rates, searchsorted side="right"
+            # one vector-matrix product per row: a row's bits then do not depend
+            # on the rows beside it, as they do in one (rows, dim) BLAS product,
+            # and no product is large enough to wake a second BLAS thread
+            rates = (pre[:, None, :] @ node_rates)[:, 0]
+            cdf = (rates / np.add.reduce(rates, axis=-1, keepdims=True)).cumsum(axis=-1)
+            nodes = np.add.reduce(cdf / cdf[:, -1:] <= draw(live)[:, None], axis=-1)
+            p = l2[nodes] * pre
+            norm = np.add.reduce(p, axis=-1, keepdims=True)
+            if not norm.all():
+                raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
+            p /= norm
+            yield first, live, t, nodes, p
 
 
 def _checkpoints(t_end: float, dt: float, n_checkpoints: int):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, flash_rate_density, propagate_batch
+from .dynamics import ModelParams, _abs2, _flash_to_flash, flash_rate_density
 from .errors import ContractViolationError
 from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
@@ -110,21 +110,20 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
                     n_runs: int, seed: int) -> BornReport:
     """Flash statistics of repeated pointer measurements.
 
-    Every run integrates the jump process from the premeasured state to
-    t_obs; the run is classified by the region of its first flash.
-    Runs whose flashes visit more than one region are counted
-    separately, as are runs with no flash at all (possible but
-    exponentially unlikely at the required amplification).  Branch
-    fidelity is the post-first-flash weight on the system outcome of
-    the flashed region.  Steps without a flash are skipped, first
-    flashes are looked for only until every run of a chunk has one,
-    and the runs that cross regions are found once, at the end, from
-    the logged (run, region) pairs of every flash.
+    Every run jumps from flash to flash up to t_obs on the waiting-time
+    engine (``dynamics._flash_to_flash``), which carries the branch
+    weights alone; the run is classified by the region of its first
+    flash, whose time is continuous.  Runs whose flashes visit more than
+    one region are counted separately, as are runs with no flash at all
+    (possible but exponentially unlikely at the required amplification).
+    Branch fidelity is the post-first-flash weight on the system outcome
+    of the flashed region.  The runs that cross regions are found once,
+    at the end, from the logged (run, region) pairs of every flash.
+    ``params.dt`` does not enter.
     """
     grid = params.family.grid
     psi0 = born_initial_state(c, centers, params, t_obs)
     n_out = len(centers)
-    n_steps = int(round(t_obs / params.dt))
     # a flash at node k belongs to the region of the nearest centre
     node_region = np.argmin(np.abs(grid.x[:, None] - np.asarray(centers, dtype=float)), axis=1)
 
@@ -133,22 +132,18 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
     fidelity = np.zeros(n_runs)
     none = np.zeros(0, dtype=int)
     flash_runs, flash_regions = [none], [none]
-    for first, i, states, flashed, nodes in propagate_batch(psi0, params, n_steps, n_runs, seed):
-        if i == 0:
-            waiting = len(states)   # runs of this chunk without a flash so far
-        if not flashed.size:
-            continue
-        runs, region = first + flashed, node_region[nodes]
+    for first, rows, times, nodes, states in _flash_to_flash(_abs2(psi0), params, t_obs,
+                                                             n_runs, seed):
+        runs, region = first + rows, node_region[nodes]
         flash_runs.append(runs)
         flash_regions.append(region)
-        if waiting:
-            new = first_region[runs] < 0
-            runs, region, rows = runs[new], region[new], flashed[new]
+        new = (first_region[runs] < 0).nonzero()[0]
+        if new.size:
+            runs, region = runs[new], region[new]
             first_region[runs] = region
-            first_time[runs] = i * params.dt
-            blocks = states[rows].reshape(-1, n_out, grid.n)
-            fidelity[runs] = (np.abs(blocks[np.arange(len(runs)), region]) ** 2).sum(axis=-1)
-            waiting -= len(runs)
+            first_time[runs] = times[new]
+            blocks = states[new].reshape(-1, n_out, grid.n)
+            fidelity[runs] = blocks[np.arange(len(new)), region].sum(axis=-1)
     runs, region = np.concatenate(flash_runs), np.concatenate(flash_regions)
     crossed = np.unique(runs[region != first_region[runs]])
 

@@ -9,8 +9,15 @@ whatever the number of units or the chunk they are computed in;
 ``random(m)`` gives the same doubles as m calls of ``random()``, which
 lets the engines draw uniforms in blocks.
 
-- Each trajectory k of an ensemble owns stream k and consumes one
-  uniform per step and one more per flash, drawn in blocks.
+- Each trajectory k of a fixed-step ensemble (``trajectories``,
+  ``compare``) owns stream k and consumes one uniform per step and one
+  more per flash, drawn in blocks.
+- Each Born run k (the waiting-time engine, without a Hamiltonian)
+  owns stream k and consumes one uniform per event: it ends the run
+  when the survival to the end time is at least that uniform, and
+  otherwise fixes the wait to the next flash; every flash then draws one
+  more uniform for its node.  A run of n flashes reads 2n + 1 uniforms,
+  drawn in blocks.
 - Collapse-point window w owns stream w.  Its placement draws come
   first: the point count n from ``poisson(rate * t_end)``, then a block
   of n uniforms whose sorted values, scaled by t_end, are the times,
@@ -20,7 +27,7 @@ lets the engines draw uniforms in blocks.
 
 import numpy as np
 
-GENERATOR_NAME = "philox4x64/seedseq-spawn-v2"
+GENERATOR_NAME = "philox4x64/seedseq-spawn-v3"
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

@@ -275,6 +275,19 @@ class TestExitCodes:
             assert main([command, str(p)]) == 2
             assert f"{section}.{key}:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_energy_overflow_exits_three(self, tmp_path, capsys):
+        # every field lies in its range, but (hbar^2 / 2 mass) r_m^2 F'^2 overflows
+        cfg = energy_config(tmp_path / "en.csv")
+        cfg["gravity"]["r_m"] = 1e50
+        cfg["options"].update(r_g_values=[1e-50], psi_width=1e-50, hbar=1e50, mass=1e-50)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p)]) == 3
+        assert "overflows double precision" in capsys.readouterr().err
+        assert not (tmp_path / "en.csv").exists()
+
     def test_zero_energy_r_max_exits_two(self, tmp_path, capsys):
         cfg = energy_config(tmp_path / "en.csv")
         cfg["options"]["r_max"] = 0.0
@@ -346,6 +359,25 @@ class TestExitCodes:
         # a Hamiltonian phase per step of 2e298
         (ensemble_config, ("params", "hamiltonian"), "strength", 1e300,
          "params.hamiltonian.strength"),
+        # a master run of at least 1e299 Taylor substeps, whose norm bound overflows
+        (lambda path: ensemble_config(path, "master"), ("params", "hamiltonian"), "strength",
+         1e300, "params.hamiltonian.strength"),
+        # 2.5e301 expected flashes in each born run
+        (born_config, ("params",), "lambda_grw", 1e300, "options.t_obs"),
+        # squares of energy lengths that overflow or underflow
+        (energy_config, ("gravity",), "r_m", 1e300, "gravity.r_m"),
+        (energy_config, ("options",), "psi_width", 1e300, "options.psi_width"),
+        (energy_config, ("options",), "psi_width", 1e-300, "options.psi_width"),
+        (energy_config, ("options",), "r_max", 1e300, "options.r_max"),
+        (energy_config, ("options",), "mass", 5e-324, "options.mass"),
+        (energy_config, ("options",), "hbar", 1e300, "options.hbar"),
+        (potential_config, ("options",), "source_spacing", 1e300, "options.source_spacing"),
+        (potential_config, ("options",), "source_spacing", 1e-300, "options.source_spacing"),
+        (potential_config, ("options",), "probe_distances", [42.0, 1e300],
+         "options.probe_distances"),
+        # -G m_r / d is -inf
+        (potential_config, ("options",), "probe_distances", [5e-324],
+         "options.probe_distances"),
     ], ids=["hamiltonian-int", "psi0-int", "psi0-str", "psi0-off-grid",
             "amplification-huge", "n_checkpoints-huge", "nodes-over-cap",
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
@@ -358,7 +390,11 @@ class TestExitCodes:
             "born-amplitude-huge", "born-r_c-huge", "compare-r_c-huge", "compare-width-huge",
             "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
             "born-centre-huge", "born-zero-steps", "compare-zero-steps",
-            "trajectories-zero-steps", "trajectories-phase-huge"])
+            "trajectories-zero-steps", "trajectories-phase-huge", "master-phase-huge",
+            "born-flashes-huge", "energy-r_m-huge", "energy-width-huge", "energy-width-tiny",
+            "energy-r_max-huge", "energy-mass-subnormal", "energy-hbar-huge",
+            "potential-spacing-huge", "potential-spacing-tiny", "potential-probe-huge",
+            "potential-probe-subnormal"])
     def test_bad_input_exits_two_on_validate_and_run(self, tmp_path, capsys, make, where,
                                                      key, value, field):
         cfg = make(tmp_path / "out.csv")
@@ -594,13 +630,11 @@ def test_gamma_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_pat
         out.unlink(missing_ok=True)
 
 
-@pytest.mark.parametrize("experiment", ["born", "trajectories", "compare"])
-def test_jump_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path, experiment):
-    make = FUZZ_BASES[experiment]
+def sweep_extremes(tmp_path, make, paths):
+    """Set each field in ``paths`` of ``make``'s config to each of EXTREMES in
+    turn: validate exits 0, 2, 3 or 4; after exit 0, run exits 0, 3 or 4, and
+    an exit-0 results file holds only finite numbers."""
     out = tmp_path / "out.res"
-    base = make(str(out))
-    paths = [path for path in field_paths(base) if isinstance(lookup(base, path), float)]
-    assert len(paths) >= 8
     for path in paths:
         for value in EXTREMES:
             cfg = make(str(out))
@@ -615,6 +649,45 @@ def test_jump_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path
             if out.exists():
                 assert all(math.isfinite(x) for x in all_numbers(read_results(out))), (path, value)
                 out.unlink()
+
+
+@pytest.mark.parametrize("experiment", ["born", "trajectories", "compare"])
+def test_jump_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path, experiment):
+    make = FUZZ_BASES[experiment]
+    base = make(str(tmp_path / "out.res"))
+    paths = [path for path in field_paths(base) if isinstance(lookup(base, path), float)]
+    assert len(paths) >= 8
+    sweep_extremes(tmp_path, make, paths)
+
+
+def with_defaults(make, section, **defaults):
+    """``make`` with the optional fields ``defaults`` written out in ``section``."""
+    def build(path):
+        cfg = make(path)
+        cfg[section].update(defaults)
+        return cfg
+    return build
+
+
+#: the base configs of the other experiments, their optional float fields written
+#: out at their defaults so that the sweep reaches them too
+FLOAT_SWEEP_BASES = {
+    "energy": with_defaults(energy_config, "options", r_max=24.0, mass=1.0, hbar=1.0),
+    "potential": with_defaults(potential_config, "options", m_r=1.0),
+    "master": with_defaults(lambda path: ensemble_config(path, "master"), "params",
+                            hbar=1.0, c_light=1.0, mass=1.0, m_r=1.0),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(FLOAT_SWEEP_BASES))
+def test_float_fields_and_entries_at_extreme_magnitudes_keep_the_exit_contract(tmp_path,
+                                                                              experiment):
+    # every float field and every float entry of a list of numbers
+    make = FLOAT_SWEEP_BASES[experiment]
+    base = make(str(tmp_path / "out.res"))
+    paths = [path for path in field_paths(base) if isinstance(lookup(base, path), float)]
+    assert len(paths) >= 5
+    sweep_extremes(tmp_path, make, paths)
 
 
 def lookup(node, path):

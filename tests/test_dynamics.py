@@ -12,9 +12,10 @@ from cpsim import dynamics
 from cpsim.dynamics import (ModelParams, coarse_grain_consistency, ensemble_vs_master,
                             expected_noflash_probability, flash_rate_density,
                             integrate_master, noflash_bias_vs_gamma, propagate_batch)
-from cpsim.errors import ContractViolationError, StepSizeError
+from cpsim.errors import ContractViolationError, ConvergenceError, StepSizeError
 from cpsim.gravity import GravityParams, grav_unitary
 from cpsim.hilbert import SpatialGrid, unitary_from_generator
+from cpsim.measurement import born_initial_state, pointer_family
 from cpsim.operators import (FockBasis, OperatorFamily, SmearingFunction, build_grw_family,
                              build_smeared_mass, grw_gaussian)
 from cpsim.rng import stream
@@ -344,6 +345,142 @@ class TestBatchEngine:
                 dynamics._step(np.array(batch), params, never_jump)
 
 
+def edge_case():
+    """Rate-1 params on the 16-node localization grid, where W is 1.000 in the
+    bulk but 0.641 at the edge, and equal weights on nodes 0 and 8."""
+    params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=1.0)
+    p0 = np.zeros(16)
+    p0[[0, 8]] = 0.5
+    return params, p0
+
+
+def first_flashes(p0, params, t_end, n_traj, seed):
+    """Time and node of each trajectory's first flash (nan and -1 without one)."""
+    times, nodes = np.full(n_traj, np.nan), np.full(n_traj, -1)
+    for first, rows, t, k, _ in dynamics._flash_to_flash(p0, params, t_end, n_traj, seed):
+        runs = first + rows
+        new = nodes[runs] < 0
+        times[runs[new]], nodes[runs[new]] = t[new], k[new]
+    return times, nodes
+
+
+def flash_log(p0, params, t_end, n_traj, seed):
+    """Every flash (time, node, post-flash weights) of each trajectory."""
+    events = [[] for _ in range(n_traj)]
+    for first, rows, times, nodes, states in dynamics._flash_to_flash(p0, params, t_end,
+                                                                       n_traj, seed):
+        for r, t, k, p in zip(rows.tolist(), times.tolist(), nodes.tolist(), states):
+            events[first + r].append((t, k, p.tolist()))
+    return events
+
+
+class TestWaitingTimeEngine:
+    """Oracles of the waiting-time engine on the grid-edge state, where the
+    survival S(t) = sum_j p_j exp(-r W_j t) is far from one exponential."""
+
+    T_END, N_TRAJ = 3.0, 20000
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        params, p0 = edge_case()
+        times, nodes = first_flashes(p0, params, self.T_END, self.N_TRAJ, seed=41)
+        return params, p0, times, nodes
+
+    @staticmethod
+    def survival(params, p0, t):
+        return np.exp(-np.multiply.outer(t, params.rate_scale * params.weighted_l2)) @ p0
+
+    def test_first_waits_follow_the_closed_survival(self, sample):
+        from scipy import stats
+
+        params, p0, times, nodes = sample
+        # the first waits of the runs that flash, against 1 - S(t) given t <= t_end;
+        # one exponential at <W> is off by up to 0.013 in this cdf
+        reach = 1.0 - self.survival(params, p0, self.T_END)
+
+        def cdf(t):
+            return (1.0 - self.survival(params, p0, t)) / reach
+        assert stats.kstest(times[nodes >= 0], cdf).pvalue > 0.01
+
+    def test_noflash_fraction_is_the_survival_at_t_end(self, sample):
+        params, p0, _, nodes = sample
+        p = self.survival(params, p0, self.T_END)
+        sigma = np.sqrt(p * (1 - p) / self.N_TRAJ)
+        assert abs(np.mean(nodes < 0) - p) < 4 * sigma
+
+    def test_first_flash_nodes_follow_the_rates_at_the_flash_state(self, sample):
+        from scipy import stats
+
+        params, p0, _, nodes = sample
+        # a flash at t picks node k with rate r w_k sum_j l2_kj p_j e^{-r W_j t} / S(t);
+        # integrated over t <= t_end that is w_k sum_j l2_kj p_j (1 - e^{-r W_j t_end}) / W_j
+        w, l2, big_w = params.grid.weights, params.family.l2_diagonals(), params.weighted_l2
+        reach = p0 * -np.expm1(-params.rate_scale * big_w * self.T_END) / big_w
+        expected = w * (l2 @ reach)
+        observed = np.bincount(nodes[nodes >= 0], minlength=len(w))
+        keep = expected * observed.sum() / expected.sum() >= 5
+        assert keep.sum() >= 8
+        tail = np.array([observed[~keep].sum()])
+        f_obs = np.concatenate([observed[keep], tail])
+        f_exp = np.concatenate([expected[keep], [expected[~keep].sum()]])
+        assert stats.chisquare(f_obs, f_exp * f_obs.sum() / f_exp.sum()).pvalue > 0.01
+
+    @pytest.mark.parametrize("u", [1 - 1e-12, 0.5, 1e-3, 2.0 ** -53])
+    def test_wait_is_the_closed_root(self, u):
+        import mpmath
+
+        params, p0 = edge_case()
+        rw = params.rate_scale * params.weighted_l2
+        tau = dynamics._waits(p0[None], rw, np.log(np.array([u])))[0]
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(rw[0]), mpmath.mpf(rw[8])
+            root = mpmath.findroot(lambda t: (mpmath.exp(-a * t) + mpmath.exp(-b * t)) / 2
+                                   - mpmath.mpf(u), mpmath.mpf(tau))
+            assert float(abs(tau - root) / root) <= 1e-12
+
+    def test_log_survival_keeps_its_relative_precision(self):
+        import mpmath
+
+        # short waits need 1 - S from expm1 and log S from log1p; long ones the
+        # log of the sum.  The slope is r <W> at the decayed weights
+        params, p0 = edge_case()
+        rw = params.rate_scale * params.weighted_l2
+        taus = np.array([1e-14, 1e-12, 1e-8, 1e-3, 0.5, 5.0, 30.0])
+        log_s, slope = dynamics._survival(np.tile(p0, (len(taus), 1)), rw, taus)
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(rw[0]), mpmath.mpf(rw[8])
+            for tau, got_log, got_slope in zip(taus, log_s, slope):
+                ea, eb = mpmath.exp(-a * mpmath.mpf(tau)), mpmath.exp(-b * mpmath.mpf(tau))
+                want_log = mpmath.log((ea + eb) / 2)
+                want_slope = (a * ea + b * eb) / (ea + eb)
+                assert float(abs(got_log - want_log) / abs(want_log)) <= 1e-13, tau
+                assert float(abs(got_slope - want_slope) / want_slope) <= 1e-13, tau
+
+    def test_newton_cap_raises(self, monkeypatch):
+        params, p0 = edge_case()
+        rw = params.rate_scale * params.weighted_l2
+        monkeypatch.setattr(dynamics, "_MAX_NEWTON", 1)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            dynamics._waits(p0[None], rw, np.log(np.array([0.5])))
+
+    def test_runs_do_not_depend_on_the_run_count(self):
+        # 600 runs fill two chunks; runs 0-9 must flash exactly as in a 10-run batch
+        grid = SpatialGrid.line(36, 0.5)
+        params = ModelParams.natural(lambda_grw=1.0, dt=8e-4, mass=50.0,
+                                     family=pointer_family(grid, grw_gaussian(1.0), 2))
+        psi0 = born_initial_state(np.sqrt([0.25, 0.75]), (-4.5, 4.5), params, 0.5)
+        p0 = np.abs(psi0) ** 2
+        many = flash_log(p0, params, 0.5, 600, seed=12)
+        few = flash_log(p0, params, 0.5, 10, seed=12)
+        assert sum(len(e) for e in few) >= 100
+        assert many[:10] == few
+
+    def test_refuses_a_hamiltonian(self):
+        params = natural_params(grid=SpatialGrid.line(16, 0.5), hamiltonian=hopping(16))
+        with pytest.raises(ContractViolationError, match="Hamiltonian"):
+            next(dynamics._flash_to_flash(np.ones(16), params, 1.0, 2, seed=1))
+
+
 def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
     """Process CPU time minus wall time of the statement ``work`` on a 64-node
     hopping system (``params``, start state ``psi``), counting a 0.3 s sleep
@@ -471,6 +608,14 @@ class TestLindblad:
         # eigendecomposition and product do wake the second thread
         work = "for _ in propagate_batch(psi, params, 50, 100, seed=1): pass"
         prepare = "params.half_step_unitary; time.sleep(0.3)"
+        assert cpu_beyond_wall_at_64_nodes(work, prepare) <= 0.05
+
+    def test_waiting_time_engine_leaves_no_busy_blas_thread(self):
+        # the node rates of a 512-run chunk are one product with the 64 x 64
+        # rate matrix, taken in row blocks that stay on one thread
+        work = "for _ in _flash_to_flash(np.abs(psi) ** 2, params, 20.0, 512, seed=1): pass"
+        prepare = ("from dataclasses import replace; from cpsim.dynamics import _flash_to_flash; "
+                   "params = replace(params, hamiltonian=None)")
         assert cpu_beyond_wall_at_64_nodes(work, prepare) <= 0.05
 
     def test_unbounded_propagation_work_raises(self):

@@ -96,10 +96,8 @@ class TestBornExperiment:
         assert abs(rep.region_frequencies[0] - 0.25) <= 3 * sigma + 0.01
 
     def test_imaginary_amplitudes_give_the_same_report(self):
-        # real amplitudes step in real arithmetic, imaginary ones in complex
-        # arithmetic; both must give the same report, bit for bit.  At this
-        # seed a real path that divides by the norm, where complex division
-        # multiplies by its reciprocal, moves mean_branch_fidelity
+        # the engine carries the weights |psi_j|^2, which are the same bits for
+        # real and for imaginary amplitudes, so the reports must match bit for bit
         _, params = demo_setup()
         amps = np.sqrt([0.25, 0.75])
         real = born_experiment(amps, CENTERS, params, t_obs=0.5, n_runs=10, seed=8)
@@ -108,34 +106,36 @@ class TestBornExperiment:
             assert np.array_equal(getattr(real, f.name), getattr(imag, f.name)), f.name
 
     def test_flash_log_bookkeeping(self, monkeypatch):
-        # a scripted engine: two chunks of two runs; the left block of the
-        # state after step i holds weight i / 10, the right block the rest
+        # a scripted waiting-time engine: two chunks of two runs, one event per
+        # live run per round; a flashed row's weights put `left` on the left
+        # block and the rest on the right block
         grid, params = demo_setup()
         left, right = np.flatnonzero(grid.x < 0), np.flatnonzero(grid.x > 0)
-        # step: (rows, nodes) of chunk 0 and of chunk 1
-        script = {1: ([0], [left[3]]), 2: ([1, 0], [right[2], right[5]]),
-                  4: ([1, 0], [left[5], left[2]]), 6: ([1, 0], [right[4], right[1]])}
-        chunk1 = {4: ([0], [left[1]])}
+        # chunk start: rounds of (rows, times, nodes, left weights)
+        script = {0: [([0, 1], [0.3, 0.1], [left[3], right[2]], [0.9, 0.2]),
+                      ([0, 1], [0.35, 0.2], [right[5], left[5]], [0.0, 1.0]),
+                      ([0], [0.4], [right[4]], [0.5])],
+                  2: [([1], [0.05], [left[1]], [0.6])]}
 
-        def engine(psi0, params, n_steps, n_traj, seed):
-            assert n_traj == 4
-            for first, steps in ((0, script), (2, chunk1)):
-                for i in range(7):
-                    states = np.zeros((2, 2 * grid.n))
-                    states[:, :grid.n] = np.sqrt(i / 10 / grid.n)
-                    states[:, grid.n:] = np.sqrt((1 - i / 10) / grid.n)
-                    rows, nodes = steps.get(i, ([], []))
-                    yield first, i, states, np.array(rows, dtype=int), np.array(nodes, dtype=int)
+        def engine(weights, params, t_end, n_traj, seed):
+            assert n_traj == 4 and t_end == 0.5
+            assert abs(weights.sum() - 1.0) < 1e-12
+            for first, rounds in script.items():
+                for rows, times, nodes, on_left in rounds:
+                    states = np.zeros((len(rows), 2 * grid.n))
+                    states[:, :grid.n] = np.array(on_left)[:, None] / grid.n
+                    states[:, grid.n:] = (1.0 - np.array(on_left))[:, None] / grid.n
+                    yield (first, np.array(rows), np.array(times), np.array(nodes), states)
 
-        monkeypatch.setattr(measurement, "propagate_batch", engine)
+        monkeypatch.setattr(measurement, "_flash_to_flash", engine)
         rep = born_experiment(np.sqrt([0.5, 0.5]), CENTERS, params, t_obs=0.5, n_runs=4, seed=1)
-        # run 0: left at step 1, then right twice; run 1: right at step 2, then
-        # left and right; run 2: left at step 4; run 3 never flashes
+        # run 0: left at 0.3, then right twice; run 1: right at 0.1, then left;
+        # run 2 never flashes; run 3: left at 0.05
         assert list(rep.region_counts) == [2, 1]
         assert rep.cross_region_runs == 2
         assert rep.zero_flash_runs == 1
-        assert rep.median_first_flash_time == 2 * params.dt
-        assert abs(rep.mean_branch_fidelity - (0.1 + 0.8 + 0.4) / 3) < 1e-12
+        assert rep.median_first_flash_time == 0.1
+        assert abs(rep.mean_branch_fidelity - (0.9 + 0.8 + 0.6) / 3) < 1e-12
 
     def test_insufficient_amplification_rejected(self):
         _, params = demo_setup()
