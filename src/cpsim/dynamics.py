@@ -58,10 +58,11 @@ class ModelParams:
     is a (dim, dim) matrix on the family's system space.  ``dt`` is
     the step of the jump process and must keep the per-step flash
     probability under STEP_VALIDITY_LIMIT for every evolved state; this
-    is asserted at runtime by the stepper.  For the
-    master equation ``dt`` only sets the checkpoint grid: it does not
-    affect the master solution; the waiting-time engine does not read it.  Frozen: derive variants with
-    ``dataclasses.replace``, which also starts fresh derived caches.
+    is asserted at runtime by the stepper.  For the master equation
+    ``dt`` only sets the checkpoint grid: it does not affect the master
+    solution; the waiting-time engine does not read it.  Frozen: derive
+    variants with ``dataclasses.replace``, which also starts fresh
+    derived caches.
     """
 
     lambda_grw: float
