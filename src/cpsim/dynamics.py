@@ -9,9 +9,7 @@ Trajectories of fixed step dt run on one batched engine,
 row and hands each step's states and flashes to its consumer, which
 keeps only what it reads; trajectory k draws from its own stream(seed,
 k), one uniform per step and one per flash, so no result depends on the
-chunk size.  A run without a Hamiltonian, with real members and a real
-start state keeps its rows real, which gives the same bits as complex
-arithmetic, and each step renormalizes flashed and unflashed rows in one
+chunk size; each step renormalizes flashed and unflashed rows in one
 pass.  Without a Hamiltonian the weights |psi_j|^2 decay in closed form
 between flashes, so the waiting-time engine ``_flash_to_flash`` (which
 the Born experiment runs on) jumps from one flash straight to the next:
@@ -169,10 +167,8 @@ _BLOCK = 128
 
 
 def _abs2(v):
-    """|v|^2 entrywise; v * v for a real v, the same bits as re^2 + 0^2."""
-    if v.dtype.kind == "c":
-        return v.real ** 2 + v.imag ** 2
-    return v * v
+    """|v|^2 entrywise."""
+    return v.real ** 2 + v.imag ** 2
 
 
 def _rates(a2, params: ModelParams):
@@ -191,6 +187,13 @@ def _weighted(a2, params: ModelParams):
     return np.add.reduce(a2 * params.weighted_l2, axis=-1)
 
 
+def _pick_nodes(rates, u):
+    """Node of each row of ``rates`` for its uniform u, by the rule of
+    Generator.choice(p=rates / total): normalised cdf, searchsorted side="right"."""
+    cdf = (rates / np.add.reduce(rates, axis=-1, keepdims=True)).cumsum(axis=-1)
+    return np.add.reduce(cdf / cdf[:, -1:] <= u[:, None], axis=-1)
+
+
 def _step(v, params: ModelParams, uniform):
     """One step of the jump stochastic Schroedinger equation for each row of v.
 
@@ -199,12 +202,10 @@ def _step(v, params: ModelParams, uniform):
     step.  Flash branch: node drawn proportionally to its rate, state
     multiplied by the local collapse operator (the overall phase of the
     jump carries no observable content and is dropped).  Every row,
-    flashed or not, is then renormalized in one pass.  A real v stays
-    real: without a Hamiltonian and with real members every product
-    then equals the real part of its complex counterpart, bit for bit.
-    ``uniform(rows)`` returns the next uniform of each listed row's own
-    stream, for increasing row indices: one per row, then one per
-    flashed row for its node.  Returns (states, flashed rows, their nodes).
+    flashed or not, is then renormalized in one pass.  ``uniform(rows)``
+    returns the next uniform of each listed row's own stream: one per
+    row, then one per flashed row for its node.  Returns (states,
+    flashed rows, their nodes).
     """
     p_scale, c, _, _ = params._jump_constants
     a2 = _abs2(v)
@@ -227,10 +228,7 @@ def _step(v, params: ModelParams, uniform):
         out = _apply(u_half, out)
     nodes = flashed
     if flashed.size:
-        # the rule of Generator.choice(p=rates / total): normalised cdf, searchsorted side="right"
-        rates = _rates(a2[flashed], params)
-        cdf = (rates / np.add.reduce(rates, axis=-1, keepdims=True)).cumsum(axis=-1)
-        nodes = np.add.reduce(cdf / cdf[:, -1:] <= uniform(flashed)[:, None], axis=-1)
+        nodes = _pick_nodes(_rates(a2[flashed], params), uniform(flashed))
         out[flashed] = params.family.diagonals[nodes] * v[flashed]
     norm2 = np.add.reduce(_abs2(out), axis=-1, keepdims=True)
     if flashed.size and not norm2[flashed].all():
@@ -242,36 +240,29 @@ def _step(v, params: ModelParams, uniform):
 
 def _uniforms(rngs):
     """Next uniform of each listed row's stream, drawn ``_BLOCK`` at a time;
-    ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls.
-
-    Row r reads its block from ``buf[r * _BLOCK:(r + 1) * _BLOCK]`` at flat
-    position ``at[r]``, so a draw for every row is one gather and one
-    increment.  ``left`` is a lower bound on the unread uniforms of every
-    row; only when it reaches 0 are the used-up blocks refilled.
-    """
-    n = len(rngs)
-    buf = np.empty(n * _BLOCK)
-    end = np.arange(1, n + 1) * _BLOCK
-    at = end.copy()
-    left = 0
+    ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls."""
+    buf = np.empty((len(rngs), _BLOCK))
+    pos = np.full(len(rngs), _BLOCK)
 
     def draw(rows):
-        nonlocal left, at
-        if not left:
-            for r in np.flatnonzero(at == end):
-                buf[r * _BLOCK:(r + 1) * _BLOCK] = rngs[r].random(_BLOCK)
-                at[r] -= _BLOCK
-            left = int((end - at).min())
-        left -= 1
-        if len(rows) == n:   # increasing and distinct: every row
-            out = buf[at]
-            at += 1
-        else:
-            pos = at[rows]
-            out = buf[pos]
-            at[rows] = pos + 1
+        for r in rows[pos[rows] == _BLOCK]:
+            buf[r] = rngs[r].random(_BLOCK)
+            pos[r] = 0
+        out = buf[rows, pos[rows]]
+        pos[rows] += 1
         return out
     return draw
+
+
+def _chunks(n_traj: int, seed: int):
+    """Yield ``(first, rows, draw)`` for trajectories 0 .. n_traj - 1,
+    ``_CHUNK`` at a time: trajectory first + r is row r of the chunk and
+    draws from ``stream(seed, first + r)`` alone, through ``draw``."""
+    if n_traj < 1:
+        raise ContractViolationError("need at least one trajectory")
+    for first in range(0, n_traj, _CHUNK):
+        rows = min(_CHUNK, n_traj - first)
+        yield first, rows, _uniforms([stream(seed, first + r) for r in range(rows)])
 
 
 def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: int):
@@ -283,20 +274,10 @@ def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: 
     trajectory first + r is row r of ``states`` after step i, and the
     rows ``flashed`` flashed at ``nodes`` in step i.  ``states`` is
     replaced, not updated, by the next step; a caller keeps what it reads.
-    ``states`` is real (float64) when the run has no Hamiltonian, the
-    family's members are real and psi0 has no imaginary part; it then
-    holds the same values, bit for bit, as the complex rows would.
     """
-    if n_traj < 1:
-        raise ContractViolationError("need at least one trajectory")
-    v0 = np.asarray(psi0)
-    real = (params.hamiltonian is None and np.isrealobj(params.family.diagonals)
-            and not np.any(np.imag(v0)))
-    v0 = v0.real.astype(float) if real else v0.astype(complex)
+    v0 = np.asarray(psi0).astype(complex)
     none = np.zeros(0, dtype=int)
-    for first in range(0, n_traj, _CHUNK):
-        rows = min(_CHUNK, n_traj - first)
-        draw = _uniforms([stream(seed, first + r) for r in range(rows)])
+    for first, rows, draw in _chunks(n_traj, seed):
         v = np.tile(v0, (rows, 1))
         yield first, 0, v, none, none
         for i in range(1, n_steps + 1):
@@ -364,15 +345,13 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
     alone, starting from ``weights`` normalised.  In each round every live
     run draws one uniform u from its own ``stream(seed, k)``: it is done if
     S(t_end - t) >= u, otherwise it waits the root of S(tau) = u
-    (``_waits``) and draws one more uniform to pick the node, by the rule of
-    ``_step`` at the pre-flash state; its weights are then multiplied by
+    (``_waits``) and draws one more uniform to pick the node, by
+    ``_pick_nodes`` at the pre-flash state; its weights are then multiplied by
     |L_k|^2 and renormalised.  Yields ``(first, rows, times, nodes,
     states)`` per round: trajectory first + r of each listed row r flashed
     at time times[i] and node nodes[i], leaving the weights states[i].
     Nothing depends on n_traj or the chunking.
     """
-    if n_traj < 1:
-        raise ContractViolationError("need at least one trajectory")
     if params.hamiltonian is not None:
         raise ContractViolationError("the waiting-time engine runs without a Hamiltonian")
     p0 = np.asarray(weights, dtype=float)
@@ -380,9 +359,7 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
     rw = params.rate_scale * params.weighted_l2
     _, _, rate_w, l2 = params._jump_constants
     node_rates = np.ascontiguousarray((rate_w[:, None] * l2).T)   # weights @ it: rates
-    for first in range(0, n_traj, _CHUNK):
-        rows = min(_CHUNK, n_traj - first)
-        draw = _uniforms([stream(seed, first + r) for r in range(rows)])
+    for first, rows, draw in _chunks(n_traj, seed):
         live, t, p = np.arange(rows), np.zeros(rows), np.tile(p0, (rows, 1))
         while True:
             u = draw(live)
@@ -396,13 +373,10 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
             t = t + tau
             pre = p * np.exp(tau[:, None] * -rw)
             pre /= np.add.reduce(pre, axis=-1, keepdims=True)
-            # the rule of ``_step``: normalised cdf of the rates, searchsorted side="right"
             # one vector-matrix product per row: a row's bits then do not depend
             # on the rows beside it, as they do in one (rows, dim) BLAS product,
             # and no product is large enough to wake a second BLAS thread
-            rates = (pre[:, None, :] @ node_rates)[:, 0]
-            cdf = (rates / np.add.reduce(rates, axis=-1, keepdims=True)).cumsum(axis=-1)
-            nodes = np.add.reduce(cdf / cdf[:, -1:] <= draw(live)[:, None], axis=-1)
+            nodes = _pick_nodes((pre[:, None, :] @ node_rates)[:, 0], draw(live))
             p = l2[nodes] * pre
             norm = np.add.reduce(p, axis=-1, keepdims=True)
             if not norm.all():

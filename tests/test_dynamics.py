@@ -304,8 +304,8 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_matches_sse_step_loop(self, case, monkeypatch):
-        # the step helper runs the complex arithmetic on one row; without a
-        # Hamiltonian the engine runs the real one, and every state must match
+        # the step helper runs one row alone; every state of the batched
+        # engine must match it bit for bit
         monkeypatch.setattr(dynamics, "_CHUNK", 4)
         params = ENGINE_CASES[case]()
         psi0 = packet(params.grid)
@@ -322,15 +322,6 @@ class TestBatchEngine:
                     loop.append((i, node))
                 assert np.array_equal(states[i, k], v)
             assert events[k] == loop
-
-    @pytest.mark.parametrize("case, real", [("diagonal", True), ("diagonal+hopping", False),
-                                            ("gravity_dressed+hopping", False)])
-    def test_real_rows_without_a_hamiltonian(self, case, real):
-        params = ENGINE_CASES[case]()
-        psi0 = packet(params.grid)
-        for start, dtype in ((psi0, float if real else complex), (1j * psi0, complex)):
-            _, _, states, _, _ = next(propagate_batch(start, params, 1, 2, seed=1))
-            assert states.dtype == dtype
 
     def test_any_row_over_the_step_limit_raises(self):
         grid = SpatialGrid.line(2, 1.0)
