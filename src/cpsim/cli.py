@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import (_MAX_SUBSTEPS, ModelParams, ensemble_vs_master, integrate_master,
-                       propagate_batch)
+from .dynamics import (_MAX_FLASHES, _MAX_SUBSTEPS, ModelParams, ensemble_vs_master,
+                       integrate_master, propagate_batch)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -53,9 +53,6 @@ _MAX_RUNS = 2 ** 20
 #: most steps t / dt of one jump-process run or checkpoint grid: the count
 #: must be a finite integer, and a run of 2^24 steps already takes hours
 _MAX_STEPS = 2 ** 24
-#: most expected flashes of one Born run, each one event of the waiting-time
-#: engine: a run of 2^24 events already takes hours
-_MAX_FLASHES = 2 ** 24
 #: most averaged density-matrix entries a ``compare`` run keeps at its
 #: checkpoints (16 bytes each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24

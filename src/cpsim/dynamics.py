@@ -292,6 +292,9 @@ def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: 
 #: Newton steps allowed for one wait; the convex log-survival closes in a
 #: handful, so reaching this is a bug, not a hard case
 _MAX_NEWTON = 64
+#: most expected flashes of one run, rate_scale * max W * t_end, each one
+#: event of the waiting-time engine: a run of 2^24 events already takes hours
+_MAX_FLASHES = 2 ** 24
 
 
 def _survival(p, rw, tau):
@@ -350,13 +353,18 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
     |L_k|^2 and renormalised.  Yields ``(first, rows, times, nodes,
     states)`` per round: trajectory first + r of each listed row r flashed
     at time times[i] and node nodes[i], leaving the weights states[i].
-    Nothing depends on n_traj or the chunking.
+    Nothing depends on n_traj or the chunking.  A run of more than
+    ``_MAX_FLASHES`` expected flashes raises before any draw.
     """
     if params.hamiltonian is not None:
         raise ContractViolationError("the waiting-time engine runs without a Hamiltonian")
     p0 = np.asarray(weights, dtype=float)
     p0 = p0 / np.add.reduce(p0)
     rw = params.rate_scale * params.weighted_l2
+    flashes = float(np.maximum.reduce(rw)) * t_end
+    if not flashes <= _MAX_FLASHES:
+        raise ContractViolationError(f"rate_scale * max W * t_end = {flashes:.3g} expected "
+                                     f"flashes per run, above {_MAX_FLASHES}")
     _, _, rate_w, l2 = params._jump_constants
     node_rates = np.ascontiguousarray((rate_w[:, None] * l2).T)   # weights @ it: rates
     for first, rows, draw in _chunks(n_traj, seed):
@@ -431,9 +439,10 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 
 
 def _spectral_bound(a):
-    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of a."""
+    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of a, as the
+    product of the two roots: it stays finite where ||a||_1 ||a||_inf overflows."""
     m = np.abs(a)
-    return np.sqrt(m.sum(axis=-1).max() * m.sum(axis=-2).max())
+    return np.sqrt(m.sum(axis=-1).max()) * np.sqrt(m.sum(axis=-2).max())
 
 
 def _generator_norm(params: ModelParams) -> float:

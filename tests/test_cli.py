@@ -461,6 +461,19 @@ class TestRunners:
         assert main(["run", str(p)]) == 0
         assert read_results(tmp_path / "curve.csv")["rows"] == [[0.25, -1.0, 1e-15]]
 
+    def test_master_huge_hamiltonian_over_a_tiny_time_exits_zero(self, tmp_path, capsys):
+        # the phase |strength| t_end / hbar is 1e-40, but the product of the
+        # largest row and column sums of |H| is about 1e320, beyond double range
+        cfg = ensemble_config(tmp_path / "m.csv", "master")
+        cfg["params"]["dt"] = 1e-201
+        cfg["params"]["hamiltonian"]["strength"] = 1e160
+        cfg["options"]["t_end"] = 1e-200
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", str(p)]) == 0
+        rows = read_results(tmp_path / "m.csv")["rows"]
+        assert rows and np.isfinite(rows).all()
+
     def test_gamma_huge_collapse_radius_exits_zero(self, tmp_path):
         # rho_m = r_m / r_c = 5e-301 and delta = d / r_c down to 2.5e-301
         cfg = gamma_config(tmp_path / "curve.csv", r_m=0.5)

@@ -471,6 +471,12 @@ class TestWaitingTimeEngine:
         with pytest.raises(ContractViolationError, match="Hamiltonian"):
             next(dynamics._flash_to_flash(np.ones(16), params, 1.0, 2, seed=1))
 
+    def test_refuses_runs_of_too_many_expected_flashes(self):
+        # about 1e300 expected flashes per run: without the cap the run never ends
+        params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=1e300)
+        with pytest.raises(ContractViolationError, match="expected flashes"):
+            next(dynamics._flash_to_flash(np.ones(16), params, 1.0, 2, seed=1))
+
 
 def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
     """Process CPU time minus wall time of the statement ``work`` on a 64-node
