@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -465,6 +466,19 @@ class TestWaitingTimeEngine:
         few = flash_log(p0, params, 0.5, 10, seed=12)
         assert sum(len(e) for e in few) >= 100
         assert many[:10] == few
+
+    def test_node_uniform_on_a_zero_rate_plateau_picks_the_next_node(self, monkeypatch):
+        # nodes 0 and 1 have rate 0, so a node uniform of 0 lies on the cdf's
+        # leading plateau; the side="right" rule passes over it to node 2
+        fam = OperatorFamily(SpatialGrid.line(4, 1.0), diagonals=np.eye(4))
+        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
+
+        def uniforms(rngs):   # 0.5 for every wait, 0 for every node
+            values = itertools.cycle((0.5, 0.0))
+            return lambda rows: np.full(len(rows), next(values))
+        monkeypatch.setattr(dynamics, "_uniforms", uniforms)
+        _, rows, _, nodes, _ = next(dynamics._flash_to_flash([0, 0, 1, 1], params, 10.0, 3, 1))
+        assert rows.tolist() == [0, 1, 2] and nodes.tolist() == [2, 2, 2]
 
     def test_refuses_a_hamiltonian(self):
         params = natural_params(grid=SpatialGrid.line(16, 0.5), hamiltonian=hopping(16))
