@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import (_MAX_FLASHES, _MAX_SUBSTEPS, ModelParams, ensemble_vs_master,
-                       integrate_master, propagate_batch)
+from .dynamics import (_MAX_FLASHES, _MAX_SUBSTEPS, ModelParams, _norm_decay,
+                       ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -66,9 +66,6 @@ _MAX_LENGTH = 1e50
 #: smallest source spacing and probe distance of a ``potential`` run: their
 #: squares and the reciprocal -G m_r / d then stay finite
 _MIN_LENGTH = 1e-50
-#: largest Hamiltonian phase |strength| * dt / hbar of one jump step: a phase
-#: x rounds by about x * 2^-53, which stays below 1e-8 up to here
-_MAX_STEP_PHASE = 2 ** 26
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +170,26 @@ def _steps(t: float, dt: float, path: str, key: str, jump=False) -> int:
     if jump and round(n) < 1:
         raise ConfigError(f"params.dt: {path}.{key} / dt = {n:.3g} rounds to 0 steps")
     return int(round(n))
+
+
+def _check_phase(params: ModelParams, t_end: float):
+    """Refuse |strength| * t_end / hbar above ``_MAX_SUBSTEPS``: every propagator
+    takes at least this many Taylor substeps.  |strength| / hbar comes first,
+    so that H / hbar is finite wherever the check passes."""
+    if params.hamiltonian is not None:
+        phase = float(np.abs(params.hamiltonian).max()) / params.hbar * t_end
+        if not phase <= _MAX_SUBSTEPS:
+            raise ConfigError(f"params.hamiltonian.strength: |strength| * t_end / hbar = "
+                              f"{phase:.3g} rad, above the {_MAX_SUBSTEPS} substeps of one run")
+
+
+def _check_flashes(params: ModelParams, t_end: float, key: str):
+    """Refuse a jump run of more than ``_MAX_FLASHES`` expected flashes up to
+    ``options.key`` = t_end."""
+    flashes = params.rate_scale * float(params.weighted_l2.max()) * t_end
+    if not flashes <= _MAX_FLASHES:
+        raise ConfigError(f"options.{key}: rate * max W * {key} = {flashes:.3g} expected "
+                          f"flashes per run, above {_MAX_FLASHES}")
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -293,11 +310,8 @@ def _ensemble(cfg, opts, keys=()):
     _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
     psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
     n_steps = _steps(t_end, params.dt, "options", "t_end", jump=True)
-    if params.hamiltonian is not None:
-        phase = float(np.abs(params.hamiltonian).max()) * params.dt / params.hbar
-        if not phase <= _MAX_STEP_PHASE:
-            raise ConfigError(f"params.hamiltonian.strength: |strength| * dt / hbar = "
-                              f"{phase:.3g} rad per step, above {_MAX_STEP_PHASE:.3g}")
+    _check_phase(params, n_steps * params.dt)
+    _check_flashes(params, n_steps * params.dt, "t_end")
     return params, psi0, t_end, n_steps, _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
 
@@ -305,15 +319,18 @@ def _trajectories(cfg, opts):
     params, psi0, _, n_steps, n_traj = _ensemble(cfg, opts)
 
     def run(seed):
-        # per trajectory: flash count, first flash time, mean position after the last step
+        # per trajectory: flash count, first flash time, mean position at the end
         counts, first = np.zeros(n_traj, dtype=int), np.full(n_traj, -1.0)
         mean_x = np.zeros(n_traj)
-        for start, i, v, flashed, _ in propagate_batch(psi0, params, n_steps, n_traj, seed):
-            hit = start + flashed
-            first[hit[counts[hit] == 0]] = i * params.dt
+        times = [0.0, n_steps * params.dt]
+        for start, rows, t, nodes, v in _norm_decay(psi0, params, times, n_traj, seed):
+            hit = start + rows
+            if nodes is None:   # the start, then the end
+                mean_x[hit] = np.sum(params.grid.x * np.abs(v) ** 2, axis=-1)
+                continue
+            new = counts[hit] == 0
+            first[hit[new]] = t[new]
             counts[hit] += 1
-            if i == n_steps:
-                mean_x[start:start + len(v)] = np.sum(params.grid.x * np.abs(v) ** 2, axis=-1)
         rows = list(zip(range(n_traj), counts, first, mean_x))
         return (["trajectory", "n_flashes", "first_flash_time", "final_mean_position"], rows)
     return run
@@ -342,12 +359,7 @@ def _master(cfg, opts):
     t_end = _positive(opts, "t_end", "options")
     _steps(t_end, params.dt, "options", "t_end")
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
-    if params.hamiltonian is not None:
-        # the propagator takes at least this many Taylor substeps
-        phase = float(np.abs(params.hamiltonian).max()) * t_end / params.hbar
-        if not phase <= _MAX_SUBSTEPS:
-            raise ConfigError(f"params.hamiltonian.strength: |strength| * t_end / hbar = "
-                              f"{phase:.3g} rad, above the {_MAX_SUBSTEPS} substeps of one run")
+    _check_phase(params, t_end)
 
     def run(seed):
         rows = []
@@ -395,10 +407,7 @@ def _born(cfg, opts):
     params = replace(params, mass=amplification * params.m_r)
     # a born run does not read dt, which is validated as for every jump run
     _steps(t_obs, params.dt, path, "t_obs", jump=True)
-    flashes = params.rate_scale * float(params.weighted_l2.max()) * t_obs
-    if not flashes <= _MAX_FLASHES:
-        raise ConfigError(f"{path}.t_obs: lambda_grw * amplification * max W * t_obs = "
-                          f"{flashes:.3g} expected flashes per run, above {_MAX_FLASHES}")
+    _check_flashes(params, t_obs, "t_obs")
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):

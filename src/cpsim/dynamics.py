@@ -1,46 +1,35 @@
 """Coarse-grained collapse dynamics.
 
 The piecewise-deterministic jump process: between flashes the state
-follows the Hamiltonian plus a quadratic drift that rewards low
-localization-operator variance, and at Poisson-distributed flash times
-it is multiplied by the local collapse operator and renormalized.
-Trajectories of fixed step dt run on one batched engine,
-``propagate_batch``, which steps a (chunk, dim) array of states row by
-row and hands each step's states and flashes to its consumer, which
-keeps only what it reads; trajectory k draws from its own stream(seed,
-k), one uniform per step and one per flash, so no result depends on the
-chunk size; each step renormalizes flashed and unflashed rows in one
-pass.  Without a Hamiltonian the weights |psi_j|^2 decay in closed form
-between flashes, so the waiting-time engine ``_flash_to_flash`` (which
-the Born experiment runs on) jumps from one flash straight to the next:
-each wait is the root of the survival S(tau) = u, found by Newton, and
-no ``dt`` enters (Dalibard, Castin & Moelmer, PRL 68, 580 (1992);
-Plenio & Knight, RMP 70, 101 (1998)).  The ensemble average of the
-projector obeys the matching master equation, whose time-independent
+follows the no-jump generator G = -i H / hbar - (r / 2) W, whose norm
+decay is the probability of no flash, and at Poisson-distributed flash
+times it is multiplied by the local collapse operator and renormalized.
+Every jump run goes from one flash straight to the next (Dalibard,
+Castin & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101
+(1998)): trajectory k draws one uniform u per wait from its own
+stream(seed, k) and flashes when its survival falls to u, then one for
+the node, so no result depends on the chunk size or on ``dt``.  The Born
+engine ``_flash_to_flash`` keeps weights, whose survival is closed
+without a Hamiltonian; ``_norm_decay`` keeps amplitudes.  The ensemble
+average of the projector obeys the matching master equation, whose
 generator L is propagated from one checkpoint to the next by the action
 of exp(L t), through scaling and a truncated Taylor series
 (``integrate_master``); the two routes are cross-checked by
-``ensemble_vs_master``.  ``coarse_grain_consistency`` closes the loop
-against the exact collapse-point chains.
+``ensemble_vs_master``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError, StepSizeError
-from .exact import _sample_windows
-from .hilbert import SpatialGrid, _apply, hermitize, unitary_from_generator
+from .hilbert import SpatialGrid, hermitize
 from .operators import OperatorFamily
 from .rng import stream
-
-#: per-step total jump probability above which the single-flash
-#: approximation (at most one flash per dt) is no longer honest
-STEP_VALIDITY_LIMIT = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +42,12 @@ class ModelParams:
     flash probability, ``mass_scaled``).  ``hbar``, ``c_light``, ``mass``
     and ``m_r`` have no defaults; ``natural`` sets them all to 1.
     ``hamiltonian`` may be None for pure collapse dynamics; otherwise it
-    is a (dim, dim) matrix on the family's system space.  ``dt`` is
-    the step of the jump process and must keep the per-step flash
-    probability under STEP_VALIDITY_LIMIT for every evolved state; this
-    is asserted at runtime by the stepper.  For the master equation
-    ``dt`` only sets the checkpoint grid: it does not affect the master
-    solution; the waiting-time engine does not read it.  Frozen: derive
-    variants with ``dataclasses.replace``, which also starts fresh
-    derived caches.
+    is a (dim, dim) matrix on the family's system space, which the
+    dynamics read only as H / hbar.  ``dt`` sets only the checkpoint
+    grid, the report times t = i dt: neither the master solution nor
+    any jump run depends on it beyond where it is reported.  Frozen:
+    derive variants with ``dataclasses.replace``, which also starts
+    fresh derived caches.
     """
 
     lambda_grw: float
@@ -111,28 +98,43 @@ class ModelParams:
         return self.mass_scaled(self.lambda_grw)
 
     @cached_property
-    def half_step_unitary(self):
-        """exp(-i H dt / 2 hbar), or None without a Hamiltonian."""
+    def scaled_hamiltonian(self):
+        """H / hbar, divided once, or None without a Hamiltonian.  Every
+        generator reads it, so a strength and an hbar of 5e-324 give
+        entries of 1 where -i / hbar alone overflows; the parts are divided
+        as real arrays, since complex division by 5e-324 overflows too."""
         if self.hamiltonian is None:
             return None
-        return unitary_from_generator(self.hamiltonian, self.dt / 2.0, self.hbar)
+        h = np.empty_like(self.hamiltonian)
+        h.real, h.imag = self.hamiltonian.real / self.hbar, self.hamiltonian.imag / self.hbar
+        return h
 
     @cached_property
     def hamiltonian_parts(self):
-        """(Re H, Im H) as contiguous real arrays, Im H None for a real H;
-        None without a Hamiltonian."""
+        """(Re, Im) of H / hbar as contiguous real arrays, Im None for a real
+        H; None without a Hamiltonian."""
         if self.hamiltonian is None:
             return None
-        h = self.hamiltonian
+        h = self.scaled_hamiltonian
         return (np.ascontiguousarray(h.real),
                 np.ascontiguousarray(h.imag) if np.any(h.imag) else None)
 
     @cached_property
+    def no_jump_generator(self) -> np.ndarray:
+        """G^T, contiguous, for the no-jump generator G = -i H / hbar - (r / 2) W:
+        between flashes a state evolves as exp(G t) psi (a row v as v G^T), and
+        as d||psi||^2/dt = -r <psi|W|psi>, its norm^2 is the survival."""
+        g = np.diag(-0.5 * self.rate_scale * self.weighted_l2).astype(complex)
+        if self.hamiltonian is not None:
+            g = g - 1j * self.scaled_hamiltonian
+        return np.ascontiguousarray(g.T)
+
+    @cached_property
     def _jump_constants(self):
-        """What every jump step reads: (dt rate, rate dt / 2, rate w_k, |L_k|^2 rows)."""
-        rate = self.rate_scale
-        return (self.dt * rate, 0.5 * rate * self.dt, rate * self.grid.weights,
-                self.family.l2_diagonals())
+        """What every flash reads: (rate w_k, |L_k|^2 rows, the node-rate matrix
+        whose product with weights |psi_j|^2 gives the rates)."""
+        rate_w, l2 = self.rate_scale * self.grid.weights, self.family.l2_diagonals()
+        return rate_w, l2, np.ascontiguousarray((rate_w[:, None] * l2).T)
 
     @cached_property
     def weighted_l2(self) -> np.ndarray:
@@ -173,18 +175,13 @@ def _abs2(v):
 
 def _rates(a2, params: ModelParams):
     """Per-node flash rates from |psi|^2, of a state or of each row."""
-    _, _, rate_w, l2 = params._jump_constants
+    rate_w, l2, _ = params._jump_constants
     return rate_w * np.einsum("kj,...j->...k", l2, a2)
 
 
 def flash_rate_density(psi, params: ModelParams) -> np.ndarray:
     """Per-node flash rates rate_scale * w_k * <L^2(x_k)>, of a state or of each row."""
     return _rates(_abs2(np.asarray(psi)), params)
-
-
-def _weighted(a2, params: ModelParams):
-    """<x|W|x> per row from a2 = |x|^2, W = sum_k w_k L_k^dag L_k."""
-    return np.add.reduce(a2 * params.weighted_l2, axis=-1)
 
 
 def _pick_nodes(rates, u):
@@ -194,48 +191,14 @@ def _pick_nodes(rates, u):
     return np.add.reduce(cdf / cdf[:, -1:] <= u[:, None], axis=-1)
 
 
-def _step(v, params: ModelParams, uniform):
-    """One step of the jump stochastic Schroedinger equation for each row of v.
-
-    No-flash branch: Hamiltonian half step, variance drift
-    1 + (rate dt / 2) sum_k w_k (<L_k^2> - L_k^2), Hamiltonian half
-    step.  Flash branch: node drawn proportionally to its rate, state
-    multiplied by the local collapse operator (the overall phase of the
-    jump carries no observable content and is dropped).  Every row,
-    flashed or not, is then renormalized in one pass.  ``uniform(rows)``
-    returns the next uniform of each listed row's own stream: one per
-    row, then one per flashed row for its node.  Returns (states,
-    flashed rows, their nodes).
-    """
-    p_scale, c, _, _ = params._jump_constants
-    a2 = _abs2(v)
-    s2 = _weighted(a2, params)
-    p_jump = p_scale * s2
-    worst = float(np.maximum.reduce(p_jump))
-    if worst >= STEP_VALIDITY_LIMIT:
-        raise StepSizeError(
-            f"per-step flash probability {worst!r} exceeds {STEP_VALIDITY_LIMIT}; reduce dt")
-    flashed = (uniform(np.arange(len(v))) < p_jump).nonzero()[0]
-
-    # no-flash update of every row; the flashed rows are overwritten below
-    u_half = params.half_step_unitary
-    out = v
-    if u_half is not None:
-        out = _apply(u_half, v)
-        s2 = _weighted(_abs2(out), params)
-    out = out * (1.0 + c * (s2[:, None] - params.weighted_l2))
-    if u_half is not None:
-        out = _apply(u_half, out)
-    nodes = flashed
-    if flashed.size:
-        nodes = _pick_nodes(_rates(a2[flashed], params), uniform(flashed))
-        out[flashed] = params.family.diagonals[nodes] * v[flashed]
-    norm2 = np.add.reduce(_abs2(out), axis=-1, keepdims=True)
-    if flashed.size and not norm2[flashed].all():
-        raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
-    # times the reciprocal, as NumPy's complex division by a real norm does
-    out *= 1.0 / np.sqrt(norm2)
-    return out, flashed, nodes
+def _rows_times(v, m):
+    """v @ m one row at a time, so that a row's bits do not depend on the rows
+    beside it, as they do in one (rows, dim) BLAS product: a vector-matrix
+    BLAS product per row, or for a complex m of 64 rows or more einsum's own
+    loop, where OpenBLAS's zgemv would start a second thread that spins on."""
+    if len(m) >= 64 and np.iscomplexobj(m):
+        return np.einsum("rj,jk->rk", v, m)
+    return (v[:, None, :] @ m)[:, 0]
 
 
 def _uniforms(rngs):
@@ -265,37 +228,145 @@ def _chunks(n_traj: int, seed: int):
         yield first, rows, _uniforms([stream(seed, first + r) for r in range(rows)])
 
 
-def propagate_batch(psi0, params: ModelParams, n_steps: int, n_traj: int, seed: int):
-    """Run trajectories 0 .. n_traj - 1 from psi0, ``_CHUNK`` at a time.
-
-    Each trajectory k draws from ``stream(seed, k)`` alone, so its flashes
-    and states do not depend on n_traj or the chunking.  Yields ``(first,
-    i, states, flashed, nodes)`` for i = 0 .. n_steps of each chunk:
-    trajectory first + r is row r of ``states`` after step i, and the
-    rows ``flashed`` flashed at ``nodes`` in step i.  ``states`` is
-    replaced, not updated, by the next step; a caller keeps what it reads.
-    """
-    v0 = np.asarray(psi0).astype(complex)
-    none = np.zeros(0, dtype=int)
-    for first, rows, draw in _chunks(n_traj, seed):
-        v = np.tile(v0, (rows, 1))
-        yield first, 0, v, none, none
-        for i in range(1, n_steps + 1):
-            v, flashed, nodes = _step(v, params, draw)
-            yield first, i, v, flashed, nodes
-
-
-# ---------------------------------------------------------------------------
-# waiting-time engine: runs without a Hamiltonian, from flash to flash
-# ---------------------------------------------------------------------------
-
-#: Newton steps allowed for one wait; the convex log-survival closes in a
-#: handful, so reaching this is a bug, not a hard case
+#: Newton rounds allowed for one wait or flash time; they close in about a
+#: dozen at worst, so reaching this is a bug, not a hard case
 _MAX_NEWTON = 64
 #: most expected flashes of one run, rate_scale * max W * t_end, each one
-#: event of the waiting-time engine: a run of 2^24 events already takes hours
+#: event of a jump engine: a run of 2^24 events already takes hours
 _MAX_FLASHES = 2 ** 24
 
+
+def _check_flashes(params: ModelParams, t_end: float):
+    """Refuse a run of more than ``_MAX_FLASHES`` expected flashes before any draw."""
+    flashes = params.rate_scale * float(np.maximum.reduce(params.weighted_l2)) * t_end
+    if not flashes <= _MAX_FLASHES:
+        raise ContractViolationError(f"rate_scale * max W * t_end = {flashes:.3g} expected "
+                                     f"flashes per run, above {_MAX_FLASHES}")
+
+
+# ---------------------------------------------------------------------------
+# norm-decay engine: amplitudes from flash to flash on the no-jump generator
+# ---------------------------------------------------------------------------
+
+def _norms2(v):
+    """||v||^2 of each row."""
+    return np.add.reduce(_abs2(v), axis=-1)
+
+
+def _no_jump(v, params: ModelParams, h, m: int):
+    """Degree-m Taylor polynomial of exp(h G) applied to each row of v."""
+    return _taylor(lambda x: _rows_times(x, params.no_jump_generator), v, h, m)
+
+
+def _pieces(params: ModelParams, span: float):
+    """``span`` as s equal pieces h with h ||G|| <= 1: (s, h, m, bt), m the
+    Taylor degree of ``integrate_master`` at h ||G|| and bt the transpose of
+    B(h) = exp(G h) to it, so a row v moves to v @ bt.  A piece decays
+    ||psi||^2 by at most e^-2, so no norm underflows inside one."""
+    if not span > 0:
+        raise ContractViolationError(f"report times must ascend, got a gap of {span!r}")
+    norm = float(_spectral_bound(params.no_jump_generator))
+    s = max(1, int(np.ceil(span * norm)))
+    m, _ = _taylor_degree(span / s * norm)
+    return s, span / s, m, _no_jump(np.eye(len(params.no_jump_generator), dtype=complex),
+                                    params, span / s, m)
+
+
+def _crossing(v, w, params: ModelParams, m: int, span, log_u):
+    """Flash time tau in [0, span] of each row of v, and exp(tau G) v there.
+
+    tau is the root of f(tau) = log ||exp(tau G) v||^2 - log u, given the
+    rows w = exp(span G) v with f(0) >= 0 > f(span); f falls at the rate
+    -f' = r <W> of the state.  Each round takes a Newton step from the last
+    point tried, else from the other end of the bracket of the sign change,
+    and where both leave the bracket, regula falsi on it.  A row stops once
+    |f| is at the rounding level of the logs or its bracket has closed.
+    """
+    rw = params.rate_scale * params.weighted_l2
+
+    def point(x, rows):
+        n2 = _norms2(x)
+        return np.log(n2) - log_u[rows], np.add.reduce(_abs2(x) * rw, axis=-1) / n2
+    o = np.arange(len(v))
+    (f_lo, s_lo), (f_hi, s_hi) = point(v, o), point(w, o)
+    lo, hi, tau, at, f = np.zeros(len(v)), span.copy(), np.zeros(len(v)), v.copy(), f_lo.copy()
+    tol, from_lo = 2.0 ** -44 * (1.0 - log_u), np.ones(len(v), dtype=bool)
+    for _ in range(_MAX_NEWTON):
+        o = o[(np.abs(f[o]) > tol[o]) & (hi[o] - lo[o] > 2.0 ** -52 * hi[o])]
+        if not o.size:
+            return tau, at
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = lo[o] + f_lo[o] / s_lo[o], hi[o] + f_hi[o] / s_hi[o]
+        step = lo[o] + (hi[o] - lo[o]) * f_lo[o] / (f_lo[o] - f_hi[o])
+        for newton in (np.where(from_lo[o], *steps[::-1]), np.where(from_lo[o], *steps)):
+            step = np.where((newton > lo[o]) & (newton < hi[o]), newton, step)
+        tau[o], at[o] = step, _no_jump(v[o], params, step[:, None], m)
+        f[o], slope = point(at[o], o)
+        up = from_lo[o] = f[o] > 0
+        lo[o[up]], f_lo[o[up]], s_lo[o[up]] = step[up], f[o[up]], slope[up]
+        hi[o[~up]], f_hi[o[~up]], s_hi[o[~up]] = step[~up], f[o[~up]], slope[~up]
+    raise ConvergenceError(f"flash-time Newton iteration open after {_MAX_NEWTON} steps")
+
+
+def _norm_decay(psi0, params: ModelParams, times, n_traj: int, seed: int):
+    """Run trajectories 0 .. n_traj - 1 from psi0 at times[0] over the
+    ascending report times ``times``, ``_CHUNK`` at a time.
+
+    A run keeps the unnormalised state exp(G t) psi of its last flash,
+    whose norm^2, the probability of no flash since, cannot rise.  It
+    draws one uniform u from its own ``stream(seed, k)`` at the start and
+    after each flash, and flashes where its norm^2 falls to u; the flash
+    draws one more uniform for the node, by ``_pick_nodes`` at the flash
+    state, which the node's collapse operator then multiplies: 2n + 1
+    uniforms for n flashes, in the order of ``_flash_to_flash``.  Each
+    piece of ``_pieces`` moves every row by one per-row apply of B(h); a
+    row whose norm^2 ends it below u finds when by ``_crossing`` and runs
+    the rest by the Taylor polynomial, as often as it flashes.  Yields
+    ``(first, rows, t, nodes, states)`` per round: trajectory first + r of
+    each listed row r flashed at t[i] and node nodes[i], leaving states[i];
+    at each report time a round with nodes None lists every row's
+    normalised state.  Nothing depends on n_traj or the chunking.
+    """
+    times = [float(t) for t in times]
+    _check_flashes(params, times[-1] - times[0])
+    v0, diagonals = np.asarray(psi0).astype(complex), params.family.diagonals
+    node_rates = params._jump_constants[2]
+    gaps = {d: _pieces(params, d) for d in {b - a for a, b in zip(times, times[1:])}}
+
+    def normalised(v):
+        return v * (1.0 / np.sqrt(_norms2(v)))[:, None]
+    for first, rows, draw in _chunks(n_traj, seed):
+        every, v = np.arange(rows), normalised(np.tile(v0, (rows, 1)))
+        u = draw(every)
+        yield first, every, np.full(rows, times[0]), None, normalised(v)
+        for a, b in zip(times, times[1:]):
+            count, h, m, bt = gaps[b - a]
+            for start in a + h * np.arange(count):
+                end = _rows_times(v, bt)
+                hit, seg, t = every, v, np.full(rows, start)
+                while True:
+                    crossed = _norms2(end[hit]) < u[hit]
+                    hit, seg, t = hit[crossed], seg[crossed], t[crossed]
+                    if not hit.size:
+                        break
+                    tau, at = _crossing(seg, end[hit], params, m, start + h - t, np.log(u[hit]))
+                    t = t + tau
+                    nodes = _pick_nodes(_rows_times(_abs2(at), node_rates), draw(hit))
+                    seg = diagonals[nodes] * at
+                    if not _norms2(seg).all():
+                        raise ContractViolationError("jump onto a zero-rate node; rates are "
+                                                     "inconsistent")
+                    seg = normalised(seg)
+                    yield first, hit, t, nodes, seg
+                    u[hit] = draw(hit)
+                    end[hit] = _no_jump(seg, params, (start + h - t)[:, None], m)
+                v = end
+            yield first, every, np.full(rows, b), None, normalised(v)
+
+
+# ---------------------------------------------------------------------------
+# waiting-time engine: weights without a Hamiltonian, from flash to flash
+# ---------------------------------------------------------------------------
 
 def _survival(p, rw, tau):
     """(log S(tau), -d log S / d tau) for each row of the weights p (rows
@@ -361,12 +432,8 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
     p0 = np.asarray(weights, dtype=float)
     p0 = p0 / np.add.reduce(p0)
     rw = params.rate_scale * params.weighted_l2
-    flashes = float(np.maximum.reduce(rw)) * t_end
-    if not flashes <= _MAX_FLASHES:
-        raise ContractViolationError(f"rate_scale * max W * t_end = {flashes:.3g} expected "
-                                     f"flashes per run, above {_MAX_FLASHES}")
-    _, _, rate_w, l2 = params._jump_constants
-    node_rates = np.ascontiguousarray((rate_w[:, None] * l2).T)   # weights @ it: rates
+    _check_flashes(params, t_end)
+    _, l2, node_rates = params._jump_constants
     for first, rows, draw in _chunks(n_traj, seed):
         live, t, p = np.arange(rows), np.zeros(rows), np.tile(p0, (rows, 1))
         while True:
@@ -381,10 +448,7 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
             t = t + tau
             pre = p * np.exp(tau[:, None] * -rw)
             pre /= np.add.reduce(pre, axis=-1, keepdims=True)
-            # one vector-matrix product per row: a row's bits then do not depend
-            # on the rows beside it, as they do in one (rows, dim) BLAS product,
-            # and no product is large enough to wake a second BLAS thread
-            nodes = _pick_nodes((pre[:, None, :] @ node_rates)[:, 0], draw(live))
+            nodes = _pick_nodes(_rows_times(pre, node_rates), draw(live))
             p = l2[nodes] * pre
             norm = np.add.reduce(p, axis=-1, keepdims=True)
             if not norm.all():
@@ -420,9 +484,9 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
     """Right-hand side of the collapse master equation for a Hermitian rho.
 
     The Hamiltonian H and rho are Hermitian, so the commutator is
-    [H, rho] = A - A^dag with A = H rho.  A is formed from real
-    products: Re H times the (n, 2n) real view of rho, plus i Im H times
-    it for a complex H.  At the bench's 64 nodes a complex product would
+    [H, rho] / hbar = A - A^dag with A = (H / hbar) rho.  A is formed
+    from real products: Re H / hbar times the (n, 2n) real view of rho,
+    plus i Im H / hbar times it for a complex H.  At the bench's 64 nodes a complex product would
     wake a second BLAS thread, which then spins for longer than the whole
     propagation takes; the real one does not.
     """
@@ -433,7 +497,7 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
         a = _real_product(re, rho)
         if im is not None:
             a = a + 1j * _real_product(im, rho)
-        out += (-1j / params.hbar) * (a - a.conj().T)
+        out += -1j * (a - a.conj().T)
     out += params.rate_scale * params.dephasing_matrix * rho
     return out
 
@@ -448,13 +512,23 @@ def _spectral_bound(a):
 def _generator_norm(params: ModelParams) -> float:
     """Upper bound on the Frobenius-induced norm of L = ``lindblad_rhs``.
 
-    ||[H, rho]|| <= 2 ||H||_2 ||rho||, and the collapse part acts as
-    the Hadamard product with ``dephasing_matrix`` G, bounded by max |G|.
+    ||[H, rho]|| / hbar <= 2 ||H / hbar||_2 ||rho||, and the collapse part
+    acts as the Hadamard product with ``dephasing_matrix`` G, bounded by max |G|.
     """
     norm = 0.0
     if params.hamiltonian is not None:
-        norm = 2.0 * float(_spectral_bound(params.hamiltonian)) / params.hbar
+        norm = 2.0 * float(_spectral_bound(params.scaled_hamiltonian))
     return norm + params.rate_scale * float(np.abs(params.dephasing_matrix).max())
+
+
+def _taylor(apply, x, h, m: int):
+    """The degree-m Taylor polynomial of exp(h A) applied to x, A given by
+    ``apply``: each term (h A)^j x / j! from the one before."""
+    term = out = x
+    for j in range(1, m + 1):
+        term = apply(term) * (h / j)
+        out = out + term
+    return out
 
 
 def _taylor_degree(x: float):
@@ -508,11 +582,7 @@ def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int
             err += s * rem * float(np.linalg.norm(r))
             trace = r.trace()
             for _ in range(s):
-                term = out = r
-                for j in range(1, m + 1):
-                    term = lindblad_rhs(term, params) * (h / j)
-                    out = out + term
-                r = out
+                r = _taylor(lambda x: lindblad_rhs(x, params), r, h, m)
             r = hermitize(r)
             drift = abs(r.trace() - trace)
             if drift > 1e-11:
@@ -546,74 +616,23 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
                        seed: int, n_checkpoints: int = 11) -> EnsembleComparison:
     """Projector averaged over trajectories versus the deterministic master solution.
 
-    The projectors are summed chunk by chunk as the trajectories run.
-    The Frobenius distance at every checkpoint is compared against the
+    The trajectories run on ``_norm_decay`` over the checkpoint times, and
+    their projectors are summed chunk by chunk at each checkpoint.  The
+    Frobenius distance at every checkpoint is compared against the
     statistical bound 5 / sqrt(n_traj).
     """
-    n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
+    _, marks = _checkpoints(t_end, params.dt, n_checkpoints)
+    times = np.array(marks) * params.dt
     v = np.asarray(psi0).astype(complex)
     avg = np.zeros((len(marks), v.size, v.size), dtype=complex)
-    slot = {step: j for j, step in enumerate(marks)}
-    for _, i, states, _, _ in propagate_batch(v, params, n_steps, n_traj, seed):
-        if i in slot:
-            avg[slot[i]] += np.einsum("ri,rj->ij", states, states.conj())
+    for _, _, t, nodes, states in _norm_decay(v, params, times, n_traj, seed):
+        if nodes is None:
+            avg[np.searchsorted(times, t[0])] += np.einsum("ri,rj->ij", states, states.conj())
     avg /= n_traj
     master = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
     dist = np.array([np.linalg.norm(a - r) for a, (_, r, _) in zip(avg, master)])
     bound = np.full(len(marks), 5.0 / np.sqrt(n_traj))
-    return EnsembleComparison(np.array(marks) * params.dt, dist, bound, n_traj)
-
-
-@dataclass
-class CoarseGrainReport:
-    expected_noflash: float
-    noflash_freq: float
-    noflash_sigma: float
-    node_histogram: np.ndarray
-    expected_node_probs: np.ndarray
-    two_or_more_freq: float
-    two_flash_expected: float
-
-
-def coarse_grain_consistency(params: ModelParams, psi0, gamma: float,
-                             delta_t: float, n_windows: int,
-                             seed: int) -> CoarseGrainReport:
-    """Sample exact collapse-point windows and compare with the rate law.
-
-    The spacetime point density is fixed by mu = lambda hbar^2 /
-    (c gamma) so the coarse-grained rate matches params.  For each
-    window a fresh Poisson placement is drawn, the chain is sampled
-    exactly, and flash counts and positions are accumulated.  Bare
-    Hamiltonian evolution over the short window is neglected, as the
-    first-order rate law itself does.
-    """
-    v = np.asarray(psi0).astype(complex)
-    mu = params.lambda_grw * params.hbar ** 2 / (params.c_light * gamma)
-    rates = flash_rate_density(v, params)
-    total_rate = float(rates.sum())
-    expected_noflash = 1.0 - total_rate * delta_t
-
-    histogram = np.zeros(params.family.grid.n)
-    noflash = 0
-    multi = 0
-    for _, nodes, bits in _sample_windows(v, replace(params, hamiltonian=None), mu, gamma,
-                                          delta_t, n_windows, seed):
-        n_flash = int(bits.sum())
-        if n_flash == 0:
-            noflash += 1
-        elif n_flash == 1:
-            histogram[nodes[bits][0]] += 1
-        else:
-            multi += 1
-    p0 = noflash / n_windows
-    return CoarseGrainReport(
-        expected_noflash=expected_noflash,
-        noflash_freq=p0,
-        noflash_sigma=float(np.sqrt(max(p0 * (1 - p0), 1e-12) / n_windows)),
-        node_histogram=histogram,
-        expected_node_probs=rates / total_rate if total_rate > 0 else rates,
-        two_or_more_freq=multi / n_windows,
-        two_flash_expected=(total_rate * delta_t) ** 2)
+    return EnsembleComparison(times, dist, bound, n_traj)
 
 
 def expected_noflash_probability(params: ModelParams, psi0, gamma: float,
@@ -645,17 +664,3 @@ def expected_noflash_probability(params: ModelParams, psi0, gamma: float,
         mu_c = params.lambda_grw * params.hbar ** 2 / gamma
         exponent = mu_c * delta_t * (w @ (np.cos(s * diag) ** 2 - 1.0))
     return float(np.sum(np.abs(v) ** 2 * np.exp(exponent)))
-
-
-def noflash_bias_vs_gamma(params: ModelParams, psi0, gammas, delta_t: float):
-    """Coupling-strength bias of the no-flash probability, per gamma.
-
-    The reference is the gamma -> 0 limit of the placement-averaged
-    exact probability at fixed rate constant; the remaining deviation
-    is the second-order weak-measurement bias, which must shrink
-    linearly in gamma.  Returns a list of (gamma, |bias|) pairs.
-    """
-    reference = expected_noflash_probability(params, psi0, 0.0, delta_t)
-    return [(float(g), abs(expected_noflash_probability(params, psi0, float(g), delta_t)
-                           - reference))
-            for g in gammas]

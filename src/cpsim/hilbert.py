@@ -3,8 +3,7 @@
 Spatial grids that carry their quadrature measure, and the few dense
 primitives the rest of the package is built from.  States and operators
 are plain ndarrays over a discrete basis (grid nodes or Fock occupation
-lists).  Generators are Hermitian, so matrix exponentials go through an
-eigendecomposition, which keeps unitarity exact up to roundoff.
+lists).
 """
 
 from __future__ import annotations
@@ -103,18 +102,6 @@ class SpatialGrid:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def unitary_from_generator(H, dt: float, hbar: float = 1.0) -> np.ndarray:
-    """exp(-i H dt / hbar) through the eigendecomposition of Hermitian H."""
-    h = np.asarray(H)
-    if dt < 0:
-        raise ContractViolationError("dt must be non-negative")
-    if not np.any(h):
-        return np.eye(h.shape[0], dtype=complex)
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * w * dt / hbar)
-    return (v * phase) @ v.conj().T
-
 
 def _apply(m, v):
     """m @ v for each row of v (m: one matrix or one per row), without BLAS,

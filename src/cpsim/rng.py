@@ -9,15 +9,12 @@ whatever the number of units or the chunk they are computed in;
 ``random(m)`` gives the same doubles as m calls of ``random()``, which
 lets the engines draw uniforms in blocks.
 
-- Each trajectory k of a fixed-step ensemble (``trajectories``,
-  ``compare``) owns stream k and consumes one uniform per step and one
-  more per flash, drawn in blocks.
-- Each Born run k (the waiting-time engine, without a Hamiltonian)
-  owns stream k and consumes one uniform per event: it ends the run
-  when the survival to the end time is at least that uniform, and
-  otherwise fixes the wait to the next flash; every flash then draws one
-  more uniform for its node.  A run of n flashes reads 2n + 1 uniforms,
-  drawn in blocks.
+- Each jump run k (a trajectory of ``trajectories`` or ``compare``, or
+  a Born run) owns stream k and follows one protocol: it draws one
+  uniform u at the start and one after every flash, and the run
+  flashes when its survival since the last flash falls to u; every
+  flash then draws one more uniform for its node.  A run of n flashes
+  reads 2n + 1 uniforms, drawn in blocks; ``dt`` plays no part.
 - Collapse-point window w owns stream w.  Its placement draws come
   first: the point count n from ``poisson(rate * t_end)``, then a block
   of n uniforms whose sorted values, scaled by t_end, are the times,
@@ -27,7 +24,7 @@ lets the engines draw uniforms in blocks.
 
 import numpy as np
 
-GENERATOR_NAME = "philox4x64/seedseq-spawn-v3"
+GENERATOR_NAME = "philox4x64/seedseq-spawn-v4"
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:

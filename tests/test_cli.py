@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cpsim import cli
 from cpsim.cli import main, read_results, run_config, validate_config
-from cpsim.dynamics import propagate_batch
+from cpsim.dynamics import _norm_decay
 from cpsim.errors import ConfigError
 from cpsim.hilbert import MAX_DIM
 
@@ -179,18 +179,13 @@ class TestExitCodes:
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
     def test_physics_contract_failure_exits_three(self, tmp_path, capsys):
-        cfg = {
-            "experiment": "trajectories",
-            "seed": 3,
-            "output_path": str(tmp_path / "t.csv"),
-            # per-step flash probability 0.1 violates the step-size contract
-            "params": base_params(dt=0.1, lam=1.0),
-            "options": {"t_end": 1.0, "n_traj": 2},
-        }
+        # pointer packets 2 apart, with r_C 1, leak into each other's regions
+        cfg = born_config(tmp_path / "born.json")
+        cfg["options"]["pointer"]["centers"] = [-1.0, 1.0]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main(["run", str(p)]) == 3
-        assert "probability" in capsys.readouterr().err
+        assert "overlap" in capsys.readouterr().err
 
     def test_master_holds_one_density_matrix_at_a_time(self, tmp_path, capsys):
         cfg = ensemble_config(tmp_path / "m.csv", "master")
@@ -356,14 +351,19 @@ class TestExitCodes:
         (born_config, ("params",), "dt", 1e300, "params.dt"),
         (lambda path: ensemble_config(path, "compare"), ("params",), "dt", 1e300, "params.dt"),
         (ensemble_config, ("options",), "t_end", 1e-300, "params.dt"),
-        # a Hamiltonian phase per step of 2e298
+        # a Hamiltonian phase |strength| t_end / hbar of 1e299, so at least as many
+        # Taylor substeps, whose norm bound overflows
         (ensemble_config, ("params", "hamiltonian"), "strength", 1e300,
          "params.hamiltonian.strength"),
-        # a master run of at least 1e299 Taylor substeps, whose norm bound overflows
+        (lambda path: ensemble_config(path, "compare"), ("params", "hamiltonian"), "strength",
+         1e300, "params.hamiltonian.strength"),
         (lambda path: ensemble_config(path, "master"), ("params", "hamiltonian"), "strength",
          1e300, "params.hamiltonian.strength"),
-        # 2.5e301 expected flashes in each born run
+        # 2.5e301 expected flashes in each born run, and about 1e299 in each trajectory
         (born_config, ("params",), "lambda_grw", 1e300, "options.t_obs"),
+        (ensemble_config, ("params",), "lambda_grw", 1e300, "options.t_end"),
+        (lambda path: ensemble_config(path, "compare"), ("params",), "lambda_grw", 1e300,
+         "options.t_end"),
         # squares of energy lengths that overflow or underflow
         (energy_config, ("gravity",), "r_m", 1e300, "gravity.r_m"),
         (energy_config, ("options",), "psi_width", 1e300, "options.psi_width"),
@@ -390,8 +390,9 @@ class TestExitCodes:
             "born-amplitude-huge", "born-r_c-huge", "compare-r_c-huge", "compare-width-huge",
             "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
             "born-centre-huge", "born-zero-steps", "compare-zero-steps",
-            "trajectories-zero-steps", "trajectories-phase-huge", "master-phase-huge",
-            "born-flashes-huge", "energy-r_m-huge", "energy-width-huge", "energy-width-tiny",
+            "trajectories-zero-steps", "trajectories-phase-huge", "compare-phase-huge",
+            "master-phase-huge", "born-flashes-huge", "trajectories-flashes-huge",
+            "compare-flashes-huge", "energy-r_m-huge", "energy-width-huge", "energy-width-tiny",
             "energy-r_max-huge", "energy-mass-subnormal", "energy-hbar-huge",
             "potential-spacing-huge", "potential-spacing-tiny", "potential-probe-huge",
             "potential-probe-subnormal"])
@@ -533,10 +534,13 @@ class TestRunners:
         params = cli._parse_params(cfg)
         psi0 = cli._parse_psi0(cfg["options"], params.grid)
         flashes = [[] for _ in range(n_traj)]
-        for first, i, v, flashed, _ in propagate_batch(psi0, params, n_steps, n_traj, cfg["seed"]):
-            for r in flashed.tolist():
-                flashes[first + r].append(i * params.dt)
-            final = v
+        times = [0.0, n_steps * params.dt]
+        for first, rows, t, nodes, v in _norm_decay(psi0, params, times, n_traj, cfg["seed"]):
+            if nodes is None:
+                final = v
+                continue
+            for r, tr in zip(rows.tolist(), t.tolist()):
+                flashes[first + r].append(tr)
         assert any(not f for f in flashes) and any(len(f) > 1 for f in flashes)
         for (_, count, first_time, mean_x), f, state in zip(doc["rows"], flashes, final):
             assert count == len(f)
@@ -662,6 +666,20 @@ def sweep_extremes(tmp_path, make, paths):
             if out.exists():
                 assert all(math.isfinite(x) for x in all_numbers(read_results(out))), (path, value)
                 out.unlink()
+
+
+@pytest.mark.parametrize("experiment", ["compare", "master"])
+def test_strength_and_hbar_both_subnormal_exit_zero(tmp_path, capsys, experiment):
+    # -1j / hbar alone overflows at hbar 5e-324, but H / hbar has entries of 1
+    out = tmp_path / "out.csv"
+    cfg = ensemble_config(out, experiment)
+    cfg["params"].update(hbar=5e-324, hamiltonian={"kind": "hopping", "strength": 5e-324})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["validate", str(p)]) == 0
+    assert main(["run", str(p)]) == 0
+    rows = read_results(out)["rows"]
+    assert len(rows) == 3 and all(math.isfinite(x) for row in rows for x in row)
 
 
 @pytest.mark.parametrize("experiment", ["born", "trajectories", "compare"])

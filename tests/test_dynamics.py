@@ -3,19 +3,20 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cpsim import dynamics
-from cpsim.dynamics import (ModelParams, coarse_grain_consistency, ensemble_vs_master,
-                            expected_noflash_probability, flash_rate_density,
-                            integrate_master, noflash_bias_vs_gamma, propagate_batch)
+from cpsim.dynamics import (ModelParams, ensemble_vs_master, expected_noflash_probability,
+                            flash_rate_density, integrate_master)
 from cpsim.errors import ContractViolationError, ConvergenceError, StepSizeError
+from cpsim.exact import _sample_windows
 from cpsim.gravity import GravityParams, grav_unitary
-from cpsim.hilbert import SpatialGrid, unitary_from_generator
+from cpsim.hilbert import SpatialGrid
 from cpsim.measurement import born_initial_state, pointer_family
 from cpsim.operators import (FockBasis, OperatorFamily, SmearingFunction, build_grw_family,
                              build_smeared_mass, grw_gaussian)
@@ -23,33 +24,29 @@ from cpsim.rng import stream
 from helpers import random_hermitian
 
 
-def never_jump(rows):
-    """Stand-in uniforms that always refuse the jump branch."""
-    return np.ones(len(rows))
+def constant_uniforms(monkeypatch, value):
+    """Make every uniform of every stream ``value``: 0 never flashes."""
+    monkeypatch.setattr(dynamics, "_uniforms", lambda rngs: lambda rows: np.full(len(rows), value))
 
 
-def always_jump(rows):
-    """Stand-in uniforms that always take the jump branch, at the first node
-    with a nonzero rate."""
-    return np.zeros(len(rows))
-
-
-def step(psi, params, uniform):
-    """One state through ``dynamics._step``: (state, flashed node or None)."""
-    out, _, nodes = dynamics._step(np.asarray(psi).astype(complex)[None], params, uniform)
-    return out[0], (int(nodes[0]) if nodes.size else None)
-
-
-def run_engine(psi0, params, n_steps, n_traj, seed):
-    """Flashes (step, node) of each trajectory, and every trajectory's state
-    after every step, read from ``propagate_batch``."""
+def run_engine(psi0, params, times, n_traj, seed):
+    """Flashes (time, node) of each trajectory, and every trajectory's
+    normalised state at each report time, read from ``_norm_decay``."""
+    times = np.asarray(times, dtype=float)
     events = [[] for _ in range(n_traj)]
-    states = np.empty((n_steps + 1, n_traj, params.family.dim), dtype=complex)
-    for first, i, v, flashed, nodes in propagate_batch(psi0, params, n_steps, n_traj, seed):
-        for r, k in zip(flashed.tolist(), nodes.tolist()):
-            events[first + r].append((i, k))
-        states[i, first:first + len(v)] = v
+    states = np.empty((len(times), n_traj, params.family.dim), dtype=complex)
+    for first, rows, t, nodes, v in dynamics._norm_decay(psi0, params, times, n_traj, seed):
+        if nodes is None:
+            states[np.searchsorted(times, t[0]), first + rows] = v
+            continue
+        for r, tr, k in zip(rows.tolist(), t.tolist(), nodes.tolist()):
+            events[first + r].append((tr, k))
     return events, states
+
+
+def grid_times(t_end, dt):
+    """Report times 0, dt, .., t_end."""
+    return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
 def natural_params(grid=None, lam=1.0, dt=0.01, hamiltonian=None, r_c=1.0):
@@ -74,8 +71,8 @@ def fock_mass_case():
     """Mass-proportional rates on a 6-site boson Fock space (at most 2 particles).
 
     W is the smeared total mass, 0.976 on |site 2> and 1.951 on |sites 2,3>,
-    so the drift (<W> - W) does not vanish as it nearly does on a
-    localization family that obeys the completeness sum rule.  Returns the
+    so the no-jump state reweights its two sectors, as it nearly does not on
+    a localization family that obeys the completeness sum rule.  Returns the
     params, the diagonal of W built from the occupations alone, and the start
     state (|site 2> + |sites 2,3>) / sqrt(2).
     """
@@ -92,23 +89,25 @@ def fock_mass_case():
     return params, w_diag, psi0
 
 
-def noflash_path(psi0, params, t_end):
-    """The state after t_end / dt steps of ``dynamics._step`` that all refuse the jump."""
-    v = psi0
-    for _ in range(int(round(t_end / params.dt))):
-        v, node = step(v, params, never_jump)
-        assert node is None
-    return v
+def noflash_path(psi0, params, times, monkeypatch):
+    """The normalised state at times[-1] of a run whose uniforms are all 0,
+    so that it never flashes."""
+    constant_uniforms(monkeypatch, 0.0)
+    events, states = run_engine(psi0, params, times, 1, seed=0)
+    assert events == [[]]
+    return states[-1, 0]
 
 
-def drift_bound(rate, t_end, w_diag, dt):
-    """Bound on the no-flash state's distance from the closed no-jump state.
+def no_jump_matrix(params):
+    """G = -i H / hbar - (r / 2) W, built here from the params' fields."""
+    h = 0 if params.hamiltonian is None else params.hamiltonian / params.hbar
+    return -1j * h - 0.5 * params.rate_scale * np.diag(params.weighted_l2)
 
-    Per step the factor 1 + c (<W> - W_j), c = rate dt / 2, misses
-    exp(-c W_j) by at most c^2 spread^2 / 2 in each log-ratio of
-    amplitudes, and an amplitude moves by at most half that log-ratio.
-    """
-    return rate ** 2 * t_end * np.ptp(w_diag) ** 2 / 8 * dt
+
+def closed_no_jump_state(psi0, params, t):
+    """exp(G t) psi0 normalised, from scipy's expm."""
+    v = expm(no_jump_matrix(params) * t) @ psi0
+    return v / np.linalg.norm(v)
 
 
 class TestFlashRateDensity:
@@ -137,85 +136,71 @@ class TestFlashRateDensity:
 
 
 class TestSseStep:
-    def test_position_eigenstate_invariant_without_hamiltonian(self):
+    """The no-jump evolution and the flash of the norm-decay engine."""
+
+    def test_position_eigenstate_invariant_without_hamiltonian(self, monkeypatch):
         params = natural_params(lam=1e-6)
         psi = np.zeros(params.grid.n, dtype=complex)
         psi[16] = 1.0
-        out, node = step(psi, params, never_jump)
-        assert node is None
+        out = noflash_path(psi, params, grid_times(0.1, 0.01), monkeypatch)
         assert np.max(np.abs(out - psi)) < 1e-12
 
-    def test_jump_applies_projector(self):
+    def test_jump_applies_projector(self, monkeypatch):
         grid = SpatialGrid.line(4, 1.0)
         diag = np.zeros((4, 4))
         diag[2, 2] = 1.0   # member 2 projects onto node 2
         fam = OperatorFamily(grid, diagonals=diag)
         params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
         psi = np.full(4, 0.5, dtype=complex)
-        out, node = step(psi, params, always_jump)
-        assert node == 2
+        # a uniform of 0.999 flashes within about 0.004 of each flash before
+        constant_uniforms(monkeypatch, 0.999)
+        events, states = run_engine(psi, params, [0.0, 0.01], 1, seed=0)
         expected = np.zeros(4, dtype=complex)
         expected[2] = 1.0
-        assert np.max(np.abs(out - expected)) < 1e-14
+        assert events[0] and all(k == 2 for _, k in events[0])
+        assert np.max(np.abs(states[-1, 0] - expected)) < 1e-14
 
     def test_per_step_flash_probability(self):
         params = natural_params(lam=1.0, dt=0.02)
         rates = flash_rate_density(packet(params.grid), params)
         assert abs(params.dt * rates.sum() - 1.0 * 0.02) < 0.02 * 1e-6
 
-    def test_step_validity_enforced(self):
-        params = natural_params(lam=10.0, dt=0.01)
-        with pytest.raises(StepSizeError):
-            step(packet(params.grid), params, never_jump)
-
-    def test_drift_dt_halving_convergence(self):
-        # conditioned on no flash the step is deterministic; global error O(dt)
+    def test_drift_dt_halving_convergence(self, monkeypatch):
+        # the no-flash state is exp(G t) psi0 normalised on any report grid
         grid = SpatialGrid.line(17, 0.5)
         fam = build_grw_family(grid, grw_gaussian(1.0))
         psi0 = packet(grid, width=0.8, center=0.7)
         t_end = 0.5
+        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01, hamiltonian=hopping(17))
+        ref = closed_no_jump_state(psi0, params, t_end)
+        for dt in (0.02, 0.01, 0.005):
+            out = noflash_path(psi0, params, grid_times(t_end, dt), monkeypatch)
+            assert np.linalg.norm(out - ref) < 1e-12, dt
 
-        def evolve(dt):
-            params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=dt,
-                                         hamiltonian=hopping(17))
-            v = psi0.copy()
-            for _ in range(int(round(t_end / dt))):
-                v, _ = step(v, params, never_jump)
-            return v
-
-        ref = evolve(1e-4)
-        errs = [np.linalg.norm(evolve(dt) - ref) for dt in (0.02, 0.01, 0.005)]
-        ratios = [errs[i] / errs[i + 1] for i in range(2)]
-        assert all(1.5 < r < 3.0 for r in ratios)
-
-    def test_noflash_branch_matches_closed_no_jump_state(self):
+    def test_noflash_branch_matches_closed_no_jump_state(self, monkeypatch):
         params, w_diag, psi0 = fock_mass_case()
         t_end, rate = 1.5, params.rate_scale
-        v = noflash_path(psi0, params, t_end)
+        v = noflash_path(psi0, params, grid_times(t_end, params.dt), monkeypatch)
         closed = psi0 * np.exp(-0.5 * rate * w_diag * t_end)
         closed /= np.linalg.norm(closed)
-        assert np.max(np.abs(v - closed)) <= drift_bound(rate, t_end, w_diag[psi0 != 0],
-                                                         params.dt)
+        assert np.max(np.abs(v - closed)) <= 1e-12
 
     @pytest.mark.parametrize("dt", [0.01, 0.005])
-    def test_noflash_branch_with_hamiltonian_matches_closed_no_jump_state(self, dt, rng):
-        from scipy.linalg import expm
-
+    def test_noflash_branch_with_hamiltonian_matches_closed_no_jump_state(self, dt, rng,
+                                                                          monkeypatch):
         params, w_diag, psi0 = fock_mass_case()
         h = 0.5 * random_hermitian(len(psi0), rng)
         params = replace(params, dt=dt, hamiltonian=h)
         t_end, rate = 1.5, params.rate_scale
-        v = noflash_path(psi0, params, t_end)
+        v = noflash_path(psi0, params, grid_times(t_end, dt), monkeypatch)
         closed = expm(-(1j * h / params.hbar + 0.5 * rate * np.diag(w_diag)) * t_end) @ psi0
         closed /= np.linalg.norm(closed)
-        # H mixes every sector, so the drift error takes the spread of all of
-        # W; the symmetric splitting around H adds only O(dt^2)
-        assert np.max(np.abs(v - closed)) <= drift_bound(rate, t_end, w_diag, dt)
+        assert np.max(np.abs(v - closed)) <= 1e-12
 
     @pytest.mark.parametrize("dt", [0.02, 0.01, 0.005])
-    def test_noflash_branch_at_the_grid_edge(self, dt):
+    def test_noflash_branch_at_the_grid_edge(self, dt, monkeypatch):
         # on the 16-node localization grid W is 1.000 in the bulk but 0.641
-        # at the edge, so a state on nodes 0 and 8 feels the drift there
+        # at the edge, so a state on nodes 0 and 8 reweights its two nodes
         grid = SpatialGrid.line(16, 0.5)
         params = natural_params(grid=grid, lam=1.0, dt=dt)
         # W_j = sum_k w_k |L_k(x_j)|^2 with |L_k(x)|^2 = exp(-(x - x_k)^2) / sqrt(pi)
@@ -223,20 +208,18 @@ class TestSseStep:
         psi0 = np.zeros(grid.n, dtype=complex)
         psi0[[0, 8]] = np.sqrt(0.5)
         t_end, rate = 2.0, params.rate_scale
-        v = noflash_path(psi0, params, t_end)
+        v = noflash_path(psi0, params, grid_times(t_end, dt), monkeypatch)
         closed = psi0 * np.exp(-0.5 * rate * w_diag * t_end)
         closed /= np.linalg.norm(closed)
-        assert np.max(np.abs(v - closed)) <= drift_bound(rate, t_end, w_diag[[0, 8]], dt)
+        assert np.max(np.abs(v - closed)) <= 1e-12
 
     def test_noflash_fraction_matches_closed_survival(self):
         # the jump process itself on the Fock family: survival without a flash
         # up to t is sum_j |psi_j|^2 exp(-rate W_j t)
         params, w_diag, psi0 = fock_mass_case()
         t_end, n_traj = 1.5, 4000
-        survived = np.ones(n_traj, dtype=bool)
-        n_steps = int(round(t_end / params.dt))
-        for first, _, v, flashed, _ in propagate_batch(psi0, params, n_steps, n_traj, seed=11):
-            survived[first + flashed] = False
+        events, _ = run_engine(psi0, params, [0.0, t_end], n_traj, seed=11)
+        survived = np.array([not e for e in events])
         p = float(np.sum(np.abs(psi0) ** 2 * np.exp(-params.rate_scale * w_diag * t_end)))
         sigma = np.sqrt(p * (1 - p) / n_traj)
         assert abs(survived.mean() - p) < 4 * sigma
@@ -247,23 +230,23 @@ class TestTrajectories:
         h = hopping(33)
         params = natural_params(lam=0.0, dt=0.01, hamiltonian=h)
         psi0 = packet(params.grid)
-        events, states = run_engine(psi0, params, 100, 1, seed=3)
-        exact = unitary_from_generator(h, 1.0) @ psi0
+        events, states = run_engine(psi0, params, grid_times(1.0, 0.01), 1, seed=3)
+        exact = expm(-1j * h) @ psi0
         assert events == [[]]
         assert np.max(np.abs(states[-1, 0] - exact)) < 1e-8
 
     def test_seed_reproducibility(self):
         params = natural_params(lam=1.0, dt=0.01)
         psi0 = packet(params.grid)
-        events_a, states_a = run_engine(psi0, params, 50, 3, seed=11)
-        events_b, states_b = run_engine(psi0, params, 50, 3, seed=11)
+        events_a, states_a = run_engine(psi0, params, grid_times(0.5, 0.01), 3, seed=11)
+        events_b, states_b = run_engine(psi0, params, grid_times(0.5, 0.01), 3, seed=11)
         assert events_a == events_b
         assert np.array_equal(states_a, states_b)
 
     def test_mean_flash_count(self):
         params = natural_params(lam=1.0, dt=0.01)
         psi0 = packet(params.grid)
-        events, _ = run_engine(psi0, params, 100, 300, seed=8)
+        events, _ = run_engine(psi0, params, [0.0, 1.0], 300, seed=8)
         counts = [len(e) for e in events]
         mean = np.mean(counts)
         # Poisson with rate lambda t_end = 1
@@ -284,19 +267,49 @@ ENGINE_CASES = {
                                                hamiltonian=hopping(16)),
     "gravity_dressed+hopping": lambda: dressed_params(16, 4.0, 0.5),
 }
+#: from 64 nodes on, the complex row products leave BLAS for einsum
+CHUNK_CASES = dict(ENGINE_CASES, **{"diagonal+hopping-64": lambda: natural_params(
+    grid=SpatialGrid.line(64, 0.5), lam=4.0, hamiltonian=hopping(64))})
+
+
+def reference_run(psi0, params, t_end, rng):
+    """One trajectory by the stream protocol alone: exp(G t) from scipy's expm,
+    each flash time by brentq on ||exp(G s) psi||^2 = u, the node by
+    Generator.choice at the flash state, one uniform drawn at a time.
+    Returns the flashes (time, node) and the normalised state at t_end."""
+    from scipy.optimize import brentq
+
+    g = no_jump_matrix(params)
+    psi, t, events = psi0, 0.0, []
+    while True:
+        u = rng.random()
+
+        def excess(s):
+            return np.linalg.norm(expm(g * s) @ psi) ** 2 - u
+        if excess(t_end - t) >= 0:
+            out = expm(g * (t_end - t)) @ psi
+            return events, out / np.linalg.norm(out)
+        s = brentq(excess, 0.0, t_end - t, xtol=1e-15, rtol=1e-15)
+        at = expm(g * s) @ psi
+        rates = flash_rate_density(at, params)
+        k = int(rng.choice(len(rates), p=rates / rates.sum()))
+        psi = params.family.diagonals[k] * at
+        psi = psi / np.linalg.norm(psi)
+        t += s
+        events.append((t, k))
 
 
 class TestBatchEngine:
     N_TRAJ = 9
 
-    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
     def test_chunk_size_does_not_change_trajectories(self, case, monkeypatch):
-        params = ENGINE_CASES[case]()
+        params = CHUNK_CASES[case]()
         psi0 = packet(params.grid)
         runs = {}
         for chunk in (1, 3, 7, self.N_TRAJ + 1):
             monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-            runs[chunk] = run_engine(psi0, params, 200, self.N_TRAJ, seed=31)
+            runs[chunk] = run_engine(psi0, params, grid_times(2.0, 0.01), self.N_TRAJ, seed=31)
         ref_events, ref_states = runs[self.N_TRAJ + 1]
         assert sum(len(e) for e in ref_events) >= 5
         for events, states in runs.values():
@@ -305,36 +318,108 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_matches_sse_step_loop(self, case, monkeypatch):
-        # the step helper runs one row alone; every state of the batched
-        # engine must match it bit for bit
+        # each trajectory of the batched engine against one row run alone by
+        # the protocol with scipy's expm and brentq, from the same stream
         monkeypatch.setattr(dynamics, "_CHUNK", 4)
         params = ENGINE_CASES[case]()
         psi0 = packet(params.grid)
-        n_steps = 50
-        events, states = run_engine(psi0, params, n_steps, self.N_TRAJ, seed=32)
+        t_end = 0.5
+        events, states = run_engine(psi0, params, [0.0, t_end], self.N_TRAJ, seed=32)
+        assert sum(len(e) for e in events) >= 5
         for k in range(self.N_TRAJ):
-            # reference: one row stepped alone, drawing rng.random() once per
-            # step and once more per flash
-            rng = stream(32, k)
-            v, loop = psi0, []
-            for i in range(1, n_steps + 1):
-                v, node = step(v, params, lambda rows: np.array([rng.random() for _ in rows]))
-                if node is not None:
-                    loop.append((i, node))
-                assert np.array_equal(states[i, k], v)
-            assert events[k] == loop
+            loop, final = reference_run(psi0, params, t_end, stream(32, k))
+            assert [node for _, node in events[k]] == [node for _, node in loop]
+            assert np.allclose([t for t, _ in events[k]], [t for t, _ in loop],
+                               rtol=1e-10, atol=1e-12)
+            assert np.max(np.abs(states[-1, k] - final)) < 1e-9
 
-    def test_any_row_over_the_step_limit_raises(self):
-        grid = SpatialGrid.line(2, 1.0)
-        fam = OperatorFamily(grid, diagonals=np.diag([1.0, 0.1]))
-        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.08)
-        low = np.array([0.0, 1.0], dtype=complex)    # p = 0.0008
-        high = np.array([1.0, 0.0], dtype=complex)   # p = 0.08
 
-        dynamics._step(np.array([low, low]), params, never_jump)
-        for batch in ([low, high], [high, low], [low, low, high]):
-            with pytest.raises(StepSizeError):
-                dynamics._step(np.array(batch), params, never_jump)
+class TestNormDecayEngine:
+    """The flash statistics and the stream protocol of ``_norm_decay`` with a
+    Hamiltonian, on the system of acceptance test 04: 16 nodes, hopping 0.5,
+    rate 1 and the width-1 gaussian."""
+
+    @staticmethod
+    def system():
+        params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=1.0, dt=0.02,
+                                hamiltonian=hopping(16))
+        return params, packet(params.grid)
+
+    def test_first_flash_times_follow_the_no_jump_survival(self):
+        from scipy import stats
+
+        params, psi0 = self.system()
+        t_end, n_traj = 1.0, 4000
+        events, _ = run_engine(psi0, params, [0.0, t_end], n_traj, seed=61)
+        first = np.array([e[0][0] for e in events if e])
+        g = no_jump_matrix(params)
+
+        def reach(t):   # 1 - ||exp(G t) psi0||^2
+            return 1.0 - np.linalg.norm(expm(g * t) @ psi0) ** 2
+
+        def cdf(ts):
+            return np.array([reach(t) for t in np.atleast_1d(ts)]) / reach(t_end)
+        assert stats.kstest(first, cdf).pvalue > 0.01
+        p = 1.0 - reach(t_end)
+        assert abs((n_traj - first.size) / n_traj - p) < 4 * np.sqrt(p * (1 - p) / n_traj)
+
+    def test_flash_counts_do_not_depend_on_dt(self):
+        params, psi0 = self.system()
+        counts = {}
+        for dt in (0.02, 0.01, 0.005):
+            events, _ = run_engine(psi0, params, grid_times(1.0, dt), 200, seed=62)
+            counts[dt] = [len(e) for e in events]
+        assert sum(counts[0.02]) >= 100
+        assert counts[0.02] == counts[0.01] == counts[0.005]
+
+    def test_a_run_reads_two_uniforms_per_flash_and_one_more(self, monkeypatch):
+        params, psi0 = self.system()
+        reads, wrapped = {}, dynamics._uniforms
+
+        def counting(rngs):
+            draw = wrapped(rngs)
+
+            def counted(rows):
+                for r in rows.tolist():
+                    reads[id(rngs), r] = reads.get((id(rngs), r), 0) + 1
+                return draw(rows)
+            return counted
+        monkeypatch.setattr(dynamics, "_uniforms", counting)
+        monkeypatch.setattr(dynamics, "_CHUNK", 64)
+        events, _ = run_engine(psi0, params, grid_times(3.0, 0.02), 64, seed=63)
+        assert sum(len(e) for e in events) >= 100
+        assert sorted(reads.values()) == sorted(2 * len(e) + 1 for e in events)
+
+    def test_survival_equal_to_its_uniform_does_not_flash(self, monkeypatch):
+        # node 1 has rate 0, so a run there keeps ||psi||^2 = 1 exactly; with
+        # every uniform 1 the survival never falls below it
+        fam = OperatorFamily(SpatialGrid.line(2, 1.0), diagonals=np.diag([1.0, 0.0]))
+        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
+        constant_uniforms(monkeypatch, 1.0)
+        events, states = run_engine(np.array([0.0, 1.0]), params, [0.0, 1.0], 2, seed=0)
+        assert events == [[], []]
+        assert np.array_equal(states[-1], [[0, 1], [0, 1]])
+
+    def test_newton_steps_out_of_the_bracket_fall_back_to_regula_falsi(self, monkeypatch):
+        # a row on the zero-rate node 0, with its end state handed in as one on
+        # node 0 too: f is flat at both ends, so both Newton steps leave the
+        # bracket, and the first point tried is the chord's zero
+        fam = OperatorFamily(SpatialGrid.line(2, 1.0), diagonals=np.diag([0.0, 1.0]))
+        params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01,
+                                     hamiltonian=np.array([[0, 1], [1, 0]], dtype=complex))
+
+        class Tried(Exception):
+            pass
+
+        def first_point(apply, x, h, m):
+            raise Tried(np.ravel(h)[0])
+        monkeypatch.setattr(dynamics, "_taylor", first_point)
+        log_u, f_end = np.log(0.5), np.log(0.3) - np.log(0.5)
+        with pytest.raises(Tried) as tried:
+            dynamics._crossing(np.array([[1.0, 0j]]), np.array([[np.sqrt(0.3), 0j]]), params,
+                               12, np.array([0.4]), np.array([log_u]))
+        chord = 0.4 * -log_u / (-log_u - f_end)
+        assert tried.value.args[0] == pytest.approx(chord, rel=1e-15)
 
 
 def edge_case():
@@ -502,7 +587,7 @@ def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
     code = textwrap.dedent(f"""
         import time
         import numpy as np
-        from cpsim.dynamics import ModelParams, integrate_master, propagate_batch
+        from cpsim.dynamics import ModelParams, _norm_decay, integrate_master
         from cpsim.hilbert import SpatialGrid
         from cpsim.operators import build_grw_family, grw_gaussian
         n = 64
@@ -536,7 +621,7 @@ class TestLindblad:
         _, rhos, _ = zip(*integrate_master(np.outer(psi, psi.conj()), params, 1.0,
                                            n_checkpoints=2))
         rho = rhos[-1]
-        u = unitary_from_generator(h, 1.0)
+        u = expm(-1j * h)
         ref = u @ np.outer(psi, psi.conj()) @ u.conj().T
         assert np.max(np.abs(rho - ref)) < 1e-9
 
@@ -613,13 +698,11 @@ class TestLindblad:
         assert cpu_beyond_wall_at_64_nodes(work) <= 0.05
 
     def test_jump_engine_leaves_no_busy_blas_thread(self):
-        # the Hamiltonian half steps are einsum products, which stay on one
-        # thread at any row count; a BLAS product at 64 nodes would not.  The
-        # half-step unitary is built first and given time to settle: its
-        # eigendecomposition and product do wake the second thread
-        work = "for _ in propagate_batch(psi, params, 50, 100, seed=1): pass"
-        prepare = "params.half_step_unitary; time.sleep(0.3)"
-        assert cpu_beyond_wall_at_64_nodes(work, prepare) <= 0.05
+        # the pieces B(h), their build from the identity and the Taylor
+        # polynomials are vector-matrix products row by row, which stay on one
+        # thread at any row count; a (rows, 64) BLAS product would not
+        work = "for _ in _norm_decay(psi, params, np.linspace(0, 2, 21), 100, seed=1): pass"
+        assert cpu_beyond_wall_at_64_nodes(work) <= 0.05
 
     def test_waiting_time_engine_leaves_no_busy_blas_thread(self):
         # the node rates of a 512-run chunk are one product with the 64 x 64
@@ -639,7 +722,9 @@ class TestLindblad:
     def test_jump_phase_is_unobservable(self):
         params = natural_params()
         psi = packet(params.grid)
-        out, _ = step(psi, params, always_jump)
+        _, _, _, _, states = next(r for r in dynamics._norm_decay(psi, params, [0, 2], 4, 5)
+                                  if r[3] is not None)
+        out = states[0]
         alt = -1j * out
         assert np.max(np.abs(np.outer(out, out.conj()) - np.outer(alt, alt.conj()))) < 1e-14
 
@@ -714,6 +799,73 @@ class TestEnsembleVsMaster:
         rep = ensemble_vs_master(psi0, params, 1.0, 4000, seed=21, n_checkpoints=6)
         assert rep.within_bound
         assert rep.bound[0] == pytest.approx(5.0 / np.sqrt(4000))
+
+
+@dataclass
+class CoarseGrainReport:
+    expected_noflash: float
+    noflash_freq: float
+    noflash_sigma: float
+    node_histogram: np.ndarray
+    expected_node_probs: np.ndarray
+    two_or_more_freq: float
+    two_flash_expected: float
+
+
+def coarse_grain_consistency(params: ModelParams, psi0, gamma: float,
+                             delta_t: float, n_windows: int,
+                             seed: int) -> CoarseGrainReport:
+    """Sample exact collapse-point windows (``exact._sample_windows``) and
+    compare with the rate law.
+
+    The spacetime point density is fixed by mu = lambda hbar^2 /
+    (c gamma) so the coarse-grained rate matches params.  For each
+    window a fresh Poisson placement is drawn, the chain is sampled
+    exactly, and flash counts and positions are accumulated.  Bare
+    Hamiltonian evolution over the short window is neglected, as the
+    first-order rate law itself does.
+    """
+    v = np.asarray(psi0).astype(complex)
+    mu = params.lambda_grw * params.hbar ** 2 / (params.c_light * gamma)
+    rates = flash_rate_density(v, params)
+    total_rate = float(rates.sum())
+    expected_noflash = 1.0 - total_rate * delta_t
+
+    histogram = np.zeros(params.family.grid.n)
+    noflash = 0
+    multi = 0
+    for _, nodes, bits in _sample_windows(v, replace(params, hamiltonian=None), mu, gamma,
+                                          delta_t, n_windows, seed):
+        n_flash = int(bits.sum())
+        if n_flash == 0:
+            noflash += 1
+        elif n_flash == 1:
+            histogram[nodes[bits][0]] += 1
+        else:
+            multi += 1
+    p0 = noflash / n_windows
+    return CoarseGrainReport(
+        expected_noflash=expected_noflash,
+        noflash_freq=p0,
+        noflash_sigma=float(np.sqrt(max(p0 * (1 - p0), 1e-12) / n_windows)),
+        node_histogram=histogram,
+        expected_node_probs=rates / total_rate if total_rate > 0 else rates,
+        two_or_more_freq=multi / n_windows,
+        two_flash_expected=(total_rate * delta_t) ** 2)
+
+
+def noflash_bias_vs_gamma(params: ModelParams, psi0, gammas, delta_t: float):
+    """Coupling-strength bias of the no-flash probability, per gamma.
+
+    The reference is the gamma -> 0 limit of the placement-averaged
+    exact probability at fixed rate constant; the remaining deviation
+    is the second-order weak-measurement bias, which must shrink
+    linearly in gamma.  Returns a list of (gamma, |bias|) pairs.
+    """
+    reference = expected_noflash_probability(params, psi0, 0.0, delta_t)
+    return [(float(g), abs(expected_noflash_probability(params, psi0, float(g), delta_t)
+                           - reference))
+            for g in gammas]
 
 
 class TestCoarseGrain:
@@ -805,15 +957,13 @@ class TestModelParams:
             params.mass = 7.0
         assert params.grid is grw_family.grid
 
-    def test_replace_rebuilds_the_half_step_unitary(self):
+    def test_replace_rebuilds_the_no_jump_generator(self):
         h = hopping(16)
         params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=0.0, dt=0.01, hamiltonian=h)
-        psi = packet(params.grid)
-        step(psi, params, never_jump)   # caches the dt = 0.01 half step
-        wide = replace(params, dt=0.2)
-        out, node = step(psi, wide, never_jump)
-        assert node is None
-        assert np.max(np.abs(out - unitary_from_generator(h, 0.2) @ psi)) < 1e-12
+        assert np.array_equal(params.no_jump_generator, -1j * h.T)   # cached at hbar 1
+        slow = replace(params, hbar=2.0)
+        assert np.array_equal(slow.scaled_hamiltonian, h / 2.0)
+        assert np.array_equal(slow.no_jump_generator, -1j * (h / 2.0).T)
 
 
 def test_checkpoints_beyond_the_step_count_give_every_step():

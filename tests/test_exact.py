@@ -13,7 +13,7 @@ from cpsim.errors import ContractViolationError
 from cpsim.exact import (CollapsePoint, _placement, _sample_windows, enumerate_chain,
                          interact_once, markov_check)
 from cpsim.gravity import GravityParams, grav_unitary
-from cpsim.hilbert import SpatialGrid, unitary_from_generator
+from cpsim.hilbert import SpatialGrid
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
 from cpsim.rng import stream
 from helpers import random_hermitian, random_state
@@ -132,7 +132,7 @@ class TestEnumerateChain:
         joint = np.kron(psi, [1, 0, 0, 0])  # two ancilla qubits
         t_prev = 0.0
         for m, cp in enumerate(chain):
-            gap = np.kron(unitary_from_generator(h, cp.time - t_prev), np.eye(4))
+            gap = np.kron(expm(-1j * h * (cp.time - t_prev)), np.eye(4))
             t_prev = cp.time
             # couple the system to ancilla m inside the (sys, anc0, anc1) ordering
             anc = (SX, np.eye(2)) if m == 0 else (np.eye(2), SX)
@@ -296,7 +296,7 @@ def start_state(grid):
 def reference_window(psi0, family, H, seed, w):
     """Window w drawn point by point: the Poisson count, one uniform per
     time, Generator.choice for each node, then one interact_once per point
-    with unitary_from_generator for the gaps."""
+    with scipy's expm for the gaps."""
     grid = family.grid
     rng = stream(seed, w)
     n = rng.poisson(MU * C * grid.volume * T_END)
@@ -305,7 +305,7 @@ def reference_window(psi0, family, H, seed, w):
     state, prev, bits = psi0, 0.0, []
     for t, k in zip(times, nodes):
         if H is not None:
-            state = unitary_from_generator(H, t - prev, HBAR) @ state
+            state = expm(-1j * H * (t - prev) / HBAR) @ state
         prev = t
         p1, flash, noflash = interact_once(
             state, CollapsePoint(t, GAMMA, np.sqrt(PREFACTOR) * np.diag(family.diagonals[k])),
