@@ -11,8 +11,7 @@ from .gravity import (DephasingCurve, GravityParams, compute_dephasing_curve,
                       grav_master_dephasing_check, grav_profile_F, grav_unitary,
                       macro_potential, probe_line_family)
 from .hilbert import SpatialGrid
-from .measurement import (BornReport, born_experiment,
-                          decoherence_vs_reduction, premeasure, wilson_interval)
+from .measurement import BornReport, born_experiment, premeasure, wilson_interval
 from .operators import (FockBasis, OperatorFamily, SmearingFunction,
                         build_grw_family, build_smeared_mass, build_smeared_number,
                         first_quantized_equiv_check, grw_gaussian)

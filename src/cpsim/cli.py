@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import (_MAX_FLASHES, _MAX_SUBSTEPS, ModelParams, _norm_decay,
-                       ensemble_vs_master, integrate_master)
+from .dynamics import (_MAX_SUBSTEPS, ModelParams, _check_flashes, _check_substeps,
+                       _norm_decay, ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _sample_windows
@@ -183,13 +183,13 @@ def _check_phase(params: ModelParams, t_end: float):
                               f"{phase:.3g} rad, above the {_MAX_SUBSTEPS} substeps of one run")
 
 
-def _check_flashes(params: ModelParams, t_end: float, key: str):
-    """Refuse a jump run of more than ``_MAX_FLASHES`` expected flashes up to
-    ``options.key`` = t_end."""
-    flashes = params.rate_scale * float(params.weighted_l2.max()) * t_end
-    if not flashes <= _MAX_FLASHES:
-        raise ConfigError(f"options.{key}: rate * max W * {key} = {flashes:.3g} expected "
-                          f"flashes per run, above {_MAX_FLASHES}")
+def _check_work(params: ModelParams, t: float, key: str, check):
+    """Apply the engine's work cap ``check`` to a run over t = ``options.key``
+    at validate time, naming that field."""
+    try:
+        check(params, t)
+    except (ContractViolationError, StepSizeError) as exc:
+        raise ConfigError(f"options.{key}: {exc}") from None
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -311,7 +311,7 @@ def _ensemble(cfg, opts, keys=()):
     psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
     n_steps = _steps(t_end, params.dt, "options", "t_end", jump=True)
     _check_phase(params, n_steps * params.dt)
-    _check_flashes(params, n_steps * params.dt, "t_end")
+    _check_work(params, n_steps * params.dt, "t_end", _check_flashes)
     return params, psi0, t_end, n_steps, _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
 
@@ -338,6 +338,7 @@ def _trajectories(cfg, opts):
 
 def _compare(cfg, opts):
     params, psi0, t_end, n_steps, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
+    _check_work(params, n_steps * params.dt, "t_end", _check_substeps)
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
     kept = min(n_checkpoints, n_steps + 1) * params.grid.n ** 2
     if kept > _MAX_KEPT_AMPLITUDES:
@@ -357,9 +358,10 @@ def _master(cfg, opts):
     _reject_unknown(opts, {"t_end", "n_checkpoints", "psi0"}, "options")
     psi0 = _parse_psi0(opts, params.grid)
     t_end = _positive(opts, "t_end", "options")
-    _steps(t_end, params.dt, "options", "t_end")
+    n_steps = _steps(t_end, params.dt, "options", "t_end")
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
     _check_phase(params, t_end)
+    _check_work(params, n_steps * params.dt, "t_end", _check_substeps)
 
     def run(seed):
         rows = []
@@ -407,7 +409,7 @@ def _born(cfg, opts):
     params = replace(params, mass=amplification * params.m_r)
     # a born run does not read dt, which is validated as for every jump run
     _steps(t_obs, params.dt, path, "t_obs", jump=True)
-    _check_flashes(params, t_obs, "t_obs")
+    _check_work(params, t_obs, "t_obs", _check_flashes)
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):
@@ -502,7 +504,11 @@ def _potential(cfg, opts):
         rows = []
         for dprobe in probes:
             val = macro_potential(dens, grid, gp, m_r, [float(dprobe)])
-            rows.append((dprobe, val, -gp.G * m_r / float(dprobe)))
+            ref = -gp.G * m_r / float(dprobe)
+            if not (math.isfinite(val) and math.isfinite(ref)):
+                raise DomainError(f"the potential at probe distance {dprobe!r} overflows double "
+                                  f"precision (gravity.g_newton * options.m_r = {gp.G * m_r:.3g})")
+            rows.append((dprobe, val, ref))
         return (["probe_m", "potential_j_per_kg", "newtonian_reference"], rows)
     return run
 

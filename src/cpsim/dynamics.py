@@ -20,6 +20,7 @@ of exp(L t), through scaling and a truncated Taylor series
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -236,11 +237,12 @@ _MAX_NEWTON = 64
 _MAX_FLASHES = 2 ** 24
 
 
-def _check_flashes(params: ModelParams, t_end: float):
-    """Refuse a run of more than ``_MAX_FLASHES`` expected flashes before any draw."""
-    flashes = params.rate_scale * float(np.maximum.reduce(params.weighted_l2)) * t_end
+def _check_flashes(params: ModelParams, t: float):
+    """Refuse a jump run over t of more than ``_MAX_FLASHES`` expected flashes
+    before any draw."""
+    flashes = params.rate_scale * float(np.maximum.reduce(params.weighted_l2)) * t
     if not flashes <= _MAX_FLASHES:
-        raise ContractViolationError(f"rate_scale * max W * t_end = {flashes:.3g} expected "
+        raise ContractViolationError(f"rate_scale * max W * t = {flashes:.3g} expected "
                                      f"flashes per run, above {_MAX_FLASHES}")
 
 
@@ -265,11 +267,8 @@ def _pieces(params: ModelParams, span: float):
     ||psi||^2 by at most e^-2, so no norm underflows inside one."""
     if not span > 0:
         raise ContractViolationError(f"report times must ascend, got a gap of {span!r}")
-    norm = float(_spectral_bound(params.no_jump_generator))
-    s = max(1, int(np.ceil(span * norm)))
-    m, _ = _taylor_degree(span / s * norm)
-    return s, span / s, m, _no_jump(np.eye(len(params.no_jump_generator), dtype=complex),
-                                    params, span / s, m)
+    s, h, m, _ = _substeps(span, _spectral_bound(params.no_jump_generator))
+    return s, h, m, _no_jump(np.eye(len(params.no_jump_generator), dtype=complex), params, h, m)
 
 
 def _crossing(v, w, params: ModelParams, m: int, span, log_u):
@@ -503,22 +502,54 @@ def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
 
 
 def _spectral_bound(a):
-    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of a, as the
-    product of the two roots: it stays finite where ||a||_1 ||a||_inf overflows."""
+    """sqrt(||a||_1 ||a||_inf), an upper bound on the 2-norm of a, as (b, scale),
+    the bound being b * scale: scale is 1, or the even power of two just below
+    max |a| once that reaches 4.  The sums of the exact |a| / scale cannot
+    overflow, and (t * scale) * b is t times the bound wherever that is finite."""
     m = np.abs(a)
-    return np.sqrt(m.sum(axis=-1).max()) * np.sqrt(m.sum(axis=-2).max())
+    e = math.frexp(float(m.max()))[1]
+    scale = math.ldexp(1.0, max(e - e % 2 - 2, 0))
+    m /= scale
+    return float(np.sqrt(m.sum(axis=-1).max()) * np.sqrt(m.sum(axis=-2).max())), scale
 
 
-def _generator_norm(params: ModelParams) -> float:
-    """Upper bound on the Frobenius-induced norm of L = ``lindblad_rhs``.
+def _generator_norm(params: ModelParams):
+    """Upper bound on the Frobenius-induced norm of L = ``lindblad_rhs``, as
+    (b, scale) with the bound b * scale (see ``_spectral_bound``).
 
     ||[H, rho]|| / hbar <= 2 ||H / hbar||_2 ||rho||, and the collapse part
     acts as the Hadamard product with ``dephasing_matrix`` G, bounded by max |G|.
     """
-    norm = 0.0
-    if params.hamiltonian is not None:
-        norm = 2.0 * float(_spectral_bound(params.scaled_hamiltonian))
-    return norm + params.rate_scale * float(np.abs(params.dephasing_matrix).max())
+    collapse = params.rate_scale * float(np.abs(params.dephasing_matrix).max())
+    b, scale = (0.0, 1.0) if params.hamiltonian is None else \
+        _spectral_bound(params.scaled_hamiltonian)
+    return 2.0 * b + collapse / scale, scale
+
+
+def _check_substeps(params: ModelParams, t: float):
+    """Refuse a master run over t of more than ``_MAX_SUBSTEPS`` Taylor substeps
+    before any work; returns the bound of ``_generator_norm``."""
+    b, scale = bound = _generator_norm(params)
+    work = t * scale * b
+    if not work <= _MAX_SUBSTEPS:
+        raise StepSizeError(f"the generator norm bound times t = {t!r} is {work:.3g}, above "
+                            f"the {_MAX_SUBSTEPS} Taylor substeps of one run")
+    return bound
+
+
+def _substeps(tau: float, bound):
+    """tau as s equal substeps h with x = h ||A|| <= 1, ||A|| bounded by ``bound``
+    = (b, scale) as in ``_spectral_bound``: (s, h, m, rem), m the least Taylor
+    degree whose remainder bound rem = x^(m+1) / (m+1)! e^x is at most 2^-53."""
+    b, scale = bound
+    s = max(1, int(np.ceil(tau * scale * b)))
+    h = tau / s
+    x = h * scale * b
+    m, rem = 0, x * np.exp(x)
+    while rem > 2.0 ** -53:
+        m += 1
+        rem *= x / (m + 1)
+    return s, h, m, rem
 
 
 def _taylor(apply, x, h, m: int):
@@ -529,15 +560,6 @@ def _taylor(apply, x, h, m: int):
         term = apply(term) * (h / j)
         out = out + term
     return out
-
-
-def _taylor_degree(x: float):
-    """Least m with remainder bound x^(m+1) / (m+1)! e^x <= 2^-53, and that bound."""
-    m, rem = 0, x * np.exp(x)
-    while rem > 2.0 ** -53:
-        m += 1
-        rem *= x / (m + 1)
-    return m, rem
 
 
 def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int = 11):
@@ -564,10 +586,7 @@ def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int
     value routine does not wake a second BLAS thread.
     """
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
-    norm = _generator_norm(params)
-    if not norm * n_steps * params.dt <= _MAX_SUBSTEPS:
-        raise StepSizeError(f"the generator norm bound {norm!r} over t = {n_steps * params.dt!r} "
-                            f"needs more than {_MAX_SUBSTEPS} Taylor substeps")
+    bound = _check_substeps(params, n_steps * params.dt)
     r = np.asarray(rho0).astype(complex)
     dev = float(np.abs(r - r.conj().T).max())
     if dev > 1e-12:
@@ -576,9 +595,7 @@ def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int
     for step in marks:
         if step > last:
             tau = (step - last) * params.dt
-            s = max(1, int(np.ceil(tau * norm)))
-            h = tau / s
-            m, rem = _taylor_degree(h * norm)
+            s, h, m, rem = _substeps(tau, bound)
             err += s * rem * float(np.linalg.norm(r))
             trace = r.trace()
             for _ in range(s):
@@ -605,11 +622,6 @@ class EnsembleComparison:
     times: np.ndarray
     frobenius_distance: np.ndarray
     bound: np.ndarray
-    n_traj: int
-
-    @property
-    def within_bound(self) -> bool:
-        return bool(np.all(self.frobenius_distance <= self.bound))
 
 
 def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
@@ -632,7 +644,7 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
     master = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
     dist = np.array([np.linalg.norm(a - r) for a, (_, r, _) in zip(avg, master)])
     bound = np.full(len(marks), 5.0 / np.sqrt(n_traj))
-    return EnsembleComparison(times, dist, bound, n_traj)
+    return EnsembleComparison(times, dist, bound)
 
 
 def expected_noflash_probability(params: ModelParams, psi0, gamma: float,

@@ -23,16 +23,8 @@ class StepSizeError(CpsimError):
 
 
 class ConvergenceError(CpsimError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    Carries the best available estimate so callers can decide whether
-    to accept it anyway.
-    """
-
-    def __init__(self, message, best_estimate=None, error_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
+    """An iteration or adaptive quadrature did not converge; the message
+    says how far it got."""
 
 
 class ConfigError(CpsimError):

@@ -34,7 +34,7 @@ _SQRT_PI = math.sqrt(math.pi)
 #: ``_profile`` stays finite at radii from 0 to 1e4 a
 R_G_MIN, R_G_MAX = 1e-50, 1e50
 
-#: default panel budget of each outer radial quadrature
+#: panel budget of each outer radial quadrature
 _OUTER_MAX_PANELS = 3000
 
 #: radius, in collapse radii, at which the outer integral and the profile
@@ -67,9 +67,7 @@ class AccuracyWarning(UserWarning):
 class GravityParams:
     """Gravitational sector: coupling, smearing and the flash length scale.
 
-    ``r_m`` is a derived quantity; ``from_model`` computes it from
-    (G, m_R, m, lambda).  If a value is supplied alongside the model
-    parameters it must be consistent with them to 1e-12 relative.
+    ``r_m``, which the model fixes at G m_R m / (hbar lambda), is given as a number.
     ``F_kind`` selects the potential profile of one flash: the smeared
     gaussian form or the bare point source 1/r.  ``r_g`` must lie in
     [R_G_MIN, R_G_MAX].
@@ -88,15 +86,6 @@ class GravityParams:
                 f"gravitational smearing radius {self.r_g!r} outside [{R_G_MIN:g}, {R_G_MAX:g}]")
         if self.r_m < 0:
             raise ContractViolationError("flash length scale r_m must be non-negative")
-
-    @classmethod
-    def from_model(cls, G, m_r, mass, lambda_grw, hbar, r_g,
-                   F_kind="gaussian_smeared", r_m=None) -> "GravityParams":
-        derived = G * m_r * mass / (lambda_grw * hbar)
-        if r_m is not None and abs(r_m - derived) > 1e-12 * max(abs(derived), 1e-300):
-            raise ContractViolationError(
-                f"supplied r_m {r_m!r} inconsistent with G m_R m/(hbar lambda) = {derived!r}")
-        return cls(G=G, r_g=r_g, r_m=derived, F_kind=F_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +259,7 @@ def _profile_table(h, lo: float, density: float):
     return np.append(left, right[-1]), prefix, low, float(np.max(err / (right - left)))
 
 
-def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
-                 max_panels: int = _OUTER_MAX_PANELS):
+def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float):
     """(gamma, error_estimate) arrays of the dephasing exponent at each
     probe half-separation in ``d_values``.
 
@@ -301,9 +289,9 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
     depends only on the profile, rho_m and the tolerance, so each
     separation's result and error are those it has when computed alone.
     Raises ConvergenceError for the first separation in input order whose
-    outer quadrature stalled or whose error exceeds max(quad_tol, 1e-15),
-    with its best estimate attached, or for the first one that needed a
-    table over _TABLE_MAX_CELLS cells.
+    outer quadrature stalled within ``_OUTER_MAX_PANELS`` panels or whose
+    error exceeds max(quad_tol, 1e-15), its message naming that error, or
+    for the first one that needed a table over _TABLE_MAX_CELLS cells.
     """
     ds = [float(d) for d in d_values]
     if any(d < 0 for d in ds):
@@ -382,7 +370,7 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
         bracket, np.concatenate([e[:-1] for e in outer_edges]),
         np.concatenate([e[1:] for e in outer_edges]),
         np.repeat(np.arange(len(todo)), [len(e) - 1 for e in outer_edges]),
-        quad_tol / 4.0 / _FOUR_OVER_SQRT_PI, 0.0, max_panels)
+        quad_tol / 4.0 / _FOUR_OVER_SQRT_PI, _OUTER_MAX_PANELS)
     stalled = None
     for j, (k, _) in enumerate(todo):
         gamma[k] = _FOUR_OVER_SQRT_PI * float(value[j]) - 1.0
@@ -391,14 +379,12 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float,
         if stalled is None and not (converged[j] and within):
             stalled = k
     if stalled is not None:
-        best, bound = float(gamma[stalled]), float(err[stalled])
-        raise ConvergenceError(f"dephasing quadrature stalled at error {bound!r} for "
-                               f"d = {ds[stalled]!r}", best_estimate=best, error_estimate=bound)
+        raise ConvergenceError(f"dephasing quadrature stalled at error {float(err[stalled])!r} "
+                               f"for d = {ds[stalled]!r}")
     return gamma, err
 
 
-def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
-               max_panels: int = _OUTER_MAX_PANELS):
+def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9):
     """Dephasing exponent Gamma at probe half-separation d.
 
     The overlap of the two phase-dressed localization profiles, reduced to
@@ -409,11 +395,11 @@ def gamma_of_d(d: float, gp: GravityParams, r_c: float, quad_tol: float = 1e-9,
     batched engine behind ``compute_dephasing_curve``, and returns what
     that gives for d bit for bit.
 
-    Raises ConvergenceError (with the best estimate attached) if the
+    Raises ConvergenceError, its message naming the error reached, if the
     radial quadrature cannot reach the requested tolerance within
-    ``max_panels`` panels, or the profile table within its cell budget.
+    ``_OUTER_MAX_PANELS`` panels, or the profile table within its cell budget.
     """
-    gamma, err = _gamma_batch([d], gp, r_c, quad_tol, max_panels)
+    gamma, err = _gamma_batch([d], gp, r_c, quad_tol)
     return float(gamma[0]), float(err[0])
 
 
@@ -576,4 +562,4 @@ def macro_potential(mass_density, grid: SpatialGrid, gp: GravityParams,
                       "the far-field accuracy statement does not apply", AccuracyWarning)
     vals = grav_profile_F(np.maximum(dist, 1e-300), gp) if gp.F_kind == "point_source" \
         else grav_profile_F(dist, gp)
-    return float(-gp.G * m_r * np.sum(grid.weights * dens * vals))
+    return -gp.G * m_r * float(np.sum(grid.weights * dens * vals))

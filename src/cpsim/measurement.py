@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, _abs2, _flash_to_flash, flash_rate_density
+from .dynamics import ModelParams, _abs2, _flash_to_flash
 from .errors import ContractViolationError
 from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
@@ -161,47 +161,3 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
         zero_flash_runs=n_runs - classified,
         mean_branch_fidelity=float(np.mean(fidelities)) if fidelities.size else float("nan"),
         median_first_flash_time=float(np.median(first_times)) if first_times.size else float("nan"))
-
-
-@dataclass
-class DecoherenceTimingReport:
-    """Structural rates of the measurement demonstration.
-
-    In this model the interband dephasing rate equals the total flash
-    rate once the branches stop overlapping, so at the median first
-    flash time the interband coherence has decayed by the fixed factor
-    2^-(1 - overlap), about one half.  The report carries both rates
-    and the coherence ratio so the locking can be asserted.
-    """
-
-    total_flash_rate: float
-    dephasing_rate: float
-    median_first_flash_time: float
-    coherence_ratio_at_median: float
-    predicted_ratio: float
-
-
-def decoherence_vs_reduction(c, centers, params: ModelParams) -> DecoherenceTimingReport:
-    """Compare the interband dephasing rate with the flash rate.
-
-    Uses the closed dephasing form of the diagonal family: the
-    off-diagonal block between the two most widely separated regions
-    decays at rate_scale * (1 - overlap); the total flash rate is
-    rate_scale * sum_k w_k <L_k^2>.  Both are evaluated on the
-    premeasured state.
-    """
-    psi0 = premeasure(c, centers, params.family)
-    rates = flash_rate_density(psi0, params)
-    total = float(rates.sum())
-    f = params.family.smearing
-    d = max(abs(a - b) for a in centers for b in centers) / 2.0
-    overlap = math.exp(-(d / f.radius) ** 2)
-    dephasing = params.rate_scale * (1.0 - overlap)
-    t_med = math.log(2.0) / total
-    ratio = math.exp(-dephasing * t_med)
-    return DecoherenceTimingReport(
-        total_flash_rate=total,
-        dephasing_rate=dephasing,
-        median_first_flash_time=t_med,
-        coherence_ratio_at_median=ratio,
-        predicted_ratio=2.0 ** (-(1.0 - overlap)))

@@ -66,11 +66,11 @@ def _gk15_call(f, lo, hi, owner):
     return k, np.where(scale, resabs * ratio * np.sqrt(ratio), err)
 
 
-def _integrate_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
+def _integrate_batch(f, lo, hi, owner, abs_tol, max_panels):
     """Integrate m problems given by their initial panels ``[lo, hi]``.
 
     ``owner`` maps each panel to its problem (0..m-1, every problem
-    owning at least one panel); ``abs_tol``, ``rel_tol`` and
+    owning at least one panel); the absolute tolerance ``abs_tol`` and
     ``max_panels`` are per-problem arrays or scalars.  ``f(x, owner)``
     receives nodes of shape (p, 15) and the owner of each row.  Returns
     per-problem (value, error, n_panels, converged) arrays.
@@ -81,15 +81,14 @@ def _integrate_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
     val, err = _gk15(f, lo, hi, owner)
     value, error = np.zeros(m), np.zeros(m)
     n_panels, converged = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    tol = np.broadcast_to(abs_tol, m)
     while True:
         n = np.bincount(owner, minlength=m)
         total = np.bincount(owner, val, minlength=m)
         total_err = np.bincount(owner, err, minlength=m)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         room = max_panels - n
         open_ = (total_err > tol) & (room > 0)
-        # a closed problem never reopens: its tolerance depends only on its
-        # own total, which no longer changes
+        # a closed problem never reopens: its panels no longer change
         closed = (n > 0) & ~open_
         if closed.any():
             value[closed], error[closed] = total[closed], total_err[closed]

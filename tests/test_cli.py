@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsim import cli
+from cpsim import cli, gravity
 from cpsim.cli import main, read_results, run_config, validate_config
 from cpsim.dynamics import _norm_decay
 from cpsim.errors import ConfigError
@@ -82,6 +82,15 @@ def long_compare_config(path):
     cfg = ensemble_config(path, "compare")
     cfg["options"]["t_end"] = 1e4
     return cfg
+
+
+def long_config(experiment):
+    """``ensemble_config`` of ``experiment`` over t_end 1."""
+    def build(path):
+        cfg = ensemble_config(path, experiment)
+        cfg["options"]["t_end"] = 1.0
+        return cfg
+    return build
 
 
 def smeared_gamma_config(path, r_g=1.0):
@@ -359,6 +368,11 @@ class TestExitCodes:
          1e300, "params.hamiltonian.strength"),
         (lambda path: ensemble_config(path, "master"), ("params", "hamiltonian"), "strength",
          1e300, "params.hamiltonian.strength"),
+        # a phase of 4e5 rad, within the cap, but a master propagation of 1.6e6
+        # Taylor substeps, and one of 9.2e6 for the collapse part alone
+        (long_config("master"), ("params", "hamiltonian"), "strength", 4e5, "options.t_end"),
+        (long_config("compare"), ("params", "hamiltonian"), "strength", 4e5, "options.t_end"),
+        (long_config("master"), ("params",), "lambda_grw", 1e7, "options.t_end"),
         # 2.5e301 expected flashes in each born run, and about 1e299 in each trajectory
         (born_config, ("params",), "lambda_grw", 1e300, "options.t_obs"),
         (ensemble_config, ("params",), "lambda_grw", 1e300, "options.t_end"),
@@ -391,7 +405,8 @@ class TestExitCodes:
             "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
             "born-centre-huge", "born-zero-steps", "compare-zero-steps",
             "trajectories-zero-steps", "trajectories-phase-huge", "compare-phase-huge",
-            "master-phase-huge", "born-flashes-huge", "trajectories-flashes-huge",
+            "master-phase-huge", "master-substeps-hamiltonian", "compare-substeps-hamiltonian",
+            "master-substeps-collapse", "born-flashes-huge", "trajectories-flashes-huge",
             "compare-flashes-huge", "energy-r_m-huge", "energy-width-huge", "energy-width-tiny",
             "energy-r_max-huge", "energy-mass-subnormal", "energy-hbar-huge",
             "potential-spacing-huge", "potential-spacing-tiny", "potential-probe-huge",
@@ -428,15 +443,9 @@ class TestExitCodes:
         cfg["options"]["d_values"] = [0.3]
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        import cpsim.cli as cli
-        from cpsim.gravity import gamma_of_d
-
-        def tiny_budget(d_values, gp, r_c, quad_tol):
-            for d in d_values:
-                gamma_of_d(float(d), gp, r_c, quad_tol, max_panels=8)
-
-        monkeypatch.setattr(cli, "compute_dephasing_curve", tiny_budget)
+        monkeypatch.setattr(gravity, "_OUTER_MAX_PANELS", 8)
         assert main(["run", str(p)]) == 4
+        assert "stalled at error" in capsys.readouterr().err
 
 
 class TestRunners:
@@ -682,6 +691,23 @@ def test_strength_and_hbar_both_subnormal_exit_zero(tmp_path, capsys, experiment
     assert len(rows) == 3 and all(math.isfinite(x) for row in rows for x in row)
 
 
+@pytest.mark.parametrize("experiment", ["trajectories", "compare", "master"])
+def test_largest_strength_over_the_smallest_time_exits_zero(tmp_path, capsys, experiment):
+    # the phase |strength| t_end / hbar is about 9e-16 rad, though a row sum
+    # of |H|, twice the largest double, overflows
+    out = tmp_path / "out.csv"
+    cfg = ensemble_config(out, experiment)
+    cfg["params"].update(dt=5e-324, hamiltonian={"kind": "hopping",
+                                                 "strength": sys.float_info.max})
+    cfg["options"]["t_end"] = 5e-324
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["validate", str(p)]) == 0
+    assert main(["run", str(p)]) == 0
+    rows = read_results(out)["rows"]
+    assert rows and all(math.isfinite(x) for row in rows for x in row)
+
+
 @pytest.mark.parametrize("experiment", ["born", "trajectories", "compare"])
 def test_jump_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path, experiment):
     make = FUZZ_BASES[experiment]
@@ -705,6 +731,9 @@ def with_defaults(make, section, **defaults):
 FLOAT_SWEEP_BASES = {
     "energy": with_defaults(energy_config, "options", r_max=24.0, mass=1.0, hbar=1.0),
     "potential": with_defaults(potential_config, "options", m_r=1.0),
+    # G m_r / d overflows once m_r is 1e300 or more
+    "potential-strong-gravity": with_defaults(
+        with_defaults(potential_config, "gravity", g_newton=1e300), "options", m_r=1.0),
     "master": with_defaults(lambda path: ensemble_config(path, "master"), "params",
                             hbar=1.0, c_light=1.0, mass=1.0, m_r=1.0),
 }

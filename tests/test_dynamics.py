@@ -583,7 +583,8 @@ def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
     after it, in a fresh interpreter.  A threaded BLAS call at 64 nodes wakes
     a second thread that spins for about 0.13 s of CPU after the call; work on
     one thread spends no more CPU than wall time.  ``prepare`` runs first,
-    untimed."""
+    untimed, and then a 0.3 s sleep, since the BLAS worker also spins for
+    10-40 ms after ``import numpy``."""
     code = textwrap.dedent(f"""
         import time
         import numpy as np
@@ -599,6 +600,7 @@ def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
         psi = np.exp(-grid.x ** 2 / 4.0).astype(complex)
         psi /= np.linalg.norm(psi)
         {prepare}
+        time.sleep(0.3)
         cpu, wall = time.process_time(), time.perf_counter()
         {work}
         wall = time.perf_counter() - wall
@@ -797,7 +799,7 @@ class TestEnsembleVsMaster:
                                      hamiltonian=np.array([[0, 1], [1, 0]], dtype=complex))
         psi0 = np.array([1.0, 0.0], dtype=complex)
         rep = ensemble_vs_master(psi0, params, 1.0, 4000, seed=21, n_checkpoints=6)
-        assert rep.within_bound
+        assert np.all(rep.frobenius_distance <= rep.bound)
         assert rep.bound[0] == pytest.approx(5.0 / np.sqrt(4000))
 
 

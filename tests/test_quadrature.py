@@ -14,17 +14,17 @@ def kink_exact(a, b, c):
     return (2.0 / 3.0) * ((c - a) ** 1.5 + (b - c) ** 1.5)
 
 
-def one_problem(f, edges, abs_tol=1e-10, rel_tol=1e-10, max_panels=2000):
+def one_problem(f, edges, abs_tol=1e-10, max_panels=2000):
     """(value, error, n_panels, converged) of the elementwise ``f`` over the
     initial panels between consecutive ``edges``, as a one-problem batch."""
     edges = np.asarray(edges, dtype=float)
     value, error, n, converged = _integrate_batch(
         lambda x, owner: f(x), edges[:-1], edges[1:], np.zeros(len(edges) - 1, dtype=int),
-        abs_tol, rel_tol, max_panels)
+        abs_tol, max_panels)
     return value[0], error[0], n[0], converged[0]
 
 
-def reference_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
+def reference_batch(f, lo, hi, owner, abs_tol, max_panels):
     """The engine's rounds without retiring closed problems and with every
     panel ranked worst first: the plain loop the engine must match bit for bit."""
     m = int(owner.max()) + 1
@@ -33,7 +33,7 @@ def reference_batch(f, lo, hi, owner, abs_tol, rel_tol, max_panels):
         n = np.bincount(owner, minlength=m)
         total = np.bincount(owner, val, minlength=m)
         total_err = np.bincount(owner, err, minlength=m)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        tol = np.broadcast_to(abs_tol, m)
         room = max_panels - n
         open_ = (total_err > tol) & (room > 0)
         if not open_.any():
@@ -76,13 +76,13 @@ class TestAdaptive:
                              ids=["no-break", "break-at-kink"])
     def test_kink_error_bounds_true_error(self, edges):
         value, error, _, converged = one_problem(lambda x: np.sqrt(np.abs(x - 0.3)), edges,
-                                                 abs_tol=1e-10, rel_tol=0.0)
+                                                 abs_tol=1e-10)
         assert converged
         assert abs(value - kink_exact(0.0, 1.0, 0.3)) <= error <= 1e-10
 
     def test_max_panels_exhaustion_reports_not_converged(self):
         value, error, n, converged = one_problem(lambda x: np.sqrt(np.abs(x - 0.3)), [0.0, 1.0],
-                                                 abs_tol=1e-15, rel_tol=0.0, max_panels=10)
+                                                 abs_tol=1e-15, max_panels=10)
         assert not converged
         assert n == 10
         assert abs(value - kink_exact(0.0, 1.0, 0.3)) <= error
@@ -90,7 +90,7 @@ class TestAdaptive:
     def test_round_stops_at_the_panel_budget(self):
         # all 8 initial panels are above their share, but only 3 fit
         _, _, n, converged = one_problem(lambda x: np.sin(200.0 * x), np.arange(9) / 8,
-                                         abs_tol=1e-14, rel_tol=0.0, max_panels=11)
+                                         abs_tol=1e-14, max_panels=11)
         assert not converged
         assert n == 11
 
@@ -110,13 +110,13 @@ class TestBatch:
 
     def test_problem_alone_equals_problem_in_batch(self):
         alone = _integrate_batch(self.integrand(self.SHIFTS[:1], self.SCALES[:1]), np.zeros(1),
-                                 np.ones(1), np.zeros(1, dtype=int), 1e-12, 1e-12, 200)
+                                 np.ones(1), np.zeros(1, dtype=int), 1e-12, 200)
         assert alone[2][0] > 4
         for first in (0, 2):
             perm = np.arange(4)
             perm[[0, first]] = perm[[first, 0]]
             batch = _integrate_batch(self.integrand(self.SHIFTS[perm], self.SCALES[perm]),
-                                     np.zeros(4), np.ones(4), np.arange(4), 1e-12, 1e-12, 200)
+                                     np.zeros(4), np.ones(4), np.arange(4), 1e-12, 200)
             for got, want in zip(batch, alone):
                 assert got[first] == want[0]
             assert batch[2][first] < batch[2].max()   # the others did refine further
@@ -124,7 +124,7 @@ class TestBatch:
     def test_per_problem_tolerances_and_budgets(self):
         f = self.integrand(np.array([0.3, 0.3]), np.ones(2))
         value, error, n, converged = _integrate_batch(
-            f, np.zeros(2), np.ones(2), np.arange(2), np.array([1e-6, 1e-15]), 0.0,
+            f, np.zeros(2), np.ones(2), np.arange(2), np.array([1e-6, 1e-15]),
             np.array([400, 12]))
         assert converged.tolist() == [True, False]
         assert n[1] == 12 and error[0] <= 1e-6
@@ -141,15 +141,14 @@ class TestBatch:
         def recorded(x, owner):
             calls.append(set(owner.tolist()))
             return f(x, owner)
-        batch = _integrate_batch(recorded, np.zeros(4), np.ones(4), np.arange(4), 1e-12, 1e-12,
-                                 200)
+        batch = _integrate_batch(recorded, np.zeros(4), np.ones(4), np.arange(4), 1e-12, 200)
         for k in range(4):
             seen = [k in owners for owners in calls]
             last = seen.index(False) if False in seen else len(calls)
             assert all(seen[:last]) and not any(seen[last:])
         assert not any(0 in owners for owners in calls[-3:])   # problem 0 closed early
         alone = _integrate_batch(self.integrand(self.SHIFTS[:1], self.SCALES[:1]), np.zeros(1),
-                                 np.ones(1), np.zeros(1, dtype=int), 1e-12, 1e-12, 200)
+                                 np.ones(1), np.zeros(1, dtype=int), 1e-12, 200)
         for got, want in zip(batch, alone):
             assert got[0] == want[0]
 
@@ -160,7 +159,7 @@ class TestBatch:
         scale = np.ones(40)
         lo = np.tile(np.arange(8) / 8, 40)
         owner = np.repeat(np.arange(40), 8)
-        args = (lo, lo + 1 / 8, owner, 1e-12, 1e-12, 400)
+        args = (lo, lo + 1 / 8, owner, 1e-12, 400)
         whole = _integrate_batch(self.integrand(shift, scale), *args)
         sizes = []
         f = self.integrand(shift, scale)
@@ -182,7 +181,7 @@ class TestBatch:
         f = self.integrand(self.SHIFTS, self.SCALES)
         lo = np.tile([0.0, 0.25, 0.5], 4)
         owner = np.repeat(np.arange(4), 3)
-        args = (lo, lo + 0.25, owner, abs_tol, 1e-12, max_panels)
+        args = (lo, lo + 0.25, owner, abs_tol, max_panels)
         for got, want in zip(_integrate_batch(f, *args), reference_batch(f, *args)):
             assert np.array_equal(got, want)
 
@@ -196,7 +195,7 @@ class TestBatch:
         lo = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.0])
         hi = lo + np.array([1.0] * 7 + [0.05])
         owner = np.array([0] * 7 + [1])
-        args = (None, lo, hi, owner, 0.1, 0.0, 100)
+        args = (None, lo, hi, owner, 0.1, 100)
         got = _integrate_batch(*args)
         assert got[2].tolist() == [8, 1] and got[3].all()
         for got_k, want in zip(got, reference_batch(*args)):
