@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import (_MAX_SUBSTEPS, ModelParams, _check_flashes, _check_substeps,
+from .dynamics import (ModelParams, _check_flashes, _check_substeps, _generator_norm,
                        _norm_decay, ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
@@ -50,8 +50,8 @@ _MAX_RADIAL_POINTS = 2 ** 20
 #: results row or a per-run record of at most a few hundred bytes, so
 #: they stay within a few hundred MiB
 _MAX_RUNS = 2 ** 20
-#: most steps t / dt of one jump-process run or checkpoint grid: the count
-#: must be a finite integer, and a run of 2^24 steps already takes hours
+#: most steps t / dt of one run's report grid, the times i dt: no engine steps
+#: by dt, but the count must be a finite integer
 _MAX_STEPS = 2 ** 24
 #: most averaged density-matrix entries a ``compare`` run keeps at its
 #: checkpoints (16 bytes each, so 256 MiB)
@@ -172,24 +172,13 @@ def _steps(t: float, dt: float, path: str, key: str, jump=False) -> int:
     return int(round(n))
 
 
-def _check_phase(params: ModelParams, t_end: float):
-    """Refuse |strength| * t_end / hbar above ``_MAX_SUBSTEPS``: every propagator
-    takes at least this many Taylor substeps.  |strength| / hbar comes first,
-    so that H / hbar is finite wherever the check passes."""
-    if params.hamiltonian is not None:
-        phase = float(np.abs(params.hamiltonian).max()) / params.hbar * t_end
-        if not phase <= _MAX_SUBSTEPS:
-            raise ConfigError(f"params.hamiltonian.strength: |strength| * t_end / hbar = "
-                              f"{phase:.3g} rad, above the {_MAX_SUBSTEPS} substeps of one run")
-
-
-def _check_work(params: ModelParams, t: float, key: str, check):
-    """Apply the engine's work cap ``check`` to a run over t = ``options.key``
-    at validate time, naming that field."""
+def _check_work(field: str, check, *args):
+    """Apply the engine's own cap ``check(*args)`` at validate time, naming
+    ``field``."""
     try:
-        check(params, t)
-    except (ContractViolationError, StepSizeError) as exc:
-        raise ConfigError(f"options.{key}: {exc}") from None
+        check(*args)
+    except (ContractViolationError, DomainError, StepSizeError) as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -211,6 +200,7 @@ def _parse_params(cfg: dict, build=None) -> ModelParams:
                           "grid", "family", "hamiltonian"}, path)
     lam = _nonnegative(obj, "lambda_grw", path)
     dt = _positive(obj, "dt", path)
+    hbar = _positive(obj, "hbar", path, 1.0)
     g_obj, g_path = _field(obj, "grid", dict, path), f"{path}.grid"
     _reject_unknown(g_obj, {"nodes", "spacing", "center"}, g_path)
     grid = SpatialGrid.line(_count(g_obj, "nodes", g_path, least=2, most=MAX_DIM),
@@ -228,6 +218,10 @@ def _parse_params(cfg: dict, build=None) -> ModelParams:
     h_kind = _field(h_obj, "kind", str, f"{path}.hamiltonian")
     if h_kind == "hopping":
         j = _field(h_obj, "strength", float, f"{path}.hamiltonian")
+        # every engine reads H / hbar
+        if not abs(j) / hbar < math.inf:
+            raise ConfigError(f"{path}.hamiltonian.strength: |strength| / hbar overflows "
+                              f"double precision at hbar {hbar!r}")
         h = np.zeros((grid.n, grid.n), dtype=complex)
         for i in range(grid.n - 1):
             h[i, i + 1] = h[i + 1, i] = -j
@@ -235,7 +229,7 @@ def _parse_params(cfg: dict, build=None) -> ModelParams:
         raise ConfigError(f"{path}.hamiltonian.kind: expected 'none' or 'hopping'")
     family = (build or build_grw_family)(grid, grw_gaussian(r_c))
     return ModelParams(lambda_grw=lam, family=family, dt=dt,
-                       hbar=_positive(obj, "hbar", path, 1.0),
+                       hbar=hbar,
                        c_light=_positive(obj, "c_light", path, 1.0),
                        mass=_positive(obj, "mass", path, 1.0),
                        m_r=_positive(obj, "m_r", path, 1.0), hamiltonian=h)
@@ -310,8 +304,7 @@ def _ensemble(cfg, opts, keys=()):
     _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
     psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
     n_steps = _steps(t_end, params.dt, "options", "t_end", jump=True)
-    _check_phase(params, n_steps * params.dt)
-    _check_work(params, n_steps * params.dt, "t_end", _check_flashes)
+    _check_work("options.t_end", _check_substeps, params.no_jump_bound, n_steps * params.dt)
     return params, psi0, t_end, n_steps, _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
 
@@ -338,7 +331,7 @@ def _trajectories(cfg, opts):
 
 def _compare(cfg, opts):
     params, psi0, t_end, n_steps, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
-    _check_work(params, n_steps * params.dt, "t_end", _check_substeps)
+    _check_work("options.t_end", _check_substeps, _generator_norm(params), n_steps * params.dt)
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
     kept = min(n_checkpoints, n_steps + 1) * params.grid.n ** 2
     if kept > _MAX_KEPT_AMPLITUDES:
@@ -360,8 +353,7 @@ def _master(cfg, opts):
     t_end = _positive(opts, "t_end", "options")
     n_steps = _steps(t_end, params.dt, "options", "t_end")
     n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
-    _check_phase(params, t_end)
-    _check_work(params, n_steps * params.dt, "t_end", _check_substeps)
+    _check_work("options.t_end", _check_substeps, _generator_norm(params), n_steps * params.dt)
 
     def run(seed):
         rows = []
@@ -409,7 +401,7 @@ def _born(cfg, opts):
     params = replace(params, mass=amplification * params.m_r)
     # a born run does not read dt, which is validated as for every jump run
     _steps(t_obs, params.dt, path, "t_obs", jump=True)
-    _check_work(params, t_obs, "t_obs", _check_flashes)
+    _check_work("options.t_obs", _check_flashes, params, t_obs)
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):

@@ -131,6 +131,11 @@ class ModelParams:
         return np.ascontiguousarray(g.T)
 
     @cached_property
+    def no_jump_bound(self):
+        """``_spectral_bound`` of G, which the pieces and the cap of a norm-decay run read."""
+        return _spectral_bound(self.no_jump_generator)
+
+    @cached_property
     def _jump_constants(self):
         """What every flash reads: (rate w_k, |L_k|^2 rows, the node-rate matrix
         whose product with weights |psi_j|^2 gives the rates)."""
@@ -232,14 +237,14 @@ def _chunks(n_traj: int, seed: int):
 #: Newton rounds allowed for one wait or flash time; they close in about a
 #: dozen at worst, so reaching this is a bug, not a hard case
 _MAX_NEWTON = 64
-#: most expected flashes of one run, rate_scale * max W * t_end, each one
-#: event of a jump engine: a run of 2^24 events already takes hours
+#: most expected flashes of one waiting-time run, rate_scale * max W * t_end,
+#: each one event of the engine: a run of 2^24 events already takes hours
 _MAX_FLASHES = 2 ** 24
 
 
 def _check_flashes(params: ModelParams, t: float):
-    """Refuse a jump run over t of more than ``_MAX_FLASHES`` expected flashes
-    before any draw."""
+    """Refuse a waiting-time run over t of more than ``_MAX_FLASHES`` expected
+    flashes before any draw; a norm-decay run is capped by its pieces instead."""
     flashes = params.rate_scale * float(np.maximum.reduce(params.weighted_l2)) * t
     if not flashes <= _MAX_FLASHES:
         raise ContractViolationError(f"rate_scale * max W * t = {flashes:.3g} expected "
@@ -267,7 +272,7 @@ def _pieces(params: ModelParams, span: float):
     ||psi||^2 by at most e^-2, so no norm underflows inside one."""
     if not span > 0:
         raise ContractViolationError(f"report times must ascend, got a gap of {span!r}")
-    s, h, m, _ = _substeps(span, _spectral_bound(params.no_jump_generator))
+    s, h, m, _ = _substeps(span, params.no_jump_bound)
     return s, h, m, _no_jump(np.eye(len(params.no_jump_generator), dtype=complex), params, h, m)
 
 
@@ -324,10 +329,11 @@ def _norm_decay(psi0, params: ModelParams, times, n_traj: int, seed: int):
     ``(first, rows, t, nodes, states)`` per round: trajectory first + r of
     each listed row r flashed at t[i] and node nodes[i], leaving states[i];
     at each report time a round with nodes None lists every row's
-    normalised state.  Nothing depends on n_traj or the chunking.
+    normalised state.  Nothing depends on n_traj or the chunking.  A run of
+    more than ``_MAX_SUBSTEPS`` pieces raises before any draw.
     """
     times = [float(t) for t in times]
-    _check_flashes(params, times[-1] - times[0])
+    _check_substeps(params.no_jump_bound, times[-1] - times[0])
     v0, diagonals = np.asarray(psi0).astype(complex), params.family.diagonals
     node_rates = params._jump_constants[2]
     gaps = {d: _pieces(params, d) for d in {b - a for a, b in zip(times, times[1:])}}
@@ -467,8 +473,8 @@ def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
 # master equation
 # ---------------------------------------------------------------------------
 
-#: largest t_end * ||L|| the propagator accepts: it makes one Taylor substep
-#: per unit, so this bounds a run's work at about 2^20 * 18 applications of L
+#: largest t ||A|| a propagation accepts, of L or of the no-jump G: it makes one
+#: Taylor substep per unit, so this bounds its work at about 2^20 * 18 applications of A
 _MAX_SUBSTEPS = 2 ** 20
 
 
@@ -526,15 +532,14 @@ def _generator_norm(params: ModelParams):
     return 2.0 * b + collapse / scale, scale
 
 
-def _check_substeps(params: ModelParams, t: float):
-    """Refuse a master run over t of more than ``_MAX_SUBSTEPS`` Taylor substeps
-    before any work; returns the bound of ``_generator_norm``."""
-    b, scale = bound = _generator_norm(params)
+def _check_substeps(bound, t: float):
+    """Refuse a propagation over t of more than ``_MAX_SUBSTEPS`` Taylor substeps
+    before any work, its generator's norm bounded by ``bound`` = (b, scale)."""
+    b, scale = bound
     work = t * scale * b
     if not work <= _MAX_SUBSTEPS:
         raise StepSizeError(f"the generator norm bound times t = {t!r} is {work:.3g}, above "
                             f"the {_MAX_SUBSTEPS} Taylor substeps of one run")
-    return bound
 
 
 def _substeps(tau: float, bound):
@@ -586,7 +591,8 @@ def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int
     value routine does not wake a second BLAS thread.
     """
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
-    bound = _check_substeps(params, n_steps * params.dt)
+    bound = _generator_norm(params)
+    _check_substeps(bound, n_steps * params.dt)
     r = np.asarray(rho0).astype(complex)
     dev = float(np.abs(r - r.conj().T).max())
     if dev > 1e-12:

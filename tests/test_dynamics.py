@@ -802,6 +802,17 @@ class TestEnsembleVsMaster:
         assert np.all(rep.frobenius_distance <= rep.bound)
         assert rep.bound[0] == pytest.approx(5.0 / np.sqrt(4000))
 
+    def test_over_cap_trajectories_raise_before_any_draw(self, monkeypatch):
+        # a phase of about 1e299 rad: the norm-decay run needs as many pieces,
+        # and the cap on them refuses it before a trajectory opens its stream
+        params = natural_params(grid=SpatialGrid.line(12, 0.5), hamiltonian=hopping(12, 1e300))
+
+        def no_stream(seed, k):
+            raise AssertionError("a trajectory opened its stream")
+        monkeypatch.setattr(dynamics, "stream", no_stream)
+        with pytest.raises(StepSizeError, match="substeps"):
+            ensemble_vs_master(packet(params.grid), params, 0.1, 4, seed=1)
+
 
 @dataclass
 class CoarseGrainReport:
