@@ -33,11 +33,11 @@ from .dynamics import (ModelParams, _check_flashes, _check_substeps, _generator_
                        _norm_decay, ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
-from .exact import _sample_windows
+from .exact import _check_phases, _sample_windows
 from .gravity import (_QUAD_TOL_FLOOR, R_G_MAX, R_G_MIN, GravityParams,
                       compute_dephasing_curve, energy_after_flash, macro_potential)
 from .hilbert import MAX_DIM, SpatialGrid
-from .measurement import born_experiment, born_initial_state, pointer_family
+from .measurement import _NORM_TOL, born_experiment, born_initial_state, pointer_family
 from .operators import build_grw_family, grw_gaussian
 from .rng import GENERATOR_NAME
 
@@ -173,7 +173,7 @@ def _steps(t: float, dt: float, path: str, key: str, jump=False) -> int:
 
 
 def _check_work(field: str, check, *args):
-    """Apply the engine's own cap ``check(*args)`` at validate time, naming
+    """Apply the engine's own check ``check(*args)`` at validate time, naming
     ``field``."""
     try:
         check(*args)
@@ -283,6 +283,7 @@ def _exact(cfg, opts):
     if not points <= _MAX_WINDOW_POINTS:
         raise ConfigError(f"options.mu: mu * c_light * V * t_end = {points:.3g} expected points "
                           f"per window, above {_MAX_WINDOW_POINTS}")
+    _check_work("params.hbar", _check_phases, params, gamma, t_end)
     n_samples = _count(opts, "n_samples", "options", most=_MAX_RUNS)
 
     def run(seed):
@@ -378,8 +379,10 @@ def _born(cfg, opts):
                                        "of magnitude at most 1", lambda a: abs(a) <= 1)]
     if len(amps) < 2:
         raise ConfigError(f"{path}.amplitudes: need at least two real amplitudes")
-    if abs(sum(a ** 2 for a in amps) - 1.0) > 1e-9:
-        raise ConfigError(f"{path}.amplitudes: squared amplitudes must sum to 1")
+    # summed as premeasure sums them, so that both accept the same amplitudes
+    if abs(float(np.sum(np.square(amps))) - 1.0) > _NORM_TOL:
+        raise ConfigError(f"{path}.amplitudes: squared amplitudes must sum to 1 within "
+                          f"{_NORM_TOL:g}")
     t_obs = _positive(opts, "t_obs", path)
     n_runs = _count(opts, "n_runs", path, most=_MAX_RUNS)
     ptr_path = f"{path}.pointer"

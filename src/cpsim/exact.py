@@ -26,17 +26,16 @@ every live window per step.  No result depends on the chunk size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .dynamics import ModelParams, _spectral_bound
+from .errors import ContractViolationError, DomainError
 from .hilbert import _apply
 from .rng import stream
-
-if TYPE_CHECKING:   # dynamics imports this module
-    from .dynamics import ModelParams
 
 MAX_ENUMERATION = 12
 
@@ -310,6 +309,22 @@ def _run_windows(windows, v0, table: _JumpTable, evolve):
         yield times, nodes, rows[i][:len(times)]
 
 
+def _check_phases(params: ModelParams, gamma: float, t_end: float):
+    """Refuse windows whose phases overflow double precision, before any draw:
+    the largest coupling sqrt(gamma) / hbar * sqrt(m / m_R) |L_k| of the jump
+    table, or twice the norm bound of H times t_end / hbar, which bounds every
+    phase of ``_evolution`` and each product on the way to it."""
+    coupling = math.sqrt(gamma) / params.hbar * (math.sqrt(params.mass_scaled(1.0)) *
+                                                 float(np.abs(params.family.diagonals).max()))
+    if not coupling < math.inf:
+        raise DomainError("the coupling sqrt(gamma m / m_r) max |L| / hbar overflows double "
+                          "precision")
+    if params.hamiltonian is not None:
+        b, scale = _spectral_bound(params.hamiltonian)
+        if not 2.0 * b * scale * t_end / params.hbar < math.inf:
+            raise DomainError("the phase 2 ||H|| t_end / hbar overflows double precision")
+
+
 def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: float,
                     n_windows: int, seed: int):
     """Windows 0 .. n_windows - 1 of Poisson collapse points over [0, t_end).
@@ -323,8 +338,10 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
     at most ``_CHUNK`` windows and ``_CHUNK_POINTS`` padded points and
     stepped together from psi0, with ``params.hamiltonian`` acting between
     points (``_run_windows``).  Yields (times, nodes, outcome bits) of each
-    window in order; the jump table is built once.
+    window in order; the jump table is built once.  Phases that overflow
+    raise before any draw (``_check_phases``).
     """
+    _check_phases(params, gamma, t_end)
     grid, hbar = params.grid, params.hbar
     rate = mu * params.c_light * grid.volume
     members = np.sqrt(params.mass_scaled(1.0)) * params.family.diagonals

@@ -28,6 +28,10 @@ from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
 
 
+#: largest |sum |c_i|^2 - 1| of branch amplitudes that counts as normalized
+_NORM_TOL = 1e-10
+
+
 def premeasure(c, centers, family: OperatorFamily) -> np.ndarray:
     """Entangled post-interaction state of system and pointer (normalized).
 
@@ -40,7 +44,7 @@ def premeasure(c, centers, family: OperatorFamily) -> np.ndarray:
     amps = np.asarray(c, dtype=complex)
     if len(centers) < 2:
         raise ContractViolationError("need at least two outcome regions")
-    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > 1e-10:
+    if abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) > _NORM_TOL:
         raise ContractViolationError("branch amplitudes must be normalized")
     if amps.size != len(centers):
         raise ContractViolationError("one amplitude per outcome region required")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,15 @@ def exact_config(path, gamma=0.05):
         "params": base_params(),
         "options": {"mu": 40.0, "gamma": gamma, "t_end": 0.2, "n_samples": 25},
     }
+
+
+def hopping_exact_config(path):
+    """``exact_config`` over 4 windows, with a hopping Hamiltonian acting between
+    collapse points."""
+    cfg = exact_config(path)
+    cfg["params"]["hamiltonian"] = {"kind": "hopping", "strength": 0.5}
+    cfg["options"]["n_samples"] = 4
+    return cfg
 
 
 def gamma_config(path, r_m=0.0):
@@ -338,6 +348,13 @@ class TestExitCodes:
          "options.r_c"),
         # 1.7e12 expected collapse points in each window
         (exact_config, ("options",), "mu", 1e12, "options.mu"),
+        # exact phases that overflow: eigenvalues of H near twice the largest
+        # double, H / hbar, and the coupling sqrt(gamma m / m_r) |L| / hbar
+        (hopping_exact_config, ("params", "hamiltonian"), "strength", sys.float_info.max,
+         "params.hbar"),
+        (hopping_exact_config, ("params",), "hbar", 5e-324, "params.hamiltonian.strength"),
+        (exact_config, ("params",), "hbar", 5e-324, "params.hbar"),
+        (exact_config, ("params",), "m_r", 5e-324, "params.hbar"),
         # every energy row is computed on the gaussian profile
         (energy_config, ("gravity",), "f_kind", "point_source", "gravity.f_kind"),
         # Gamma(d) rounds to about 1e-16, so a tolerance below 1e-15 cannot be met
@@ -345,6 +362,9 @@ class TestExitCodes:
         (gamma_config, ("options",), "quad_tol", 1e-16, "options.quad_tol"),
         # squared amplitudes above 1 cannot sum to 1, and 1e300 squared overflows
         (born_config, ("options",), "amplitudes", [1e300, 0.5], "options.amplitudes"),
+        # squares summing to 1 + 5e-10, beyond the tolerance of the premeasured state
+        (born_config, ("options",), "amplitudes", [math.sqrt(0.25), math.sqrt(0.75 + 5e-10)],
+         "options.amplitudes"),
         # lengths whose squares, or squares over a squared radius, overflow
         (born_config, ("params", "family"), "r_c", 1e300, "params.family.r_c"),
         (lambda path: ensemble_config(path, "compare"), ("params", "family"), "r_c", 1e300,
@@ -399,8 +419,11 @@ class TestExitCodes:
             "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
             "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
             "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap",
+            "exact-strength-largest", "exact-hbar-over-strength", "exact-hbar-subnormal",
+            "exact-m_r-subnormal",
             "energy-point-source", "gamma-quad_tol-subnormal", "gamma-quad_tol-below-floor",
-            "born-amplitude-huge", "born-r_c-huge", "compare-r_c-huge", "compare-width-huge",
+            "born-amplitude-huge", "born-amplitudes-not-normalized", "born-r_c-huge",
+            "compare-r_c-huge", "compare-width-huge",
             "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
             "born-centre-huge", "born-zero-steps", "compare-zero-steps",
             "trajectories-zero-steps", "trajectories-phase-huge", "compare-phase-huge",
@@ -655,25 +678,32 @@ def test_gamma_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_pat
         out.unlink(missing_ok=True)
 
 
+def keeps_exit_contract(tmp_path, make, values):
+    """Set the fields ``values`` ({path: value}) of ``make``'s config: validate
+    exits 0, 2, 3 or 4; after exit 0, run exits 0, 3 or 4, and an exit-0
+    results file holds only finite numbers."""
+    out = tmp_path / "out.res"
+    cfg = make(str(out))
+    for path, value in values.items():
+        lookup(cfg, path[:-1])[path[-1]] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code = main(["validate", str(p)])
+    assert code in (0, 2, 3, 4), values
+    if code:
+        return
+    assert main(["run", str(p)]) in (0, 3, 4), values
+    if out.exists():
+        assert all(math.isfinite(x) for x in all_numbers(read_results(out))), values
+        out.unlink()
+
+
 def sweep_extremes(tmp_path, make, paths):
     """Set each field in ``paths`` of ``make``'s config to each of EXTREMES in
-    turn: validate exits 0, 2, 3 or 4; after exit 0, run exits 0, 3 or 4, and
-    an exit-0 results file holds only finite numbers."""
-    out = tmp_path / "out.res"
+    turn, and check the exit contract of each (``keeps_exit_contract``)."""
     for path in paths:
         for value in EXTREMES:
-            cfg = make(str(out))
-            lookup(cfg, path[:-1])[path[-1]] = value
-            p = tmp_path / "cfg.json"
-            p.write_text(json.dumps(cfg))
-            code = main(["validate", str(p)])
-            assert code in (0, 2, 3, 4), (path, value)
-            if code:
-                continue
-            assert main(["run", str(p)]) in (0, 3, 4), (path, value)
-            if out.exists():
-                assert all(math.isfinite(x) for x in all_numbers(read_results(out))), (path, value)
-                out.unlink()
+            keeps_exit_contract(tmp_path, make, {path: value})
 
 
 @pytest.mark.parametrize("experiment", ["compare", "master"])
@@ -725,6 +755,11 @@ def with_defaults(make, section, **defaults):
     return build
 
 
+def with_constants(make):
+    """``make`` with ``params.hbar``, ``c_light``, ``mass`` and ``m_r`` written out."""
+    return with_defaults(make, "params", hbar=1.0, c_light=1.0, mass=1.0, m_r=1.0)
+
+
 #: the base configs of the other experiments, their optional float fields written
 #: out at their defaults so that the sweep reaches them too
 FLOAT_SWEEP_BASES = {
@@ -733,8 +768,16 @@ FLOAT_SWEEP_BASES = {
     # G m_r / d overflows once m_r is 1e300 or more
     "potential-strong-gravity": with_defaults(
         with_defaults(potential_config, "gravity", g_newton=1e300), "options", m_r=1.0),
-    "master": with_defaults(lambda path: ensemble_config(path, "master"), "params",
-                            hbar=1.0, c_light=1.0, mass=1.0, m_r=1.0),
+    "master": with_constants(lambda path: ensemble_config(path, "master")),
+    "exact": with_constants(hopping_exact_config),
+}
+
+#: the bases of the pairwise sweep: 12 float fields each
+PAIRWISE_BASES = {
+    "exact": FLOAT_SWEEP_BASES["exact"],
+    "master": FLOAT_SWEEP_BASES["master"],
+    "trajectories": with_constants(ensemble_config),
+    "compare": with_constants(lambda path: ensemble_config(path, "compare")),
 }
 
 
@@ -747,6 +790,21 @@ def test_float_fields_and_entries_at_extreme_magnitudes_keep_the_exit_contract(t
     paths = [path for path in field_paths(base) if isinstance(lookup(base, path), float)]
     assert len(paths) >= 5
     sweep_extremes(tmp_path, make, paths)
+
+
+@pytest.mark.parametrize("experiment", sorted(PAIRWISE_BASES))
+def test_pairs_of_float_fields_at_extreme_magnitudes_keep_the_exit_contract(tmp_path,
+                                                                           experiment):
+    # every pair of float fields once, at one of the 16 pairs of EXTREMES taken
+    # in turn: all 16 at every pair would take 16 times as long
+    make = PAIRWISE_BASES[experiment]
+    base = make(str(tmp_path / "out.res"))
+    paths = [path for path in field_paths(base) if isinstance(lookup(base, path), float)]
+    pairs = list(itertools.combinations(paths, 2))
+    assert len(pairs) == 66
+    values = list(itertools.product(EXTREMES, repeat=2))
+    for i, (a, b) in enumerate(pairs):
+        keeps_exit_contract(tmp_path, make, dict(zip((a, b), values[i % len(values)])))
 
 
 def lookup(node, path):
@@ -774,7 +832,7 @@ def all_numbers(node):
 
 
 @pytest.mark.parametrize("experiment", sorted(FUZZ_BASES))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_config_keeps_the_exit_contract(experiment, data):
     with tempfile.TemporaryDirectory() as tmp:
