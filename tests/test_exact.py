@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from cpsim import exact
 from cpsim.dynamics import ModelParams
-from cpsim.errors import ContractViolationError
+from cpsim.errors import ContractViolationError, DomainError
 from cpsim.exact import (CollapsePoint, _placement, _sample_windows, enumerate_chain,
                          interact_once, markov_check)
 from cpsim.gravity import GravityParams, grav_unitary
@@ -394,6 +394,21 @@ class TestWindowEngine:
         with pytest.raises(ContractViolationError, match="Hermiticity"):
             next(_sample_windows(start_state(family.grid), window_params(dressed), MU, GAMMA,
                                  T_END, 1, 3))
+
+    @pytest.mark.parametrize("change", [{"hbar": 5e-324}, {"m_r": 5e-324},
+                                        {"hamiltonian": line_hopping(8, 1e308)}],
+                             ids=["coupling-hbar", "coupling-m_r", "evolution"])
+    def test_overflowing_phases_raise_before_any_draw(self, change, monkeypatch):
+        # an infinite coupling or phase would make the cos / sin blocks or the
+        # evolution between points NaN
+        family, _ = WINDOW_CASES["diagonal"]()
+
+        def no_stream(seed, w):
+            raise AssertionError("a window opened its stream")
+        monkeypatch.setattr(exact, "stream", no_stream)
+        params = replace(window_params(family), **change)
+        with pytest.raises(DomainError, match="overflows double precision"):
+            next(_sample_windows(start_state(family.grid), params, MU, GAMMA, T_END, 1, 3))
 
     def test_zero_rate_window_has_no_points(self):
         family, _ = WINDOW_CASES["diagonal"]()
