@@ -523,6 +523,13 @@ class ParsedConfig:
     run: Callable
 
 
+def _check_seed(seed: int, where: str) -> int:
+    """The seed, if it fits the unsigned 64-bit integer the streams are keyed by."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{where}: must fit an unsigned 64-bit integer")
+    return seed
+
+
 def validate_config(cfg: dict) -> ParsedConfig:
     """Parse the whole document against the strict schema, once."""
     if not isinstance(cfg, dict):
@@ -532,9 +539,7 @@ def validate_config(cfg: dict) -> ParsedConfig:
     exp = _field(cfg, "experiment", str, "config")
     if exp not in _EXPERIMENTS:
         raise ConfigError(f"config.experiment: unknown experiment {exp!r}")
-    seed = _field(cfg, "seed", int, "config")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("config.seed: must fit an unsigned 64-bit integer")
+    seed = _check_seed(_field(cfg, "seed", int, "config"), "config.seed")
     out = Path(_field(cfg, "output_path", str, "config"))
     # a born report is a JSON document, not a table
     formats = ("json",) if exp == "born" else ("csv", "json")
@@ -591,7 +596,7 @@ def _parse_cell(cell: str):
 def run_config(cfg: dict, seed_override=None, out_override=None) -> Path:
     """Parse, run and write; returns the results path."""
     parsed = validate_config(cfg)
-    seed = int(seed_override) if seed_override is not None else parsed.seed
+    seed = parsed.seed if seed_override is None else _check_seed(int(seed_override), "--seed")
     out = Path(out_override) if out_override is not None else parsed.output_path
     t0 = time.monotonic()
     columns, payload = parsed.run(seed)

@@ -7,15 +7,15 @@ times it is multiplied by the local collapse operator and renormalized.
 Every jump run goes from one flash straight to the next (Dalibard,
 Castin & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101
 (1998)): trajectory k draws one uniform u per wait from its own
-stream(seed, k) and flashes when its survival falls to u, then one for
-the node, so no result depends on the chunk size or on ``dt``.  The Born
-engine ``_flash_to_flash`` keeps weights, whose survival is closed
-without a Hamiltonian; ``_norm_decay`` keeps amplitudes.  The ensemble
-average of the projector obeys the matching master equation, whose
-generator L is propagated from one checkpoint to the next by the action
-of exp(L t), through scaling and a truncated Taylor series
-(``integrate_master``); the two routes are cross-checked by
-``ensemble_vs_master``.
+stream k of the seed (``rng``) and flashes when its survival falls to u,
+then one for the node, so no result depends on the chunk size or on
+``dt``.  The Born engine ``_flash_to_flash`` keeps weights, whose
+survival is closed without a Hamiltonian; ``_norm_decay`` keeps
+amplitudes.  The ensemble average of the projector obeys the matching
+master equation, whose generator L is propagated from one checkpoint to
+the next by the action of exp(L t), through scaling and a truncated
+Taylor series (``integrate_master``); the two routes are cross-checked
+by ``ensemble_vs_master``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ContractViolationError, ConvergenceError, StepSizeError
 from .hilbert import SpatialGrid, hermitize
 from .operators import OperatorFamily
-from .rng import stream
+from .rng import keys, opener
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,15 +207,21 @@ def _rows_times(v, m):
     return (v[:, None, :] @ m)[:, 0]
 
 
-def _uniforms(rngs):
-    """Next uniform of each listed row's stream, drawn ``_BLOCK`` at a time;
-    ``rng.random(m)`` gives the same doubles as m ``rng.random()`` calls."""
-    buf = np.empty((len(rngs), _BLOCK))
-    pos = np.full(len(rngs), _BLOCK)
+def _uniforms(key):
+    """Next uniform of each listed row's stream, the one keyed by row r of
+    ``key``, drawn ``_BLOCK`` at a time: each block re-keys one shared
+    generator at the row's Philox counter, which a block moves on by
+    _BLOCK / 4; ``rng.random(m)`` gives the same doubles as m
+    ``rng.random()`` calls."""
+    open_stream = opener(key)
+    buf = np.empty((len(key), _BLOCK))
+    pos = np.full(len(key), _BLOCK)
+    counters = [0] * len(key)
 
     def draw(rows):
-        for r in rows[pos[rows] == _BLOCK]:
-            buf[r] = rngs[r].random(_BLOCK)
+        for r in rows[pos[rows] == _BLOCK].tolist():
+            open_stream(r, counters[r]).random(out=buf[r])
+            counters[r] += _BLOCK // 4
             pos[r] = 0
         out = buf[rows, pos[rows]]
         pos[rows] += 1
@@ -226,12 +232,13 @@ def _uniforms(rngs):
 def _chunks(n_traj: int, seed: int):
     """Yield ``(first, rows, draw)`` for trajectories 0 .. n_traj - 1,
     ``_CHUNK`` at a time: trajectory first + r is row r of the chunk and
-    draws from ``stream(seed, first + r)`` alone, through ``draw``."""
+    draws from stream first + r of ``seed`` alone, through ``draw``; the
+    chunk's keys come from one ``keys`` call."""
     if n_traj < 1:
         raise ContractViolationError("need at least one trajectory")
     for first in range(0, n_traj, _CHUNK):
         rows = min(_CHUNK, n_traj - first)
-        yield first, rows, _uniforms([stream(seed, first + r) for r in range(rows)])
+        yield first, rows, _uniforms(keys(seed, first, rows))
 
 
 #: Newton rounds allowed for one wait or flash time; they close in about a
@@ -318,7 +325,7 @@ def _norm_decay(psi0, params: ModelParams, times, n_traj: int, seed: int):
 
     A run keeps the unnormalised state exp(G t) psi of its last flash,
     whose norm^2, the probability of no flash since, cannot rise.  It
-    draws one uniform u from its own ``stream(seed, k)`` at the start and
+    draws one uniform u from its own stream k of ``seed`` at the start and
     after each flash, and flashes where its norm^2 falls to u; the flash
     draws one more uniform for the node, by ``_pick_nodes`` at the flash
     state, which the node's collapse operator then multiplies: 2n + 1
@@ -422,7 +429,7 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
     probability S(tau) = sum_j p_j exp(-r W_j tau).  Flash statistics do
     not depend on phases, so the rows are the weights p_j = |psi_j|^2
     alone, starting from ``weights`` normalised.  In each round every live
-    run draws one uniform u from its own ``stream(seed, k)``: it is done if
+    run draws one uniform u from its own stream k of ``seed``: it is done if
     S(t_end - t) >= u, otherwise it waits the root of S(tau) = u
     (``_waits``) and draws one more uniform to pick the node, by
     ``_pick_nodes`` at the pre-flash state; its weights are then multiplied by

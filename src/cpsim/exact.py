@@ -13,7 +13,7 @@ reduced-density-matrix consistency check all live here.
 
 Sampling runs on one engine.  A window is one Poisson placement of
 collapse points over [0, t_end) followed by the chain it defines, and
-window w draws from ``stream(seed, w)`` alone, in a fixed order
+window w draws from stream w of the seed (``rng``) alone, in a fixed order
 (``_placement``): first the point count, ``poisson(rate * t_end)``; then
 one block of uniforms for the times, which are the sorted uniforms
 scaled by t_end (given its count, a homogeneous Poisson process places
@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import ModelParams, _spectral_bound
 from .errors import ContractViolationError, DomainError
 from .hilbert import _apply
-from .rng import stream
+from .rng import keys, opener
 
 MAX_ENUMERATION = 12
 
@@ -332,14 +332,16 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
     Events arrive at rate mu * c * V per unit time, each landing in cell
     k with probability w_k / V, where its coupling operator is the member
     of ``params.family`` at node k scaled by sqrt(``params.mass_scaled(1)``);
-    members must be real.  Window w draws its placement from
-    ``stream(seed, w)``, then the uniforms of its chain from the same
-    stream as one block.  Consecutive windows are gathered into chunks of
-    at most ``_CHUNK`` windows and ``_CHUNK_POINTS`` padded points and
-    stepped together from psi0, with ``params.hamiltonian`` acting between
-    points (``_run_windows``).  Yields (times, nodes, outcome bits) of each
-    window in order; the jump table is built once.  Phases that overflow
-    raise before any draw (``_check_phases``).
+    members must be real.  Window w draws its placement from stream w of
+    ``seed``, then the uniforms of its chain from the same stream as one
+    block; the keys of ``_CHUNK`` windows at a time come from one ``keys``
+    call, and one generator is re-keyed to each window in turn.
+    Consecutive windows are gathered into chunks of at most ``_CHUNK``
+    windows and ``_CHUNK_POINTS`` padded points and stepped together from
+    psi0, with ``params.hamiltonian`` acting between points
+    (``_run_windows``).  Yields (times, nodes, outcome bits) of each window
+    in order; the jump table is built once.  Phases that overflow raise
+    before any draw (``_check_phases``).
     """
     _check_phases(params, gamma, t_end)
     grid, hbar = params.grid, params.hbar
@@ -351,7 +353,9 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
     v0 = np.asarray(psi0).astype(complex)
     chunk, longest = [], 0
     for w in range(n_windows):
-        rng = stream(seed, w)
+        if w % _CHUNK == 0:
+            open_stream = opener(keys(seed, w, min(_CHUNK, n_windows - w)))
+        rng = open_stream(w % _CHUNK)
         times, nodes = _placement(rng, rate, cdf, t_end)
         n = len(times)
         if chunk and (len(chunk) == _CHUNK or (len(chunk) + 1) * max(longest, n) > _CHUNK_POINTS):

@@ -1,6 +1,13 @@
-"""Random Hermitian matrices and states for the tests."""
+"""Random Hermitian matrices and states, and the reference streams, for the tests."""
 
 import numpy as np
+
+
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Stream ``index`` of ``seed`` straight from NumPy's own ``SeedSequence``:
+    the reference the engines' keys must match bit for bit."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,8 +18,7 @@ from cpsim.hilbert import SpatialGrid
 from cpsim.measurement import born_experiment, pointer_family
 from cpsim.operators import (FockBasis, SmearingFunction, build_grw_family,
                              first_quantized_equiv_check, grw_gaussian)
-from cpsim.rng import stream
-from helpers import random_hermitian, random_state
+from helpers import random_hermitian, random_state, stream
 
 
 def verdict(num, name, ok, detail):

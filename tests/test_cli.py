@@ -197,6 +197,14 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2^64"])
+    def test_seed_override_outside_64_bits_exits_two(self, seed, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(born_config(tmp_path / "born.json")))
+        assert main(["run", str(p), "--seed", str(seed)]) == 2
+        assert "--seed: must fit an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not (tmp_path / "born.json").exists()
+
     def test_physics_contract_failure_exits_three(self, tmp_path, capsys):
         # pointer packets 2 apart, with r_C 1, leak into each other's regions
         cfg = born_config(tmp_path / "born.json")

@@ -20,13 +20,12 @@ from cpsim.hilbert import SpatialGrid
 from cpsim.measurement import born_initial_state, pointer_family
 from cpsim.operators import (FockBasis, OperatorFamily, SmearingFunction, build_grw_family,
                              build_smeared_mass, grw_gaussian)
-from cpsim.rng import stream
-from helpers import random_hermitian
+from helpers import random_hermitian, stream
 
 
 def constant_uniforms(monkeypatch, value):
     """Make every uniform of every stream ``value``: 0 never flashes."""
-    monkeypatch.setattr(dynamics, "_uniforms", lambda rngs: lambda rows: np.full(len(rows), value))
+    monkeypatch.setattr(dynamics, "_uniforms", lambda key: lambda rows: np.full(len(rows), value))
 
 
 def run_engine(psi0, params, times, n_traj, seed):
@@ -376,12 +375,12 @@ class TestNormDecayEngine:
         params, psi0 = self.system()
         reads, wrapped = {}, dynamics._uniforms
 
-        def counting(rngs):
-            draw = wrapped(rngs)
+        def counting(key):
+            draw = wrapped(key)
 
             def counted(rows):
                 for r in rows.tolist():
-                    reads[id(rngs), r] = reads.get((id(rngs), r), 0) + 1
+                    reads[id(key), r] = reads.get((id(key), r), 0) + 1
                 return draw(rows)
             return counted
         monkeypatch.setattr(dynamics, "_uniforms", counting)
@@ -558,7 +557,7 @@ class TestWaitingTimeEngine:
         fam = OperatorFamily(SpatialGrid.line(4, 1.0), diagonals=np.eye(4))
         params = ModelParams.natural(lambda_grw=1.0, family=fam, dt=0.01)
 
-        def uniforms(rngs):   # 0.5 for every wait, 0 for every node
+        def uniforms(key):   # 0.5 for every wait, 0 for every node
             values = itertools.cycle((0.5, 0.0))
             return lambda rows: np.full(len(rows), next(values))
         monkeypatch.setattr(dynamics, "_uniforms", uniforms)
@@ -804,12 +803,12 @@ class TestEnsembleVsMaster:
 
     def test_over_cap_trajectories_raise_before_any_draw(self, monkeypatch):
         # a phase of about 1e299 rad: the norm-decay run needs as many pieces,
-        # and the cap on them refuses it before a trajectory opens its stream
+        # and the cap on them refuses it before any trajectory's stream is keyed
         params = natural_params(grid=SpatialGrid.line(12, 0.5), hamiltonian=hopping(12, 1e300))
 
-        def no_stream(seed, k):
-            raise AssertionError("a trajectory opened its stream")
-        monkeypatch.setattr(dynamics, "stream", no_stream)
+        def no_keys(seed, first, n):
+            raise AssertionError("a trajectory's stream was keyed")
+        monkeypatch.setattr(dynamics, "keys", no_keys)
         with pytest.raises(StepSizeError, match="substeps"):
             ensemble_vs_master(packet(params.grid), params, 0.1, 4, seed=1)
 

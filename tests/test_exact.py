@@ -15,8 +15,7 @@ from cpsim.exact import (CollapsePoint, _placement, _sample_windows, enumerate_c
 from cpsim.gravity import GravityParams, grav_unitary
 from cpsim.hilbert import SpatialGrid
 from cpsim.operators import OperatorFamily, build_grw_family, grw_gaussian
-from cpsim.rng import stream
-from helpers import random_hermitian, random_state
+from helpers import random_hermitian, random_state, stream
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -403,9 +402,9 @@ class TestWindowEngine:
         # evolution between points NaN
         family, _ = WINDOW_CASES["diagonal"]()
 
-        def no_stream(seed, w):
-            raise AssertionError("a window opened its stream")
-        monkeypatch.setattr(exact, "stream", no_stream)
+        def no_keys(seed, first, n):
+            raise AssertionError("a window's stream was keyed")
+        monkeypatch.setattr(exact, "keys", no_keys)
         params = replace(window_params(family), **change)
         with pytest.raises(DomainError, match="overflows double precision"):
             next(_sample_windows(start_state(family.grid), params, MU, GAMMA, T_END, 1, 3))
