@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import (ModelParams, _check_flashes, _check_substeps, _generator_norm,
-                       _norm_decay, ensemble_vs_master, integrate_master)
+from .dynamics import (ModelParams, _check_flashes, _check_substeps, _checkpoints,
+                       _generator_norm, _norm_decay, ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _check_phases, _sample_windows
@@ -46,13 +46,10 @@ _REQUIRED = object()
 #: most radial samples of an ``energy`` run: each of its ~10 complex
 #: work arrays then stays within 16 MiB
 _MAX_RADIAL_POINTS = 2 ** 20
-#: most windows, trajectories or Born runs of one config: each leaves a
-#: results row or a per-run record of at most a few hundred bytes, so
-#: they stay within a few hundred MiB
+#: most windows, trajectories, Born runs or checkpoints of one config: each
+#: leaves a results row or a per-run record of at most a few hundred bytes,
+#: so they stay within a few hundred MiB
 _MAX_RUNS = 2 ** 20
-#: most steps t / dt of one run's report grid, the times i dt: no engine steps
-#: by dt, but the count must be a finite integer
-_MAX_STEPS = 2 ** 24
 #: most averaged density-matrix entries a ``compare`` run keeps at its
 #: checkpoints (16 bytes each, so 256 MiB)
 _MAX_KEPT_AMPLITUDES = 2 ** 24
@@ -161,22 +158,11 @@ def _numbers(obj: dict, key: str, path: str, need: str, ok=lambda v: True) -> li
     return vals
 
 
-def _steps(t: float, dt: float, path: str, key: str, jump=False) -> int:
-    """The step count round(t / dt) of ``path.key`` = t, at most ``_MAX_STEPS``
-    and, for a jump-process run, at least 1."""
-    n = t / dt
-    if not n <= _MAX_STEPS:
-        raise ConfigError(f"{path}.{key}: {key} / params.dt = {n:.3g} steps, above {_MAX_STEPS}")
-    if jump and round(n) < 1:
-        raise ConfigError(f"params.dt: {path}.{key} / dt = {n:.3g} rounds to 0 steps")
-    return int(round(n))
-
-
 def _check_work(field: str, check, *args):
-    """Apply the engine's own check ``check(*args)`` at validate time, naming
-    ``field``."""
+    """The engine's own check ``check(*args)``, applied at validate time and
+    naming ``field``; returns what the check returns."""
     try:
-        check(*args)
+        return check(*args)
     except (ContractViolationError, DomainError, StepSizeError) as exc:
         raise ConfigError(f"{field}: {exc}") from None
 
@@ -300,23 +286,27 @@ def _exact(cfg, opts):
 
 
 def _ensemble(cfg, opts, keys=()):
-    """The shared part of ``trajectories`` and ``compare``."""
+    """The shared part of ``trajectories`` and ``compare``, with the start and
+    the end step of the report grid, [0, n] for n of at least 1."""
     params = _parse_params(cfg)
     _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
     psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
-    n_steps = _steps(t_end, params.dt, "options", "t_end", jump=True)
+    n_steps, ends = _check_work("options.t_end", _checkpoints, t_end, params.dt, 2)
+    if n_steps < 1:
+        raise ConfigError(f"params.dt: options.t_end / dt = {t_end / params.dt:.3g} rounds "
+                          "to 0 steps")
     _check_work("options.t_end", _check_substeps, params.no_jump_bound, n_steps * params.dt)
-    return params, psi0, t_end, n_steps, _count(opts, "n_traj", "options", most=_MAX_RUNS)
+    return params, psi0, t_end, ends, _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
 
 def _trajectories(cfg, opts):
-    params, psi0, _, n_steps, n_traj = _ensemble(cfg, opts)
+    params, psi0, _, ends, n_traj = _ensemble(cfg, opts)
 
     def run(seed):
         # per trajectory: flash count, first flash time, mean position at the end
         counts, first = np.zeros(n_traj, dtype=int), np.full(n_traj, -1.0)
         mean_x = np.zeros(n_traj)
-        times = [0.0, n_steps * params.dt]
+        times = np.array(ends) * params.dt
         for start, rows, t, nodes, v in _norm_decay(psi0, params, times, n_traj, seed):
             hit = start + rows
             if nodes is None:   # the start, then the end
@@ -331,10 +321,10 @@ def _trajectories(cfg, opts):
 
 
 def _compare(cfg, opts):
-    params, psi0, t_end, n_steps, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
-    _check_work("options.t_end", _check_substeps, _generator_norm(params), n_steps * params.dt)
-    n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
-    kept = min(n_checkpoints, n_steps + 1) * params.grid.n ** 2
+    params, psi0, t_end, ends, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
+    _check_work("options.t_end", _check_substeps, _generator_norm(params), ends[-1] * params.dt)
+    n_checkpoints = _count(opts, "n_checkpoints", "options", 11, most=_MAX_RUNS)
+    kept = len(_checkpoints(t_end, params.dt, n_checkpoints)[1]) * params.grid.n ** 2
     if kept > _MAX_KEPT_AMPLITUDES:
         raise ConfigError(f"options.n_checkpoints: {n_checkpoints} checkpoints would keep "
                           f"{kept:.3g} averaged density-matrix entries, above "
@@ -352,8 +342,8 @@ def _master(cfg, opts):
     _reject_unknown(opts, {"t_end", "n_checkpoints", "psi0"}, "options")
     psi0 = _parse_psi0(opts, params.grid)
     t_end = _positive(opts, "t_end", "options")
-    n_steps = _steps(t_end, params.dt, "options", "t_end")
-    n_checkpoints = _count(opts, "n_checkpoints", "options", 11)
+    n_steps, _ = _check_work("options.t_end", _checkpoints, t_end, params.dt, 2)
+    n_checkpoints = _count(opts, "n_checkpoints", "options", 11, most=_MAX_RUNS)
     _check_work("options.t_end", _check_substeps, _generator_norm(params), n_steps * params.dt)
 
     def run(seed):
@@ -402,8 +392,6 @@ def _born(cfg, opts):
         return pointer_family(grid, f_c, len(amps))
     params = _parse_params(cfg, build)
     params = replace(params, mass=amplification * params.m_r)
-    # a born run does not read dt, which is validated as for every jump run
-    _steps(t_obs, params.dt, path, "t_obs", jump=True)
     _check_work("options.t_obs", _check_flashes, params, t_obs)
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 

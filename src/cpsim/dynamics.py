@@ -35,7 +35,7 @@ from .rng import keys, opener
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Physical constants, model rates and numerical step for one system.
+    """Physical constants, model rates and report spacing for one system.
 
     ``lambda_grw`` is the coarse-grained flash rate constant; when the
     operator family does not already carry species masses the effective
@@ -44,11 +44,11 @@ class ModelParams:
     and ``m_r`` have no defaults; ``natural`` sets them all to 1.
     ``hamiltonian`` may be None for pure collapse dynamics; otherwise it
     is a (dim, dim) matrix on the family's system space, which the
-    dynamics read only as H / hbar.  ``dt`` sets only the checkpoint
-    grid, the report times t = i dt: neither the master solution nor
-    any jump run depends on it beyond where it is reported.  Frozen:
-    derive variants with ``dataclasses.replace``, which also starts
-    fresh derived caches.
+    dynamics read only as H / hbar.  ``dt`` is the report spacing: it
+    sets only the report times t = i dt of ``_checkpoints``, and neither
+    the master solution nor any jump run depends on it beyond where it
+    is reported.  Frozen: derive variants with ``dataclasses.replace``,
+    which also starts fresh derived caches.
     """
 
     lambda_grw: float
@@ -470,10 +470,17 @@ def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, see
 
 
 def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
-    """Step count and the sorted steps at which snapshots are taken."""
-    n_steps = int(round(t_end / dt))
-    marks = np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1))
-    return n_steps, sorted({int(round(c)) for c in marks})
+    """The report grid of a run over t_end, the only code that places report
+    times: the step count n = round(t_end / dt) and the sorted steps i of at
+    most ``n_checkpoints`` report times i dt, spread evenly over 0 .. n.  A
+    t_end / dt that is not below 2^53, where n and the times i dt stop
+    being exact, raises before any work."""
+    steps = t_end / dt
+    if not steps < 2 ** 53:
+        raise ContractViolationError(f"t_end / dt = {steps:.3g} report steps, not below 2^53")
+    n_steps = int(round(steps))
+    marks = np.rint(np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1)))
+    return n_steps, np.unique(marks).astype(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -110,12 +110,12 @@ def smeared_gamma_config(path, r_g=1.0):
     return cfg
 
 
-def tiny_dt(make):
-    """``make`` with ``params.dt`` 1e-10: a t_end of 1e300 then asks for
-    infinitely many steps, and one of 1e3 for 1e13."""
+def tiny_dt(make, dt=1e-10):
+    """``make`` with ``params.dt`` 1e-10 (or ``dt``): a t_end of 1e300 then asks
+    for infinitely many report steps, and one of 100 for 1e12."""
     def build(path):
         cfg = make(path)
-        cfg["params"]["dt"] = 1e-10
+        cfg["params"]["dt"] = dt
         return cfg
     return build
 
@@ -340,12 +340,17 @@ class TestExitCodes:
         (ensemble_config, ("options",), "n_checkpoints", 3, "options.n_checkpoints"),
         # 144 averaged density-matrix entries at each of 2^20 checkpoints exceed the same cap
         (long_compare_config, ("options",), "n_checkpoints", 2 ** 20, "options.n_checkpoints"),
+        # each checkpoint is one results row
+        (lambda path: ensemble_config(path, "master"), ("options",), "n_checkpoints",
+         2 ** 20 + 1, "options.n_checkpoints"),
+        (lambda path: ensemble_config(path, "compare"), ("options",), "n_checkpoints",
+         2 ** 20 + 1, "options.n_checkpoints"),
+        # report grids of infinitely many steps, and of 1e16, not below 2^53
         (tiny_dt(ensemble_config), ("options",), "t_end", 1e300, "options.t_end"),
-        (tiny_dt(lambda path: ensemble_config(path, "compare")), ("options",), "t_end", 1e3,
-         "options.t_end"),
         (tiny_dt(lambda path: ensemble_config(path, "master")), ("options",), "t_end", 1e300,
          "options.t_end"),
-        (tiny_dt(born_config), ("options",), "t_obs", 1e3, "options.t_obs"),
+        (tiny_dt(lambda path: ensemble_config(path, "master"), 1e-16), ("options",), "t_end",
+         1.0, "options.t_end"),
         # a born report is a JSON document, so it cannot be written as CSV
         (born_config, (), "output_format", "csv", "config.output_format"),
         # gaussian smearing radii outside 1e-50 to 1e50 overflow the profile's terms
@@ -385,7 +390,6 @@ class TestExitCodes:
         (born_config, ("options", "pointer"), "centers", [-4.5, 1e300],
          "options.pointer.centers"),
         # a jump run of 0 steps
-        (born_config, ("params",), "dt", 1e300, "params.dt"),
         (lambda path: ensemble_config(path, "compare"), ("params",), "dt", 1e300, "params.dt"),
         (ensemble_config, ("options",), "t_end", 1e-300, "params.dt"),
         # a Hamiltonian phase |strength| t_end / hbar of 1e299, so at least as many
@@ -424,8 +428,9 @@ class TestExitCodes:
             "born-dimension-over-cap", "n_r-huge", "source_nodes-huge", "n_runs-huge",
             "n_samples-huge", "n_traj-huge", "compare-n_traj-huge",
             "trajectories-n_checkpoints", "compare-checkpoints-kept",
-            "trajectories-steps-infinite", "compare-steps-huge", "master-steps-infinite",
-            "born-steps-huge", "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
+            "master-n_checkpoints-over-cap", "compare-n_checkpoints-over-cap",
+            "trajectories-steps-infinite", "master-steps-infinite", "master-steps-over-2^53",
+            "born-csv", "gamma-r_g-subnormal", "energy-r_g-huge",
             "energy-r_g-subnormal", "gamma-r_g-over-r_c-tiny", "exact-points-over-cap",
             "exact-strength-largest", "exact-hbar-over-strength", "exact-hbar-subnormal",
             "exact-m_r-subnormal",
@@ -433,7 +438,7 @@ class TestExitCodes:
             "born-amplitude-huge", "born-amplitudes-not-normalized", "born-r_c-huge",
             "compare-r_c-huge", "compare-width-huge",
             "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
-            "born-centre-huge", "born-zero-steps", "compare-zero-steps",
+            "born-centre-huge", "compare-zero-steps",
             "trajectories-zero-steps", "trajectories-phase-huge", "compare-phase-huge",
             "master-phase-huge", "master-substeps-hamiltonian", "compare-substeps-hamiltonian",
             "master-substeps-collapse", "born-flashes-huge", "trajectories-flashes-huge",
@@ -513,6 +518,29 @@ class TestRunners:
         assert main(["run", str(p)]) == 0
         rows = read_results(tmp_path / "m.csv")["rows"]
         assert rows and np.isfinite(rows).all()
+
+    @pytest.mark.parametrize("experiment", ["trajectories", "compare", "master"])
+    def test_report_grid_of_1e12_steps_exits_zero(self, tmp_path, capsys, experiment):
+        # no engine steps by dt, which only places the report times i dt
+        out = tmp_path / "out.csv"
+        cfg = tiny_dt(lambda path: ensemble_config(path, experiment))(out)
+        cfg["options"]["t_end"] = 100.0
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p)]) == 0
+        rows = read_results(out)["rows"]
+        assert rows and all(math.isfinite(x) for row in rows for x in row)
+        if experiment == "compare":
+            assert [row[0] for row in rows] == [0.0, 50.0, 100.0]
+
+    def test_born_results_do_not_depend_on_dt(self, tmp_path):
+        docs = []
+        for dt in (8e-4, 1e300):
+            cfg = born_config(tmp_path / f"born-{dt}.json")
+            cfg["params"]["dt"] = dt
+            docs.append(read_results(run_config(cfg))["results"])
+        assert docs[0] == docs[1]
 
     def test_gamma_huge_collapse_radius_exits_zero(self, tmp_path):
         # rho_m = r_m / r_c = 5e-301 and delta = d / r_c down to 2.5e-301

@@ -612,6 +612,26 @@ def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
     return float(out.stdout)
 
 
+class TestCheckpoints:
+    def test_refuses_2_to_the_53_report_steps_and_accepts_one_fewer(self):
+        with pytest.raises(ContractViolationError, match="not below 2\\^53"):
+            dynamics._checkpoints(2.0 ** 53, 1.0, 11)
+        n_steps, marks = dynamics._checkpoints(2.0 ** 53 - 1, 1.0, 11)
+        assert n_steps == 2 ** 53 - 1
+        assert len(marks) == 11 and marks[0] == 0 and marks[-1] == n_steps
+        assert all(type(m) is int for m in marks)
+
+    @pytest.mark.parametrize("t_end, dt, n_checkpoints", [
+        (0.1, 0.02, 3), (5.0, 1.0, 3), (7.0, 1.0, 5), (2.0, 0.01, 1001), (1.0, 0.3, 11),
+        (0.1, 1e300, 4), (100.0, 1e-10, 7), (2.0 ** 53 - 1, 1.0, 2 ** 12)])
+    def test_marks_are_the_rounded_even_spread(self, t_end, dt, n_checkpoints):
+        # Python's round, ties to even, of each point of the spread, sorted and distinct
+        n_steps = int(round(t_end / dt))
+        spread = np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1))
+        assert dynamics._checkpoints(t_end, dt, n_checkpoints) == \
+            (n_steps, sorted({int(round(c)) for c in spread}))
+
+
 class TestLindblad:
     def test_free_case_matches_von_neumann(self):
         h = hopping(9, j=0.8)
