@@ -121,9 +121,10 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
     one region are counted separately, as are runs with no flash at all
     (possible but exponentially unlikely at the required amplification).
     Branch fidelity is the post-first-flash weight on the system outcome
-    of the flashed region.  The runs that cross regions are found once,
-    at the end, from the logged (run, region) pairs of every flash.
-    ``params.dt`` does not enter.
+    of the flashed region.  A run that crosses regions is marked by one
+    flag, set by any flash outside the region of its first, so a run's
+    record has a fixed size whatever its flash count.  ``params.dt``
+    does not enter.
     """
     grid = params.family.grid
     psi0 = born_initial_state(c, centers, params, t_obs)
@@ -134,22 +135,18 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
     first_region = np.full(n_runs, -1)
     first_time = np.zeros(n_runs)
     fidelity = np.zeros(n_runs)
-    none = np.zeros(0, dtype=int)
-    flash_runs, flash_regions = [none], [none]
+    crossed = np.zeros(n_runs, dtype=bool)
     for first, rows, times, nodes, states in _flash_to_flash(_abs2(psi0), params, t_obs,
                                                              n_runs, seed):
         runs, region = first + rows, node_region[nodes]
-        flash_runs.append(runs)
-        flash_regions.append(region)
         new = (first_region[runs] < 0).nonzero()[0]
         if new.size:
-            runs, region = runs[new], region[new]
-            first_region[runs] = region
-            first_time[runs] = times[new]
+            first_region[runs[new]] = region[new]
+            first_time[runs[new]] = times[new]
             blocks = states[new].reshape(-1, n_out, grid.n)
-            fidelity[runs] = blocks[np.arange(len(new)), region].sum(axis=-1)
-    runs, region = np.concatenate(flash_runs), np.concatenate(flash_regions)
-    crossed = np.unique(runs[region != first_region[runs]])
+            fidelity[runs[new]] = blocks[np.arange(len(new)), region[new]].sum(axis=-1)
+        # a round lists each run at most once
+        crossed[runs] |= region != first_region[runs]
 
     seen = first_region >= 0
     counts = np.bincount(first_region[seen], minlength=n_out)
@@ -161,7 +158,7 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
         region_counts=counts,
         region_frequencies=freqs,
         wilson_99=[wilson_interval(int(k), classified) for k in counts],
-        cross_region_runs=len(crossed),
+        cross_region_runs=int(np.count_nonzero(crossed)),
         zero_flash_runs=n_runs - classified,
         mean_branch_fidelity=float(np.mean(fidelities)) if fidelities.size else float("nan"),
         median_first_flash_time=float(np.median(first_times)) if first_times.size else float("nan"))

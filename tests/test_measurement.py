@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -135,6 +136,31 @@ class TestBornExperiment:
         assert rep.zero_flash_runs == 1
         assert rep.median_first_flash_time == 0.1
         assert abs(rep.mean_branch_fidelity - (0.9 + 0.8 + 0.6) / 3) < 1e-12
+
+    def test_cross_region_record_does_not_grow_with_the_flashes(self, monkeypatch):
+        # a scripted waiting-time engine: 5 runs flash once per round, in
+        # alternating regions, for 2,000 or 20,000 rounds (1e5 flash rows)
+        grid, params = demo_setup()
+        nodes = np.flatnonzero(grid.x < 0)[:5], np.flatnonzero(grid.x > 0)[:5]
+        rows, states = np.arange(5), np.full((5, 2 * grid.n), 0.5 / grid.n)
+
+        def peak(n_rounds):
+            def engine(weights, params, t_end, n_traj, seed):
+                for k in range(n_rounds):
+                    yield 0, rows, np.full(5, 1e-6 * k), nodes[k % 2], states
+            monkeypatch.setattr(measurement, "_flash_to_flash", engine)
+            tracemalloc.start()
+            try:
+                rep = born_experiment(np.sqrt([0.5, 0.5]), CENTERS, params, t_obs=0.5,
+                                      n_runs=5, seed=1)
+                used = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.cross_region_runs == 5 and list(rep.region_counts) == [5, 0]
+            return used
+        peak(10)   # fills the caches of params first
+        short, long = peak(2_000), peak(20_000)
+        assert long < short + 64 * 1024, (short, long)
 
     def test_insufficient_amplification_rejected(self):
         _, params = demo_setup()
