@@ -120,6 +120,18 @@ def _chain_table(chain, hbar: float) -> _JumpTable:
     return _JumpTable([cp.operator for cp in chain], np.sqrt([cp.gamma for cp in chain]) / hbar)
 
 
+def _branches(table: _JumpTable, k: int, psi):
+    """Entry k of ``table`` applied to one state psi: (probability, state) of
+    the no-flash branch, then of the flash branch, which keeps its exact -i
+    phase; each state is normalized, or None for a branch of zero probability."""
+    noflash, flash = table.apply(k, psi)
+    out = []
+    for branch in (noflash, -1j * flash):
+        p = float(np.vdot(branch, branch).real)
+        out.append((p, branch / np.sqrt(p) if p > 0 else None))
+    return out
+
+
 def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     """Couple one collapse point to the state and read out its ancilla.
 
@@ -128,13 +140,8 @@ def interact_once(psi, cp: CollapsePoint, hbar: float = 1.0):
     phase.  p_flash + p_noflash = 1 up to roundoff by construction.
     A branch of zero probability yields None for its state.
     """
-    v = np.asarray(psi).astype(complex)
-    noflash, flash = _chain_table([cp], hbar).apply(0, v)
-    flash = -1j * flash
-    p_flash = float(np.vdot(flash, flash).real)
-    sf = flash / np.sqrt(p_flash) if p_flash > 0 else None
-    pn = float(np.vdot(noflash, noflash).real)
-    sn = noflash / np.sqrt(pn) if pn > 0 else None
+    (_, sn), (p_flash, sf) = _branches(_chain_table([cp], hbar), 0,
+                                       np.asarray(psi).astype(complex))
     return p_flash, sf, sn
 
 
@@ -187,12 +194,8 @@ def enumerate_chain(psi0, chain, H=None, hbar: float = 1.0):
                 descend(m + 1, None, 0.0, outcomes + [bit])
             return
         cur = state if evolve is None else evolve(state[None], gaps[m:m + 1])[0]
-        noflash, flash = table.apply(m, cur)
-        flash = -1j * flash
-        p1 = float(np.vdot(flash, flash).real)
-        p0 = float(np.vdot(noflash, noflash).real)
-        descend(m + 1, noflash / np.sqrt(p0) if p0 > 0 else None, prob * p0, outcomes + [0])
-        descend(m + 1, flash / np.sqrt(p1) if p1 > 0 else None, prob * p1, outcomes + [1])
+        for bit, (p, branch) in enumerate(_branches(table, m, cur)):
+            descend(m + 1, branch, prob * p, outcomes + [bit])
 
     descend(0, np.asarray(psi0).astype(complex), 1.0, [])
     records.sort(key=lambda r: r.outcomes)
