@@ -29,31 +29,24 @@ from .hilbert import MAX_DIM, SpatialGrid
 
 @dataclass(frozen=True)
 class SmearingFunction:
-    """Radial profile used to smear collapse and gravity kernels.
+    """Gaussian radial profile used to smear collapse and gravity kernels.
 
     ``amplitude`` normalization fixes the integral of the square to one
     (the collapse choice); ``density`` fixes the integral itself (the
-    number/mass smearing and the gravitational form factor).  The
-    ``delta`` kind is a lattice Kronecker delta: it selects the node
-    nearest to the evaluation centre.
+    number/mass smearing and the gravitational form factor).
     """
 
-    kind: str = "gaussian"
     radius: float = 1.0
     normalization: str = "amplitude"
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "delta"):
-            raise ContractViolationError(f"unknown smearing kind {self.kind!r}")
         if self.normalization not in ("amplitude", "density"):
             raise ContractViolationError(f"unknown normalization {self.normalization!r}")
-        if self.kind == "gaussian" and self.radius <= 0:
+        if self.radius <= 0:
             raise ContractViolationError("gaussian smearing needs a positive radius")
 
     def profile(self, dist, dim: int):
         """Evaluate the continuum profile at the given distances."""
-        if self.kind != "gaussian":
-            raise DomainError("only the gaussian kind has a continuum profile")
         d2 = np.square(np.asarray(dist, dtype=float))
         r2 = self.radius ** 2
         if self.normalization == "amplitude":
@@ -61,18 +54,13 @@ class SmearingFunction:
         return (math.pi * r2) ** (-dim / 2.0) * np.exp(-d2 / r2)
 
     def lattice_values(self, grid: SpatialGrid, center) -> np.ndarray:
-        """Profile sampled on grid nodes; delta kind selects the nearest node."""
-        dist = grid.distances_from(center)
-        if self.kind == "delta":
-            out = np.zeros(grid.n)
-            out[int(np.argmin(dist))] = 1.0
-            return out
-        return self.profile(dist, grid.dim)
+        """Profile sampled on grid nodes."""
+        return self.profile(grid.distances_from(center), grid.dim)
 
 
 def grw_gaussian(r_c: float) -> SmearingFunction:
     """The standard localization profile: amplitude-normalized gaussian."""
-    return SmearingFunction("gaussian", r_c, "amplitude")
+    return SmearingFunction(r_c, "amplitude")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +111,7 @@ def build_grw_family(grid: SpatialGrid, f_c: SmearingFunction) -> OperatorFamily
     the dynamics layer.  Refuses profiles narrower than two grid
     spacings: the completeness sum rule would be undersampled.
     """
-    if f_c.kind != "gaussian" or f_c.normalization != "amplitude":
+    if f_c.normalization != "amplitude":
         raise ContractViolationError("the localization family needs an amplitude-normalized gaussian")
     if f_c.radius < 2.0 * grid.spacing:
         raise DomainError(
@@ -229,7 +217,7 @@ def build_smeared_number(basis: FockBasis, grid: SpatialGrid, g: SmearingFunctio
     if grid.n != basis.sites:
         raise ContractViolationError(
             f"lattice has {basis.sites} sites but the grid carries {grid.n} nodes")
-    if g.kind == "gaussian" and g.normalization != "density":
+    if g.normalization != "density":
         raise ContractViolationError("number smearing must be density-normalized")
     basis.species_index(species)   # raises on unknown label
     number_diags = np.array([np.diag(basis.number_operator(species, s)) for s in range(basis.sites)])

@@ -103,7 +103,7 @@ def test_05_indistinguishable_operators():
     worst = 0.0
     for sites in (4, 6):
         grid = SpatialGrid.line(sites, 1.0)
-        g = SmearingFunction("gaussian", 1.8, "density")
+        g = SmearingFunction(1.8, "density")
         for statistics in ("boson", "fermion"):
             for n in (1, 2, 3):
                 basis = FockBasis(sites, statistics, n)

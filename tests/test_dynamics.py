@@ -76,7 +76,7 @@ def fock_mass_case():
     state (|site 2> + |sites 2,3>) / sqrt(2).
     """
     grid = SpatialGrid.line(6, 1.0)
-    g = SmearingFunction("gaussian", 1.8, "density")
+    g = SmearingFunction(1.8, "density")
     basis = FockBasis(6, "boson", 2)
     params = ModelParams.natural(lambda_grw=1.0, family=build_smeared_mass(basis, grid, g, 1.0),
                                  dt=0.005)

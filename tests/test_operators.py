@@ -17,7 +17,7 @@ class TestSmearingFunction:
         assert abs(val - 1.0) < 1e-8
 
     def test_density_integrates_to_one_1d(self):
-        f = SmearingFunction("gaussian", 0.7, "density")
+        f = SmearingFunction(0.7, "density")
         x = np.linspace(-10, 10, 20001)
         assert abs(np.trapezoid(f.profile(np.abs(x), 1), x) - 1.0) < 1e-8
 
@@ -28,22 +28,13 @@ class TestSmearingFunction:
         assert abs(val - 1.0) < 1e-8
 
     def test_density_integrates_to_one_3d(self):
-        f = SmearingFunction("gaussian", 0.5, "density")
+        f = SmearingFunction(0.5, "density")
         r = np.linspace(0, 8, 40001)
         assert abs(np.trapezoid(4 * np.pi * r ** 2 * f.profile(r, 3), r) - 1.0) < 1e-8
 
-    def test_delta_lattice_profile(self):
-        g = SpatialGrid.line(9, 1.0)
-        f = SmearingFunction("delta", 0.0, "density")
-        vals = f.lattice_values(g, [0.2])
-        assert vals.sum() == 1.0
-        assert vals[4] == 1.0   # nearest node is the centre
-
     def test_invalid_parameters(self):
         with pytest.raises(ContractViolationError):
-            SmearingFunction("box", 1.0, "density")
-        with pytest.raises(ContractViolationError):
-            SmearingFunction("gaussian", -1.0, "density")
+            SmearingFunction(-1.0, "density")
 
 
 class TestGrwFamily:
@@ -132,7 +123,7 @@ class TestFockBasis:
 class TestSmearedOperators:
     def setup_method(self):
         self.grid = SpatialGrid.line(6, 1.0)
-        self.g = SmearingFunction("gaussian", 2.5, "density")
+        self.g = SmearingFunction(2.5, "density")
 
     def test_single_particle_eigenvalue_is_profile(self):
         basis = FockBasis(6, "boson", 2)
@@ -152,14 +143,6 @@ class TestSmearedOperators:
         idx = basis.index[occ]
         one = tuple(1 if s == z else 0 for s in range(6))
         assert abs(fam.diagonals[0, idx] - 2 * fam.diagonals[0, basis.index[one]]) < 1e-14
-
-    def test_delta_kind_reduces_to_onsite_number(self):
-        basis = FockBasis(6, "boson", 2)
-        delta = SmearingFunction("delta", 0.0, "density")
-        fam = build_smeared_number(basis, self.grid, delta, "a")
-        for k in range(self.grid.n):
-            onsite = np.diag(basis.number_operator("a", k))
-            assert np.max(np.abs(fam.diagonals[k] - onsite)) == 0.0
 
     def test_mass_family_unit_weight_equals_number(self):
         basis = FockBasis(4, "boson", 2, species=(("n", 1.0),))
@@ -214,20 +197,20 @@ class TestSmearedOperators:
 class TestFirstQuantizedEquivalence:
     def test_single_particle_exact(self):
         grid = SpatialGrid.line(4, 1.0)
-        g = SmearingFunction("gaussian", 1.5, "density")
+        g = SmearingFunction(1.5, "density")
         basis = FockBasis(4, "boson", 1)
         assert first_quantized_equiv_check(basis, grid, g, 1) < 1e-14
 
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
     def test_two_particles(self, statistics):
         grid = SpatialGrid.line(4, 1.0)
-        g = SmearingFunction("gaussian", 1.5, "density")
+        g = SmearingFunction(1.5, "density")
         basis = FockBasis(4, statistics, 2)
         assert first_quantized_equiv_check(basis, grid, g, 2) < 1e-12
 
     def test_restrictions(self):
         grid = SpatialGrid.line(4, 1.0)
-        g = SmearingFunction("gaussian", 1.5, "density")
+        g = SmearingFunction(1.5, "density")
         with pytest.raises(ContractViolationError):
             first_quantized_equiv_check(FockBasis(4, "boson", 4), grid, g, 4)
         with pytest.raises(ContractViolationError):
