@@ -479,8 +479,9 @@ def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
     if not steps < 2 ** 53:
         raise ContractViolationError(f"t_end / dt = {steps:.3g} report steps, not below 2^53")
     n_steps = int(round(steps))
-    marks = np.rint(np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1)))
-    return n_steps, np.unique(marks).astype(np.int64).tolist()
+    # the spread ascends, so its rounded steps do too; a repeated one is dropped
+    marks = np.rint(np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1))).astype(np.int64)
+    return n_steps, marks[np.diff(marks, prepend=-1) > 0].tolist()
 
 
 # ---------------------------------------------------------------------------
