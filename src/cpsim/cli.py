@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .dynamics import (ModelParams, _check_flashes, _check_substeps, _checkpoints,
-                       _generator_norm, _norm_decay, ensemble_vs_master, integrate_master)
+from .dynamics import (ModelParams, _check_jumps, _check_substeps, _checkpoints,
+                       _generator_norm, _jumps, ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
                      CpsimError, DomainError, StepSizeError)
 from .exact import _check_phases, _sample_windows
@@ -285,32 +285,34 @@ def _exact(cfg, opts):
     return run
 
 
-def _ensemble(cfg, opts, keys=()):
-    """The shared part of ``trajectories`` and ``compare``, with the start and
-    the end step of the report grid, [0, n] for n of at least 1."""
+def _evolution(cfg, opts, keys):
+    """The shared part of ``trajectories``, ``compare`` and ``master``, with
+    the span n dt of the report grid, for n of at least 1 steps."""
     params = _parse_params(cfg)
-    _reject_unknown(opts, {"t_end", "n_traj", "psi0", *keys}, "options")
+    _reject_unknown(opts, {"t_end", "psi0", *keys}, "options")
     psi0, t_end = _parse_psi0(opts, params.grid), _positive(opts, "t_end", "options")
     n_steps, ends = _check_work("options.t_end", _checkpoints, t_end, params.dt, 2)
     if n_steps < 1:
         raise ConfigError(f"params.dt: options.t_end / dt = {t_end / params.dt:.3g} rounds "
                           "to 0 steps")
-    _check_work("options.t_end", _check_substeps, params.no_jump_bound, n_steps * params.dt)
-    return params, psi0, t_end, ends, _count(opts, "n_traj", "options", most=_MAX_RUNS)
+    return params, psi0, t_end, ends[-1] * params.dt
 
 
 def _trajectories(cfg, opts):
-    params, psi0, _, ends, n_traj = _ensemble(cfg, opts)
+    params, psi0, _, span = _evolution(cfg, opts, {"n_traj"})
+    # the rows read |psi|^2 alone, so without a Hamiltonian the run carries weights
+    weights = params.hamiltonian is None
+    _check_work("options.t_end", _check_jumps, params, span, weights)
+    n_traj = _count(opts, "n_traj", "options", most=_MAX_RUNS)
 
     def run(seed):
         # per trajectory: flash count, first flash time, mean position at the end
         counts, first = np.zeros(n_traj, dtype=int), np.full(n_traj, -1.0)
         mean_x = np.zeros(n_traj)
-        times = np.array(ends) * params.dt
-        for start, rows, t, nodes, v in _norm_decay(psi0, params, times, n_traj, seed):
+        for start, rows, t, nodes, v in _jumps(psi0, params, [0.0, span], n_traj, seed, weights):
             hit = start + rows
             if nodes is None:   # the start, then the end
-                mean_x[hit] = np.sum(params.grid.x * np.abs(v) ** 2, axis=-1)
+                mean_x[hit] = np.sum(params.grid.x * (v if weights else np.abs(v) ** 2), axis=-1)
                 continue
             new = counts[hit] == 0
             first[hit[new]] = t[new]
@@ -321,9 +323,11 @@ def _trajectories(cfg, opts):
 
 
 def _compare(cfg, opts):
-    params, psi0, t_end, ends, n_traj = _ensemble(cfg, opts, {"n_checkpoints"})
-    _check_work("options.t_end", _check_substeps, _generator_norm(params), ends[-1] * params.dt)
-    n_checkpoints = _count(opts, "n_checkpoints", "options", 11, most=_MAX_RUNS)
+    params, psi0, t_end, span = _evolution(cfg, opts, {"n_traj", "n_checkpoints"})
+    _check_work("options.t_end", _check_jumps, params, span, False)
+    _check_work("options.t_end", _check_substeps, _generator_norm(params), span)
+    n_traj = _count(opts, "n_traj", "options", most=_MAX_RUNS)
+    n_checkpoints = _count(opts, "n_checkpoints", "options", 11, least=2, most=_MAX_RUNS)
     kept = len(_checkpoints(t_end, params.dt, n_checkpoints)[1]) * params.grid.n ** 2
     if kept > _MAX_KEPT_AMPLITUDES:
         raise ConfigError(f"options.n_checkpoints: {n_checkpoints} checkpoints would keep "
@@ -338,13 +342,9 @@ def _compare(cfg, opts):
 
 
 def _master(cfg, opts):
-    params = _parse_params(cfg)
-    _reject_unknown(opts, {"t_end", "n_checkpoints", "psi0"}, "options")
-    psi0 = _parse_psi0(opts, params.grid)
-    t_end = _positive(opts, "t_end", "options")
-    n_steps, _ = _check_work("options.t_end", _checkpoints, t_end, params.dt, 2)
-    n_checkpoints = _count(opts, "n_checkpoints", "options", 11, most=_MAX_RUNS)
-    _check_work("options.t_end", _check_substeps, _generator_norm(params), n_steps * params.dt)
+    params, psi0, t_end, span = _evolution(cfg, opts, {"n_checkpoints"})
+    n_checkpoints = _count(opts, "n_checkpoints", "options", 11, least=2, most=_MAX_RUNS)
+    _check_work("options.t_end", _check_substeps, _generator_norm(params), span)
 
     def run(seed):
         rows = []
@@ -392,7 +392,7 @@ def _born(cfg, opts):
         return pointer_family(grid, f_c, len(amps))
     params = _parse_params(cfg, build)
     params = replace(params, mass=amplification * params.m_r)
-    _check_work("options.t_obs", _check_flashes, params, t_obs)
+    _check_work("options.t_obs", _check_jumps, params, t_obs, True)
     born_initial_state(amps, centers, params, t_obs)   # raises what the run would raise first
 
     def run(seed):

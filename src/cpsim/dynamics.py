@@ -4,18 +4,19 @@ The piecewise-deterministic jump process: between flashes the state
 follows the no-jump generator G = -i H / hbar - (r / 2) W, whose norm
 decay is the probability of no flash, and at Poisson-distributed flash
 times it is multiplied by the local collapse operator and renormalized.
-Every jump run goes from one flash straight to the next (Dalibard,
-Castin & Moelmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101
-(1998)): trajectory k draws one uniform u per wait from its own
-stream k of the seed (``rng``) and flashes when its survival falls to u,
-then one for the node, so no result depends on the chunk size or on
-``dt``.  The Born engine ``_flash_to_flash`` keeps weights, whose
-survival is closed without a Hamiltonian; ``_norm_decay`` keeps
-amplitudes.  The ensemble average of the projector obeys the matching
-master equation, whose generator L is propagated from one checkpoint to
-the next by the action of exp(L t), through scaling and a truncated
-Taylor series (``integrate_master``); the two routes are cross-checked
-by ``ensemble_vs_master``.
+Every jump run goes from one flash straight to the next on one driver,
+``_jumps`` (Dalibard, Castin & Moelmer, PRL 68, 580 (1992); Plenio &
+Knight, RMP 70, 101 (1998)): trajectory k draws one uniform u per wait
+from its own stream k of the seed (``rng``) and flashes when its
+survival falls to u, then one for the node, so no result depends on the
+chunk size or on ``dt``.  Runs without a Hamiltonian that read |psi|^2
+alone carry closed-form weights (``_weights``); the others carry
+amplitudes on Taylor pieces of G (``_amplitudes``).  The ensemble
+average of the projector obeys the matching master equation, whose
+generator L is propagated from one checkpoint to the next by the action
+of exp(L t), through scaling and a truncated Taylor series
+(``integrate_master``); the two routes are cross-checked by
+``ensemble_vs_master``.
 """
 
 from __future__ import annotations
@@ -244,28 +245,83 @@ def _chunks(n_traj: int, seed: int):
 #: Newton rounds allowed for one wait or flash time; they close in about a
 #: dozen at worst, so reaching this is a bug, not a hard case
 _MAX_NEWTON = 64
-#: most expected flashes of one waiting-time run, rate_scale * max W * t_end,
-#: each one event of the engine: a run of 2^24 events already takes hours
+#: most expected flashes of one run on weights, rate_scale * max W * t_end, each
+#: one round of the driver: a run of 2^24 already takes hours
 _MAX_FLASHES = 2 ** 24
 
 
-def _check_flashes(params: ModelParams, t: float):
-    """Refuse a waiting-time run over t of more than ``_MAX_FLASHES`` expected
-    flashes before any draw; a norm-decay run is capped by its pieces instead."""
+def _check_jumps(params: ModelParams, t: float, weights: bool):
+    """Refuse a jump run over t beyond the cap of its propagator before any
+    draw: on weights ``_MAX_FLASHES`` expected flashes, on amplitudes
+    ``_MAX_SUBSTEPS`` Taylor pieces of the no-jump generator."""
+    if not weights:
+        return _check_substeps(params.no_jump_bound, t)
     flashes = params.rate_scale * float(np.maximum.reduce(params.weighted_l2)) * t
     if not flashes <= _MAX_FLASHES:
         raise ContractViolationError(f"rate_scale * max W * t = {flashes:.3g} expected "
                                      f"flashes per run, above {_MAX_FLASHES}")
 
 
-# ---------------------------------------------------------------------------
-# norm-decay engine: amplitudes from flash to flash on the no-jump generator
-# ---------------------------------------------------------------------------
+def _jumps(psi0, params: ModelParams, times, n_traj: int, seed: int, weights: bool = False):
+    """Run trajectories 0 .. n_traj - 1 from psi0 at times[0] over the
+    ascending report times ``times``, ``_CHUNK`` at a time, carrying the
+    weights (``_weights``) if ``weights``, else amplitudes (``_amplitudes``).
+    A propagator gives the start state, a row's density, its normalisation,
+    the collapse members, and per report gap (piece offsets, h, move, cross).
 
-def _norms2(v):
-    """||v||^2 of each row."""
-    return np.add.reduce(_abs2(v), axis=-1)
+    A run keeps its unnormalised state since its last flash, whose total
+    density, the probability of no flash since, cannot rise.  It draws one
+    uniform u from its own stream k of ``seed`` at the start and after each
+    flash, and flashes where that density falls to u; then one more for the
+    node, by ``_pick_nodes`` at the flash state, whose member (|L_k|^2 on
+    weights) multiplies the state: 2n + 1 uniforms for n flashes.  A row
+    whose density ends a piece of a report gap below u finds when by the
+    propagator and runs the rest of the piece, as often as it flashes.
+    Yields ``(first, rows, t, nodes, states)`` per round: trajectory first
+    + r of each listed row r flashed at t[i] and node nodes[i], leaving
+    states[i]; at each report time a round with nodes None lists every
+    row's normalised state.  Nothing depends on n_traj or the chunking.  A
+    run over the cap of ``_check_jumps`` raises before any draw.
+    """
+    times = [float(t) for t in times]
+    _check_jumps(params, times[-1] - times[0], weights)
+    v0, density, unit, members, gaps = (_weights if weights else _amplitudes)(psi0, params, times)
+    node_rates = params._jump_constants[2]
 
+    def mass(v):
+        return np.add.reduce(density(v), axis=-1)
+    for first, rows, draw in _chunks(n_traj, seed):
+        every, v = np.arange(rows), unit(np.tile(v0, (rows, 1)))
+        u = draw(every)
+        yield first, every, np.full(rows, times[0]), None, unit(v)
+        for a, b in zip(times, times[1:]):
+            offsets, h, move, cross = gaps[b - a]
+            for start in a + offsets:
+                end = move(v)
+                hit, seg, t = every, v, np.full(rows, start)
+                while True:
+                    crossed = mass(end[hit]) < u[hit]
+                    hit, seg, t = hit[crossed], seg[crossed], t[crossed]
+                    if not hit.size:
+                        break
+                    tau, at = cross(seg, end[hit], start + h - t, np.log(u[hit]))
+                    t = t + tau
+                    nodes = _pick_nodes(_rows_times(density(at), node_rates), draw(hit))
+                    seg = members[nodes] * at
+                    if not mass(seg).all():
+                        raise ContractViolationError("jump onto a zero-rate node; rates are "
+                                                     "inconsistent")
+                    seg = unit(seg)
+                    yield first, hit, t, nodes, seg
+                    u[hit] = draw(hit)
+                    end[hit] = move(seg, start + h - t)
+                v = end
+            yield first, every, np.full(rows, b), None, unit(v)
+
+
+# ---------------------------------------------------------------------------
+# amplitudes: Taylor pieces of the no-jump generator
+# ---------------------------------------------------------------------------
 
 def _no_jump(v, params: ModelParams, h, m: int):
     """Degree-m Taylor polynomial of exp(h G) applied to each row of v."""
@@ -296,8 +352,9 @@ def _crossing(v, w, params: ModelParams, m: int, span, log_u):
     rw = params.rate_scale * params.weighted_l2
 
     def point(x, rows):
-        n2 = _norms2(x)
-        return np.log(n2) - log_u[rows], np.add.reduce(_abs2(x) * rw, axis=-1) / n2
+        a2 = _abs2(x)
+        n2 = np.add.reduce(a2, axis=-1)
+        return np.log(n2) - log_u[rows], np.add.reduce(a2 * rw, axis=-1) / n2
     o = np.arange(len(v))
     (f_lo, s_lo), (f_hi, s_hi) = point(v, o), point(w, o)
     lo, hi, tau, at, f = np.zeros(len(v)), span.copy(), np.zeros(len(v)), v.copy(), f_lo.copy()
@@ -319,65 +376,26 @@ def _crossing(v, w, params: ModelParams, m: int, span, log_u):
     raise ConvergenceError(f"flash-time Newton iteration open after {_MAX_NEWTON} steps")
 
 
-def _norm_decay(psi0, params: ModelParams, times, n_traj: int, seed: int):
-    """Run trajectories 0 .. n_traj - 1 from psi0 at times[0] over the
-    ascending report times ``times``, ``_CHUNK`` at a time.
+def _amplitudes(psi0, params: ModelParams, times):
+    """The propagator of amplitudes: each report gap as the pieces of
+    ``_pieces``, moving every row by one per-row apply of B(h), the rest of
+    a piece after a flash by the Taylor polynomial, and flash times by
+    ``_crossing``.  A row's density is |psi|^2."""
+    def gap(d):
+        count, h, m, bt = _pieces(params, d)
 
-    A run keeps the unnormalised state exp(G t) psi of its last flash,
-    whose norm^2, the probability of no flash since, cannot rise.  It
-    draws one uniform u from its own stream k of ``seed`` at the start and
-    after each flash, and flashes where its norm^2 falls to u; the flash
-    draws one more uniform for the node, by ``_pick_nodes`` at the flash
-    state, which the node's collapse operator then multiplies: 2n + 1
-    uniforms for n flashes, in the order of ``_flash_to_flash``.  Each
-    piece of ``_pieces`` moves every row by one per-row apply of B(h); a
-    row whose norm^2 ends it below u finds when by ``_crossing`` and runs
-    the rest by the Taylor polynomial, as often as it flashes.  Yields
-    ``(first, rows, t, nodes, states)`` per round: trajectory first + r of
-    each listed row r flashed at t[i] and node nodes[i], leaving states[i];
-    at each report time a round with nodes None lists every row's
-    normalised state.  Nothing depends on n_traj or the chunking.  A run of
-    more than ``_MAX_SUBSTEPS`` pieces raises before any draw.
-    """
-    times = [float(t) for t in times]
-    _check_substeps(params.no_jump_bound, times[-1] - times[0])
-    v0, diagonals = np.asarray(psi0).astype(complex), params.family.diagonals
-    node_rates = params._jump_constants[2]
-    gaps = {d: _pieces(params, d) for d in {b - a for a, b in zip(times, times[1:])}}
-
-    def normalised(v):
-        return v * (1.0 / np.sqrt(_norms2(v)))[:, None]
-    for first, rows, draw in _chunks(n_traj, seed):
-        every, v = np.arange(rows), normalised(np.tile(v0, (rows, 1)))
-        u = draw(every)
-        yield first, every, np.full(rows, times[0]), None, normalised(v)
-        for a, b in zip(times, times[1:]):
-            count, h, m, bt = gaps[b - a]
-            for start in a + h * np.arange(count):
-                end = _rows_times(v, bt)
-                hit, seg, t = every, v, np.full(rows, start)
-                while True:
-                    crossed = _norms2(end[hit]) < u[hit]
-                    hit, seg, t = hit[crossed], seg[crossed], t[crossed]
-                    if not hit.size:
-                        break
-                    tau, at = _crossing(seg, end[hit], params, m, start + h - t, np.log(u[hit]))
-                    t = t + tau
-                    nodes = _pick_nodes(_rows_times(_abs2(at), node_rates), draw(hit))
-                    seg = diagonals[nodes] * at
-                    if not _norms2(seg).all():
-                        raise ContractViolationError("jump onto a zero-rate node; rates are "
-                                                     "inconsistent")
-                    seg = normalised(seg)
-                    yield first, hit, t, nodes, seg
-                    u[hit] = draw(hit)
-                    end[hit] = _no_jump(seg, params, (start + h - t)[:, None], m)
-                v = end
-            yield first, every, np.full(rows, b), None, normalised(v)
+        def move(v, span=None):
+            return _rows_times(v, bt) if span is None else _no_jump(v, params, span[:, None], m)
+        return (h * np.arange(count), h, move,
+                lambda v, w, span, log_u: _crossing(v, w, params, m, span, log_u))
+    gaps = {d: gap(d) for d in {b - a for a, b in zip(times, times[1:])}}
+    return (np.asarray(psi0).astype(complex), _abs2,
+            lambda v: v * (1.0 / np.sqrt(np.add.reduce(_abs2(v), axis=-1)))[:, None],
+            params.family.diagonals, gaps)
 
 
 # ---------------------------------------------------------------------------
-# waiting-time engine: weights without a Hamiltonian, from flash to flash
+# weights: closed-form survival without a Hamiltonian
 # ---------------------------------------------------------------------------
 
 def _survival(p, rw, tau):
@@ -419,62 +437,40 @@ def _waits(p, rw, log_u):
     raise ConvergenceError(f"waiting-time Newton iteration open after {_MAX_NEWTON} steps")
 
 
-def _flash_to_flash(weights, params: ModelParams, t_end: float, n_traj: int, seed: int):
-    """Run trajectories 0 .. n_traj - 1 without a Hamiltonian from flash to
-    flash up to t_end, ``_CHUNK`` at a time.
+def _weights(psi0, params: ModelParams, times):
+    """The propagator of the weights p_j = |psi_j|^2 without a Hamiltonian.
+    Every family is diagonal, so between flashes p_j decays as exp(-r W_j t),
+    r = ``rate_scale``, W = ``weighted_l2``, and the flash time is the root
+    of ``_waits``, where the weights are normalised.  The waits need weights
+    summing to 1 at the start of a piece, so the one piece is the one report
+    gap; a second gap or a Hamiltonian raises."""
+    if params.hamiltonian is not None or len(times) != 2:
+        raise ContractViolationError("the weight propagator runs one report gap without a "
+                                     "Hamiltonian")
+    rw, h = params.rate_scale * params.weighted_l2, times[1] - times[0]
 
-    Every family is diagonal, so between flashes |psi_j(t)|^2 is
-    proportional to p_j exp(-r W_j t), r = ``rate_scale``, W =
-    ``weighted_l2``, and the run survives a wait tau without a flash with
-    probability S(tau) = sum_j p_j exp(-r W_j tau).  Flash statistics do
-    not depend on phases, so the rows are the weights p_j = |psi_j|^2
-    alone, starting from ``weights`` normalised.  In each round every live
-    run draws one uniform u from its own stream k of ``seed``: it is done if
-    S(t_end - t) >= u, otherwise it waits the root of S(tau) = u
-    (``_waits``) and draws one more uniform to pick the node, by
-    ``_pick_nodes`` at the pre-flash state; its weights are then multiplied by
-    |L_k|^2 and renormalised.  Yields ``(first, rows, times, nodes,
-    states)`` per round: trajectory first + r of each listed row r flashed
-    at time times[i] and node nodes[i], leaving the weights states[i].
-    Nothing depends on n_traj or the chunking.  A run of more than
-    ``_MAX_FLASHES`` expected flashes raises before any draw.
-    """
-    if params.hamiltonian is not None:
-        raise ContractViolationError("the waiting-time engine runs without a Hamiltonian")
-    p0 = np.asarray(weights, dtype=float)
-    p0 = p0 / np.add.reduce(p0)
-    rw = params.rate_scale * params.weighted_l2
-    _check_flashes(params, t_end)
-    _, l2, node_rates = params._jump_constants
-    for first, rows, draw in _chunks(n_traj, seed):
-        live, t, p = np.arange(rows), np.zeros(rows), np.tile(p0, (rows, 1))
-        while True:
-            u = draw(live)
-            left = t_end - t
-            flash = u > np.add.reduce(p * np.exp(left[:, None] * -rw), axis=-1)
-            if not flash.all():
-                live, t, p, u, left = live[flash], t[flash], p[flash], u[flash], left[flash]
-                if not live.size:
-                    break
-            tau = np.minimum(_waits(p, rw, np.log(u)), left)
-            t = t + tau
-            pre = p * np.exp(tau[:, None] * -rw)
-            pre /= np.add.reduce(pre, axis=-1, keepdims=True)
-            nodes = _pick_nodes(_rows_times(pre, node_rates), draw(live))
-            p = l2[nodes] * pre
-            norm = np.add.reduce(p, axis=-1, keepdims=True)
-            if not norm.all():
-                raise ContractViolationError("jump onto a zero-rate node; rates are inconsistent")
-            p /= norm
-            yield first, live, t, nodes, p
+    def unit(p):
+        return p / np.add.reduce(p, axis=-1, keepdims=True)
+
+    def move(v, span=None):
+        return v * np.exp((h if span is None else span[:, None]) * -rw)
+
+    def cross(v, w, span, log_u):
+        tau = np.minimum(_waits(v, rw, log_u), span)
+        return tau, unit(move(v, tau))
+    return (_abs2(np.asarray(psi0)), lambda p: p, unit, params._jump_constants[1],
+            {h: (np.zeros(1), h, move, cross)})
 
 
 def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
     """The report grid of a run over t_end, the only code that places report
     times: the step count n = round(t_end / dt) and the sorted steps i of at
-    most ``n_checkpoints`` report times i dt, spread evenly over 0 .. n.  A
+    most ``n_checkpoints`` report times i dt, spread evenly over 0 .. n.
+    Fewer than 2 checkpoints, which cannot hold both 0 and t_end, or a
     t_end / dt that is not below 2^53, where n and the times i dt stop
-    being exact, raises before any work."""
+    being exact, raise before any work."""
+    if n_checkpoints < 2:
+        raise ContractViolationError(f"need at least 2 checkpoints, got {n_checkpoints}")
     steps = t_end / dt
     if not steps < 2 ** 53:
         raise ContractViolationError(f"t_end / dt = {steps:.3g} report steps, not below 2^53")
@@ -649,7 +645,7 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
                        seed: int, n_checkpoints: int = 11) -> EnsembleComparison:
     """Projector averaged over trajectories versus the deterministic master solution.
 
-    The trajectories run on ``_norm_decay`` over the checkpoint times, and
+    The trajectories carry amplitudes over the checkpoint times, and
     their projectors are summed chunk by chunk at each checkpoint.  The
     Frobenius distance at every checkpoint is compared against the
     statistical bound 5 / sqrt(n_traj).
@@ -658,7 +654,7 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
     times = np.array(marks) * params.dt
     v = np.asarray(psi0).astype(complex)
     avg = np.zeros((len(marks), v.size, v.size), dtype=complex)
-    for _, _, t, nodes, states in _norm_decay(v, params, times, n_traj, seed):
+    for _, _, t, nodes, states in _jumps(v, params, times, n_traj, seed):
         if nodes is None:
             avg[np.searchsorted(times, t[0])] += np.einsum("ri,rj->ij", states, states.conj())
     avg /= n_traj

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, _abs2, _flash_to_flash
+from .dynamics import ModelParams, _jumps
 from .errors import ContractViolationError
 from .hilbert import SpatialGrid
 from .operators import OperatorFamily, SmearingFunction, build_grw_family
@@ -114,17 +114,17 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
                     n_runs: int, seed: int) -> BornReport:
     """Flash statistics of repeated pointer measurements.
 
-    Every run jumps from flash to flash up to t_obs on the waiting-time
-    engine (``dynamics._flash_to_flash``), which carries the branch
-    weights alone; the run is classified by the region of its first
-    flash, whose time is continuous.  Runs whose flashes visit more than
-    one region are counted separately, as are runs with no flash at all
-    (possible but exponentially unlikely at the required amplification).
-    Branch fidelity is the post-first-flash weight on the system outcome
-    of the flashed region.  A run that crosses regions is marked by one
-    flag, set by any flash outside the region of its first, so a run's
-    record has a fixed size whatever its flash count.  ``params.dt``
-    does not enter.
+    Every run jumps from flash to flash up to t_obs on the weights of the
+    jump driver (``dynamics._jumps``), since the pointer has no
+    Hamiltonian and the report reads |psi|^2 alone; the run is classified
+    by the region of its first flash, whose time is continuous.  Runs whose
+    flashes visit more than one region are counted separately, as are runs
+    with no flash at all (possible but exponentially unlikely at the
+    required amplification).  Branch fidelity is the post-first-flash
+    weight on the system outcome of the flashed region.  A run that
+    crosses regions is marked by one flag, set by any flash outside the
+    region of its first, so a run's record has a fixed size whatever its
+    flash count.  ``params.dt`` does not enter.
     """
     grid = params.family.grid
     psi0 = born_initial_state(c, centers, params, t_obs)
@@ -136,8 +136,10 @@ def born_experiment(c, centers, params: ModelParams, t_obs: float,
     first_time = np.zeros(n_runs)
     fidelity = np.zeros(n_runs)
     crossed = np.zeros(n_runs, dtype=bool)
-    for first, rows, times, nodes, states in _flash_to_flash(_abs2(psi0), params, t_obs,
-                                                             n_runs, seed):
+    for first, rows, times, nodes, states in _jumps(psi0, params, [0.0, t_obs], n_runs, seed,
+                                                    weights=True):
+        if nodes is None:   # the start and t_obs
+            continue
         runs, region = first + rows, node_region[nodes]
         new = (first_region[runs] < 0).nonzero()[0]
         if new.size:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cpsim import cli, gravity
 from cpsim.cli import main, read_results, run_config, validate_config
-from cpsim.dynamics import _norm_decay
+from cpsim.dynamics import _jumps
 from cpsim.errors import ConfigError
 from cpsim.hilbert import MAX_DIM
 
@@ -602,7 +602,7 @@ class TestRunners:
         psi0 = cli._parse_psi0(cfg["options"], params.grid)
         flashes = [[] for _ in range(n_traj)]
         times = [0.0, n_steps * params.dt]
-        for first, rows, t, nodes, v in _norm_decay(psi0, params, times, n_traj, cfg["seed"]):
+        for first, rows, t, nodes, v in _jumps(psi0, params, times, n_traj, cfg["seed"]):
             if nodes is None:
                 final = v
                 continue

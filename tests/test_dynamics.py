@@ -28,13 +28,14 @@ def constant_uniforms(monkeypatch, value):
     monkeypatch.setattr(dynamics, "_uniforms", lambda key: lambda rows: np.full(len(rows), value))
 
 
-def run_engine(psi0, params, times, n_traj, seed):
+def run_engine(psi0, params, times, n_traj, seed, weights=False):
     """Flashes (time, node) of each trajectory, and every trajectory's
-    normalised state at each report time, read from ``_norm_decay``."""
+    normalised state (its weights if ``weights``) at each report time, read
+    from ``_jumps``."""
     times = np.asarray(times, dtype=float)
     events = [[] for _ in range(n_traj)]
     states = np.empty((len(times), n_traj, params.family.dim), dtype=complex)
-    for first, rows, t, nodes, v in dynamics._norm_decay(psi0, params, times, n_traj, seed):
+    for first, rows, t, nodes, v in dynamics._jumps(psi0, params, times, n_traj, seed, weights):
         if nodes is None:
             states[np.searchsorted(times, t[0]), first + rows] = v
             continue
@@ -135,7 +136,7 @@ class TestFlashRateDensity:
 
 
 class TestSseStep:
-    """The no-jump evolution and the flash of the norm-decay engine."""
+    """The no-jump evolution and the flash of the driver on amplitudes."""
 
     def test_position_eigenstate_invariant_without_hamiltonian(self, monkeypatch):
         params = natural_params(lam=1e-6)
@@ -301,19 +302,27 @@ def reference_run(psi0, params, t_end, rng):
 class TestBatchEngine:
     N_TRAJ = 9
 
+    @staticmethod
+    def propagators(params):
+        """Amplitudes, and without a Hamiltonian weights too."""
+        return (False,) if params.hamiltonian is not None else (False, True)
+
     @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
     def test_chunk_size_does_not_change_trajectories(self, case, monkeypatch):
         params = CHUNK_CASES[case]()
         psi0 = packet(params.grid)
-        runs = {}
-        for chunk in (1, 3, 7, self.N_TRAJ + 1):
-            monkeypatch.setattr(dynamics, "_CHUNK", chunk)
-            runs[chunk] = run_engine(psi0, params, grid_times(2.0, 0.01), self.N_TRAJ, seed=31)
-        ref_events, ref_states = runs[self.N_TRAJ + 1]
-        assert sum(len(e) for e in ref_events) >= 5
-        for events, states in runs.values():
-            assert events == ref_events
-            assert np.array_equal(states, ref_states)
+        for weights in self.propagators(params):
+            # the weight propagator serves a single report gap
+            times = [0.0, 2.0] if weights else grid_times(2.0, 0.01)
+            runs = {}
+            for chunk in (1, 3, 7, self.N_TRAJ + 1):
+                monkeypatch.setattr(dynamics, "_CHUNK", chunk)
+                runs[chunk] = run_engine(psi0, params, times, self.N_TRAJ, 31, weights)
+            ref_events, ref_states = runs[self.N_TRAJ + 1]
+            assert sum(len(e) for e in ref_events) >= 5
+            for events, states in runs.values():
+                assert events == ref_events
+                assert np.array_equal(states, ref_states)
 
     @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
     def test_matches_sse_step_loop(self, case, monkeypatch):
@@ -323,19 +332,22 @@ class TestBatchEngine:
         params = ENGINE_CASES[case]()
         psi0 = packet(params.grid)
         t_end = 0.5
-        events, states = run_engine(psi0, params, [0.0, t_end], self.N_TRAJ, seed=32)
-        assert sum(len(e) for e in events) >= 5
-        for k in range(self.N_TRAJ):
-            loop, final = reference_run(psi0, params, t_end, stream(32, k))
-            assert [node for _, node in events[k]] == [node for _, node in loop]
-            assert np.allclose([t for t, _ in events[k]], [t for t, _ in loop],
-                               rtol=1e-10, atol=1e-12)
-            assert np.max(np.abs(states[-1, k] - final)) < 1e-9
+        for weights in self.propagators(params):
+            events, states = run_engine(psi0, params, [0.0, t_end], self.N_TRAJ, 32, weights)
+            assert sum(len(e) for e in events) >= 5
+            for k in range(self.N_TRAJ):
+                loop, final = reference_run(psi0, params, t_end, stream(32, k))
+                assert [node for _, node in events[k]] == [node for _, node in loop]
+                assert np.allclose([t for t, _ in events[k]], [t for t, _ in loop],
+                                   rtol=1e-10, atol=1e-12)
+                # the weight propagator's state is |final|^2
+                want = np.abs(final) ** 2 if weights else final
+                assert np.max(np.abs(states[-1, k] - want)) < 1e-9
 
 
 class TestNormDecayEngine:
-    """The flash statistics and the stream protocol of ``_norm_decay`` with a
-    Hamiltonian, on the system of acceptance test 04: 16 nodes, hopping 0.5,
+    """The flash statistics and the stream protocol of the driver on
+    amplitudes with a Hamiltonian, on the system of acceptance test 04: 16 nodes, hopping 0.5,
     rate 1 and the width-1 gaussian."""
 
     @staticmethod
@@ -430,28 +442,33 @@ def edge_case():
     return params, p0
 
 
-def first_flashes(p0, params, t_end, n_traj, seed):
+def weight_rounds(psi0, params, t_end, n_traj, seed):
+    """The flash rounds of the driver on weights over [0, t_end]."""
+    return (r for r in dynamics._jumps(psi0, params, [0.0, t_end], n_traj, seed, True)
+            if r[3] is not None)
+
+
+def first_flashes(psi0, params, t_end, n_traj, seed):
     """Time and node of each trajectory's first flash (nan and -1 without one)."""
     times, nodes = np.full(n_traj, np.nan), np.full(n_traj, -1)
-    for first, rows, t, k, _ in dynamics._flash_to_flash(p0, params, t_end, n_traj, seed):
+    for first, rows, t, k, _ in weight_rounds(psi0, params, t_end, n_traj, seed):
         runs = first + rows
         new = nodes[runs] < 0
         times[runs[new]], nodes[runs[new]] = t[new], k[new]
     return times, nodes
 
 
-def flash_log(p0, params, t_end, n_traj, seed):
+def flash_log(psi0, params, t_end, n_traj, seed):
     """Every flash (time, node, post-flash weights) of each trajectory."""
     events = [[] for _ in range(n_traj)]
-    for first, rows, times, nodes, states in dynamics._flash_to_flash(p0, params, t_end,
-                                                                       n_traj, seed):
+    for first, rows, times, nodes, states in weight_rounds(psi0, params, t_end, n_traj, seed):
         for r, t, k, p in zip(rows.tolist(), times.tolist(), nodes.tolist(), states):
             events[first + r].append((t, k, p.tolist()))
     return events
 
 
 class TestWaitingTimeEngine:
-    """Oracles of the waiting-time engine on the grid-edge state, where the
+    """Oracles of the driver on weights on the grid-edge state, where the
     survival S(t) = sum_j p_j exp(-r W_j t) is far from one exponential."""
 
     T_END, N_TRAJ = 3.0, 20000
@@ -459,7 +476,7 @@ class TestWaitingTimeEngine:
     @pytest.fixture(scope="class")
     def sample(self):
         params, p0 = edge_case()
-        times, nodes = first_flashes(p0, params, self.T_END, self.N_TRAJ, seed=41)
+        times, nodes = first_flashes(np.sqrt(p0), params, self.T_END, self.N_TRAJ, seed=41)
         return params, p0, times, nodes
 
     @staticmethod
@@ -545,9 +562,8 @@ class TestWaitingTimeEngine:
         params = ModelParams.natural(lambda_grw=1.0, dt=8e-4, mass=50.0,
                                      family=pointer_family(grid, grw_gaussian(1.0), 2))
         psi0 = born_initial_state(np.sqrt([0.25, 0.75]), (-4.5, 4.5), params, 0.5)
-        p0 = np.abs(psi0) ** 2
-        many = flash_log(p0, params, 0.5, 600, seed=12)
-        few = flash_log(p0, params, 0.5, 10, seed=12)
+        many = flash_log(psi0, params, 0.5, 600, seed=12)
+        few = flash_log(psi0, params, 0.5, 10, seed=12)
         assert sum(len(e) for e in few) >= 100
         assert many[:10] == few
 
@@ -561,19 +577,28 @@ class TestWaitingTimeEngine:
             values = itertools.cycle((0.5, 0.0))
             return lambda rows: np.full(len(rows), next(values))
         monkeypatch.setattr(dynamics, "_uniforms", uniforms)
-        _, rows, _, nodes, _ = next(dynamics._flash_to_flash([0, 0, 1, 1], params, 10.0, 3, 1))
+        _, rows, _, nodes, _ = next(weight_rounds(np.array([0, 0, 1, 1.0]), params, 10.0, 3, 1))
         assert rows.tolist() == [0, 1, 2] and nodes.tolist() == [2, 2, 2]
 
     def test_refuses_a_hamiltonian(self):
         params = natural_params(grid=SpatialGrid.line(16, 0.5), hamiltonian=hopping(16))
         with pytest.raises(ContractViolationError, match="Hamiltonian"):
-            next(dynamics._flash_to_flash(np.ones(16), params, 1.0, 2, seed=1))
+            next(weight_rounds(np.ones(16), params, 1.0, 2, seed=1))
+
+    def test_refuses_a_second_report_gap(self, monkeypatch):
+        # the waits need weights summing to 1 at the start of each piece, and a
+        # second gap would start from decayed ones; no trajectory's stream is keyed
+        params = natural_params(grid=SpatialGrid.line(16, 0.5))
+        monkeypatch.setattr(dynamics, "keys", None)
+        for times in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.5]):
+            with pytest.raises(ContractViolationError, match="one report gap"):
+                next(dynamics._jumps(np.ones(16), params, times, 2, 1, True))
 
     def test_refuses_runs_of_too_many_expected_flashes(self):
         # about 1e300 expected flashes per run: without the cap the run never ends
         params = natural_params(grid=SpatialGrid.line(16, 0.5), lam=1e300)
         with pytest.raises(ContractViolationError, match="expected flashes"):
-            next(dynamics._flash_to_flash(np.ones(16), params, 1.0, 2, seed=1))
+            next(weight_rounds(np.ones(16), params, 1.0, 2, seed=1))
 
 
 def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
@@ -587,7 +612,7 @@ def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
     code = textwrap.dedent(f"""
         import time
         import numpy as np
-        from cpsim.dynamics import ModelParams, _norm_decay, integrate_master
+        from cpsim.dynamics import ModelParams, _jumps, integrate_master
         from cpsim.hilbert import SpatialGrid
         from cpsim.operators import build_grw_family, grw_gaussian
         n = 64
@@ -722,14 +747,14 @@ class TestLindblad:
         # the pieces B(h), their build from the identity and the Taylor
         # polynomials are vector-matrix products row by row, which stay on one
         # thread at any row count; a (rows, 64) BLAS product would not
-        work = "for _ in _norm_decay(psi, params, np.linspace(0, 2, 21), 100, seed=1): pass"
+        work = "for _ in _jumps(psi, params, np.linspace(0, 2, 21), 100, seed=1): pass"
         assert cpu_beyond_wall_at_64_nodes(work) <= 0.05
 
     def test_waiting_time_engine_leaves_no_busy_blas_thread(self):
         # the node rates of a 512-run chunk are one product with the 64 x 64
         # rate matrix, taken in row blocks that stay on one thread
-        work = "for _ in _flash_to_flash(np.abs(psi) ** 2, params, 20.0, 512, seed=1): pass"
-        prepare = ("from dataclasses import replace; from cpsim.dynamics import _flash_to_flash; "
+        work = "for _ in _jumps(psi, params, [0.0, 20.0], 512, 1, weights=True): pass"
+        prepare = ("from dataclasses import replace; "
                    "params = replace(params, hamiltonian=None)")
         assert cpu_beyond_wall_at_64_nodes(work, prepare) <= 0.05
 
@@ -743,7 +768,7 @@ class TestLindblad:
     def test_jump_phase_is_unobservable(self):
         params = natural_params()
         psi = packet(params.grid)
-        _, _, _, _, states = next(r for r in dynamics._norm_decay(psi, params, [0, 2], 4, 5)
+        _, _, _, _, states = next(r for r in dynamics._jumps(psi, params, [0, 2], 4, 5)
                                   if r[3] is not None)
         out = states[0]
         alt = -1j * out
@@ -822,7 +847,7 @@ class TestEnsembleVsMaster:
         assert rep.bound[0] == pytest.approx(5.0 / np.sqrt(4000))
 
     def test_over_cap_trajectories_raise_before_any_draw(self, monkeypatch):
-        # a phase of about 1e299 rad: the norm-decay run needs as many pieces,
+        # a phase of about 1e299 rad: the run on amplitudes needs as many pieces,
         # and the cap on them refuses it before any trajectory's stream is keyed
         params = natural_params(grid=SpatialGrid.line(12, 0.5), hamiltonian=hopping(12, 1e300))
 

@@ -106,9 +106,10 @@ class TestBornExperiment:
             assert np.array_equal(getattr(real, f.name), getattr(imag, f.name)), f.name
 
     def test_flash_log_bookkeeping(self, monkeypatch):
-        # a scripted waiting-time engine: two chunks of two runs, one event per
-        # live run per round; a flashed row's weights put `left` on the left
-        # block and the rest on the right block
+        # a scripted jump driver on weights: two chunks of two runs, one event
+        # per live run per round, between report rounds (nodes None, NaN
+        # weights) at 0 and t_obs; a flashed row's weights put `left` on the
+        # left block and the rest on the right block
         grid, params = demo_setup()
         left, right = np.flatnonzero(grid.x < 0), np.flatnonzero(grid.x > 0)
         # chunk start: rounds of (rows, times, nodes, left weights)
@@ -117,17 +118,20 @@ class TestBornExperiment:
                       ([0], [0.4], [right[4]], [0.5])],
                   2: [([1], [0.05], [left[1]], [0.6])]}
 
-        def engine(weights, params, t_end, n_traj, seed):
-            assert n_traj == 4 and t_end == 0.5
-            assert abs(weights.sum() - 1.0) < 1e-12
+        def engine(psi0, params, times, n_traj, seed, weights):
+            assert n_traj == 4 and times == [0.0, 0.5] and weights
+            assert abs(np.sum(np.abs(psi0) ** 2) - 1.0) < 1e-12
+            report = np.full((2, 2 * grid.n), np.nan)
             for first, rounds in script.items():
+                yield first, np.arange(2), np.zeros(2), None, report
                 for rows, times, nodes, on_left in rounds:
                     states = np.zeros((len(rows), 2 * grid.n))
                     states[:, :grid.n] = np.array(on_left)[:, None] / grid.n
                     states[:, grid.n:] = (1.0 - np.array(on_left))[:, None] / grid.n
                     yield (first, np.array(rows), np.array(times), np.array(nodes), states)
+                yield first, np.arange(2), np.full(2, 0.5), None, report
 
-        monkeypatch.setattr(measurement, "_flash_to_flash", engine)
+        monkeypatch.setattr(measurement, "_jumps", engine)
         rep = born_experiment(np.sqrt([0.5, 0.5]), CENTERS, params, t_obs=0.5, n_runs=4, seed=1)
         # run 0: left at 0.3, then right twice; run 1: right at 0.1, then left;
         # run 2 never flashes; run 3: left at 0.05
@@ -138,17 +142,20 @@ class TestBornExperiment:
         assert abs(rep.mean_branch_fidelity - (0.9 + 0.8 + 0.6) / 3) < 1e-12
 
     def test_cross_region_record_does_not_grow_with_the_flashes(self, monkeypatch):
-        # a scripted waiting-time engine: 5 runs flash once per round, in
-        # alternating regions, for 2,000 or 20,000 rounds (1e5 flash rows)
+        # a scripted jump driver on weights: 5 runs flash once per round, in
+        # alternating regions, for 2,000 or 20,000 rounds (1e5 flash rows),
+        # between report rounds at 0 and t_obs
         grid, params = demo_setup()
         nodes = np.flatnonzero(grid.x < 0)[:5], np.flatnonzero(grid.x > 0)[:5]
         rows, states = np.arange(5), np.full((5, 2 * grid.n), 0.5 / grid.n)
 
         def peak(n_rounds):
-            def engine(weights, params, t_end, n_traj, seed):
+            def engine(psi0, params, times, n_traj, seed, weights):
+                yield 0, rows, np.zeros(5), None, states
                 for k in range(n_rounds):
                     yield 0, rows, np.full(5, 1e-6 * k), nodes[k % 2], states
-            monkeypatch.setattr(measurement, "_flash_to_flash", engine)
+                yield 0, rows, np.full(5, 0.5), None, states
+            monkeypatch.setattr(measurement, "_jumps", engine)
             tracemalloc.start()
             try:
                 rep = born_experiment(np.sqrt([0.5, 0.5]), CENTERS, params, t_obs=0.5,

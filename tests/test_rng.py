@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpsim import dynamics
-from cpsim.dynamics import ModelParams, _norm_decay
+from cpsim.dynamics import ModelParams, _jumps
 from cpsim.errors import ContractViolationError
 from cpsim.exact import _sample_windows
 from cpsim.hilbert import SpatialGrid
@@ -63,7 +63,7 @@ def test_norm_decay_rows_match_their_own_reference_streams(monkeypatch):
     # 600 runs put trajectory 512 in a second chunk
     psi0, params = flash_system()
     times, n_traj, seed = [0.0, 0.5, 1.0], 600, 5
-    engine = list(_norm_decay(psi0, params, times, n_traj, seed))
+    engine = list(_jumps(psi0, params, times, n_traj, seed))
 
     def reference_chunks(n, s):
         for first in range(0, n, dynamics._CHUNK):
@@ -71,7 +71,7 @@ def test_norm_decay_rows_match_their_own_reference_streams(monkeypatch):
             yield first, len(rngs), lambda rows, rngs=rngs: np.array([rngs[r].random()
                                                                       for r in rows])
     monkeypatch.setattr(dynamics, "_chunks", reference_chunks)
-    reference = list(_norm_decay(psi0, params, times, n_traj, seed))
+    reference = list(_jumps(psi0, params, times, n_traj, seed))
     assert len(engine) == len(reference)
     for (f, rows, t, nodes, v), (rf, rrows, rt, rnodes, rv) in zip(engine, reference):
         assert f == rf and np.array_equal(rows, rrows) and np.array_equal(t, rt)
@@ -96,7 +96,7 @@ def test_one_generator_per_chunk(monkeypatch):
     for name in built:
         monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
     psi0, params = flash_system()
-    for _ in _norm_decay(psi0, params, [0.0, 0.2], 600, 5):
+    for _ in _jumps(psi0, params, [0.0, 0.2], 600, 5):
         pass
     assert built == {"Philox": 2, "SeedSequence": 0}
     built["Philox"] = 0
