@@ -389,9 +389,15 @@ class TestExitCodes:
         (born_config, ("params", "grid"), "spacing", 1e300, "params.grid.spacing"),
         (born_config, ("options", "pointer"), "centers", [-4.5, 1e300],
          "options.pointer.centers"),
-        # a jump run of 0 steps
+        # a jump run of 0 steps, and a master run of 0 steps (t_end 0.1 at dt 1)
         (lambda path: ensemble_config(path, "compare"), ("params",), "dt", 1e300, "params.dt"),
         (ensemble_config, ("options",), "t_end", 1e-300, "params.dt"),
+        (lambda path: ensemble_config(path, "master"), ("params",), "dt", 1.0, "params.dt"),
+        # one checkpoint cannot hold both the start and t_end
+        (lambda path: ensemble_config(path, "master"), ("options",), "n_checkpoints", 1,
+         "options.n_checkpoints"),
+        (lambda path: ensemble_config(path, "compare"), ("options",), "n_checkpoints", 1,
+         "options.n_checkpoints"),
         # a Hamiltonian phase |strength| t_end / hbar of 1e299, so at least as many
         # Taylor substeps of the no-jump or the master generator
         (ensemble_config, ("params", "hamiltonian"), "strength", 1e300, "options.t_end"),
@@ -439,7 +445,8 @@ class TestExitCodes:
             "compare-r_c-huge", "compare-width-huge",
             "trajectories-width-tiny", "trajectories-psi0-center-huge", "born-spacing-huge",
             "born-centre-huge", "compare-zero-steps",
-            "trajectories-zero-steps", "trajectories-phase-huge", "compare-phase-huge",
+            "trajectories-zero-steps", "master-zero-steps", "master-one-checkpoint",
+            "compare-one-checkpoint", "trajectories-phase-huge", "compare-phase-huge",
             "master-phase-huge", "master-substeps-hamiltonian", "compare-substeps-hamiltonian",
             "master-substeps-collapse", "born-flashes-huge", "trajectories-flashes-huge",
             "compare-flashes-huge", "energy-r_m-huge", "energy-width-huge", "energy-width-tiny",
@@ -533,6 +540,46 @@ class TestRunners:
         assert rows and all(math.isfinite(x) for row in rows for x in row)
         if experiment == "compare":
             assert [row[0] for row in rows] == [0.0, 50.0, 100.0]
+
+    def test_trajectories_without_hamiltonian_match_the_amplitude_path(self, tmp_path):
+        # the run carries weights; amplitudes on the same streams flash as often,
+        # at the same times and positions to rounding
+        n_traj = 40
+        cfg = ensemble_config(tmp_path / "t.csv")
+        del cfg["params"]["hamiltonian"]
+        cfg["options"].update(t_end=100 * cfg["params"]["dt"], n_traj=n_traj)
+        rows = np.array(read_results(run_config(cfg))["rows"])
+        params = cli._parse_params(cfg)
+        psi0 = cli._parse_psi0(cfg["options"], params.grid)
+        counts, first = np.zeros(n_traj, dtype=int), np.full(n_traj, -1.0)
+        for start, hit, t, nodes, v in _jumps(psi0, params, [0.0, 100 * params.dt], n_traj,
+                                              cfg["seed"]):
+            if nodes is None:
+                final = np.sum(params.grid.x * np.abs(v) ** 2, axis=-1)
+                continue
+            new = counts[start + hit] == 0
+            first[(start + hit)[new]] = t[new]
+            counts[start + hit] += 1
+        assert counts.sum() >= 50 and np.any(counts == 0)
+        assert rows[:, 1].tolist() == counts.tolist()
+        assert np.all(np.abs(rows[:, 2] - first) <= 1e-12 * np.abs(first))
+        assert np.max(np.abs(rows[:, 3] - final)) <= 1e-12
+
+    @pytest.mark.parametrize("lam, code", [(4e6, 0), (1e8, 2)])
+    def test_trajectories_on_weights_are_capped_by_expected_flashes(self, tmp_path, capsys,
+                                                                    lam, code):
+        # without a Hamiltonian a run carries weights, capped at 2^24 expected
+        # flashes rate_scale * max W * t_end, not at the 2^20 Taylor pieces of
+        # amplitudes (about half the flash count); validated, never run
+        cfg = ensemble_config(tmp_path / "out.csv")
+        del cfg["params"]["hamiltonian"]
+        cfg["params"]["lambda_grw"], cfg["options"]["t_end"] = lam, 1.0
+        flashes = lam * float(cli._parse_params(cfg).weighted_l2.max())
+        assert 2 ** 21 < flashes < 2 ** 24 if code == 0 else flashes > 2 ** 24
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == code
+        assert code == 0 or "options.t_end" in capsys.readouterr().err
 
     def test_born_results_do_not_depend_on_dt(self, tmp_path):
         docs = []

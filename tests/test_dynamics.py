@@ -638,6 +638,12 @@ def cpu_beyond_wall_at_64_nodes(work, prepare="pass"):
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("n_checkpoints", [1, 0, -3])
+    def test_refuses_fewer_than_two_checkpoints(self, n_checkpoints):
+        # one checkpoint would report the start alone, never t_end
+        with pytest.raises(ContractViolationError, match="at least 2 checkpoints"):
+            dynamics._checkpoints(1.0, 0.1, n_checkpoints)
+
     def test_refuses_2_to_the_53_report_steps_and_accepts_one_fewer(self):
         with pytest.raises(ContractViolationError, match="not below 2\\^53"):
             dynamics._checkpoints(2.0 ** 53, 1.0, 11)

@@ -115,7 +115,8 @@ class TestBornExperiment:
         # chunk start: rounds of (rows, times, nodes, left weights)
         script = {0: [([0, 1], [0.3, 0.1], [left[3], right[2]], [0.9, 0.2]),
                       ([0, 1], [0.35, 0.2], [right[5], left[5]], [0.0, 1.0]),
-                      ([0], [0.4], [right[4]], [0.5])],
+                      ([0], [0.4], [right[4]], [0.5]),
+                      ([0], [0.45], [left[2]], [0.7])],
                   2: [([1], [0.05], [left[1]], [0.6])]}
 
         def engine(psi0, params, times, n_traj, seed, weights):
@@ -133,8 +134,8 @@ class TestBornExperiment:
 
         monkeypatch.setattr(measurement, "_jumps", engine)
         rep = born_experiment(np.sqrt([0.5, 0.5]), CENTERS, params, t_obs=0.5, n_runs=4, seed=1)
-        # run 0: left at 0.3, then right twice; run 1: right at 0.1, then left;
-        # run 2 never flashes; run 3: left at 0.05
+        # run 0: left at 0.3, then right twice and left again; run 1: right at
+        # 0.1, then left; run 2 never flashes; run 3: left at 0.05
         assert list(rep.region_counts) == [2, 1]
         assert rep.cross_region_runs == 2
         assert rep.zero_flash_runs == 1
