@@ -443,11 +443,11 @@ def _weights(psi0, params: ModelParams, times):
     r = ``rate_scale``, W = ``weighted_l2``, and the flash time is the root
     of ``_waits``, where the weights are normalised.  The waits need weights
     summing to 1 at the start of a piece, so the one piece is the one report
-    gap; a second gap or a Hamiltonian raises."""
-    if params.hamiltonian is not None or len(times) != 2:
-        raise ContractViolationError("the weight propagator runs one report gap without a "
-                                     "Hamiltonian")
-    rw, h = params.rate_scale * params.weighted_l2, times[1] - times[0]
+    gap; a second gap, a gap that does not ascend or a Hamiltonian raises."""
+    rw, h = params.rate_scale * params.weighted_l2, times[-1] - times[0]
+    if params.hamiltonian is not None or len(times) != 2 or not h > 0:
+        raise ContractViolationError("the weight propagator runs one ascending report gap "
+                                     "without a Hamiltonian")
 
     def unit(p):
         return p / np.add.reduce(p, axis=-1, keepdims=True)

@@ -585,13 +585,14 @@ class TestWaitingTimeEngine:
         with pytest.raises(ContractViolationError, match="Hamiltonian"):
             next(weight_rounds(np.ones(16), params, 1.0, 2, seed=1))
 
-    def test_refuses_a_second_report_gap(self, monkeypatch):
+    def test_refuses_all_but_one_ascending_report_gap(self, monkeypatch):
         # the waits need weights summing to 1 at the start of each piece, and a
-        # second gap would start from decayed ones; no trajectory's stream is keyed
+        # second gap would start from decayed ones; an empty or descending gap
+        # would never flash.  No trajectory's stream is keyed
         params = natural_params(grid=SpatialGrid.line(16, 0.5))
         monkeypatch.setattr(dynamics, "keys", None)
-        for times in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.5]):
-            with pytest.raises(ContractViolationError, match="one report gap"):
+        for times in ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 1.5], [0.5, 0.5], [1.0, 0.5]):
+            with pytest.raises(ContractViolationError, match="one ascending report gap"):
                 next(dynamics._jumps(np.ones(16), params, times, 2, 1, True))
 
     def test_refuses_runs_of_too_many_expected_flashes(self):

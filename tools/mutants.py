@@ -28,29 +28,29 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 300
 
 DYN, MEAS = "src/cpsim/dynamics.py", "src/cpsim/measurement.py"
-T_DYN, T_RNG = "tests/test_dynamics.py", "tests/test_rng.py"
-T_MEAS = "tests/test_measurement.py"
+T_DYN = "tests/test_dynamics.py"
+WAITS = f"{T_DYN}::TestWaitingTimeEngine::"
 
 MUTANTS = [
     # log S of short waits from the plain log of the sum, without expm1 and log1p
     (DYN, "log_s[near] = np.log1p(np.add.reduce(p[near] * np.expm1(x[near]), axis=-1))",
      "log_s[near] = np.log(s[near])",
-     [f"{T_DYN}::TestWaitingTimeEngine::test_log_survival_keeps_its_relative_precision"]),
+     [f"{WAITS}test_log_survival_keeps_its_relative_precision"]),
     # the node drawn from the rates of the state before the wait
     (DYN, "nodes = _pick_nodes(_rows_times(density(at), node_rates), draw(hit))",
      "nodes = _pick_nodes(_rows_times(density(seg), node_rates), draw(hit))",
-     [f"{T_DYN}::TestWaitingTimeEngine::test_first_flash_nodes_follow_the_rates_at_the_flash_state"]),
+     [f"{WAITS}test_first_flash_nodes_follow_the_rates_at_the_flash_state"]),
     # a weight collapse without the |L_k|^2 factor
     (DYN, "return (_abs2(np.asarray(psi0)), lambda p: p, unit, params._jump_constants[1],",
-     "return (_abs2(np.asarray(psi0)), lambda p: p, unit, 1.0 + 0 * params._jump_constants[1],",
+     "return (_abs2(np.asarray(psi0)), lambda p: p, unit, 0 * params._jump_constants[1] + 1,",
      [f"{T_DYN}::TestBatchEngine::test_matches_sse_step_loop[diagonal]"]),
     # a node uniform on a leading zero-rate plateau picks the plateau's node
     (DYN, "return np.add.reduce(cdf / cdf[:, -1:] <= u[:, None], axis=-1)",
      "return np.add.reduce(cdf / cdf[:, -1:] < u[:, None], axis=-1)",
-     [f"{T_DYN}::TestWaitingTimeEngine::test_node_uniform_on_a_zero_rate_plateau_picks_the_next_node"]),
+     [f"{WAITS}test_node_uniform_on_a_zero_rate_plateau_picks_the_next_node"]),
     # each block of uniforms skips half the stream
     (DYN, "counters[r] += _BLOCK // 4", "counters[r] += _BLOCK // 2",
-     [f"{T_RNG}::test_norm_decay_rows_match_their_own_reference_streams"]),
+     ["tests/test_rng.py::test_norm_decay_rows_match_their_own_reference_streams"]),
     # half the decay rate in the no-jump generator
     (DYN, "g = np.diag(-0.5 * self.rate_scale * self.weighted_l2).astype(complex)",
      "g = np.diag(-0.25 * self.rate_scale * self.weighted_l2).astype(complex)",
@@ -61,11 +61,11 @@ MUTANTS = [
     # a run's cross-region flag kept from its last flash alone
     (MEAS, "crossed[runs] |= region != first_region[runs]",
      "crossed[runs] = region != first_region[runs]",
-     [f"{T_MEAS}::TestBornExperiment::test_flash_log_bookkeeping"]),
+     ["tests/test_measurement.py::TestBornExperiment::test_flash_log_bookkeeping"]),
     # a second report gap on the weights, whose waits assume weights summing to 1
-    (DYN, "if params.hamiltonian is not None or len(times) != 2:",
-     "if params.hamiltonian is not None:",
-     [f"{T_DYN}::TestWaitingTimeEngine::test_refuses_a_second_report_gap"]),
+    (DYN, "if params.hamiltonian is not None or len(times) != 2 or not h > 0:",
+     "if params.hamiltonian is not None or not h > 0:",
+     [f"{WAITS}test_refuses_all_but_one_ascending_report_gap"]),
     # a report grid of one checkpoint, which holds only the start
     (DYN, "    if n_checkpoints < 2:\n", "    if n_checkpoints < 1:\n",
      [f"{T_DYN}::TestCheckpoints::test_refuses_fewer_than_two_checkpoints"]),
@@ -76,9 +76,9 @@ def pytest(copy: Path, tests) -> tuple:
     """(pytest's exit code, or None on a timeout; the last line of its output)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                              *tests], cwd=copy, env=env, capture_output=True, text=True,
-                             timeout=TIMEOUT)
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                              "no:cacheprovider", *tests], cwd=copy, env=env,
+                             capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, f"timed out after {TIMEOUT} s"
     lines = out.stdout.strip().splitlines() or [out.stderr.strip()]
