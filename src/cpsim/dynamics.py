@@ -133,7 +133,7 @@ class ModelParams:
 
     @cached_property
     def no_jump_bound(self):
-        """``_spectral_bound`` of G, which the pieces and the cap of a norm-decay run read."""
+        """``_spectral_bound`` of G, which the pieces and the cap of a run on amplitudes read."""
         return _spectral_bound(self.no_jump_generator)
 
     @cached_property
