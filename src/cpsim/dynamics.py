@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -298,13 +298,15 @@ def _jumps(psi0, params: ModelParams, times, n_traj: int, seed: int, weights: bo
             offsets, h, move, cross = gaps[b - a]
             for start in a + offsets:
                 end = move(v)
-                hit, seg, t = every, v, np.full(rows, start)
+                # e and uh hold the rows of end and u that hit lists
+                hit, seg, t, e, uh = every, v, np.full(rows, start), end, u
                 while True:
-                    crossed = mass(end[hit]) < u[hit]
-                    hit, seg, t = hit[crossed], seg[crossed], t[crossed]
-                    if not hit.size:
-                        break
-                    tau, at = cross(seg, end[hit], start + h - t, np.log(u[hit]))
+                    crossed = mass(e) < uh
+                    if not crossed.all():
+                        hit, seg, t, e, uh = (x[crossed] for x in (hit, seg, t, e, uh))
+                        if not hit.size:
+                            break
+                    tau, at = cross(seg, e, start + h - t, np.log(uh))
                     t = t + tau
                     nodes = _pick_nodes(_rows_times(density(at), node_rates), draw(hit))
                     seg = members[nodes] * at
@@ -313,8 +315,8 @@ def _jumps(psi0, params: ModelParams, times, n_traj: int, seed: int, weights: bo
                                                      "inconsistent")
                     seg = unit(seg)
                     yield first, hit, t, nodes, seg
-                    u[hit] = draw(hit)
-                    end[hit] = move(seg, start + h - t)
+                    u[hit] = uh = draw(hit)
+                    end[hit] = e = move(seg, start + h - t)
                 v = end
             yield first, every, np.full(rows, b), None, unit(v)
 
@@ -339,7 +341,7 @@ def _pieces(params: ModelParams, span: float):
     return s, h, m, _no_jump(np.eye(len(params.no_jump_generator), dtype=complex), params, h, m)
 
 
-def _crossing(v, w, params: ModelParams, m: int, span, log_u):
+def _crossing(v, w, span, log_u, params: ModelParams, m: int):
     """Flash time tau in [0, span] of each row of v, and exp(tau G) v there.
 
     tau is the root of f(tau) = log ||exp(tau G) v||^2 - log u, given the
@@ -386,8 +388,7 @@ def _amplitudes(psi0, params: ModelParams, times):
 
         def move(v, span=None):
             return _rows_times(v, bt) if span is None else _no_jump(v, params, span[:, None], m)
-        return (h * np.arange(count), h, move,
-                lambda v, w, span, log_u: _crossing(v, w, params, m, span, log_u))
+        return h * np.arange(count), h, move, partial(_crossing, params=params, m=m)
     gaps = {d: gap(d) for d in {b - a for a, b in zip(times, times[1:])}}
     return (np.asarray(psi0).astype(complex), _abs2,
             lambda v: v * (1.0 / np.sqrt(np.add.reduce(_abs2(v), axis=-1)))[:, None],

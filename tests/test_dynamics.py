@@ -427,8 +427,8 @@ class TestNormDecayEngine:
         monkeypatch.setattr(dynamics, "_taylor", first_point)
         log_u, f_end = np.log(0.5), np.log(0.3) - np.log(0.5)
         with pytest.raises(Tried) as tried:
-            dynamics._crossing(np.array([[1.0, 0j]]), np.array([[np.sqrt(0.3), 0j]]), params,
-                               12, np.array([0.4]), np.array([log_u]))
+            dynamics._crossing(np.array([[1.0, 0j]]), np.array([[np.sqrt(0.3), 0j]]),
+                               np.array([0.4]), np.array([log_u]), params, 12)
         chord = 0.4 * -log_u / (-log_u - f_end)
         assert tried.value.args[0] == pytest.approx(chord, rel=1e-15)
 

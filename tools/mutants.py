@@ -56,7 +56,7 @@ MUTANTS = [
      "g = np.diag(-0.25 * self.rate_scale * self.weighted_l2).astype(complex)",
      [f"{T_DYN}::TestSseStep::test_noflash_branch_matches_closed_no_jump_state"]),
     # a survival equal to its uniform flashes
-    (DYN, "crossed = mass(end[hit]) < u[hit]", "crossed = mass(end[hit]) <= u[hit]",
+    (DYN, "crossed = mass(e) < uh", "crossed = mass(e) <= uh",
      [f"{T_DYN}::TestNormDecayEngine::test_survival_equal_to_its_uniform_does_not_flash"]),
     # a run's cross-region flag kept from its last flash alone
     (MEAS, "crossed[runs] |= region != first_region[runs]",
