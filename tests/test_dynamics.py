@@ -347,8 +347,8 @@ class TestBatchEngine:
 
 class TestNormDecayEngine:
     """The flash statistics and the stream protocol of the driver on
-    amplitudes with a Hamiltonian, on the system of acceptance test 04: 16 nodes, hopping 0.5,
-    rate 1 and the width-1 gaussian."""
+    amplitudes with a Hamiltonian, on the system of acceptance test 04: 16
+    nodes, hopping 0.5, rate 1 and the width-1 gaussian."""
 
     @staticmethod
     def system():
@@ -761,8 +761,7 @@ class TestLindblad:
         # the node rates of a 512-run chunk are one product with the 64 x 64
         # rate matrix, taken in row blocks that stay on one thread
         work = "for _ in _jumps(psi, params, [0.0, 20.0], 512, 1, weights=True): pass"
-        prepare = ("from dataclasses import replace; "
-                   "params = replace(params, hamiltonian=None)")
+        prepare = "from dataclasses import replace; params = replace(params, hamiltonian=None)"
         assert cpu_beyond_wall_at_64_nodes(work, prepare) <= 0.05
 
     def test_unbounded_propagation_work_raises(self):
