@@ -69,6 +69,15 @@ MUTANTS = [
     # a report grid of one checkpoint, which holds only the start
     (DYN, "    if n_checkpoints < 2:\n", "    if n_checkpoints < 1:\n",
      [f"{T_DYN}::TestCheckpoints::test_refuses_fewer_than_two_checkpoints"]),
+    # report steps from 2^53 on, where neither the count nor i dt is exact
+    (DYN, "if not steps < 2 ** 53:", "if not steps < 2 ** 64:",
+     [f"{T_DYN}::TestCheckpoints::test_refuses_2_to_the_53_report_steps_and_accepts_one_fewer"]),
+    # no pre-draw cap in the driver
+    (DYN, "    _check_jumps(params, times[-1] - times[0], weights)\n", "",
+     [f"{T_DYN}::TestEnsembleVsMaster::test_over_cap_trajectories_raise_before_any_draw"]),
+    # every flash of a run taken as its first
+    (MEAS, "new = (first_region[runs] < 0).nonzero()[0]", "new = np.arange(len(runs))",
+     ["tests/test_measurement.py::TestBornExperiment::test_flash_log_bookkeeping"]),
 ]
 
 
@@ -113,7 +122,8 @@ def main() -> int:
                 (copy / path).write_text(text)
             killed = code in (1, None)
             survivors += not killed
-            print(f"{'killed' if killed else 'SURVIVED'}: {new.strip()!r} in {path} ({last})")
+            print(f"{'killed' if killed else 'SURVIVED'}: {old.strip()!r} -> {new.strip()!r} "
+                  f"in {path} ({last})")
             if code not in (0, 1, None):
                 print(f"  pytest exited {code}, neither a pass nor a test failure")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in "
