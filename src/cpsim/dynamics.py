@@ -476,9 +476,10 @@ def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
     if not steps < 2 ** 53:
         raise ContractViolationError(f"t_end / dt = {steps:.3g} report steps, not below 2^53")
     n_steps = int(round(steps))
-    # the spread ascends, so its rounded steps do too; a repeated one is dropped
+    # the spread's spacing n / (k - 1) is at least 1, so its rounded steps
+    # strictly ascend
     marks = np.rint(np.linspace(0, n_steps, min(n_checkpoints, n_steps + 1))).astype(np.int64)
-    return n_steps, marks[np.diff(marks, prepend=-1) > 0].tolist()
+    return n_steps, marks.tolist()
 
 
 # ---------------------------------------------------------------------------

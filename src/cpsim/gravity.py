@@ -219,6 +219,37 @@ def _outer_edges(delta: float) -> np.ndarray:
     return np.array([0.0, delta, _R_MAX] if delta < _R_MAX else [0.0, _R_MAX])
 
 
+def _point_cut(eps: float, rho_m: float, delta: float, quad_tol: float):
+    """(start radius, cut bound) of one point-source separation's outer integral.
+
+    |J(r1)| <= 2 r1 bounds the part r1 < eps by 8 eps^3 / (3 sqrt(pi)), and
+    ``eps`` is where that is quad_tol / 8.  One integration by parts,
+    e^{i rho_m / r} dr = (i r^2 / rho_m) d e^{i rho_m / r}, with also |J'| <= 2
+    below delta and <= 1 + r1 / delta above it, bounds the same part by
+    (4 / sqrt(pi)) (4 eps^4 + eps^5 / (5 delta) + eps^6 / 3) / rho_m.  The
+    start is the largest radius up to 1 where the smaller bound is within
+    quad_tol / 8, so never below ``eps``.  It is found on Python floats,
+    multiplied through by rho_m and delta rather than divided by them: at
+    extreme magnitudes their product underflows or overflows quietly.
+    """
+    eps, rho_m, delta, quad_tol = map(float, (eps, rho_m, delta, quad_tol))
+    budget = quad_tol * _SQRT_PI / 32.0 * rho_m * delta
+
+    def parts(r):   # the integration-by-parts bound times sqrt(pi) rho_m delta / 4
+        return r ** 4 * (4.0 * delta + r / 5.0 + r * r * delta / 3.0)
+
+    lo, hi = eps, 1.0
+    if not 0.0 < budget or parts(lo) > budget:
+        return lo, 8.0 * lo ** 3 / (3.0 * _SQRT_PI)
+    if parts(hi) <= budget:
+        lo = hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if parts(mid) <= budget else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return lo, min(8.0 * lo ** 3 / (3.0 * _SQRT_PI), quad_tol / 8.0 * (parts(lo) / budget))
+
+
 def _profile_table(h, lo: float, density: float):
     """Cells of [lo, _R_MAX] (from 0.25 if lo is above it) and the integral of h
     over each, as (edges, prefix, prefix_low, achieved density), or None once
@@ -276,8 +307,15 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float):
     interval when it lies in one cell, by a Kronrod rule taken directly on
     them.  Every separation's outer integral is a problem of one
     ``_integrate_batch``, whose initial panels split at the kink r1 = delta.
-    The point-source phase oscillates without end as r1 -> 0; since
-    |J(r1)| <= 2 r1 the cut part r1 < eps adds at most 8 eps^3 / (3 sqrt(pi)).
+    The point-source phase oscillates without end as r1 -> 0, so each
+    separation's outer integral starts at its own radius eps (``_point_cut``):
+    the largest eps up to 1 at which the smaller of two bounds of the cut
+    part r1 < eps is within quad_tol / 8.  |J(r1)| <= 2 r1 gives
+    8 eps^3 / (3 sqrt(pi)); one integration by parts of the phase gives
+    (4 / sqrt(pi)) (4 eps^4 + eps^5 / (5 delta) + eps^6 / 3) / rho_m, which
+    is smaller wherever the cut spans many turns of the phase.  The table
+    starts at the radius where the first bound alone is quad_tol / 8, which
+    depends on no separation.
 
     The error estimate adds the outer quadrature error, the table's error
     (its error per unit length bounds that of J), the cut bound and two
@@ -324,7 +362,6 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float):
 
     eps = 0.0 if gp.F_kind == "gaussian_smeared" else \
         min(1.0, (3.0 * _SQRT_PI / 64.0 * quad_tol) ** (1.0 / 3.0))
-    cut = 8.0 * eps ** 3 / (3.0 * _SQRT_PI)
     # a cell is one Kronrod panel, which resolves less than one turn of the
     # phase (4 to 5 radians at tolerance 1e-9): a longer phase span cannot
     # fit the cell budget, so it is refused before tabulating
@@ -338,6 +375,10 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float):
     edges, prefix, low, density = table
     last = len(edges) - 2
     deltas = np.array([delta for _, delta in todo])
+    # the gaussian profile (eps = 0) cuts nothing; each point-source
+    # separation's outer integral starts at its own radius, at or above the table's
+    starts, cuts = zip(*((_point_cut(eps, rho_m, delta, quad_tol) if eps else (0.0, 0.0))
+                         for _, delta in todo))
 
     def piece(r1, width, s0, s1):
         """int_s0^s1 h(r1 + width s) ds by one Kronrod rule."""
@@ -364,8 +405,8 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float):
             inner[split] += piece(r, w, (edges[b] - r) / w, hi[split]) + whole / w
         return (h(r1) * np.conj(inner)).real.reshape(x.shape)
 
-    outer_edges = [np.concatenate(([eps], e[e > eps]))
-                   for e in (_outer_edges(delta) for delta in deltas)]
+    outer_edges = [np.concatenate(([start], e[e > start]))
+                   for start, e in zip(starts, map(_outer_edges, deltas))]
     value, error, _, converged = _integrate_batch(
         bracket, np.concatenate([e[:-1] for e in outer_edges]),
         np.concatenate([e[1:] for e in outer_edges]),
@@ -374,7 +415,7 @@ def _gamma_batch(d_values, gp: GravityParams, r_c: float, quad_tol: float):
     stalled = None
     for j, (k, _) in enumerate(todo):
         gamma[k] = _FOUR_OVER_SQRT_PI * float(value[j]) - 1.0
-        err[k] = _FOUR_OVER_SQRT_PI * (float(error[j]) + density) + cut + _ROUNDING
+        err[k] = _FOUR_OVER_SQRT_PI * (float(error[j]) + density) + cuts[j] + _ROUNDING
         within = err[k] <= max(quad_tol, _QUAD_TOL_FLOOR)
         if stalled is None and not (converged[j] and within):
             stalled = k

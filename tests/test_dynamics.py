@@ -663,6 +663,19 @@ class TestCheckpoints:
         assert dynamics._checkpoints(t_end, dt, n_checkpoints) == \
             (n_steps, sorted({int(round(c)) for c in spread}))
 
+    def test_marks_strictly_ascend_on_extreme_grids(self):
+        # every checkpoint a distinct step from 0 to n, at the largest step
+        # counts and on the spreads whose spacing n / (k - 1) is 1 or just above
+        grids = [(2 ** 53 - 1, 2 ** 20), (2 ** 53 - 1, 2), (2 ** 53 - 2 ** 20, 2 ** 20),
+                 (2 ** 20 - 1, 2 ** 20), (2 ** 20, 2 ** 20), (2 ** 20 + 1, 2 ** 20),
+                 (3 * 2 ** 19 + 1, 2 ** 20), (2 ** 21 - 1, 2 ** 20)]
+        grids += [(n, k) for n in range(400) for k in (n - 1, n, n + 1) if k >= 2]
+        for n, k in grids:
+            n_steps, marks = dynamics._checkpoints(float(n), 1.0, k)
+            marks = np.array(marks)
+            assert n_steps == n and len(marks) == min(k, n + 1)
+            assert marks[0] == 0 and marks[-1] == n and np.all(np.diff(marks) > 0)
+
 
 class TestLindblad:
     def test_free_case_matches_von_neumann(self):

@@ -311,7 +311,7 @@ class TestGammaOfD:
             gamma_of_d(0.3, point_params(1.0), 1.0, quad_tol=1e-14)
 
     def test_stall_in_a_batch_names_that_separation(self, monkeypatch):
-        # at 30 outer panels d = 3 (23 needed) and d = 5 (8) converge, d = 0.3 (56) does not
+        # at 30 outer panels d = 3 (8 needed) and d = 5 (2) converge, d = 0.3 (75) does not
         monkeypatch.setattr(gravity, "_OUTER_MAX_PANELS", 30)
         gp = point_params(1.0)
         for d in (3.0, 5.0):
@@ -322,6 +322,61 @@ class TestGammaOfD:
             gravity._gamma_batch([3.0, 0.3, 5.0], gp, 1.0, 1e-9)
         # the message carries the separation's error, which is its error alone
         assert str(batch.value) == str(alone.value)
+
+    @pytest.mark.parametrize("rho_m, delta", [(0.61, 0.01), (100.0, 0.1), (0.5, 1e-3)])
+    def test_point_cut_bound_covers_the_cut_part(self, rho_m, delta):
+        """The integration-by-parts bound of the part r1 < eps, at the start
+        radius eps of the default tolerance, against that part evaluated
+        apart from the engine.  J is the difference of a cumulative trapezoid
+        of h, on nodes even in 1/r2; over [eps / 64, eps] the integral is
+        taken in u = 1/r1, where h's phase is rho_m u, by the trapezoid rule
+        of Filon, exact for e^{i rho_m u} times a line; below eps / 64 the
+        bound |J| <= 2 r1 covers the rest."""
+        quad_tol = 1e-9
+        eps0 = (3.0 * np.sqrt(np.pi) / 64.0 * quad_tol) ** (1.0 / 3.0)
+        eps, cut = gravity._point_cut(eps0, rho_m, delta, quad_tol)
+        bound = 4.0 / np.sqrt(np.pi) * (4 * eps ** 4 + eps ** 5 / (5 * delta)
+                                        + eps ** 6 / 3) / rho_m
+        assert eps > eps0 and cut == pytest.approx(bound, rel=1e-12)
+        assert cut <= quad_tol / 8.0 * (1.0 + 1e-12)
+
+        def h(r):
+            return r * np.exp(-0.5 * r * r) * np.exp(1j * rho_m / r)
+        r2 = 1.0 / np.linspace(1.0 / (2 * delta - min(eps, delta)), 1.0 / (2 * delta + eps),
+                               200_001)
+        y = h(r2)
+        big_h = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(r2))))
+        u = np.geomspace(1.0 / eps, 64.0 / eps, 20_001)
+        r1 = 1.0 / u
+        j = (np.interp(r1 + 2 * delta, r2, big_h)
+             - np.interp(np.maximum(r1, 2 * delta - r1), r2, big_h)) / (2 * delta)
+        # int h conj(J) dr1 = int e^{i rho_m u} g(u) du; per step, g is a line
+        g = u ** -3 * np.exp(-0.5 / u ** 2) * np.conj(j)
+        du = np.diff(u)
+        turn = np.exp(1j * rho_m * du)
+        mean = (turn - 1.0) / (1j * rho_m * du)   # int_0^1 e^{i theta t} dt
+        upper = (turn - mean) / (1j * rho_m * du)  # int_0^1 t e^{i theta t} dt
+        part = np.sum(du * np.exp(1j * rho_m * u[:-1])
+                      * (g[:-1] * (mean - upper) + g[1:] * upper))
+        rest = 8.0 * (eps / 64) ** 3 / (3.0 * np.sqrt(np.pi))
+        assert 4.0 / np.sqrt(np.pi) * abs(part) + rest <= bound
+
+    def test_point_source_near_the_probe_meets_tight_tolerances(self):
+        # the part below the start radius is cut by the integration-by-parts
+        # bound, so the outer integral no longer follows the phase rho_m / r1 to
+        # the radius where 2 r1 alone bounds it, and the panel budget holds
+        gp = point_params(0.5)
+        g14, err14 = gamma_of_d(0.1, gp, 1.0, quad_tol=1e-14)
+        g15, err15 = gamma_of_d(0.1, gp, 1.0, quad_tol=1e-15)
+        assert err14 <= 1e-14 and err15 <= 1e-15
+        assert abs(g14 - g15) <= err14
+
+    def test_strong_point_source_near_the_probe_matches_a_long_run(self):
+        # Gamma < -1 is genuine here: the real part of the overlap is negative.
+        # The reference is this engine before the integration-by-parts cut,
+        # run with a 40000-panel outer budget, where it reported error 4.9e-10
+        g, err = gamma_of_d(0.1, point_params(100.0), 1.0, quad_tol=1e-9)
+        assert err <= 1e-9 and abs(g - -1.0042946931974204) <= err
 
     @pytest.mark.parametrize("gp", [point_params(np.sqrt(3.0 / 8.0)), gauss_params(0.5, 0.7)],
                              ids=["point", "gaussian"])
