@@ -11,17 +11,25 @@ two block actions, with the Hamiltonian acting over the gap between
 points (``_evolution``).  Joint outcome distributions, sampling and the
 reduced-density-matrix consistency check all live here.
 
-Sampling runs on one engine.  A window is one Poisson placement of
-collapse points over [0, t_end) followed by the chain it defines, and
-window w draws from stream w of the seed (``rng``) alone, in a fixed order
-(``_placement``): first the point count, ``poisson(rate * t_end)``; then
-one block of uniforms for the times, which are the sorted uniforms
-scaled by t_end (given its count, a homogeneous Poisson process places
-its points as independent uniforms); then one block of uniforms that
-pick the nodes; then the chain outcomes, one uniform per point, drawn
-as a single block.  ``_sample_windows`` places a chunk of windows and
-``_run_windows`` steps their chains together, one collapse point of
-every live window per step.  No result depends on the chunk size.
+Sampling runs on one placement and two window propagators.  A window is
+one Poisson placement of collapse points over [0, t_end) followed by the
+chain it defines, and window w draws from stream w of the seed (``rng``)
+alone, in a fixed order (``_placement``): first the point count,
+``poisson(rate * t_end)``; then one block of uniforms for the times,
+which are the sorted uniforms scaled by t_end (given its count, a
+homogeneous Poisson process places its points as independent uniforms);
+then one block of uniforms that pick the nodes; then the chain outcomes,
+one uniform per point, drawn as a single block.  ``_sample_windows``
+places a chunk of windows and hands it to one propagator.  With a
+Hamiltonian, ``_run_windows`` steps the amplitudes of every live window
+together, one collapse point per step.  Without one, ``_run_weights``
+carries only the weights |psi_j|^2 and steps only the candidates: a point
+at member k whose uniform is below max_j sin^2(a_kj) (1 + 2^-30) can
+flash, and any other point is a no-flash in both propagators, since the
+flash probability of normalized weights is at most that maximum and the
+band covers its rounding.  The points skipped between candidates act
+through the sum of their log cos^2 rows.  Both give the same outcome
+bits from the same uniforms, and no result depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -44,6 +52,9 @@ MAX_ENUMERATION = 12
 #: stay within a few tens of MiB whatever the point rate
 _CHUNK = 512
 _CHUNK_POINTS = 2 ** 18
+#: most log-cosines (points x dim) that ``_run_weights`` gathers at once,
+#: 32 MiB
+_LOG_ROWS = 2 ** 22
 
 
 @dataclass
@@ -312,6 +323,114 @@ def _run_windows(windows, v0, table: _JumpTable, evolve):
         yield times, nodes, rows[i][:len(times)]
 
 
+def _weight_table(members, scale: float):
+    """(cos^2 and sin^2, log cos^2, candidate bound) of each member of a
+    window family coupled at ``scale``, for ``_run_weights``.  A point at
+    member k can flash only if its uniform is below bound[k] =
+    max_j sin^2(a_kj) (1 + 2^-30): the flash probability
+    sum_j p_j sin^2(a_kj) of weights summing to 1 is at most
+    max_j sin^2(a_kj), and the band covers the rounding of that sum over
+    up to ``MAX_DIM`` terms in the stepped engine (``_step``)."""
+    trig2 = np.square(_JumpTable(members, np.full(len(members), scale)).cs)
+    # cos never vanishes at a double, so the logs are finite
+    return trig2, np.log(trig2[:, 0]), trig2[:, 1].max(axis=1) * (1.0 + 2.0 ** -30)
+
+
+def _log_cos_sums(log_cos2, nodes, starts, lengths):
+    """Sum of the rows log_cos2[nodes[s:s + n]] for each start s and length n.
+
+    A run is cut into pieces of at most ``_LOG_ROWS // dim`` points from its
+    start; each piece is summed by ``np.add.reduceat`` and the pieces are
+    added in order, so a sum depends on its own points alone, and no more
+    than ``_LOG_ROWS`` log-cosines are gathered at once.
+    """
+    out = np.zeros((len(starts), log_cos2.shape[1]))
+    block = max(1, _LOG_ROWS // log_cos2.shape[1])
+    for offset in range(0, lengths.max(initial=0), block):
+        runs = np.flatnonzero(lengths > offset)
+        n = np.minimum(lengths[runs] - offset, block)
+        ends = np.cumsum(n)
+        lo = 0
+        while lo < len(runs):   # runs whose pieces hold at most `block` points together
+            hi = int(np.searchsorted(ends, ends[lo] - n[lo] + block, side="right"))
+            size = n[lo:hi]
+            head = np.cumsum(size) - size
+            points = np.repeat(starts[runs[lo:hi]] + offset - head, size) + \
+                np.arange(head[-1] + size[-1])
+            out[runs[lo:hi]] += np.add.reduceat(log_cos2[nodes[points]], head)
+            lo = hi
+    return out
+
+
+def _run_weights(windows, p0, table):
+    """The chains of windows (times, nodes, uniforms) without a Hamiltonian,
+    from the weights p0 = |psi0|^2, on the weights alone.
+
+    With diagonal members and no evolution, the no-flash and flash branches
+    multiply each weight p_j by cos^2 or sin^2 of its phase a_kj, so a
+    window needs no amplitudes.  Only the candidates, the points whose
+    uniform is below their member's bound (``_weight_table``), are stepped;
+    every other point is a no-flash, and the points skipped before a
+    candidate multiply the weights by exp of the sum of their log cos^2 rows
+    (``_log_cos_sums``), made for as many steps at a time as keep them
+    within ``_LOG_ROWS``.  Windows are stepped together, most candidates
+    first, one candidate of every live window per step, and the flash
+    probability is the share of the sin^2 branch in the weights.  The
+    weights are normalized every 16 steps; in between, a window's weights
+    shrink by the probability of what its points did, so they underflow
+    only on events of vanishing probability.  Sums run along rows, so a
+    window's outcomes depend neither on the others nor on the chunk.
+    Yields (times, nodes, outcome bits) of each window in order.
+    """
+    trig2, log_cos2, bound = table
+    lengths = np.array([len(times) for times, _, _ in windows])
+    offsets = np.cumsum(lengths) - lengths
+    nodes = np.concatenate([nodes for _, nodes, _ in windows])
+    u = np.concatenate([u for _, _, u in windows])
+    at = np.flatnonzero(u < bound[nodes])   # the candidates, window by window
+    window = np.repeat(np.arange(len(windows)), lengths)[at]
+    counts = np.bincount(window, minlength=len(windows))
+    rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[window]
+    # each candidate's skipped points start at its window's start or after
+    # the previous candidate
+    starts = np.where(rank > 0, np.concatenate(([0], at[:-1] + 1)), offsets[window])
+    # step r takes the windows of over r candidates, most candidates first
+    slot = np.empty(len(windows), dtype=int)
+    slot[np.argsort(-counts, kind="stable")] = np.arange(len(windows))
+    live = np.bincount(rank)
+    first = np.concatenate(([0], np.cumsum(live)))
+    order = np.empty(len(at), dtype=int)
+    order[first[rank] + slot[window]] = np.arange(len(at))
+    at, starts, rank = at[order], starts[order], rank[order]
+    ks, uc = nodes[at], u[at]
+    skips = np.flatnonzero(at > starts)   # the candidates after skipped points
+    rows = skips - first[rank[skips]]
+    cut = np.searchsorted(skips, first).tolist()
+    p = np.tile(p0, (np.count_nonzero(counts), 1))
+    # a step skips points before at most len(p) candidates
+    steps = max(1, _LOG_ROWS // max(p.size, 1))
+    hits = np.zeros(len(at), dtype=bool)
+    first = first.tolist()
+    for r, n in enumerate(live.tolist()):
+        lo, hi = first[r], first[r + 1]
+        a, b = cut[r], cut[r + 1]
+        if r % steps == 0:
+            base, run = a, skips[a:cut[min(r + steps, len(live))]]
+            factor = np.exp(_log_cos_sums(log_cos2, nodes, starts[run], at[run] - starts[run]))
+        if b > a:
+            p[rows[a:b]] *= factor[a - base:b - base]
+        x = p[:n, None] * trig2[ks[lo:hi]]
+        s = np.add.reduce(x, axis=2)
+        hits[lo:hi] = hit = uc[lo:hi] * (s[:, 0] + s[:, 1]) < s[:, 1]
+        p[:n] = np.where(hit[:, None], x[:, 1], x[:, 0])
+        if r % 16 == 15:
+            p[:n] /= np.add.reduce(p[:n], axis=1)[:, None]
+    bits = np.zeros(len(u), dtype=bool)
+    bits[at] = hits
+    for (times, nodes, _), lo, n in zip(windows, offsets, lengths):
+        yield times, nodes, bits[lo:lo + n]
+
+
 def _check_phases(params: ModelParams, gamma: float, t_end: float):
     """Refuse windows whose phases overflow double precision, before any draw:
     the largest coupling sqrt(gamma) / hbar * sqrt(m / m_R) |L_k| of the jump
@@ -342,18 +461,24 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
     Consecutive windows are gathered into chunks of at most ``_CHUNK``
     windows and ``_CHUNK_POINTS`` padded points and stepped together from
     psi0, with ``params.hamiltonian`` acting between points
-    (``_run_windows``).  Yields (times, nodes, outcome bits) of each window
-    in order; the jump table is built once.  Phases that overflow raise
-    before any draw (``_check_phases``).
+    (``_run_windows``), or, without a Hamiltonian, on the weights
+    |psi0_j|^2 alone (``_run_weights``).  Yields (times, nodes, outcome
+    bits) of each window in order; the jump or weight table is built once.
+    Phases that overflow raise before any draw (``_check_phases``).
     """
     _check_phases(params, gamma, t_end)
     grid, hbar = params.grid, params.hbar
     rate = mu * params.c_light * grid.volume
     members = np.sqrt(params.mass_scaled(1.0)) * params.family.diagonals
-    table = _JumpTable(members, np.full(len(members), np.sqrt(gamma) / hbar))
+    scale = np.sqrt(gamma) / hbar
     evolve = _evolution(params.hamiltonian, hbar)
-    cdf = _cell_cdf(grid)
     v0 = np.asarray(psi0).astype(complex)
+    if evolve is None:
+        run, args = _run_weights, ((v0 * v0.conj()).real, _weight_table(members, scale))
+    else:
+        table = _JumpTable(members, np.full(len(members), scale))
+        run, args = _run_windows, (v0, table, evolve)
+    cdf = _cell_cdf(grid)
     chunk, longest = [], 0
     for w in range(n_windows):
         if w % _CHUNK == 0:
@@ -362,9 +487,9 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
         times, nodes = _placement(rng, rate, cdf, t_end)
         n = len(times)
         if chunk and (len(chunk) == _CHUNK or (len(chunk) + 1) * max(longest, n) > _CHUNK_POINTS):
-            yield from _run_windows(chunk, v0, table, evolve)
+            yield from run(chunk, *args)
             chunk, longest = [], 0
         chunk.append((times, nodes, rng.random(n)))
         longest = max(longest, n)
     if chunk:
-        yield from _run_windows(chunk, v0, table, evolve)
+        yield from run(chunk, *args)

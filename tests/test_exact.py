@@ -358,12 +358,12 @@ class TestWindowEngine:
 
     def test_chunks_stay_within_the_point_budget(self, monkeypatch):
         family, _ = WINDOW_CASES["diagonal"]()
-        chunks, run = [], exact._run_windows
+        chunks, run = [], exact._run_weights
 
         def spy(windows, *args):
             chunks.append([len(times) for times, _, _ in windows])
             return run(windows, *args)
-        monkeypatch.setattr(exact, "_run_windows", spy)
+        monkeypatch.setattr(exact, "_run_weights", spy)
         # the windows of seed 5 hold 12, 15, 10, 12, 11, 14 and 11 points
         monkeypatch.setattr(exact, "_CHUNK_POINTS", 30)
         engine_windows(start_state(family.grid), family, None, 5, self.N_WINDOWS)
@@ -418,3 +418,125 @@ class TestWindowEngine:
         times, nodes = _placement(rng, 0.0, exact._cell_cdf(family.grid), T_END)
         assert len(times) == 0 and len(nodes) == 0
         assert rng.random() == stream(8, 0).random()   # nothing was drawn
+
+
+# ---------------------------------------------------------------------------
+# the weight propagator of windows without a Hamiltonian against the stepped
+# engine, on the 17-node exact config of the benchmark
+# ---------------------------------------------------------------------------
+
+BENCH_MU, BENCH_T_END, BENCH_WINDOWS = 40.0, 0.2, 75
+
+
+def bench_family(mass_weighted=False):
+    family = build_grw_family(SpatialGrid.line(17, 0.5), grw_gaussian(1.0))
+    if mass_weighted:   # species masses carried in the members
+        return OperatorFamily(family.grid, diagonals=1.7 * family.diagonals,
+                              mass_weighted=True)
+    return family
+
+
+def bench_start(grid):
+    v = np.exp(-grid.x ** 2 / 4.0).astype(complex)
+    return v / np.linalg.norm(v)
+
+
+def one_node_start(grid):
+    # all weight on the middle node, whose own member couples it most, so
+    # that a point there flashes with probability max_j sin^2(a_kj) itself
+    v = np.zeros(grid.n, dtype=complex)
+    v[grid.n // 2] = 1.0
+    return v
+
+
+WEIGHT_CASES = {
+    "gamma-0.05": lambda: (bench_family(), bench_start, 0.05, {}),
+    "gamma-2": lambda: (bench_family(), bench_start, 2.0, {}),
+    "gamma-20": lambda: (bench_family(), bench_start, 20.0, {}),
+    "gamma-0": lambda: (bench_family(), bench_start, 0.0, {}),
+    "one-node-start": lambda: (bench_family(), one_node_start, 2.0, {}),
+    "mass-weighted": lambda: (bench_family(True), bench_start, 2.0, {"mass": 3.0, "hbar": 0.9}),
+}
+
+
+def weight_case(case):
+    family, start, gamma, change = WEIGHT_CASES[case]()
+    params = replace(ModelParams.natural(lambda_grw=1.0, family=family, dt=1.0), **change)
+    return start(family.grid), params, gamma
+
+
+def stepped_windows(psi0, params, gamma, seed):
+    """The windows of seed, drawn from the reference streams and stepped
+    together by ``_run_windows``, with the coupling sqrt(gamma m / m_R) L / hbar,
+    or sqrt(gamma) L / hbar for a mass-weighted family."""
+    grid, family = params.grid, params.family
+    members = family.diagonals * (1.0 if family.mass_weighted else np.sqrt(params.mass))
+    table = exact._JumpTable(members, np.full(grid.n, np.sqrt(gamma) / params.hbar))
+    rate, cdf = BENCH_MU * params.c_light * grid.volume, exact._cell_cdf(grid)
+    windows = []
+    for w in range(BENCH_WINDOWS):
+        rng = stream(seed, w)
+        times, nodes = _placement(rng, rate, cdf, BENCH_T_END)
+        windows.append((times, nodes, rng.random(len(times))))
+    return windows, [(t.tolist(), k.tolist(), b.tolist())
+                     for t, k, b in exact._run_windows(windows, psi0, table, None)]
+
+
+def weight_windows(psi0, params, gamma, seed):
+    return [(t.tolist(), k.tolist(), b.tolist()) for t, k, b in _sample_windows(
+        psi0, params, BENCH_MU, gamma, BENCH_T_END, BENCH_WINDOWS, seed)]
+
+
+class TestWeightPropagator:
+    @pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+    def test_matches_the_stepped_engine_bit_for_bit(self, case):
+        psi0, params, gamma = weight_case(case)
+        _, stepped = stepped_windows(psi0, params, gamma, 1)
+        assert weight_windows(psi0, params, gamma, 1) == stepped
+        flashes = sum(sum(bits) for _, _, bits in stepped)
+        assert (flashes > 0) == (gamma > 0)
+
+    def test_steps_under_5_percent_of_the_points_at_weak_coupling(self):
+        psi0, params, gamma = weight_case("gamma-0.05")
+        windows, _ = stepped_windows(psi0, params, gamma, 1)
+        _, _, bound = exact._weight_table(params.family.diagonals, np.sqrt(gamma))
+        points = sum(len(u) for _, _, u in windows)
+        candidates = sum(int(np.count_nonzero(u < bound[nodes])) for _, nodes, u in windows)
+        assert 0 < candidates < 0.05 * points
+
+    @pytest.mark.parametrize("chunk,points,rows", [(1, 2 ** 18, 2 ** 22), (4, 2 ** 18, 2 ** 22),
+                                                   (512, 150, 2 ** 22), (512, 2 ** 18, 17 * 3),
+                                                   (7, 2 ** 18, 1)])
+    def test_chunks_and_the_log_budget_do_not_change_windows(self, chunk, points, rows,
+                                                             monkeypatch):
+        psi0, params, gamma = weight_case("gamma-2")
+        _, stepped = stepped_windows(psi0, params, gamma, 3)
+        monkeypatch.setattr(exact, "_CHUNK", chunk)
+        monkeypatch.setattr(exact, "_CHUNK_POINTS", points)
+        monkeypatch.setattr(exact, "_LOG_ROWS", rows)
+        assert weight_windows(psi0, params, gamma, 3) == stepped
+
+    @pytest.mark.parametrize("rows", [17 * 5, 17 * 64, 2 ** 22])
+    def test_log_cos_sums_depend_on_their_own_points_alone(self, rows, monkeypatch):
+        # every run's sum, bit for bit, whichever runs share the call, and no
+        # gather of more than _LOG_ROWS log-cosines
+        monkeypatch.setattr(exact, "_LOG_ROWS", rows)
+        rng = stream(11)
+        log_cos2 = -rng.random((17, 17))
+        nodes = rng.integers(0, 17, 3000)
+        starts = np.array([0, 5, 5, 40, 700, 2999])
+        lengths = np.array([5, 0, 30, 600, 2299, 1])
+        gathered = []
+
+        class Counting(np.ndarray):
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                gathered.append(np.size(out))
+                return out
+        sums = exact._log_cos_sums(log_cos2.view(Counting), nodes, starts, lengths)
+        assert max(gathered) <= max(rows, 17)
+        for i, (s, n) in enumerate(zip(starts, lengths)):
+            alone = exact._log_cos_sums(log_cos2, nodes, starts[i:i + 1], lengths[i:i + 1])
+            assert np.array_equal(sums[i], alone[0])
+            np.testing.assert_allclose(sums[i], log_cos2[nodes[s:s + n]].sum(axis=0),
+                                       rtol=1e-12, atol=0)

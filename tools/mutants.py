@@ -28,8 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 300
 
 DYN, MEAS, GRAV = "src/cpsim/dynamics.py", "src/cpsim/measurement.py", "src/cpsim/gravity.py"
+EXACT = "src/cpsim/exact.py"
 T_DYN = "tests/test_dynamics.py"
 WAITS = f"{T_DYN}::TestWaitingTimeEngine::"
+WEIGHTS = "tests/test_exact.py::TestWeightPropagator::test_matches_the_stepped_engine_bit_for_bit"
+PLACED = "tests/test_exact.py::TestWindowEngine::test_windows_match_point_by_point_reference"
 
 MUTANTS = [
     # log S of short waits from the plain log of the sum, without expm1 and log1p
@@ -82,6 +85,18 @@ MUTANTS = [
     (GRAV, "return r ** 4 * (4.0 * delta + r / 5.0 + r * r * delta / 3.0)",
      "return r ** 4 * (4.0 * delta + r * r * delta / 3.0)",
      ["tests/test_gravity.py::TestGammaOfD::test_tiny_separation_within_error_of_the_asymptote"]),
+    # the candidate bound without its guard band, and halved
+    (EXACT, "trig2[:, 1].max(axis=1) * (1.0 + 2.0 ** -30)", "trig2[:, 1].max(axis=1) / 2",
+     [f"{WEIGHTS}[one-node-start]"]),
+    # a flashing candidate that takes cos^2 instead of sin^2
+    (EXACT, "p[:n] = np.where(hit[:, None], x[:, 1], x[:, 0])",
+     "p[:n] = np.where(hit[:, None], x[:, 0], x[:, 0])", [f"{WEIGHTS}[gamma-2]"]),
+    # a Poisson mean 1.2 times the rate
+    (EXACT, "n = rng.poisson(rate * t_end)", "n = rng.poisson(1.2 * rate * t_end)",
+     ["tests/test_exact.py::TestPoissonPlacement::test_counts_per_window_are_poisson"]),
+    # times from the uniforms to the power 1.1
+    (EXACT, "times = t_end * np.sort(rng.random(n))",
+     "times = t_end * np.sort(rng.random(n) ** 1.1)", [f"{PLACED}[diagonal]"]),
 ]
 
 
