@@ -472,13 +472,12 @@ def _sample_windows(psi0, params: ModelParams, mu: float, gamma: float, t_end: f
     members = np.sqrt(params.mass_scaled(1.0)) * params.family.diagonals
     scale = np.sqrt(gamma) / hbar
     evolve = _evolution(params.hamiltonian, hbar)
+    cdf = _cell_cdf(grid)
     v0 = np.asarray(psi0).astype(complex)
     if evolve is None:
         run, args = _run_weights, ((v0 * v0.conj()).real, _weight_table(members, scale))
     else:
-        table = _JumpTable(members, np.full(len(members), scale))
-        run, args = _run_windows, (v0, table, evolve)
-    cdf = _cell_cdf(grid)
+        run, args = _run_windows, (v0, _JumpTable(members, np.full(len(members), scale)), evolve)
     chunk, longest = [], 0
     for w in range(n_windows):
         if w % _CHUNK == 0:

@@ -470,7 +470,8 @@ def stepped_windows(psi0, params, gamma, seed):
     together by ``_run_windows``, with the coupling sqrt(gamma m / m_R) L / hbar,
     or sqrt(gamma) L / hbar for a mass-weighted family."""
     grid, family = params.grid, params.family
-    members = family.diagonals * (1.0 if family.mass_weighted else np.sqrt(params.mass))
+    members = family.diagonals * (1.0 if family.mass_weighted else
+                                  np.sqrt(params.mass / params.m_r))
     table = exact._JumpTable(members, np.full(grid.n, np.sqrt(gamma) / params.hbar))
     rate, cdf = BENCH_MU * params.c_light * grid.volume, exact._cell_cdf(grid)
     windows = []

@@ -27,7 +27,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -43,12 +42,10 @@ def git(*args) -> str:
 
 def unpack(sha: str, into: Path) -> Path:
     """A fresh ``git archive`` copy of commit sha."""
-    archive = into.with_suffix(".tar")
-    with archive.open("wb") as fh:
-        subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, stdout=fh)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into, filter="data")
-    archive.unlink()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    into.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
 
 
