@@ -2,23 +2,23 @@
 commits in alternating pairs, written to ``BENCH_<short head sha>.json`` at
 the repository root.
 
-Both sides are ``git archive`` copies of their commit in a temporary
-directory, run with ``PYTHONDONTWRITEBYTECODE=1``, so neither has a
-bytecode cache.  Pair i of a workload runs the base first when i is even
-and the head first when it is odd, both at the same seed, taken in turn
-from ``--seeds``.  Per workload the file records each run (its four
-end-to-end metrics, its output checks and the bench's host probe before
-and after it), each side's median and quartiles of every metric, and how
-many pairs read lower on the head; at the top it records both shas, the
-NumPy and BLAS versions and thread count, the core count and the bytecode
+The head is ``HEAD``.  Both sides are ``git archive`` copies of their
+commit in a temporary directory, run with ``PYTHONDONTWRITEBYTECODE=1``,
+so neither has a bytecode cache, for the run length ``BENCHMARK.json``
+sets.  Pair i of a workload runs the base first when i is even and the
+head first when it is odd, both at the same seed, seeds 3 and 7 in turn.
+Per workload the file records each run (its four end-to-end metrics, its
+output checks and the bench's host probe before and after it), each
+side's median and quartiles of every metric, and how many pairs read
+lower on the head; at the top it records both shas, the NumPy and BLAS
+versions and thread count, the core count and the bytecode
 state.  From the repository root:
 
     python tools/bench_record.py --base <commit> chains_master=10 born_unravel=3
 
-runs 10 pairs of ``chains_master`` and 3 of ``born_unravel`` for the
-benchmark's own run length, with the head at ``HEAD``.  It refuses a head
-of ``HEAD`` while ``src`` or ``cpbench`` has uncommitted changes, since the
-archive would not hold them.
+runs 10 pairs of ``chains_master`` and 3 of ``born_unravel``.  It refuses
+to run while ``src`` or ``cpbench`` has uncommitted changes, since the
+archive of ``HEAD`` would not hold them.
 """
 
 import argparse
@@ -33,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mib")
+SEEDS = (3, 7)
 
 
 def git(*args) -> str:
@@ -82,29 +83,25 @@ def summary(runs) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="the commit compared against")
-    parser.add_argument("--head", default="HEAD", help="the commit measured (HEAD)")
-    parser.add_argument("--seeds", default="3,7", help="comma-separated bench seeds")
-    parser.add_argument("--seconds", type=float,
-                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("pairs", nargs="+", help="workload=pairs, e.g. chains_master=10")
     args = parser.parse_args(argv)
     plan = [(name, int(n)) for name, n in (item.split("=") for item in args.pairs)]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    if args.head == "HEAD" and git("status", "--porcelain", "--", "src", "cpbench"):
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    if git("status", "--porcelain", "--", "src", "cpbench"):
         print("src or cpbench has uncommitted changes; commit them first", file=sys.stderr)
         return 2
-    shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
-    doc = {"base_sha": shas["base"], "head_sha": shas["head"], "seconds": args.seconds,
-           "seeds": seeds, "bytecode": "none: git archive copies, PYTHONDONTWRITEBYTECODE=1",
+    shas = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
+    doc = {"base_sha": shas["base"], "head_sha": shas["head"], "seconds": seconds,
+           "seeds": SEEDS, "bytecode": "none: git archive copies, PYTHONDONTWRITEBYTECODE=1",
            "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: unpack(sha, Path(tmp) / side) for side, sha in shas.items()}
         for workload, n_pairs in plan:
             runs = {"base": [], "head": []}
             for i in range(n_pairs):
-                seed = seeds[i % len(seeds)]
+                seed = SEEDS[i % len(SEEDS)]
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    runs[side].append(bench(trees[side], workload, seed, args.seconds))
+                    runs[side].append(bench(trees[side], workload, seed, seconds))
                     print(f"{workload} pair {i} {side}: "
                           f"wall_s {runs[side][-1]['metrics']['wall_s']:.4f}", flush=True)
             doc["workloads"][workload] = {
