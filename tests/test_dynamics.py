@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from cpsim import dynamics
+from cpsim.cli import validate_config
 from cpsim.dynamics import (ModelParams, ensemble_vs_master, expected_noflash_probability,
                             flash_rate_density, integrate_master)
 from cpsim.errors import ContractViolationError, ConvergenceError, StepSizeError
@@ -20,7 +21,7 @@ from cpsim.hilbert import SpatialGrid
 from cpsim.measurement import born_initial_state, pointer_family
 from cpsim.operators import (FockBasis, OperatorFamily, SmearingFunction, build_grw_family,
                              build_smeared_mass, grw_gaussian)
-from helpers import random_hermitian, stream
+from helpers import bench_workloads, random_hermitian, stream
 
 
 def constant_uniforms(monkeypatch, value):
@@ -677,6 +678,28 @@ class TestCheckpoints:
             assert marks[0] == 0 and marks[-1] == n and np.all(np.diff(marks) > 0)
 
 
+def spy_negative_part_checks(monkeypatch):
+    """A list that records, in order, each Cholesky factorisation ("cholesky",
+    or "cholesky failed" where it raised) and each SVD."""
+    log, cholesky, svd = [], np.linalg.cholesky, np.linalg.svd
+
+    def cholesky_spy(*args, **kwargs):
+        try:
+            out = cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            log.append("cholesky failed")
+            raise
+        log.append("cholesky")
+        return out
+
+    def svd_spy(*args, **kwargs):
+        log.append("svd")
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    return log
+
+
 class TestLindblad:
     def test_free_case_matches_von_neumann(self):
         h = hopping(9, j=0.8)
@@ -759,6 +782,50 @@ class TestLindblad:
         with pytest.raises(ContractViolationError, match="Hermiticity"):
             list(integrate_master(rho, params, 0.1, n_checkpoints=2))
 
+    def test_eigenvalue_below_the_shift_fails_the_certificate_and_passes_the_svd(
+            self, monkeypatch):
+        # -0.4e-8 is below -eps = -1e-8 / 66, so r + eps I has no Cholesky
+        # factor, but the negative part, 0.4e-8, is within the limit
+        params = natural_params(lam=0.0)
+        n = params.grid.n
+        rho = np.diag(np.r_[1 + 0.4e-8, -0.4e-8, np.zeros(n - 2)]).astype(complex)
+        log = spy_negative_part_checks(monkeypatch)
+        assert len(list(integrate_master(rho, params, 0.1, n_checkpoints=2))) == 2
+        assert log == ["cholesky failed", "svd"]
+
+    def test_certificate_alone_accepts_a_run_at_64_nodes(self, monkeypatch):
+        params = natural_params(grid=SpatialGrid.line(64, 0.5), hamiltonian=hopping(64))
+        psi = packet(params.grid)
+        log = spy_negative_part_checks(monkeypatch)
+        assert len(list(integrate_master(np.outer(psi, psi.conj()), params, 1.0))) == 11
+        assert log == ["cholesky"] * 10
+
+    @pytest.mark.parametrize("n, checks", [(64, ["cholesky"]), (400, ["svd"])])
+    def test_sizes_beyond_the_certificate_go_straight_to_the_svd(self, n, checks, monkeypatch):
+        # n (eps + delta) is 5.0e-9 at 64 nodes and 1.9e-8, above 1e-8, at 400
+        rho = np.zeros((n, n), dtype=complex)
+        rho[0, 0] = 1.0
+        log = spy_negative_part_checks(monkeypatch)
+        dynamics._check_negative_part(rho)
+        assert log == checks
+
+    @pytest.mark.parametrize("workload, experiment, calls", [
+        ("chains_master", "master", 85), ("born_unravel", "compare", 40)])
+    def test_bench_master_runs_apply_l(self, workload, experiment, calls, monkeypatch, tmp_path):
+        # master: 10 gaps of 0.9 units as substeps of 4, 4 and 2 gaps, of
+        # degrees 31, 31 and 23; one application of L per degree
+        case = next(c for c in bench_workloads().build(workload, 1, tmp_path)
+                    if c.cfg["experiment"] == experiment)
+        run = validate_config(case.cfg).run
+        count, rhs = [0], dynamics.lindblad_rhs
+
+        def spy(*args, **kwargs):
+            count[0] += 1
+            return rhs(*args, **kwargs)
+        monkeypatch.setattr(dynamics, "lindblad_rhs", spy)
+        run(case.cfg["seed"])
+        assert count[0] == calls
+
     def test_master_run_leaves_no_busy_blas_thread(self):
         work = "list(integrate_master(np.outer(psi, psi.conj()), params, 3.0))"
         assert cpu_beyond_wall_at_64_nodes(work) <= 0.05
@@ -829,22 +896,32 @@ ORACLE_CASES = {
 class TestPropagatorOracle:
     """The propagator against scipy.linalg.expm of the dense Liouvillian."""
 
-    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_within_reported_truncation_bound(self, case, rng):
-        from scipy.linalg import expm
-
+    @staticmethod
+    def check(case, rng, n_checkpoints):
         params = ORACLE_CASES[case]()
         n = params.family.dim
         rho0 = random_hermitian(n, rng)
         rho0 = rho0 @ rho0
         rho0 /= rho0.trace()
-        times, rhos, errs = zip(*integrate_master(rho0, params, 3.0, n_checkpoints=7))
+        times, rhos, errs = zip(*integrate_master(rho0, params, 3.0, n_checkpoints))
         lv = liouvillian(params)
-        assert len(times) == len(errs) == 7
+        assert len(times) == len(errs) == n_checkpoints
         for t, rho, err in zip(times, rhos, errs):
             ref = (expm(lv * t) @ rho0.ravel()).reshape(n, n)
             assert np.max(np.abs(rho - ref)) <= err + 1e-14
         assert 0.0 < errs[-1] < 1e-13
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_within_reported_truncation_bound(self, case, rng):
+        self.check(case, rng, 7)
+
+    @pytest.mark.parametrize("cap", [8, 2, 1])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_dense_checkpoints_within_reported_truncation_bound(self, case, cap, rng,
+                                                                monkeypatch):
+        # a substep reaches up to cap of the 30 checkpoint gaps
+        monkeypatch.setattr(dynamics, "_MAX_STATES", cap)
+        self.check(case, rng, 31)
 
 
 class TestEnsembleVsMaster:

@@ -14,7 +14,6 @@ repository root:
 """
 
 import hashlib
-import importlib.util
 import json
 import platform
 import sys
@@ -25,6 +24,7 @@ import numpy as np
 import pytest
 
 from cpsim.cli import run_config
+from helpers import bench_workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
@@ -35,20 +35,11 @@ def manifest_key() -> str:
     return f"numpy-{np.__version__}/{platform.machine()}"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("cpbench_workloads",
-                                                  ROOT / "cpbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 def results_digests() -> dict:
     """{name: sha256} of the results file (not the sidecar) of every config."""
     configs = {f"configs/{path.name}": json.loads(path.read_text())
                for path in sorted((ROOT / "configs").glob("*.json"))}
-    workloads = _workloads()
+    workloads = bench_workloads()
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:

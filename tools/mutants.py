@@ -33,6 +33,8 @@ T_DYN = "tests/test_dynamics.py"
 WAITS = f"{T_DYN}::TestWaitingTimeEngine::"
 WEIGHTS = "tests/test_exact.py::TestWeightPropagator::test_matches_the_stepped_engine_bit_for_bit"
 PLACED = "tests/test_exact.py::TestWindowEngine::test_windows_match_point_by_point_reference"
+ORACLE = f"{T_DYN}::TestPropagatorOracle::"
+LINDBLAD = f"{T_DYN}::TestLindblad::"
 
 MUTANTS = [
     # log S of short waits from the plain log of the sum, without expm1 and log1p
@@ -97,6 +99,15 @@ MUTANTS = [
     # times from the uniforms to the power 1.1
     (EXACT, "times = t_end * np.sort(rng.random(n))",
      "times = t_end * np.sort(rng.random(n) ** 1.1)", [f"{PLACED}[diagonal]"]),
+    # the master's Taylor terms (t L)^q rho / (q + 1)! instead of / q!
+    (DYN, "terms[i] *= t / q", "terms[i] *= t / (q + 1)",
+     [f"{ORACLE}test_dense_checkpoints_within_reported_truncation_bound[diagonal-8]"]),
+    # the Cholesky certificate at 100 times its shift eps
+    (DYN, "shifted.flat[::n + 1] += eps", "shifted.flat[::n + 1] += 100 * eps",
+     [f"{LINDBLAD}test_eigenvalue_below_the_shift_fails_the_certificate_and_passes_the_svd"]),
+    # the commutator of the master equation without the Im H product
+    (DYN, "a += 1j * _real_product(im, rho)", "pass",
+     [f"{ORACLE}test_within_reported_truncation_bound[diagonal+complex_hermitian]"]),
 ]
 
 
