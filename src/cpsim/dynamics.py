@@ -517,7 +517,7 @@ def _real_product(m, rho):
 
 def lindblad_rhs(rho, params: ModelParams, out=None) -> np.ndarray:
     """L(rho), the right-hand side of the collapse master equation for a
-    Hermitian rho, written into ``out`` when given.
+    Hermitian rho, written into ``out``, not rho itself, when given.
 
     The Hamiltonian H and rho are Hermitian, so the commutator is
     [H, rho] / hbar = A - A^dag with A = (H / hbar) rho.  A is formed
@@ -528,7 +528,7 @@ def lindblad_rhs(rho, params: ModelParams, out=None) -> np.ndarray:
     product with ``dephasing_rates``.
     """
     rho = np.ascontiguousarray(rho)
-    a = None
+    out = np.multiply(params.dephasing_rates, rho, out=out)
     if params.hamiltonian is not None:
         re, im = params.hamiltonian_parts
         a = _real_product(re, rho)
@@ -536,8 +536,6 @@ def lindblad_rhs(rho, params: ModelParams, out=None) -> np.ndarray:
             a += 1j * _real_product(im, rho)
         a -= a.conj().T
         a *= -1j
-    out = np.multiply(params.dephasing_rates, rho, out=out)
-    if a is not None:
         out += a
     return out
 
