@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, ConvergenceError, StepSizeError
-from .hilbert import SpatialGrid, hermitize
+from .hilbert import SpatialGrid, _rows_times, hermitize
 from .operators import OperatorFamily
 from .rng import keys, opener
 
@@ -202,16 +202,6 @@ def _pick_nodes(rates, u):
     Generator.choice(p=rates / total): normalised cdf, searchsorted side="right"."""
     cdf = (rates / np.add.reduce(rates, axis=-1, keepdims=True)).cumsum(axis=-1)
     return np.add.reduce(cdf / cdf[:, -1:] <= u[:, None], axis=-1)
-
-
-def _rows_times(v, m):
-    """v @ m one row at a time, so that a row's bits do not depend on the rows
-    beside it, as they do in one (rows, dim) BLAS product: a vector-matrix
-    BLAS product per row, or for a complex m of 64 rows or more einsum's own
-    loop, where OpenBLAS's zgemv would start a second thread that spins on."""
-    if len(m) >= 64 and np.iscomplexobj(m):
-        return np.einsum("rj,jk->rk", v, m)
-    return (v[:, None, :] @ m)[:, 0]
 
 
 def _uniforms(key):
@@ -638,11 +628,11 @@ def _check_negative_part(r):
     for complex arithmetic.  Every eigenvalue is then at least -(eps + delta),
     so the negative part is at most n (eps + delta), which is accepted where it
     is within the limit (it is at 64 nodes).  Otherwise the negative part is
-    computed: the singular values of the Hermitian r are its |eigenvalues|, so
-    it is (sum sigma - tr r) / 2.  The certificate accepts only states within
-    the limit, so both paths refuse the same states; the negative part is at
-    least minus the smallest eigenvalue, so every state a smallest-eigenvalue
-    check at -limit would refuse is refused.
+    computed as the sum of the magnitudes of the negative eigenvalues from
+    ``eigvalsh``.  The certificate accepts only states within the limit, so
+    both paths refuse the same states; the negative part is at least minus
+    the smallest eigenvalue, so every state a smallest-eigenvalue check at
+    -limit would refuse is refused.
     """
     n = len(r)
     eps = _NEGATIVE_LIMIT / (2 * n)
@@ -656,7 +646,7 @@ def _check_negative_part(r):
             return
         except np.linalg.LinAlgError:
             pass
-    neg = 0.5 * float(np.linalg.svd(r, compute_uv=False).sum() - r.trace().real)
+    neg = -float(np.minimum(np.linalg.eigvalsh(r), 0.0).sum())
     if neg > _NEGATIVE_LIMIT:
         raise StepSizeError(f"negative eigenvalues sum to {-neg!r}, below -1e-8")
 
@@ -748,7 +738,7 @@ def ensemble_vs_master(psi0, params: ModelParams, t_end: float, n_traj: int,
     avg = np.zeros((len(marks), v.size, v.size), dtype=complex)
     for _, _, t, nodes, states in _jumps(v, params, times, n_traj, seed):
         if nodes is None:
-            avg[np.searchsorted(times, t[0])] += np.einsum("ri,rj->ij", states, states.conj())
+            avg[np.searchsorted(times, t[0])] += states.T @ states.conj()
     avg /= n_traj
     master = integrate_master(np.outer(v, v.conj()), params, t_end, n_checkpoints)
     dist = np.array([np.linalg.norm(a - r) for a, (_, r, _) in zip(avg, master)])

@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import ModelParams, _spectral_bound
 from .errors import ContractViolationError, DomainError
-from .hilbert import _apply
+from .hilbert import _rows_times
 from .rng import keys, opener
 
 MAX_ENUMERATION = 12
@@ -166,17 +166,18 @@ def _gaps(chain) -> np.ndarray:
 
 def _evolution(H, hbar: float):
     """exp(-i H g / hbar) applied to each row with its own gap g, from one
-    eigendecomposition of H; None when H is absent or zero.  The only
-    evolution between collapse points: chains, windows and density
-    matrices all go through it."""
+    eigendecomposition of H; None when H is absent or zero.  Both basis
+    changes are ``_rows_times``, so a row's bits do not depend on the rows
+    beside it.  The only evolution between collapse points: chains, windows
+    and density matrices all go through it."""
     if H is None or not np.any(H):
         return None
     w, v = np.linalg.eigh(np.asarray(H))
-    vh = v.conj().T
+    vc = v.conj()
 
     def evolve(rows, gaps):
         phase = np.exp(-1j * w * gaps[:, None] / hbar)
-        return _apply(v, phase * _apply(vh, rows))
+        return _rows_times(phase * _rows_times(rows, vc), v.T)
     return evolve
 
 

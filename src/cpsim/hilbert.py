@@ -1,9 +1,10 @@
 """Finite-dimensional Hilbert-space toolbox.
 
 Spatial grids that carry their quadrature measure, and the few dense
-primitives the rest of the package is built from.  States and operators
-are plain ndarrays over a discrete basis (grid nodes or Fock occupation
-lists).
+primitives the rest of the package is built from: among them the one
+product of a stack of rows with a matrix, ``_rows_times``, whose rows do
+not depend on each other.  States and operators are plain ndarrays over
+a discrete basis (grid nodes or Fock occupation lists).
 """
 
 from __future__ import annotations
@@ -103,10 +104,11 @@ class SpatialGrid:
 # operations
 # ---------------------------------------------------------------------------
 
-def _apply(m, v):
-    """m @ v for each row of v (m: one matrix or one per row), without BLAS,
-    whose sums depend on the row count and which starts a second thread."""
-    return np.einsum("...ij,...j->...i", m, v)
+def _rows_times(v, m):
+    """v @ m one row at a time, a vector-matrix BLAS product per row, so that
+    a row's bits do not depend on the rows beside it, as they do in one
+    (rows, dim) BLAS product."""
+    return (v[:, None, :] @ m)[:, 0]
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

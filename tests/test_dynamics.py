@@ -268,7 +268,7 @@ ENGINE_CASES = {
                                                hamiltonian=hopping(16)),
     "gravity_dressed+hopping": lambda: dressed_params(16, 4.0, 0.5),
 }
-#: from 64 nodes on, the complex row products leave BLAS for einsum
+#: with a 64-node hopping case, the size of the bench's master runs
 CHUNK_CASES = dict(ENGINE_CASES, **{"diagonal+hopping-64": lambda: natural_params(
     grid=SpatialGrid.line(64, 0.5), lam=4.0, hamiltonian=hopping(64))})
 
@@ -680,8 +680,8 @@ class TestCheckpoints:
 
 def spy_negative_part_checks(monkeypatch):
     """A list that records, in order, each Cholesky factorisation ("cholesky",
-    or "cholesky failed" where it raised) and each SVD."""
-    log, cholesky, svd = [], np.linalg.cholesky, np.linalg.svd
+    or "cholesky failed" where it raised) and each eigvalsh."""
+    log, cholesky, eigvalsh = [], np.linalg.cholesky, np.linalg.eigvalsh
 
     def cholesky_spy(*args, **kwargs):
         try:
@@ -692,11 +692,11 @@ def spy_negative_part_checks(monkeypatch):
         log.append("cholesky")
         return out
 
-    def svd_spy(*args, **kwargs):
-        log.append("svd")
-        return svd(*args, **kwargs)
+    def eigvalsh_spy(*args, **kwargs):
+        log.append("eigvalsh")
+        return eigvalsh(*args, **kwargs)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     return log
 
 
@@ -782,7 +782,7 @@ class TestLindblad:
         with pytest.raises(ContractViolationError, match="Hermiticity"):
             list(integrate_master(rho, params, 0.1, n_checkpoints=2))
 
-    def test_eigenvalue_below_the_shift_fails_the_certificate_and_passes_the_svd(
+    def test_eigenvalue_below_the_shift_fails_the_certificate_and_passes_eigvalsh(
             self, monkeypatch):
         # -0.4e-8 is below -eps = -1e-8 / 66, so r + eps I has no Cholesky
         # factor, but the negative part, 0.4e-8, is within the limit
@@ -791,7 +791,7 @@ class TestLindblad:
         rho = np.diag(np.r_[1 + 0.4e-8, -0.4e-8, np.zeros(n - 2)]).astype(complex)
         log = spy_negative_part_checks(monkeypatch)
         assert len(list(integrate_master(rho, params, 0.1, n_checkpoints=2))) == 2
-        assert log == ["cholesky failed", "svd"]
+        assert log == ["cholesky failed", "eigvalsh"]
 
     def test_certificate_alone_accepts_a_run_at_64_nodes(self, monkeypatch):
         params = natural_params(grid=SpatialGrid.line(64, 0.5), hamiltonian=hopping(64))
@@ -800,8 +800,8 @@ class TestLindblad:
         assert len(list(integrate_master(np.outer(psi, psi.conj()), params, 1.0))) == 11
         assert log == ["cholesky"] * 10
 
-    @pytest.mark.parametrize("n, checks", [(64, ["cholesky"]), (400, ["svd"])])
-    def test_sizes_beyond_the_certificate_go_straight_to_the_svd(self, n, checks, monkeypatch):
+    @pytest.mark.parametrize("n, checks", [(64, ["cholesky"]), (400, ["eigvalsh"])])
+    def test_sizes_beyond_the_certificate_go_straight_to_eigvalsh(self, n, checks, monkeypatch):
         # n (eps + delta) is 5.0e-9 at 64 nodes and 1.9e-8, above 1e-8, at 400
         rho = np.zeros((n, n), dtype=complex)
         rho[0, 0] = 1.0

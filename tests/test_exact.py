@@ -285,6 +285,9 @@ WINDOW_CASES = {
     "diagonal+hopping": lambda: (build_grw_family(SpatialGrid.line(8, 0.5), grw_gaussian(1.0)),
                                  line_hopping(8)),
 }
+#: with a 64-node hopping case, the size of the bench's master runs
+CHUNK_CASES = dict(WINDOW_CASES, **{"diagonal+hopping-64": lambda: (
+    build_grw_family(SpatialGrid.line(64, 0.5), grw_gaussian(1.0)), line_hopping(64))})
 
 
 def start_state(grid):
@@ -342,9 +345,9 @@ class TestWindowEngine:
             flashes += sum(window[2])
         assert 0 < flashes < sum(len(window[0]) for window in got)
 
-    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
     def test_chunk_size_does_not_change_windows(self, case, monkeypatch):
-        family, H = WINDOW_CASES[case]()
+        family, H = CHUNK_CASES[case]()
         psi0 = start_state(family.grid)
         runs = []
         # the last budget of padded points closes chunks of one to a few windows

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cpsim import dynamics
 from cpsim.dynamics import ModelParams
 from cpsim.errors import ContractViolationError
-from cpsim.hilbert import SpatialGrid
+from cpsim.hilbert import SpatialGrid, _rows_times
 from cpsim.operators import OperatorFamily
 from helpers import random_hermitian, random_state
 
@@ -50,6 +50,27 @@ class TestSpatialGrid:
         with pytest.raises(ContractViolationError):
             SpatialGrid(1, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]),
                         [[0, 3]], axes=(np.array([0.0, 1.0]),))
+
+
+# ---------------------------------------------------------------------------
+# row products
+# ---------------------------------------------------------------------------
+
+class TestRowsTimes:
+    @pytest.mark.parametrize("rows", [1, 512])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("v_type, m_type", [(float, float), (complex, float),
+                                                (complex, complex)])
+    def test_each_row_is_bit_equal_to_its_product_alone(self, v_type, m_type, n, rows, rng):
+        def draw(shape, kind):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind is complex else x
+        v, m = draw((rows, n), v_type), draw((n, n), m_type)
+        out = _rows_times(v, m)
+        assert out.shape == (rows, n)
+        assert np.allclose(out, v @ m, rtol=0, atol=1e-12 * n)
+        for i in range(rows):
+            assert np.array_equal(out[i], _rows_times(v[i:i + 1], m)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,17 @@ MUTANTS = [
      [f"{ORACLE}test_dense_checkpoints_within_reported_truncation_bound[diagonal-8]"]),
     # the Cholesky certificate at 100 times its shift eps
     (DYN, "shifted.flat[::n + 1] += eps", "shifted.flat[::n + 1] += 100 * eps",
-     [f"{LINDBLAD}test_eigenvalue_below_the_shift_fails_the_certificate_and_passes_the_svd"]),
+     [f"{LINDBLAD}test_eigenvalue_below_the_shift_fails_the_certificate_and_passes_eigvalsh"]),
     # the commutator of the master equation without the Im H product
     (DYN, "a += 1j * _real_product(im, rho)", "pass",
      [f"{ORACLE}test_within_reported_truncation_bound[diagonal+complex_hermitian]"]),
+    # the negative part as the smallest eigenvalue alone, not the sum of the negative ones
+    (DYN, "np.minimum(np.linalg.eigvalsh(r), 0.0).sum()",
+     "np.minimum(np.linalg.eigvalsh(r), 0.0).min()",
+     [f"{LINDBLAD}test_negative_part_over_the_limit_raises"]),
+    # trajectory projectors summed without the conjugate
+    (DYN, "+= states.T @ states.conj()", "+= states.T @ states",
+     [f"{T_DYN}::TestEnsembleVsMaster::test_free_case_agrees_tightly"]),
 ]
 
 
