@@ -67,7 +67,6 @@ class TestRowsTimes:
             return x + 1j * rng.standard_normal(shape) if kind is complex else x
         v, m = draw((rows, n), v_type), draw((n, n), m_type)
         out = _rows_times(v, m)
-        assert out.shape == (rows, n)
         assert np.allclose(out, v @ m, rtol=0, atol=1e-12 * n)
         for i in range(rows):
             assert np.array_equal(out[i], _rows_times(v[i:i + 1], m)[0])
